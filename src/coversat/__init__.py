@@ -16,7 +16,6 @@ from .codes import (
     ball_volume,
     boolean_cover,
     code_size_bound,
-    concatenate,
     get_code,
     greedy_code,
     random_code,

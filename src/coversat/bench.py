@@ -80,7 +80,8 @@ def gen_planted(
         start[v - 1] = 1 - start[v - 1]
     start = tuple(start)
     inst = PlantedInstance(f, planted, start, hamming_distance(start, planted))
-    assert evaluate(f, planted)
+    if not evaluate(f, planted):
+        raise AssertionError("internal error: planted assignment does not satisfy the formula")
     return inst
 
 
@@ -111,12 +112,14 @@ def _run_one(
     began = time.perf_counter()
     if engine == "searchball":
         witness, _ = searchball(f, start, r, stats=stats)
-        assert stats.leaves <= f.max_width ** r, "searchball leaf envelope violated"
+        if stats.leaves > f.max_width ** r:
+            raise AssertionError("searchball leaf envelope violated")
         code_size = 0
     elif engine == "searchball_fast":
         witness, _ = searchball_fast(f, start, r, fp, stats=stats)
         envelope = len(fp.code.words) ** math.ceil(r / fp.delta) if r else 1
-        assert stats.leaves <= envelope, "searchball_fast leaf envelope violated"
+        if stats.leaves > envelope:
+            raise AssertionError("searchball_fast leaf envelope violated")
         code_size = len(fp.code.words)
     elif engine == "schoening_walk":
         rng = random.Random(seed)

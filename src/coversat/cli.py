@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--rho", type=float, default=None)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trial-cap", type=int, default=None)
-    solve.add_argument("--beta-mode", choices=["skip", "full"], default="skip")
     solve.add_argument("--jobs", type=int, default=1)
     solve.add_argument("--cache-dir", default=None)
     solve.add_argument("--stats", default=None, help="write a JSON stats report here")
@@ -115,7 +114,6 @@ def _config_from(args) -> SolverConfig:
         seed=args.seed,
         trial_cap=args.trial_cap,
         box_block_len=args.box_block_len,
-        beta_mode=args.beta_mode,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )

@@ -28,8 +28,8 @@ CONCAT_MAX_WORDS = 5 * 10**6
 class CoveringCode:
     """A set of distinct words claimed to cover {1..q}^t at radius r.
 
-    ``verified`` is set by verify_cover (or by constructions that are
-    covering by construction) and is excluded from equality so that file
+    ``verified`` is set by verify_cover (or by boolean_cover for a product
+    of verified blocks) and is excluded from equality so that file
     round-trips compare equal.
     """
 
@@ -240,14 +240,13 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
 
     Repeatedly picks the center covering the most uncovered words, breaking
     ties toward the lexicographically smallest center. Coverage counts are
-    kept per center, so total work is O(q^t * ball_volume).
+    kept per center, so total work is O(q^t * ball_volume). The result is
+    exhaustively verified before it is returned.
     """
     _check_params(q, t, r)
     space = q**t
     if space > GREEDY_MAX_SPACE:
         raise ResourceCapError(f"q^t = {space} exceeds greedy-construction cap {GREEDY_MAX_SPACE}")
-    if t == 0:
-        return CoveringCode(q, 0, 0, ((),), verified=True)
     vol = ball_volume(q, t, r)
     masks = _xor_masks(t, r) if q == 2 else None
     gain = [vol] * space
@@ -274,23 +273,9 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
                 else:
                     for c in _ball_of(p, q, t, r):
                         gain[c] -= 1
-    words = tuple(_word_of(idx, q, t) for idx in centers)
-    return CoveringCode(q, t, r, words, verified=True)
-
-
-def concatenate(c1: CoveringCode, c2: CoveringCode) -> CoveringCode:
-    """Blockwise product code: length t1+t2, radius r1+r2, sizes multiply.
-
-    Covering holds coordinate-blockwise, so the verified flag propagates
-    without re-verification.
-    """
-    if c1.q != c2.q:
-        raise ValueError(f"alphabet mismatch ({c1.q} vs {c2.q})")
-    if len(c1.words) * len(c2.words) > CONCAT_MAX_WORDS:
-        raise ResourceCapError("concatenated code would exceed the word-count cap")
-    words = tuple(w1 + w2 for w1 in c1.words for w2 in c2.words)
-    code = CoveringCode(c1.q, c1.t + c2.t, c1.r + c2.r, words)
-    code.verified = c1.verified and c2.verified
+    code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
+    if not verify_cover(code):
+        raise CodeConstructionError(f"greedy code (q={q}, t={t}, r={r}) failed verification")
     return code
 
 
@@ -302,13 +287,14 @@ def _ceil_fraction(x: float) -> int:
 def boolean_cover(
     n: int, rho: float, b: int, *, cache_dir: str | os.PathLike | None = None
 ) -> CoveringCode:
-    """Covering code for {0,1}^n built from greedy blocks of length b.
+    """Covering code for {0,1}^n: the product of greedy blocks of length b.
 
     Each full block is a greedy code of radius ceil(rho*b); a shorter final
     block covers the residual coordinates at the same radius fraction. The
     returned radius is the realized per-block sum, which may exceed rho*n
-    slightly when blocks round up. Every block is exhaustively re-verified
-    before use.
+    slightly when blocks round up. When n <= b the block itself is returned.
+    Blocks are verified once, where get_code builds or loads them; covering
+    holds blockwise, so the product is verified without another check.
     """
     if not 0 < rho <= 0.5:
         raise ValueError("rho must lie in (0, 1/2]")
@@ -317,19 +303,22 @@ def boolean_cover(
     if n == 0:
         return CoveringCode(2, 0, 0, ((),), verified=True)
     b = min(b, n)
-    block = get_code(2, b, _ceil_fraction(rho * b), "greedy", cache_dir=cache_dir)
-    if not verify_cover(block):
-        raise CodeConstructionError(f"greedy block (2, {b}) failed verification")
-    result = block
-    for _ in range(n // b - 1):
-        result = concatenate(result, block)
-    rem = n % b
-    if rem:
-        tail = get_code(2, rem, _ceil_fraction(rho * rem), "greedy", cache_dir=cache_dir)
-        if not verify_cover(tail):
-            raise CodeConstructionError(f"greedy block (2, {rem}) failed verification")
-        result = concatenate(result, tail)
-    return result
+    lengths = [b] * (n // b) + ([n % b] if n % b else [])
+    blocks = [
+        get_code(2, t, _ceil_fraction(rho * t), "greedy", cache_dir=cache_dir) for t in lengths
+    ]
+    for block in blocks:
+        if not block.verified:
+            raise CodeConstructionError(f"greedy block (2, {block.t}) is not verified")
+    if len(blocks) == 1:
+        return blocks[0]
+    if math.prod(len(block) for block in blocks) > CONCAT_MAX_WORDS:
+        raise ResourceCapError("outer cover would exceed the word-count cap")
+    words = tuple(
+        tuple(s for part in combo for s in part)
+        for combo in product(*(block.words for block in blocks))
+    )
+    return CoveringCode(2, n, sum(block.r for block in blocks), words, verified=True)
 
 
 _memory_cache: dict[tuple, CoveringCode] = {}

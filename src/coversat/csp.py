@@ -215,7 +215,7 @@ def two_box_cover(d: int, n: int, b: int = 5) -> BoxCover:
 
     Even d: the direct product of the pairs {2j-1, 2j}, exactly (d/2)^n
     boxes, covering by construction. Odd d: greedy set cover on blocks of
-    length b, concatenated; verified exhaustively when d^n <= 10^6.
+    length b, taken as their product; verified exhaustively when d^n <= 10^6.
     """
     if d < 2:
         raise ValueError("domain size must be >= 2 for a 2-box cover")
@@ -316,7 +316,8 @@ def brute_force_csp(f: CspFormula) -> SolveResult:
         return SolveResult("unsat", None, stats)
     lowest = (sat & -sat).bit_length() - 1
     witness = csp_index_to_assignment(lowest, f.domain_size, f.num_vars)
-    assert csp_evaluate(f, witness)
+    if not csp_evaluate(f, witness):
+        raise AssertionError("internal error: brute-force witness failed re-verification")
     stats.wall_time = time.perf_counter() - start
     return SolveResult("sat", witness, stats)
 
@@ -345,7 +346,8 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
         stats.search.merge(sub.stats.search)
         if sub.status == "sat":
             witness = decode_box_witness(box, sub.witness)
-            assert csp_evaluate(f, witness)
+            if not csp_evaluate(f, witness):
+                raise AssertionError("internal error: decoded witness failed re-verification")
             stats.wall_time = time.perf_counter() - start
             return SolveResult("sat", witness, stats)
     stats.wall_time = time.perf_counter() - start

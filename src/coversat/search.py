@@ -37,8 +37,6 @@ from .cnf import (
 )
 from .codes import CoveringCode, get_code
 
-BETA_MODES = ("skip", "full")
-
 
 @dataclass
 class SearchStats:
@@ -149,7 +147,8 @@ def schoening_walk(
         target = _first_unsat(clauses, cur)
         if target is None:
             result = tuple(cur)
-            assert evaluate(f, result)
+            if not evaluate(f, result):
+                raise AssertionError("internal error: walk result failed re-verification")
             return result
         u = rng.choice(target)
         v = abs(u)
@@ -158,7 +157,8 @@ def schoening_walk(
             stats.recursion_nodes += 1
     if _first_unsat(clauses, cur) is None:
         result = tuple(cur)
-        assert evaluate(f, result)
+        if not evaluate(f, result):
+            raise AssertionError("internal error: walk result failed re-verification")
         return result
     return None
 
@@ -227,8 +227,8 @@ def searchball(
             cur[v - 1] = bit
             forced_vars.add(v)
     witness = _searchball(f.clauses, cur, forced_vars, r, 0, stats)
-    if witness is not None:
-        assert evaluate(f, witness)
+    if witness is not None and not evaluate(f, witness):
+        raise AssertionError("internal error: searchball witness failed re-verification")
     return witness, stats
 
 
@@ -303,7 +303,6 @@ def _beta_search(
     alpha: Assignment,
     r: int,
     g: list[Clause],
-    beta_mode: str,
     stats: SearchStats,
 ) -> Optional[Assignment]:
     """Enumerate assignments to vbl(G) and hand each to searchball.
@@ -312,24 +311,12 @@ def _beta_search(
     formula has no unsatisfied width-k clause, so the subsearch branches at
     most k-1 ways per node.
 
-    "full" replays the textbook enumeration: all 2^(k|G|) assignments at
-    radius r. "skip" (default) only enumerates assignments that satisfy
-    every clause of G (the promised assignment does) and lowers the
-    subsearch radius by the flips already spent inside vbl(G); both prunes
-    preserve the promise contract.
+    Only assignments that satisfy every clause of G are enumerated (the
+    promised assignment does), and the subsearch radius is lowered by the
+    flips already spent inside vbl(G); both prunes preserve the promise
+    contract.
     """
     cur = list(alpha)
-    if beta_mode == "full":
-        g_vars = [abs(u) for clause in g for u in clause]
-        for bits in product((0, 1), repeat=len(g_vars)):
-            beta = dict(zip(g_vars, bits))
-            inner = SearchStats()
-            res, _ = searchball(f, alpha, r, forced=beta, stats=inner)
-            stats.recursion_nodes += inner.recursion_nodes
-            if res is not None:
-                return res
-        return None
-
     per_clause = [_satisfying_patterns(clause, cur) for clause in g]
 
     def rec(i: int, budget: int, beta: dict[int, int]) -> Optional[Assignment]:
@@ -363,7 +350,6 @@ def searchball_fast(
     r: int,
     params: FastParams,
     *,
-    beta_mode: str = "skip",
     stats: SearchStats | None = None,
 ) -> tuple[Optional[Assignment], SearchStats]:
     """Covering-code promise-ball search.
@@ -378,8 +364,6 @@ def searchball_fast(
 
     Codeword-tree leaves obey leaves <= |code|^ceil(r/delta).
     """
-    if beta_mode not in BETA_MODES:
-        raise ValueError(f"beta_mode must be one of {BETA_MODES}")
     if stats is None:
         stats = SearchStats()
     if len(alpha) != f.num_vars:
@@ -388,9 +372,9 @@ def searchball_fast(
         raise ValueError(
             f"formula width {f.max_width} exceeds code alphabet k={params.k}"
         )
-    witness = _fast(f, alpha, r, params, beta_mode, stats, 0)
-    if witness is not None:
-        assert evaluate(f, witness)
+    witness = _fast(f, alpha, r, params, stats, 0)
+    if witness is not None and not evaluate(f, witness):
+        raise AssertionError("internal error: searchball_fast witness failed re-verification")
     return witness, stats
 
 
@@ -399,7 +383,6 @@ def _fast(
     alpha: Assignment,
     r: int,
     params: FastParams,
-    beta_mode: str,
     stats: SearchStats,
     depth: int,
 ) -> Optional[Assignment]:
@@ -416,7 +399,7 @@ def _fast(
     g = maximal_disjoint_unsat(f, alpha, params.k)
     if len(g) < params.t:
         stats.leaves += 1
-        return _beta_search(f, alpha, r, g, beta_mode, stats)
+        return _beta_search(f, alpha, r, g, stats)
     if r < params.t:
         # t variable-disjoint clauses each need a flip: any satisfying
         # assignment sits at distance >= t > r, so the promise is vacuous
@@ -425,7 +408,7 @@ def _fast(
     h = g[: params.t]
     for w in params.code.words:
         moved = apply_codeword(alpha, h, w)
-        res = _fast(f, moved, r - params.delta, params, beta_mode, stats, depth + 1)
+        res = _fast(f, moved, r - params.delta, params, stats, depth + 1)
         if res is not None:
             return res
     return None

@@ -35,7 +35,8 @@ class SolverConfig:
     rho defaults to 1/(a+1) for a = k-1+epsilon, the radius fraction that
     balances the number of covering balls against the per-ball search cost.
     outer_block_len defaults to min(12, n): one greedy block when n is small,
-    concatenated 12-var blocks beyond that.
+    the product of 12-var blocks beyond that. cache_dir persists the covering
+    codes across runs and lets the workers of jobs > 1 load them from disk.
     """
 
     mode: str = "deterministic"
@@ -46,7 +47,6 @@ class SolverConfig:
     seed: int = 0
     trial_cap: int | None = None
     box_block_len: int | None = None
-    beta_mode: str = "skip"
     jobs: int = 1
     cache_dir: str | None = None
 
@@ -132,7 +132,8 @@ def brute_force(f: Formula) -> SolveResult:
         return SolveResult("unsat", None, stats)
     lowest = (sat & -sat).bit_length() - 1
     witness = index_to_assignment(lowest, f.num_vars)
-    assert evaluate(f, witness)
+    if not evaluate(f, witness):
+        raise AssertionError("internal error: brute-force witness failed re-verification")
     stats.wall_time = time.perf_counter() - start
     return SolveResult("sat", witness, stats)
 
@@ -150,10 +151,10 @@ def _outer_cover_and_params(f: Formula, cfg: SolverConfig):
 
 
 def _codeword_task(args):
-    f, word, radius, k, t, beta_mode = args
-    fp = FastParams.for_k(k, t)
+    f, word, radius, k, t, cache_dir = args
+    fp = FastParams.for_k(k, t, cache_dir=cache_dir)
     gamma = tuple(s - 1 for s in word)
-    witness, stats = searchball_fast(f, gamma, radius, fp, beta_mode=beta_mode)
+    witness, stats = searchball_fast(f, gamma, radius, fp)
     return witness, stats
 
 
@@ -178,7 +179,7 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
     radius = cover.r
     witness = None
     if cfg.jobs > 1:
-        tasks = [(f, w, radius, k, cfg.t, cfg.beta_mode) for w in cover.words]
+        tasks = [(f, w, radius, k, cfg.t, cfg.cache_dir) for w in cover.words]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             pending = {pool.submit(_codeword_task, t) for t in tasks}
             while pending:
@@ -197,14 +198,13 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
         for word in cover.words:
             gamma = tuple(s - 1 for s in word)
             stats.codewords_tried += 1
-            witness, _ = searchball_fast(
-                f, gamma, radius, fp, beta_mode=cfg.beta_mode, stats=stats.search
-            )
+            witness, _ = searchball_fast(f, gamma, radius, fp, stats=stats.search)
             if witness is not None:
                 break
     stats.wall_time = time.perf_counter() - start
     if witness is not None:
-        assert evaluate(f, witness)
+        if not evaluate(f, witness):
+            raise AssertionError("internal error: witness failed re-verification")
         return SolveResult("sat", witness, stats)
     return SolveResult("unsat", None, stats)
 
@@ -240,7 +240,8 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
             f, alpha, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats.search
         )
         if witness is not None:
-            assert evaluate(f, witness)
+            if not evaluate(f, witness):
+                raise AssertionError("internal error: walk witness failed re-verification")
             stats.wall_time = time.perf_counter() - start
             return SolveResult("sat", witness, stats)
     stats.wall_time = time.perf_counter() - start

@@ -9,7 +9,6 @@ from coversat.codes import (
     ball_volume,
     boolean_cover,
     code_size_bound,
-    concatenate,
     get_code,
     greedy_code,
     random_code,
@@ -178,43 +177,12 @@ class TestGreedyCode:
         with pytest.raises(ResourceCapError):
             greedy_code(5, 10, 2)
 
+    def test_failed_verification_raises(self, monkeypatch):
+        import coversat.codes as codes
 
-class TestConcatenate:
-    def test_sizes_multiply(self):
-        c1, c2 = greedy_code(3, 2, 1), greedy_code(3, 3, 1)
-        cc = concatenate(c1, c2)
-        assert len(cc.words) == len(c1.words) * len(c2.words)
-        assert (cc.t, cc.r) == (5, 2)
-
-    def test_block_extension_with_radius_zero_code(self):
-        c = greedy_code(3, 2, 1)
-        full = CoveringCode(3, 1, 0, ((1,), (2,), (3,)), verified=True)
-        cc = concatenate(c, full)
-        assert len(cc.words) == len(c.words) * 3
-        assert (cc.t, cc.r) == (3, 1)
-        assert cc.verified is True
-
-    def test_radius_additive_verified_exhaustively(self):
-        c1, c2 = greedy_code(2, 2, 1), greedy_code(2, 3, 1)
-        cc = concatenate(c1, c2)
-        assert cc.verified is True
-        assert verify_cover(cc) is True
-
-    def test_flagship_self_concatenation_spot_check(self):
-        c = greedy_code(3, 6, 2)
-        cc = concatenate(c, c)
-        assert (cc.t, cc.r) == (12, 4)
-        assert cc.verified is True
-        assert spot_check_cover(cc, samples=2000, seed=9) is True
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(ValueError):
-            concatenate(greedy_code(2, 2, 1), greedy_code(3, 2, 1))
-
-    def test_verified_flag_requires_both(self):
-        c1 = greedy_code(2, 2, 1)
-        c2 = CoveringCode(2, 2, 1, ((1, 1),))
-        assert concatenate(c1, c2).verified is False
+        monkeypatch.setattr(codes, "verify_cover", lambda code: False)
+        with pytest.raises(CodeConstructionError):
+            greedy_code(2, 3, 1)
 
 
 class TestBooleanCover:
@@ -245,6 +213,23 @@ class TestBooleanCover:
     def test_zero_vars(self):
         cover = boolean_cover(0, 0.5, 4)
         assert cover.words == ((),)
+
+    def test_unverified_block_rejected(self, monkeypatch):
+        import coversat.codes as codes
+
+        unverified = CoveringCode(2, 2, 1, ((1, 1), (2, 2)))
+        monkeypatch.setattr(codes, "get_code", lambda *args, **kwargs: unverified)
+        with pytest.raises(CodeConstructionError):
+            boolean_cover(4, 0.5, 2)
+
+    def test_product_beyond_verification_cap_spot_check(self):
+        # 2^24 words exceed VERIFY_MAX_SPACE, so only sampling can check it
+        cover = boolean_cover(24, 1 / 3.1, 12)
+        block = greedy_code(2, 12, 4)
+        assert (cover.t, cover.r) == (24, 8)
+        assert len(cover.words) == len(block.words) ** 2
+        assert cover.verified is True
+        assert spot_check_cover(cover, samples=2000, seed=9) is True
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -241,3 +241,23 @@ class TestSolveCsp:
     def test_domain_one(self):
         assert solve_csp(csp_formula(1, 2, [])).status == "sat"
         assert solve_csp(csp_formula(1, 1, [[(1, 1)]])).status == "unsat"
+
+    def test_each_code_verified_once_across_boxes(self, monkeypatch):
+        import coversat.codes as codes
+
+        monkeypatch.setattr(codes, "_memory_cache", {})
+        calls: dict[tuple[int, int, int], int] = {}
+        verify = codes.verify_cover
+
+        def counting_verify(code):
+            key = (code.q, code.t, code.r)
+            calls[key] = calls.get(key, 0) + 1
+            return verify(code)
+
+        monkeypatch.setattr(codes, "verify_cover", counting_verify)
+        g = rand_csp(random.Random("verify-once:120:1"), 3, 9, 120)
+        for _ in range(2):
+            res = solve_csp(g)
+            assert res.status == "unsat"
+            assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5).boxes) == 144
+        assert calls and max(calls.values()) == 1, calls

@@ -242,17 +242,6 @@ class TestSearchballFast:
                         assert evaluate(f, w)
         assert checked > 200
 
-    def test_beta_modes_agree(self, fp3):
-        rng = random.Random(50)
-        for _ in range(60):
-            n = rng.randint(3, 6)
-            f = rand_kcnf(rng, n, rng.randint(1, 8), k=3)
-            alpha = rand_assignment(rng, n)
-            r = rng.randint(0, n)
-            w_skip, _ = searchball_fast(f, alpha, r, fp3, beta_mode="skip")
-            w_full, _ = searchball_fast(f, alpha, r, fp3, beta_mode="full")
-            assert (w_skip is None) == (w_full is None)
-
     def test_leaf_envelope(self, fp6):
         from coversat.bench import gen_planted
 
@@ -268,10 +257,6 @@ class TestSearchballFast:
         f = formula(4, [[1, 2, 3, 4]])
         with pytest.raises(ValueError):
             searchball_fast(f, (0, 0, 0, 0), 1, fp3)
-
-    def test_bad_beta_mode(self, fp3):
-        with pytest.raises(ValueError):
-            searchball_fast(formula(1, [[1]]), (0,), 1, fp3, beta_mode="nope")
 
 
 class TestRestrictionBranchingDrop:

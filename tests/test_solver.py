@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -117,14 +121,6 @@ class TestSolveDeterministic:
         }
         assert len(results) == 1
 
-    def test_beta_full_mode_agrees(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            f = rand_kcnf(rng, 6, rng.randint(1, 25), k=3)
-            a = solve_deterministic(f, SolverConfig(beta_mode="skip")).status
-            b = solve_deterministic(f, SolverConfig(beta_mode="full")).status
-            assert a == b
-
     def test_parallel_jobs_same_status(self):
         rng = random.Random(8)
         for _ in range(4):
@@ -137,6 +133,41 @@ class TestSolveDeterministic:
 
     def test_zero_vars(self):
         assert solve_deterministic(formula(0, [])).status == "sat"
+
+    def test_bad_witness_raises_under_optimize(self):
+        # python -O strips assert statements; the witness re-check must survive it
+        script = textwrap.dedent(
+            """
+            import coversat.solver as solver
+            from coversat.cnf import formula
+
+            assert False, "assert statements must be stripped under -O"
+            solver.searchball_fast = lambda f, alpha, r, fp, stats=None: ((0,) * f.num_vars, stats)
+            try:
+                solver.solve_deterministic(formula(3, [[1, 2, 3]]))
+            except AssertionError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+            """
+        )
+        import coversat
+
+        src = os.path.dirname(os.path.dirname(coversat.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_codeword_task_uses_cache_dir(self, tmp_path, monkeypatch):
+        import coversat.codes as codes
+        from coversat.solver import _codeword_task
+
+        monkeypatch.setattr(codes, "_memory_cache", {})
+        f = formula(3, [[1, 2, 3]])
+        witness, _ = _codeword_task((f, (1, 1, 1), 1, 3, 6, str(tmp_path)))
+        assert witness is not None and evaluate(f, witness)
+        assert (tmp_path / "greedy_q3_t6_r2.code").exists()
 
 
 class TestSolveSchoening:
