@@ -214,8 +214,7 @@ def _cmd_reduce(args) -> int:
 
     with open(args.input, "rb") as fh:
         g = parse_csp(fh.read())
-    b = args.box_block_len if args.box_block_len is not None else min(5, max(1, g.num_vars))
-    cover = two_box_cover(g.domain_size, g.num_vars, b)
+    cover = two_box_cover(g.domain_size, g.num_vars, args.box_block_len)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"schema": 1, "input": args.input, "domain_size": g.domain_size,
                 "num_vars": g.num_vars, "boxes": []}

@@ -12,6 +12,7 @@ import math
 import os
 import random
 from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -235,44 +236,54 @@ def random_code(
     )
 
 
+def greedy_set_cover(
+    num_points: int,
+    num_sets: int,
+    set_size: int,
+    members: Callable[[int], Iterable[int]],
+    containing: Callable[[int], Iterable[int]],
+) -> list[int]:
+    """Greedy set cover of points 0..num_points-1 by sets 0..num_sets-1.
+
+    ``members(s)`` yields the set_size points of set s and ``containing(p)``
+    the sets that hold point p; every point must lie in some set. Repeatedly
+    picks the set covering the most uncovered points, breaking ties toward
+    the lowest index, and returns the picks in order. Gains are kept per set,
+    so besides one argmax per pick the work is O(num_points * sets per point).
+    """
+    gain = [set_size] * num_sets
+    covered = bytearray(num_points)
+    uncovered = num_points
+    chosen: list[int] = []
+    while uncovered:
+        best = gain.index(max(gain))
+        chosen.append(best)
+        for p in members(best):
+            if not covered[p]:
+                covered[p] = 1
+                uncovered -= 1
+                for s in containing(p):
+                    gain[s] -= 1
+    return chosen
+
+
 def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     """Greedy set cover over {1..q}^t with radius-r balls as the sets.
 
-    Repeatedly picks the center covering the most uncovered words, breaking
-    ties toward the lexicographically smallest center. Coverage counts are
-    kept per center, so total work is O(q^t * ball_volume). The result is
-    exhaustively verified before it is returned.
+    Ties break toward the lexicographically smallest center (see
+    greedy_set_cover). The result is exhaustively verified before it is
+    returned.
     """
     _check_params(q, t, r)
     space = q**t
     if space > GREEDY_MAX_SPACE:
         raise ResourceCapError(f"q^t = {space} exceeds greedy-construction cap {GREEDY_MAX_SPACE}")
-    vol = ball_volume(q, t, r)
     masks = _xor_masks(t, r) if q == 2 else None
-    gain = [vol] * space
-    covered = bytearray(space)
-    uncovered = space
-    centers: list[int] = []
-    while uncovered:
-        best = 0
-        best_gain = -1
-        for idx in range(space):
-            g = gain[idx]
-            if g > best_gain:
-                best_gain = g
-                best = idx
-        centers.append(best)
-        ball = [best ^ m for m in masks] if masks is not None else _ball_of(best, q, t, r)
-        for p in ball:
-            if not covered[p]:
-                covered[p] = 1
-                uncovered -= 1
-                if masks is not None:
-                    for c in [p ^ m for m in masks]:
-                        gain[c] -= 1
-                else:
-                    for c in _ball_of(p, q, t, r):
-                        gain[c] -= 1
+
+    def ball(idx: int) -> list[int]:
+        return [idx ^ m for m in masks] if masks is not None else _ball_of(idx, q, t, r)
+
+    centers = greedy_set_cover(space, space, ball_volume(q, t, r), ball, ball)
     code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
     if not verify_cover(code):
         raise CodeConstructionError(f"greedy code (q={q}, t={t}, r={r}) failed verification")

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable
 
 from .cnf import Formula
-from .errors import ResourceCapError
-from .solver import SolveResult, SolveStats, SolverConfig, solve_deterministic
+from .codes import _index_of, _word_of, greedy_set_cover
+from .errors import CodeConstructionError, ResourceCapError
+from .solver import SolveResult, SolveStats, SolverConfig, _periodic_mask, solve_deterministic
 
 CSP_BRUTE_MAX_SPACE = 10**7
-BOX_GROUND_MAX = 10**5
+BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_COVER_MAX = 10**6
 BOX_VERIFY_MAX = 10**6
 
@@ -85,10 +86,9 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
 
 @dataclass
 class BoxCover:
-    """Set of 2-boxes; verified means union equals {1..d}^n."""
+    """Set of 2-boxes meant to cover {1..d}^n (see verify_box_cover)."""
 
     boxes: tuple[TwoBox, ...]
-    verified: bool = field(default=False, compare=False)
 
 
 def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:
@@ -96,134 +96,86 @@ def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:
 
 
 def verify_box_cover(cover: BoxCover, d: int, n: int) -> bool:
-    """Exhaustive membership check of every point of {1..d}^n; sets the
-    verified flag. Capped at d^n <= 10^6."""
+    """Exhaustive check that every point of {1..d}^n lies in some box.
+    Capped at d^n <= 10^6."""
     if d**n > BOX_VERIFY_MAX:
         raise ResourceCapError(f"d^n = {d**n} exceeds box-cover verification cap")
     boxes = cover.boxes
-    ok = all(any(point_in_box(p, b) for b in boxes) for p in product(range(1, d + 1), repeat=n))
-    cover.verified = ok
-    return ok
+    return all(any(point_in_box(p, b) for b in boxes) for p in product(range(1, d + 1), repeat=n))
 
 
 def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
-    """Greedy set cover of {1..d}^length by 2-boxes.
+    """Greedy set cover of {1..d}^length by 2-boxes (see greedy_set_cover),
+    exhaustively verified before it is returned.
 
-    Candidate boxes are tuples of value pairs, one per coordinate; a box
-    covers 2^length points. Gains are maintained per candidate, ties break
-    toward the lexicographically smallest box.
+    Candidate boxes are tuples of value pairs, one per coordinate, indexed
+    in lexicographic order, so ties break toward the smallest box; a box
+    covers 2^length points.
     """
-    ground = d**length
-    if ground > BOX_GROUND_MAX:
-        raise ResourceCapError(f"d^b = {ground} exceeds box-cover ground-set cap {BOX_GROUND_MAX}")
     pairs = list(combinations(range(1, d + 1), 2))
     npairs = len(pairs)
-    pair_idx_with_value: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
-    for i, (a, b) in enumerate(pairs):
-        pair_idx_with_value[a].append(i)
-        pair_idx_with_value[b].append(i)
+    if npairs**length > BOX_CANDIDATE_MAX:
+        raise ResourceCapError(
+            f"C(d,2)^b = {npairs**length} candidate boxes exceed the cap {BOX_CANDIDATE_MAX}"
+        )
+    # 1-based pair ids, as _index_of and _word_of number symbols
+    pair_ids_with_value: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
+    for i, (a, b) in enumerate(pairs, start=1):
+        pair_ids_with_value[a].append(i)
+        pair_ids_with_value[b].append(i)
 
-    n_boxes = npairs**length
-    gain = [1 << length] * n_boxes
-    covered = bytearray(ground)
-    uncovered = ground
-
-    def point_digits(idx: int) -> list[int]:
-        digits = []
-        for _ in range(length):
-            idx, rem = divmod(idx, d)
-            digits.append(rem + 1)
-        digits.reverse()
-        return digits
-
-    def boxes_containing(point: list[int]) -> Iterable[int]:
-        choices = [pair_idx_with_value[v] for v in point]
-        for combo in product(*choices):
-            idx = 0
-            for c in combo:
-                idx = idx * npairs + c
-            yield idx
+    def box_pairs(box_idx: int) -> TwoBox:
+        return tuple(pairs[i - 1] for i in _word_of(box_idx, npairs, length))
 
     def box_points(box_idx: int) -> Iterable[int]:
-        pair_ids = []
-        for _ in range(length):
-            box_idx, rem = divmod(box_idx, npairs)
-            pair_ids.append(rem)
-        pair_ids.reverse()
-        for values in product(*(pairs[i] for i in pair_ids)):
-            idx = 0
-            for v in values:
-                idx = idx * d + (v - 1)
-            yield idx
+        return (_index_of(values, d) for values in product(*box_pairs(box_idx)))
 
-    chosen: list[int] = []
-    while uncovered:
-        best, best_gain = 0, -1
-        for i in range(n_boxes):
-            if gain[i] > best_gain:
-                best_gain = gain[i]
-                best = i
-        chosen.append(best)
-        for p in box_points(best):
-            if not covered[p]:
-                covered[p] = 1
-                uncovered -= 1
-                for b in boxes_containing(point_digits(p)):
-                    gain[b] -= 1
+    def boxes_containing(point_idx: int) -> Iterable[int]:
+        choices = (pair_ids_with_value[v] for v in _word_of(point_idx, d, length))
+        return (_index_of(ids, npairs) for ids in product(*choices))
 
-    out: list[TwoBox] = []
-    for box_idx in chosen:
-        pair_ids = []
-        for _ in range(length):
-            box_idx, rem = divmod(box_idx, npairs)
-            pair_ids.append(rem)
-        pair_ids.reverse()
-        out.append(tuple(pairs[i] for i in pair_ids))
-    return out
+    chosen = greedy_set_cover(d**length, npairs**length, 1 << length, box_points, boxes_containing)
+    block = [box_pairs(box_idx) for box_idx in chosen]
+    if not verify_box_cover(BoxCover(tuple(block)), d, length):
+        raise CodeConstructionError(f"greedy 2-box block (d={d}, b={length}) failed verification")
+    return block
 
 
 @lru_cache(maxsize=32)
 def _cached_cover(d: int, n: int, b: int) -> BoxCover:
-    if d % 2 == 0:
-        half = [(2 * j - 1, 2 * j) for j in range(1, d // 2 + 1)]
-        if (d // 2) ** n > BOX_COVER_MAX:
-            raise ResourceCapError("even-d box cover would exceed the size cap")
-        boxes = tuple(product(half, repeat=n))
-        cover = BoxCover(boxes, verified=True)
-    else:
-        b = min(b, n)
-        block = _greedy_box_block(d, b)
-        blocks = [block] * (n // b)
-        rem = n % b
-        if rem:
-            blocks.append(_greedy_box_block(d, rem))
-        size = math.prod(len(bl) for bl in blocks)
-        if size > BOX_COVER_MAX:
-            raise ResourceCapError(f"box cover of size {size} exceeds the cap {BOX_COVER_MAX}")
-        boxes = tuple(
-            tuple(pair for part in combo for pair in part) for combo in product(*blocks)
-        )
-        cover = BoxCover(tuple(sorted(boxes)), verified=True)
-    if d**n <= BOX_VERIFY_MAX:
-        if not verify_box_cover(cover, d, n):
-            raise AssertionError("constructed box cover failed exhaustive verification")
-    return cover
+    blocks = [_greedy_box_block(d, b)] * (n // b)
+    if n % b:
+        blocks.append(_greedy_box_block(d, n % b))
+    size = math.prod(len(block) for block in blocks)
+    if size > BOX_COVER_MAX:
+        raise ResourceCapError(f"box cover of size {size} exceeds the cap {BOX_COVER_MAX}")
+    boxes = sorted(tuple(pair for part in combo for pair in part) for combo in product(*blocks))
+    return BoxCover(tuple(boxes))
 
 
-def two_box_cover(d: int, n: int, b: int = 5) -> BoxCover:
-    """Cover {1..d}^n with 2-boxes.
+def two_box_cover(d: int, n: int, b: int | None = None) -> BoxCover:
+    """Cover {1..d}^n with 2-boxes: the product of greedy block covers of
+    b coordinates each (the last block takes the remainder), in sorted order.
 
-    Even d: the direct product of the pairs {2j-1, 2j}, exactly (d/2)^n
-    boxes, covering by construction. Odd d: greedy set cover on blocks of
-    length b, taken as their product; verified exhaustively when d^n <= 10^6.
+    Each block is exhaustively verified on its d^b points where it is built;
+    covering holds blockwise, so the product needs no further check. b
+    defaults to the largest length <= min(5, n) whose C(d,2)^b candidate
+    boxes fit BOX_CANDIDATE_MAX. Even d always uses blocks of length 1, on
+    which greedy picks the pairs {2j-1, 2j}: they tile the domain, so the
+    cover is their product, exactly (d/2)^n boxes.
     """
     if d < 2:
         raise ValueError("domain size must be >= 2 for a 2-box cover")
     if n < 1:
         raise ValueError("need at least one variable")
-    if not 1 <= b <= 5:
+    if b is not None and not 1 <= b <= 5:
         raise ValueError("box block length must lie in 1..5")
-    return _cached_cover(d, n, b)
+    if d % 2 == 0:
+        b = 1
+    elif b is None:
+        fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
+        b = max(fits, default=1)
+    return _cached_cover(d, n, min(b, n))
 
 
 def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
@@ -271,8 +223,8 @@ def _digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     for v in range(1, n + 1):
         run = d ** (n - v)
         unit = (1 << run) - 1
-        rep = ((1 << total_bits) - 1) // ((1 << (d * run)) - 1)
-        out.append(tuple((unit << ((c - 1) * run)) * rep for c in range(1, d + 1)))
+        masks = (_periodic_mask(unit << (c * run), d * run, total_bits) for c in range(d))
+        out.append(tuple(masks))
     return tuple(out)
 
 
@@ -335,8 +287,7 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
         result = brute_force_csp(f)
         result.stats.wall_time = time.perf_counter() - start
         return result
-    b = cfg.box_block_len if cfg.box_block_len is not None else min(5, n)
-    cover = two_box_cover(d, n, b)
+    cover = two_box_cover(d, n, cfg.box_block_len)
     stats = SolveStats()
     for box in cover.boxes:
         stats.boxes_tried += 1

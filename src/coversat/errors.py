@@ -24,7 +24,8 @@ class ResourceCapError(CoversatError):
 
 
 class CodeConstructionError(CoversatError):
-    """Randomized code construction exhausted its retry budget."""
+    """A constructed cover failed its check: a random code exhausted its
+    retry budget, or a greedy code or 2-box block did not cover its space."""
 
 
 class UsageError(CoversatError):

@@ -83,6 +83,16 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
+def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
+    """The period-bit pattern repeated over total_bits, a multiple of period.
+    Doubling by shift-or keeps the big-int work linear in total_bits."""
+    mask = pattern
+    while period < total_bits:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << total_bits) - 1)
+
+
 @lru_cache(maxsize=8)
 def _var_masks(n: int) -> tuple[int, ...]:
     """mask[v-1] has bit i set iff assignment index i gives variable v the
@@ -92,9 +102,7 @@ def _var_masks(n: int) -> tuple[int, ...]:
     masks = []
     for v in range(1, n + 1):
         run = 1 << (n - v)
-        unit = (1 << run) - 1
-        rep = ((1 << total_bits) - 1) // ((1 << (2 * run)) - 1)
-        masks.append((unit << run) * rep)
+        masks.append(_periodic_mask(((1 << run) - 1) << run, 2 * run, total_bits))
     return tuple(masks)
 
 

@@ -86,3 +86,26 @@ def sat_in_ball(f: Formula, alpha: tuple[int, ...], r: int) -> tuple[int, ...] |
         if ref_evaluate(f, beta):
             return beta
     return None
+
+
+def ref_var_masks(n: int) -> tuple[int, ...]:
+    """The brute oracle's variable masks by one big-int division per mask:
+    the all-ones word divided by 2^(2*run) - 1 repeats a 1 every 2*run bits."""
+    total_bits = 1 << n
+    masks = []
+    for v in range(1, n + 1):
+        run = 1 << (n - v)
+        rep = ((1 << total_bits) - 1) // ((1 << (2 * run)) - 1)
+        masks.append((((1 << run) - 1) << run) * rep)
+    return tuple(masks)
+
+
+def ref_digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The d-ary analogue of ref_var_masks, one mask per (variable, value)."""
+    total_bits = d**n
+    out = []
+    for v in range(1, n + 1):
+        run = d ** (n - v)
+        rep = ((1 << total_bits) - 1) // ((1 << (d * run)) - 1)
+        out.append(tuple((((1 << run) - 1) << ((c - 1) * run)) * rep for c in range(1, d + 1)))
+    return tuple(out)

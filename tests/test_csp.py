@@ -18,10 +18,11 @@ from coversat.csp import (
     two_box_cover,
     verify_box_cover,
 )
-from coversat.errors import ResourceCapError
+import coversat.csp as csp
+from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import brute_force
 
-from helpers import rand_csp, ref_csp_solutions
+from helpers import rand_csp, ref_csp_solutions, ref_digit_masks
 
 
 def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
@@ -96,6 +97,41 @@ class TestTwoBoxCover:
             two_box_cover(3, 2, 9)
         with pytest.raises(ResourceCapError):
             verify_box_cover(BoxCover(()), 10, 10)
+
+    def test_verified_per_block_not_per_product(self, monkeypatch):
+        calls = []
+        verify = csp.verify_box_cover
+
+        def recording_verify(cover, d, n):
+            calls.append((d, n))
+            return verify(cover, d, n)
+
+        monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
+        csp._cached_cover.cache_clear()
+        try:
+            assert len(two_box_cover(3, 9, 5).boxes) == 144
+            assert calls and all(n <= 5 for _, n in calls), calls
+            assert len(two_box_cover(4, 9).boxes) == 2**9
+            assert all(n <= 5 for _, n in calls), calls
+        finally:
+            csp._cached_cover.cache_clear()
+
+    def test_failed_block_verification_raises(self, monkeypatch):
+        greedy = csp.greedy_set_cover
+        monkeypatch.setattr(csp, "greedy_set_cover", lambda *args: greedy(*args)[:-1])
+        with pytest.raises(CodeConstructionError):
+            csp._greedy_box_block(3, 3)
+
+    def test_default_block_length_fits_candidate_cap(self):
+        # C(7,2)^5 candidate boxes exceed the cap, so d=7 defaults to b=4
+        cover = two_box_cover(7, 6)
+        assert cover == two_box_cover(7, 6, 4)
+        rng = random.Random(21)
+        for _ in range(200):
+            point = tuple(rng.randint(1, 7) for _ in range(6))
+            assert any(point_in_box(point, box) for box in cover.boxes)
+        with pytest.raises(ResourceCapError):
+            two_box_cover(7, 6, 5)
 
 
 class TestRestrictToBox:
@@ -181,6 +217,23 @@ class TestBruteForceCsp:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             brute_force_csp(csp_formula(10, 8, []))
+
+    def test_digit_masks_match_division_reference(self):
+        for d, n in [(2, 1), (2, 9), (3, 1), (3, 7), (4, 5), (5, 4), (7, 3)]:
+            assert csp._digit_masks(d, n) == ref_digit_masks(d, n)
+
+    def test_fourteen_ternary_vars(self):
+        # each variable may take only its one unforbidden value
+        rng = random.Random(19)
+        allowed = tuple(rng.randint(1, 3) for _ in range(14))
+        g = csp_formula(
+            3, 14, [[(v, c)] for v in range(1, 15) for c in range(1, 4) if c != allowed[v - 1]]
+        )
+        try:
+            res = brute_force_csp(g)
+        finally:
+            csp._digit_masks.cache_clear()
+        assert (res.status, res.witness) == ("sat", allowed)
 
 
 class TestSolveCsp:

@@ -1,4 +1,5 @@
-"""Pinned verdicts, witnesses and work counts of the deterministic solvers.
+"""Pinned verdicts, witnesses and work counts of the deterministic solvers,
+and the covering codes and 2-box covers they iterate.
 
 The values below were recorded from the solver before its outer cover was
 rebuilt as a single product pass. A refactor of the outer loop, the cover
@@ -9,11 +10,13 @@ sat case that needs more codewords than the tail block holds pins the
 product order; t=3 makes the codeword recursion fire (max_depth > 0).
 """
 
+import hashlib
 import random
 
 import pytest
 
-from coversat.csp import solve_csp
+from coversat.codes import greedy_code
+from coversat.csp import solve_csp, two_box_cover
 from coversat.solver import SolverConfig, solve_deterministic
 
 from helpers import rand_csp, rand_kcnf
@@ -47,3 +50,43 @@ def test_golden(case):
     assert (res.status, got_witness) == (status, witness)
     assert (s.codewords_tried, s.boxes_tried) == (codewords, boxes)
     assert (s.search.recursion_nodes, s.search.leaves, s.search.max_depth) == (nodes, leaves, depth)
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+# Covers recorded before the Boolean and 2-box greedy constructions shared one
+# set-cover routine and before 2-box covers were verified per block: the words
+# and boxes, in order, must stay the same.
+# (q, t, r, number of words, digest of greedy_code(q, t, r).words)
+GOLDEN_CODES = [
+    (2, 9, 3, 8, "f82c9866327abfc2"),
+    (2, 12, 4, 16, "f01bf06af9ef25b4"),
+    (3, 6, 2, 22, "97dfd83c189b9955"),
+    (4, 4, 1, 34, "52b8ea09a344b780"),
+    (5, 4, 2, 13, "342fb49377eaff2a"),
+]
+# (d, n, b, number of boxes, digest of two_box_cover(d, n, b).boxes)
+GOLDEN_BOX_COVERS = [
+    (3, 9, 5, 144, "81d246f2d4227c79"),
+    (3, 7, 5, 48, "79898c760304d6ca"),
+    (3, 5, 3, 18, "f6899e5d54c584e9"),
+    (5, 4, 4, 59, "6e7acfc925a1a31f"),
+    (4, 5, 5, 32, "2c543ac2813423ae"),
+    (2, 5, 5, 1, "b48f118a94608cff"),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CODES, ids=lambda c: "q{}-t{}-r{}".format(*c[:3]))
+def test_golden_code(case):
+    q, t, r, size, digest = case
+    words = greedy_code(q, t, r).words
+    assert (len(words), _digest(words)) == (size, digest)
+
+
+@pytest.mark.parametrize("case", GOLDEN_BOX_COVERS, ids=lambda c: "d{}-n{}-b{}".format(*c[:3]))
+def test_golden_box_cover(case):
+    d, n, b, size, digest = case
+    boxes = two_box_cover(d, n, b).boxes
+    assert (len(boxes), _digest(boxes)) == (size, digest)

@@ -10,6 +10,7 @@ from coversat.cnf import Formula, evaluate, formula
 from coversat.codes import boolean_cover
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
+    _var_masks,
     SolverConfig,
     brute_force,
     default_trial_cap,
@@ -20,7 +21,7 @@ from coversat.solver import (
     solve_schoening,
 )
 
-from helpers import rand_kcnf, ref_all_solutions
+from helpers import rand_kcnf, ref_all_solutions, ref_var_masks
 
 
 class TestBruteForce:
@@ -58,6 +59,21 @@ class TestBruteForce:
     def test_zero_vars(self):
         assert brute_force(formula(0, [])).status == "sat"
         assert brute_force(formula(0, [])).witness == ()
+
+    def test_var_masks_match_division_reference(self):
+        for n in range(1, 15):
+            assert _var_masks(n) == ref_var_masks(n)
+
+    def test_twenty_four_vars(self):
+        # the unit clauses leave exactly one satisfying assignment
+        rng = random.Random(23)
+        planted = tuple(rng.randint(0, 1) for _ in range(24))
+        units = [[v if bit else -v] for v, bit in enumerate(planted, start=1)]
+        try:
+            res = brute_force(formula(24, units))
+        finally:
+            _var_masks.cache_clear()
+        assert (res.status, res.witness) == ("sat", planted)
 
 
 class TestSolveDeterministic:
