@@ -9,6 +9,9 @@ tuple of 0/1 values indexed by ``variable - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 Literal = int
@@ -19,15 +22,18 @@ PartialAssignment = Mapping[int, int]
 
 def make_clause(literals: Iterable[int]) -> Clause:
     """Validate and freeze a clause. Literal order is preserved."""
-    clause = tuple(int(u) for u in literals)
-    seen: set[int] = set()
-    for u in clause:
-        if u == 0:
-            raise ValueError("literal 0 is not allowed in a clause")
-        v = abs(u)
-        if v in seen:
-            raise ValueError(f"variable {v} occurs twice in clause {clause}")
-        seen.add(v)
+    clause = tuple(map(int, literals))
+    variables = set(map(abs, clause))
+    if len(variables) < len(clause) or 0 in variables:
+        # find the first fault in literal order, for the message
+        seen: set[int] = set()
+        for u in clause:
+            if u == 0:
+                raise ValueError("literal 0 is not allowed in a clause")
+            v = abs(u)
+            if v in seen:
+                raise ValueError(f"variable {v} occurs twice in clause {clause}")
+            seen.add(v)
     return clause
 
 
@@ -38,6 +44,10 @@ class Formula:
     The empty clause is representable and makes the formula unsatisfiable.
     ``num_vars`` comes from the input header and is never shrunk when
     variables vanish under restriction.
+
+    The derived tables (``max_width``, ``literal_masks``) are computed on
+    first use and stored on the instance; they take no part in equality or
+    hashing.
     """
 
     num_vars: int
@@ -46,18 +56,47 @@ class Formula:
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        object.__setattr__(self, "clauses", tuple(make_clause(c) for c in self.clauses))
-        for clause in self.clauses:
-            for u in clause:
-                if abs(u) > self.num_vars:
-                    raise ValueError(
-                        f"literal {u} exceeds num_vars={self.num_vars}"
-                    )
+        clauses = tuple(map(make_clause, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
+        if max(map(abs, chain.from_iterable(clauses)), default=0) > self.num_vars:
+            u = next(u for u in chain.from_iterable(clauses) if abs(u) > self.num_vars)
+            raise ValueError(f"literal {u} exceeds num_vars={self.num_vars}")
 
-    @property
+    @cached_property
     def max_width(self) -> int:
         """Maximum clause length (the k of a (<=k)-CNF); 0 for no clauses."""
-        return max((len(c) for c in self.clauses), default=0)
+        return max(map(len, self.clauses), default=0)
+
+    @cached_property
+    def literal_masks(self) -> tuple[tuple[int, int], ...]:
+        """Per variable v, the pair (clauses holding -v, clauses holding +v)
+        at index v-1, each a bitmask in which bit i stands for clause i.
+
+        ``literal_masks[v - 1][alpha[v - 1]]`` is thus the set of clauses
+        that alpha satisfies through variable v.
+        """
+        neg = [0] * self.num_vars
+        pos = [0] * self.num_vars
+        for i, clause in enumerate(self.clauses):
+            bit = 1 << i
+            for u in clause:
+                if u > 0:
+                    pos[u - 1] |= bit
+                else:
+                    neg[-u - 1] |= bit
+        return tuple(zip(neg, pos))
+
+    def unsat_mask(self, alpha: Assignment) -> int:
+        """Bitmask of the clauses alpha leaves unsatisfied (bit i for clause
+        i): all clauses minus the OR of one literal mask per variable. It is
+        0 iff alpha satisfies F, and its lowest set bit is the lowest-index
+        unsatisfied clause."""
+        if len(alpha) != self.num_vars:
+            raise ValueError(
+                f"assignment has {len(alpha)} values, formula has {self.num_vars} variables"
+            )
+        satisfied = reduce(or_, map(tuple.__getitem__, self.literal_masks, alpha), 0)
+        return ((1 << len(self.clauses)) - 1) ^ satisfied
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -65,7 +104,7 @@ class Formula:
 
 def formula(num_vars: int, clauses: Iterable[Iterable[int]]) -> Formula:
     """Convenience constructor from nested iterables of signed ints."""
-    return Formula(num_vars, tuple(make_clause(c) for c in clauses))
+    return Formula(num_vars, tuple(clauses))
 
 
 def literal_satisfied(u: Literal, alpha: Assignment) -> bool:

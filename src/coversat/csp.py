@@ -118,9 +118,9 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
         raise ResourceCapError(
             f"C(d,2)^b = {npairs**length} candidate boxes exceed the cap {BOX_CANDIDATE_MAX}"
         )
-    # 1-based pair ids, as _index_of and _word_of number symbols
+    # 0-based pair ids: a box index is the base-npairs number of its pair ids
     pair_ids_with_value: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
-    for i, (a, b) in enumerate(pairs, start=1):
+    for i, (a, b) in enumerate(pairs):
         pair_ids_with_value[a].append(i)
         pair_ids_with_value[b].append(i)
 
@@ -131,8 +131,12 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
         return (_index_of(values, d) for values in product(*box_pairs(box_idx)))
 
     def boxes_containing(point_idx: int) -> Iterable[int]:
-        choices = (pair_ids_with_value[v] for v in _word_of(point_idx, d, length))
-        return (_index_of(ids, npairs) for ids in product(*choices))
+        # one coordinate at a time, in the order product() would list them
+        idxs = [0]
+        for v in _word_of(point_idx, d, length):
+            ids = pair_ids_with_value[v]
+            idxs = [i * npairs + c for i in idxs for c in ids]
+        return idxs
 
     chosen = greedy_set_cover(d**length, npairs**length, 1 << length, box_points, boxes_containing)
     block = [box_pairs(box_idx) for box_idx in chosen]

@@ -15,7 +15,13 @@ of alpha, find any satisfying assignment (not necessarily inside the ball).
 Branching is implemented with an assignment overlay instead of materialized
 formula restrictions: a variable forced to a value behaves exactly like the
 restricted formula F^[v:=bit] (clauses satisfied by the forced value drop
-out of the unsatisfied scan, falsified occurrences stop being branchable).
+out of the unsatisfied set, falsified occurrences stop being branchable).
+The unsatisfied clauses of an assignment are read from the formula's clause
+bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
+Formula.unsat_mask ORs one mask per variable, O(n) big-int operations in
+place of a scan of every literal, and its lowest set bit is the
+lowest-index unsatisfied clause every engine branches on. The small-|G|
+enumeration scores each of its assignments by OR-ing precomputed masks.
 Node counts and returned witnesses are identical to the restriction-based
 formulation.
 """
@@ -25,7 +31,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Optional
 
 from .cnf import (
@@ -34,6 +42,7 @@ from .cnf import (
     Formula,
     clause_satisfied,
     evaluate,
+    override,
 )
 from .codes import CoveringCode, get_code
 
@@ -47,6 +56,9 @@ class SearchStats:
     recursion only (a node that falls into the small-|G| enumeration is one
     leaf); the literal-branching work done below such nodes shows up in
     recursion_nodes, keeping the |code|^ceil(r/delta) leaf envelope exact.
+    There, every assignment the enumeration reaches counts one node, the
+    root of its subsearch, and one that neither satisfies F nor has run out
+    of budget also counts the nodes below that root in searchball.
     """
 
     recursion_nodes: int = 0
@@ -111,16 +123,9 @@ class FastParams:
         return cls(t, code, delta)
 
 
-def _first_unsat(clauses: tuple[Clause, ...], cur: list[int]) -> Optional[Clause]:
-    for clause in clauses:
-        sat = False
-        for u in clause:
-            if (cur[u - 1] == 1) if u > 0 else (cur[-u - 1] == 0):
-                sat = True
-                break
-        if not sat:
-            return clause
-    return None
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def schoening_walk(
@@ -142,29 +147,34 @@ def schoening_walk(
         max_steps = max(1, math.ceil(3 * f.num_vars))
     rng = random.Random(params.rng_seed)
     cur = list(alpha)
-    clauses = f.clauses
+    masks = f.literal_masks
+    unsat = f.unsat_mask(cur)
     for _ in range(max_steps):
-        target = _first_unsat(clauses, cur)
-        if target is None:
-            result = tuple(cur)
-            if not evaluate(f, result):
-                raise AssertionError("internal error: walk result failed re-verification")
-            return result
-        u = rng.choice(target)
-        v = abs(u)
+        if not unsat:
+            break
+        v = abs(rng.choice(f.clauses[_lowest(unsat)]))
         cur[v - 1] = 1 - cur[v - 1]
+        # the flip satisfies every clause holding the new literal; a clause
+        # holding the old one stays satisfied only through another literal
+        unsat &= ~masks[v - 1][cur[v - 1]]
+        lost = masks[v - 1][1 - cur[v - 1]]
+        while lost:
+            low = lost & -lost
+            lost ^= low
+            if not clause_satisfied(f.clauses[low.bit_length() - 1], cur):
+                unsat |= low
         if stats is not None:
             stats.recursion_nodes += 1
-    if _first_unsat(clauses, cur) is None:
-        result = tuple(cur)
-        if not evaluate(f, result):
-            raise AssertionError("internal error: walk result failed re-verification")
-        return result
-    return None
+    if unsat:
+        return None
+    result = tuple(cur)
+    if not evaluate(f, result):
+        raise AssertionError("internal error: walk result failed re-verification")
+    return result
 
 
 def _searchball(
-    clauses: tuple[Clause, ...],
+    f: Formula,
     cur: list[int],
     forced: set[int],
     r: int,
@@ -174,14 +184,14 @@ def _searchball(
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    target = _first_unsat(clauses, cur)
-    if target is None:
+    unsat = f.unsat_mask(cur)
+    if not unsat:
         stats.leaves += 1
         return tuple(cur)
     if r <= 0:
         stats.leaves += 1
         return None
-    branch = [u for u in target if abs(u) not in forced]
+    branch = [u for u in f.clauses[_lowest(unsat)] if abs(u) not in forced]
     if not branch:
         # the clause is empty in the restricted formula: dead end
         stats.leaves += 1
@@ -191,7 +201,7 @@ def _searchball(
         old = cur[v - 1]
         cur[v - 1] = 1 if u > 0 else 0
         forced.add(v)
-        res = _searchball(clauses, cur, forced, r - 1, depth + 1, stats)
+        res = _searchball(f, cur, forced, r - 1, depth + 1, stats)
         forced.discard(v)
         cur[v - 1] = old
         if res is not None:
@@ -219,14 +229,12 @@ def searchball(
     if len(alpha) != f.num_vars:
         raise ValueError("assignment length does not match formula")
     cur = list(alpha)
-    forced_vars: set[int] = set()
-    if forced:
-        for v, bit in forced.items():
-            if not 1 <= v <= f.num_vars:
-                raise ValueError(f"forced variable {v} out of range")
-            cur[v - 1] = bit
-            forced_vars.add(v)
-    witness = _searchball(f.clauses, cur, forced_vars, r, 0, stats)
+    forced = forced or {}
+    for v, bit in forced.items():
+        if not 1 <= v <= f.num_vars:
+            raise ValueError(f"forced variable {v} out of range")
+        cur[v - 1] = bit
+    witness = _searchball(f, cur, set(forced), r, 0, stats)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: searchball witness failed re-verification")
     return witness, stats
@@ -240,16 +248,20 @@ def maximal_disjoint_unsat(f: Formula, alpha: Assignment, k: int) -> list[Clause
     level: every unsatisfied width-k clause of F shares a variable with
     some member.
     """
-    used: set[int] = set()
+    masks = f.literal_masks
     out: list[Clause] = []
-    for clause in f.clauses:
-        if len(clause) != k or clause_satisfied(clause, alpha):
-            continue
-        if any(abs(u) in used for u in clause):
+    # candidates: unsatisfied clauses sharing no variable with a member
+    candidates = f.unsat_mask(alpha)
+    while candidates:
+        low = candidates & -candidates
+        clause = f.clauses[low.bit_length() - 1]
+        if len(clause) != k:
+            candidates ^= low
             continue
         out.append(clause)
         for u in clause:
-            used.add(abs(u))
+            neg, pos = masks[abs(u) - 1]
+            candidates &= ~(neg | pos)
     return out
 
 
@@ -281,21 +293,24 @@ def apply_codeword(alpha: Assignment, h: list[Clause], w: tuple[int, ...]) -> As
     return tuple(values)
 
 
-def _satisfying_patterns(clause: Clause, cur: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """All local assignments to vbl(clause) that satisfy it, as
-    (bits-in-clause-var-order, flips-vs-cur) pairs in lexicographic order."""
-    out = []
-    for bits in product((0, 1), repeat=len(clause)):
-        sat = False
-        flips = 0
-        for u, bit in zip(clause, bits):
-            if (bit == 1) if u > 0 else (bit == 0):
-                sat = True
-            if bit != cur[abs(u) - 1]:
-                flips += 1
-        if sat:
-            out.append((bits, flips))
-    return out
+def _satisfying_patterns(
+    clause: Clause, alpha: Assignment, masks: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """All local assignments to vbl(clause) that satisfy it, in
+    lexicographic order of their bits, as (flips vs alpha, mask of the
+    clauses they satisfy, (variable, bit) pairs) triples."""
+    rows: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    for u in clause:
+        v = abs(u)
+        current = alpha[v - 1]
+        neg, pos = masks[v - 1]
+        rows = [
+            (flips + (bit != current), mask | (pos if bit else neg), pairs + ((v, bit),))
+            for flips, mask, pairs in rows
+            for bit in (0, 1)
+        ]
+    falsifying = tuple((abs(u), 0 if u > 0 else 1) for u in clause)
+    return [row for row in rows if row[2] != falsifying]
 
 
 def _beta_search(
@@ -305,7 +320,7 @@ def _beta_search(
     g: list[Clause],
     stats: SearchStats,
 ) -> Optional[Assignment]:
-    """Enumerate assignments to vbl(G) and hand each to searchball.
+    """Enumerate assignments beta to vbl(G) and search around each.
 
     After fixing all of vbl(G), maximality of G guarantees the residual
     formula has no unsatisfied width-k clause, so the subsearch branches at
@@ -315,33 +330,53 @@ def _beta_search(
     promised assignment does), and the subsearch radius is lowered by the
     flips already spent inside vbl(G); both prunes preserve the promise
     contract.
-    """
-    cur = list(alpha)
-    per_clause = [_satisfying_patterns(clause, cur) for clause in g]
 
-    def rec(i: int, budget: int, beta: dict[int, int]) -> Optional[Assignment]:
-        if i == len(g):
-            inner = SearchStats()
-            res, _ = searchball(f, alpha, budget, forced=beta, stats=inner)
-            stats.recursion_nodes += inner.recursion_nodes
-            return res
+    The clauses beta satisfies are the OR of a mask fixed for the whole
+    enumeration (alpha outside vbl(G)) and one precomputed mask per clause
+    of G (its local pattern). A beta that satisfies F is the witness and
+    one with no budget left is a dead leaf; each counts one node, the root
+    of the subsearch it would start. Every other beta goes to searchball.
+    Only recursion_nodes reach stats: leaves and max_depth stay those of the
+    codeword recursion.
+    """
+    masks = f.literal_masks
+    in_g = {abs(u) for clause in g for u in clause}
+    outside = reduce(
+        or_, (masks[v - 1][alpha[v - 1]] for v in range(1, f.num_vars + 1) if v not in in_g), 0
+    )
+    full = (1 << len(f.clauses)) - 1
+    # an empty G leaves one beta, the empty assignment
+    per_clause = [_satisfying_patterns(clause, alpha, masks) for clause in g] or [[(0, 0, ())]]
+    last = len(per_clause) - 1
+    chosen: list[tuple[tuple[int, int], ...]] = [()] * len(per_clause)
+    inner = SearchStats()
+
+    def rec(i: int, budget: int, satisfied: int) -> Optional[Assignment]:
         # every remaining clause is unsatisfied under alpha, so needs >= 1 flip
         if budget < len(g) - i:
             return None
-        clause = g[i]
-        for bits, flips in per_clause[i]:
+        for flips, mask, pairs in per_clause[i]:
             if flips > budget:
                 continue
-            for u, bit in zip(clause, bits):
-                beta[abs(u)] = bit
-            res = rec(i + 1, budget - flips, beta)
+            chosen[i] = pairs
+            if i < last:
+                res = rec(i + 1, budget - flips, satisfied | mask)
+            elif satisfied | mask == full:
+                inner.recursion_nodes += 1
+                return override(alpha, dict(chain.from_iterable(chosen)))
+            elif flips == budget:
+                inner.recursion_nodes += 1
+                continue
+            else:
+                beta = dict(chain.from_iterable(chosen))
+                res, _ = searchball(f, alpha, budget - flips, forced=beta, stats=inner)
             if res is not None:
                 return res
-        for u in clause:
-            beta.pop(abs(u), None)
         return None
 
-    return rec(0, r, {})
+    res = rec(0, r, outside)
+    stats.recursion_nodes += inner.recursion_nodes
+    return res
 
 
 def searchball_fast(
@@ -389,8 +424,7 @@ def _fast(
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    cur = list(alpha)
-    if _first_unsat(f.clauses, cur) is None:
+    if not f.unsat_mask(alpha):
         stats.leaves += 1
         return alpha
     if r <= 0:

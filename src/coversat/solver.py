@@ -85,12 +85,16 @@ class SolveResult:
 
 def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
     """The period-bit pattern repeated over total_bits, a multiple of period.
-    Doubling by shift-or keeps the big-int work linear in total_bits."""
+    Doubling by shift-or keeps the big-int work linear in total_bits; the
+    result is cut to total_bits only when the doubling overshot, which it
+    never does when total_bits / period is a power of two."""
     mask = pattern
     while period < total_bits:
         mask |= mask << period
         period *= 2
-    return mask & ((1 << total_bits) - 1)
+    if mask.bit_length() > total_bits:
+        mask &= (1 << total_bits) - 1
+    return mask
 
 
 @lru_cache(maxsize=8)

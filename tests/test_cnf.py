@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -167,6 +168,53 @@ class TestFirstUnsatisfiedClause:
                 assert all(evaluate(formula(n, [f.clauses[j]]), a) for j in range(idx))
 
 
+class TestClauseMasks:
+    def test_literal_masks_by_hand(self):
+        f = formula(3, [[1, -2], [2], [-1, 3]])
+        assert f.literal_masks == ((0b100, 0b001), (0b001, 0b010), (0b000, 0b100))
+
+    def test_unsat_mask_agrees_with_scan(self):
+        # empty clauses, unused variables and the empty formula included
+        rng = random.Random(314)
+        for _ in range(300):
+            used = rng.randint(1, 6)
+            n = used + rng.randint(0, 3)
+            clauses = list(rand_formula(rng, used, rng.randint(0, 10)).clauses)
+            if rng.random() < 0.3:
+                clauses.insert(rng.randint(0, len(clauses)), ())
+            f = formula(n, clauses)
+            a = rand_assignment(rng, n)
+            mask = f.unsat_mask(a)
+            idx = first_unsatisfied_clause(f, a)
+            assert (mask == 0) == evaluate(f, a)
+            if idx is None:
+                assert mask == 0
+            else:
+                assert (mask & -mask).bit_length() - 1 == idx
+            assert mask == sum(1 << i for i, c in enumerate(f.clauses)
+                               if not evaluate(formula(n, [c]), a))
+
+    def test_wrong_assignment_length_rejected(self):
+        with pytest.raises(ValueError):
+            formula(2, [[1]]).unsat_mask((0,))
+
+    def test_cached_masks_leave_equality_and_hash_alone(self):
+        f = formula(3, [[1, -2], [3]])
+        assert f.literal_masks and f.max_width == 2  # fills the caches
+        fresh = formula(3, [[1, -2], [3]])
+        assert f == fresh and hash(f) == hash(fresh)
+        assert f != formula(3, [[1, -2], [-3]])
+
+    def test_pickle_round_trip(self):
+        f = formula(4, [[1, -2, 3], [-4], []])
+        mask = f.unsat_mask((0, 1, 0, 1))
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f)
+        assert g.literal_masks == f.literal_masks
+        assert g.unsat_mask((0, 1, 0, 1)) == mask
+        assert pickle.loads(pickle.dumps(formula(2, [[1, 2]]))).unsat_mask((0, 0)) == 1
+
+
 class TestConstructionInvariants:
     def test_duplicate_variable_in_clause_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +229,16 @@ class TestConstructionInvariants:
     def test_variable_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             formula(2, [[3]])
+
+    def test_error_messages_name_the_first_fault(self):
+        with pytest.raises(ValueError, match="literal 0 is not allowed"):
+            formula(3, [[1, 0, 1]])
+        with pytest.raises(ValueError, match=r"variable 1 occurs twice in clause \(1, -1, 0\)"):
+            formula(3, [[1, -1, 0]])
+        with pytest.raises(ValueError, match="literal -3 exceeds num_vars=2"):
+            formula(2, [[1], [-3, 4]])
+        with pytest.raises(ValueError, match="num_vars must be >= 0"):
+            formula(-1, [])
 
     def test_max_width(self):
         assert formula(3, [[1], [1, 2, 3]]).max_width == 3

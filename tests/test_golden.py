@@ -1,5 +1,6 @@
-"""Pinned verdicts, witnesses and work counts of the deterministic solvers,
-and the covering codes and 2-box covers they iterate.
+"""Pinned verdicts, witnesses and work counts of the deterministic solvers
+and the randomized walk, and the covering codes and 2-box covers the
+deterministic solvers iterate.
 
 The values below were recorded from the solver before its outer cover was
 rebuilt as a single product pass. A refactor of the outer loop, the cover
@@ -17,7 +18,7 @@ import pytest
 
 from coversat.codes import greedy_code
 from coversat.csp import solve_csp, two_box_cover
-from coversat.solver import SolverConfig, solve_deterministic
+from coversat.solver import SolverConfig, solve_deterministic, solve_schoening
 
 from helpers import rand_csp, rand_kcnf
 
@@ -50,6 +51,26 @@ def test_golden(case):
     assert (res.status, got_witness) == (status, witness)
     assert (s.codewords_tried, s.boxes_tried) == (codewords, boxes)
     assert (s.search.recursion_nodes, s.search.leaves, s.search.max_depth) == (nodes, leaves, depth)
+
+
+# The randomized solver's walk, recorded before it read the unsatisfied
+# clause from the clause masks: the seeded trials must take the same path.
+# n, m, seed, status, witness, trials, walk steps
+GOLDEN_WALK = [
+    (12, 40, 0, "sat", "101110100100", 1, 19),
+    (16, 64, 1, "sat", "1001000000001001", 16, 736),
+    (20, 86, 5, "sat", "00000100101110100010", 46, 2715),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_WALK, ids=lambda c: "n{}-m{}-s{}".format(*c[:3]))
+def test_golden_walk(case):
+    n, m, seed, status, witness, trials, steps = case
+    f = rand_kcnf(random.Random(f"golden-walk:{n}:{m}:{seed}"), n, m)
+    res = solve_schoening(f, SolverConfig(mode="randomized", seed=seed))
+    got_witness = "".join(map(str, res.witness)) if res.witness is not None else None
+    assert (res.status, got_witness) == (status, witness)
+    assert (res.stats.trials, res.stats.search.recursion_nodes) == (trials, steps)
 
 
 def _digest(items) -> str:

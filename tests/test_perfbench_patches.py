@@ -1,10 +1,18 @@
 """The benchmark tracer (perfbench/tracing.py) wraps package functions by
-module and attribute name. A rename or deletion in the package would break
-only the slower perfbench suite, so the names are checked here."""
+module and attribute name. A rename or deletion in the package, or a caller
+that stops looking a name up through its module, would break only the
+slower perfbench suite, so both are checked here."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+import coversat.search
+from coversat.csp import solve_csp
+from coversat.solver import SolverConfig
+
+from helpers import rand_csp
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -25,3 +33,20 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(modname), attr, None))
     ]
     assert not missing, missing
+
+
+def test_searchball_called_through_module_attribute(monkeypatch):
+    # the tracer counts search.searchball calls by patching this attribute;
+    # an engine that reached the recursion another way would read as zero
+    calls = []
+    orig = coversat.search.searchball
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(coversat.search, "searchball", counting)
+    # the d=3 CSP case of tests/test_golden.py
+    g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
+    assert solve_csp(g, SolverConfig(t=6)).status == "sat"
+    assert calls

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coversat.cnf import evaluate, formula, hamming_distance, restrict
+from coversat.cnf import evaluate, first_unsatisfied_clause, formula, hamming_distance, restrict
 from coversat.codes import word_distance
 from coversat.search import (
     FastParams,
@@ -16,7 +16,7 @@ from coversat.search import (
     searchball_fast,
 )
 
-from helpers import rand_assignment, rand_kcnf, sat_in_ball
+from helpers import rand_assignment, rand_formula, rand_kcnf, sat_in_ball
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,27 @@ class TestSchoeningWalk:
                 hits += 1
         # Wilson-style slack: expect >= 0.8 * 0.25 even with sampling noise
         assert hits / trials >= 0.8 * 0.25
+
+    def test_same_path_as_first_unsat_rescan(self):
+        # the walk keeps its unsatisfied-clause mask across flips; a rescan
+        # for the first unsatisfied clause before every step is the reference
+        rng = random.Random(9)
+        for i in range(150):
+            n = rng.randint(3, 9)
+            f = rand_formula(rng, n, rng.randint(1, 30))
+            alpha = rand_assignment(rng, n)
+            walk, cur, steps = random.Random(i), list(alpha), 0
+            for _ in range(3 * n):
+                idx = first_unsatisfied_clause(f, tuple(cur))
+                if idx is None:
+                    break
+                v = abs(walk.choice(f.clauses[idx]))
+                cur[v - 1] = 1 - cur[v - 1]
+                steps += 1
+            expected = tuple(cur) if evaluate(f, tuple(cur)) else None
+            stats = SearchStats()
+            assert schoening_walk(f, alpha, WalkParams(rng_seed=i), stats) == expected
+            assert stats.recursion_nodes == steps
 
     def test_walk_result_always_satisfies(self):
         rng = random.Random(8)
@@ -169,6 +190,21 @@ class TestMaximalDisjointUnsat:
             for clause in f.clauses:
                 if len(clause) == 3 and not evaluate(formula(n, [clause]), alpha):
                     assert any(abs(u) in chosen_vars for u in clause)
+
+
+    def test_matches_input_order_scan(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            f = rand_kcnf(rng, n, rng.randint(0, 30), k=3)
+            alpha = rand_assignment(rng, n)
+            used, expected = set(), []
+            for clause in f.clauses:
+                if evaluate(formula(n, [clause]), alpha) or used & {abs(u) for u in clause}:
+                    continue
+                expected.append(clause)
+                used |= {abs(u) for u in clause}
+            assert maximal_disjoint_unsat(f, alpha, 3) == expected
 
 
 class TestApplyCodeword:
