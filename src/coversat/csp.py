@@ -11,16 +11,16 @@ therefore reduces CSP solving to a family of k-SAT instances.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from itertools import combinations, product
 from typing import Iterable
 
 from .cnf import Formula
 from .codes import _index_of, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
-from .solver import SolveResult, SolveStats, SolverConfig, _periodic_mask, solve_deterministic
+from .solver import SolveResult, SolverConfig, _periodic_mask, _timed, first_witness
+from .solver import solve_deterministic
 
 CSP_BRUTE_MAX_SPACE = 10**7
 BOX_CANDIDATE_MAX = 2 * 10**5
@@ -261,23 +261,31 @@ def csp_index_to_assignment(i: int, d: int, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@_timed
 def brute_force_csp(f: CspFormula) -> SolveResult:
     """Exhaustive d-ary oracle; first satisfying assignment in
     lexicographic order. Capped at d^n <= 10^7."""
-    start = time.perf_counter()
     sat = csp_solution_bitmap(f)
-    stats = SolveStats()
     if sat == 0:
-        stats.wall_time = time.perf_counter() - start
-        return SolveResult("unsat", None, stats)
+        return SolveResult("unsat", None)
     lowest = (sat & -sat).bit_length() - 1
     witness = csp_index_to_assignment(lowest, f.domain_size, f.num_vars)
     if not csp_evaluate(f, witness):
         raise AssertionError("internal error: brute-force witness failed re-verification")
-    stats.wall_time = time.perf_counter() - start
-    return SolveResult("sat", witness, stats)
+    return SolveResult("sat", witness)
 
 
+def _solve_box(f: CspFormula, cfg: SolverConfig, box: TwoBox):
+    """Solve F inside one 2-box: its Boolean restriction, then the decoded witness."""
+    sub = solve_deterministic(restrict_to_box(f, box), cfg)
+    sub.stats.boxes_tried = 1
+    witness = decode_box_witness(box, sub.witness) if sub.status == "sat" else None
+    if witness is not None and not csp_evaluate(f, witness):
+        raise AssertionError("internal error: decoded witness failed re-verification")
+    return witness, sub.stats
+
+
+@_timed
 def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     """Deterministic CSP solver: 2-box cover, per-box reduction to CNF,
     per-box deterministic k-SAT, d-ary witness decode.
@@ -285,25 +293,10 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     Width <= 2 or domain size 1 short-circuit to the exhaustive oracle.
     """
     cfg = cfg or SolverConfig()
-    start = time.perf_counter()
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
-        result = brute_force_csp(f)
-        result.stats.wall_time = time.perf_counter() - start
-        return result
+        return brute_force_csp(f)
     cover = two_box_cover(d, n, cfg.box_block_len)
-    stats = SolveStats()
-    for box in cover.boxes:
-        stats.boxes_tried += 1
-        reduced = restrict_to_box(f, box)
-        sub = solve_deterministic(reduced, cfg)
-        stats.codewords_tried += sub.stats.codewords_tried
-        stats.search.merge(sub.stats.search)
-        if sub.status == "sat":
-            witness = decode_box_witness(box, sub.witness)
-            if not csp_evaluate(f, witness):
-                raise AssertionError("internal error: decoded witness failed re-verification")
-            stats.wall_time = time.perf_counter() - start
-            return SolveResult("sat", witness, stats)
-    stats.wall_time = time.perf_counter() - start
-    return SolveResult("unsat", None, stats)
+    task = partial(_solve_box, f, replace(cfg, jobs=1))
+    witness, stats = first_witness(task, cover.boxes, cfg.jobs)
+    return SolveResult("unsat" if witness is None else "sat", witness, stats)

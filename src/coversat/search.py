@@ -145,6 +145,8 @@ def schoening_walk(
     max_steps = params.max_steps
     if max_steps is None:
         max_steps = max(1, math.ceil(3 * f.num_vars))
+    if not all(f.clauses):
+        return None  # an empty clause: no flip satisfies it
     rng = random.Random(params.rng_seed)
     cur = list(alpha)
     masks = f.literal_masks

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, wraps
+from multiprocessing import get_context
+from multiprocessing.pool import Pool
 from typing import Optional
 
 from .cnf import Assignment, Formula, evaluate
@@ -36,7 +37,8 @@ class SolverConfig:
     balances the number of covering balls against the per-ball search cost.
     outer_block_len defaults to min(12, n): one greedy block when n is small,
     the product of 12-var blocks beyond that. cache_dir persists the covering
-    codes across runs and lets the workers of jobs > 1 load them from disk.
+    codes across runs. jobs > 1 spreads the codewords (CNF) or the boxes (CSP)
+    over worker processes; CNF workers receive the built inner code.
     """
 
     mode: str = "deterministic"
@@ -71,16 +73,63 @@ class SolveStats:
     trials: int = 0
     wall_time: float = 0.0
 
+    def merge(self, other: "SolveStats") -> None:
+        """Add other's work counts; wall_time is set by the timed solver."""
+        self.search.merge(other.search)
+        self.codewords_tried += other.codewords_tried
+        self.boxes_tried += other.boxes_tried
+
 
 @dataclass
 class SolveResult:
     """status 'sat' carries a verified witness; deterministic and brute modes
     never report 'unknown'; the randomized mode reports 'unknown' instead of
-    'unsat' (one-sided Monte-Carlo error)."""
+    'unsat' (one-sided error) unless F has an empty clause or width <= 2."""
 
     status: str
     witness: Optional[tuple[int, ...]]
     stats: SolveStats = field(default_factory=SolveStats)
+
+
+def _timed(solver):
+    """Record the solver's elapsed time; an outer timed solver records last."""
+    @wraps(solver)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        result = solver(*args, **kwargs)
+        result.stats.wall_time = time.perf_counter() - start
+        return result
+    return timed
+
+
+def _install_task(task) -> None:
+    """Pool initializer: keep the task in this worker for _run_installed."""
+    _install_task.task = task
+
+
+def _run_installed(item):
+    return _install_task.task(item)
+
+
+def first_witness(task, items, jobs: int):
+    """Run task(item) -> (witness or None, SolveStats) over items in order up
+    to the first witness; return it (or None) and the merged stats. A pool of
+    min(jobs, len(items)) spawned workers gets task once per worker and is
+    read in item order, so any jobs gives the jobs=1 result."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return _merge_until_witness(map(task, items))
+    with Pool(workers, _install_task, (task,), context=get_context("spawn")) as pool:
+        return _merge_until_witness(pool.imap(_run_installed, items))
+
+
+def _merge_until_witness(results):
+    stats = SolveStats()
+    for witness, sub in results:
+        stats.merge(sub)
+        if witness is not None:
+            return witness, stats
+    return None, stats
 
 
 def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
@@ -133,43 +182,29 @@ def index_to_assignment(i: int, n: int) -> Assignment:
     return tuple((i >> (n - v)) & 1 for v in range(1, n + 1))
 
 
+@_timed
 def brute_force(f: Formula) -> SolveResult:
     """Exhaustive oracle: first satisfying assignment in lexicographic
     order, or unsat. Limited to n <= 24."""
-    start = time.perf_counter()
     sat = solution_bitmap(f)
-    stats = SolveStats()
     if sat == 0:
-        stats.wall_time = time.perf_counter() - start
-        return SolveResult("unsat", None, stats)
+        return SolveResult("unsat", None)
     lowest = (sat & -sat).bit_length() - 1
     witness = index_to_assignment(lowest, f.num_vars)
     if not evaluate(f, witness):
         raise AssertionError("internal error: brute-force witness failed re-verification")
-    stats.wall_time = time.perf_counter() - start
-    return SolveResult("sat", witness, stats)
+    return SolveResult("sat", witness)
 
 
-def _outer_cover_and_params(f: Formula, cfg: SolverConfig):
-    n, k = f.num_vars, f.max_width
-    b = cfg.outer_block_len if cfg.outer_block_len is not None else min(12, max(1, n))
-    a = k - 1 + cfg.epsilon
-    rho = cfg.rho if cfg.rho is not None else 1.0 / (a + 1.0)
-    if not 0 < rho <= 0.5:
-        raise UsageError(f"derived rho {rho} outside (0, 1/2]; pass --rho explicitly")
-    cover = boolean_cover(n, rho, b, cache_dir=cfg.cache_dir)
-    fp = FastParams.for_k(k, cfg.t, cache_dir=cfg.cache_dir)
-    return cover, fp
+def _search_codeword(f: Formula, radius: int, fp: FastParams, word):
+    gamma = tuple(s - 1 for s in word)  # outer-code symbols 1, 2 are bits 0, 1
+    witness, search = searchball_fast(f, gamma, radius, fp, stats=SearchStats())
+    if witness is not None and not evaluate(f, witness):
+        raise AssertionError("internal error: witness failed re-verification")
+    return witness, SolveStats(search, codewords_tried=1)
 
 
-def _codeword_task(args):
-    f, word, radius, k, t, cache_dir = args
-    fp = FastParams.for_k(k, t, cache_dir=cache_dir)
-    gamma = tuple(s - 1 for s in word)
-    witness, stats = searchball_fast(f, gamma, radius, fp)
-    return witness, stats
-
-
+@_timed
 def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
     """Covering-code outer loop around searchball_fast; never 'unknown'.
 
@@ -177,48 +212,20 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
     2-SAT algorithm is out of scope here).
     """
     cfg = cfg or SolverConfig()
-    start = time.perf_counter()
-    k = f.max_width
+    n, k = f.num_vars, f.max_width
     if k <= 2:
-        result = brute_force(f)
-        result.stats.wall_time = time.perf_counter() - start
-        return result
-    stats = SolveStats()
+        return brute_force(f)
     if any(len(c) == 0 for c in f.clauses):
-        stats.wall_time = time.perf_counter() - start
-        return SolveResult("unsat", None, stats)
-    cover, fp = _outer_cover_and_params(f, cfg)
-    radius = cover.r
-    witness = None
-    if cfg.jobs > 1:
-        tasks = [(f, w, radius, k, cfg.t, cfg.cache_dir) for w in cover.words]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            pending = {pool.submit(_codeword_task, t) for t in tasks}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    res, sub = fut.result()
-                    stats.codewords_tried += 1
-                    stats.search.merge(sub)
-                    if res is not None and witness is None:
-                        witness = res
-                if witness is not None:
-                    for fut in pending:
-                        fut.cancel()
-                    break
-    else:
-        for word in cover.words:
-            gamma = tuple(s - 1 for s in word)
-            stats.codewords_tried += 1
-            witness, _ = searchball_fast(f, gamma, radius, fp, stats=stats.search)
-            if witness is not None:
-                break
-    stats.wall_time = time.perf_counter() - start
-    if witness is not None:
-        if not evaluate(f, witness):
-            raise AssertionError("internal error: witness failed re-verification")
-        return SolveResult("sat", witness, stats)
-    return SolveResult("unsat", None, stats)
+        return SolveResult("unsat", None)
+    b = cfg.outer_block_len if cfg.outer_block_len is not None else min(12, max(1, n))
+    rho = cfg.rho if cfg.rho is not None else 1.0 / ((k - 1 + cfg.epsilon) + 1.0)
+    if not 0 < rho <= 0.5:
+        raise UsageError(f"derived rho {rho} outside (0, 1/2]; pass --rho explicitly")
+    cover = boolean_cover(n, rho, b, cache_dir=cfg.cache_dir)
+    fp = FastParams.for_k(k, cfg.t, cache_dir=cfg.cache_dir)
+    task = partial(_search_codeword, f, cover.r, fp)
+    witness, stats = first_witness(task, cover.words, cfg.jobs)
+    return SolveResult("unsat" if witness is None else "sat", witness, stats)
 
 
 def default_trial_cap(f: Formula) -> int:
@@ -232,21 +239,21 @@ def default_trial_cap(f: Formula) -> int:
     return max(1, math.ceil(bound))
 
 
+@_timed
 def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
     """Randomized solver: repeat [uniform alpha; correction walk] up to
-    trial_cap times. Returns 'unknown' on exhaustion, never 'unsat'."""
+    trial_cap times. Returns 'unknown' on exhaustion; 'unsat' only for an
+    empty clause or through the width <= 2 oracle route."""
     cfg = cfg or SolverConfig(mode="randomized")
-    start = time.perf_counter()
     if f.max_width <= 2:
-        result = brute_force(f)
-        result.stats.wall_time = time.perf_counter() - start
-        return result
-    n = f.num_vars
+        return brute_force(f)
+    if any(len(c) == 0 for c in f.clauses):
+        return SolveResult("unsat", None)
     cap = cfg.trial_cap if cfg.trial_cap is not None else default_trial_cap(f)
     stats = SolveStats()
     for trial in range(cap):
         rng = random.Random(f"schoening:{cfg.seed}:{trial}")
-        alpha = tuple(rng.randint(0, 1) for _ in range(n))
+        alpha = tuple(rng.randint(0, 1) for _ in range(f.num_vars))
         stats.trials += 1
         witness = schoening_walk(
             f, alpha, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats.search
@@ -254,9 +261,7 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
         if witness is not None:
             if not evaluate(f, witness):
                 raise AssertionError("internal error: walk witness failed re-verification")
-            stats.wall_time = time.perf_counter() - start
             return SolveResult("sat", witness, stats)
-    stats.wall_time = time.perf_counter() - start
     return SolveResult("unknown", None, stats)
 
 

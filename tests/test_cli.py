@@ -41,6 +41,13 @@ class TestSolveCommand:
         code = main(["solve", "--input", path, "--mode", "rand", "--trial-cap", "20"])
         assert code == 30
 
+    def test_rand_empty_clause_unsat_exit_20(self, tmp_path, capsys):
+        path = write(tmp_path, "e.cnf", "p cnf 3 2\n1 2 3 0\n0\n")
+        assert main(["solve", "--input", path, "--mode", "rand"]) == 20
+        captured = capsys.readouterr()
+        assert "s UNSATISFIABLE" in captured.out
+        assert captured.err == ""
+
     def test_witness_verifies_against_input(self, tmp_path, capsys):
         path = write(tmp_path, "s.cnf", SAT_3CNF)
         assert main(["solve", "--input", path, "--mode", "det"]) == 10

@@ -20,7 +20,7 @@ from coversat.csp import (
 )
 import coversat.csp as csp
 from coversat.errors import CodeConstructionError, ResourceCapError
-from coversat.solver import brute_force
+from coversat.solver import SolverConfig, brute_force
 
 from helpers import rand_csp, ref_csp_solutions, ref_digit_masks
 
@@ -249,6 +249,24 @@ class TestSolveCsp:
         res = solve_csp(g)
         assert res.status == "unsat"
         assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4).boxes)
+
+    def test_parallel_jobs_start_one_pool(self, monkeypatch):
+        # the boxes share one pool; each box's codewords run in its worker
+        import coversat.solver as solver
+
+        pools = []
+        real = solver.Pool
+
+        def counting(processes, *args, **kwargs):
+            pools.append(processes)
+            return real(processes, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "Pool", counting)
+        g = saturated_triple()
+        res = solve_csp(g, SolverConfig(jobs=2))
+        assert res.status == "unsat"
+        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4).boxes)
+        assert pools == [2]
 
     def test_near_saturated_is_sat(self):
         full = saturated_triple()

@@ -8,7 +8,8 @@ import importlib.util
 import random
 from pathlib import Path
 
-import coversat.search
+import pytest
+
 from coversat.csp import solve_csp
 from coversat.solver import SolverConfig
 
@@ -35,17 +36,28 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
-def test_searchball_called_through_module_attribute(monkeypatch):
-    # the tracer counts search.searchball calls by patching this attribute;
-    # an engine that reached the recursion another way would read as zero
+@pytest.mark.parametrize(
+    "name",
+    [
+        "coversat.search.searchball",
+        "coversat.solver.searchball_fast",
+        "coversat.csp.solve_deterministic",
+        "coversat.csp.restrict_to_box",
+    ],
+)
+def test_searchball_called_through_module_attribute(monkeypatch, name):
+    # the tracer counts each layer's calls by patching these attributes; a
+    # caller that reached the function another way would read as zero
+    modname, attr = name.rsplit(".", 1)
+    module = importlib.import_module(modname)
     calls = []
-    orig = coversat.search.searchball
+    orig = getattr(module, attr)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(coversat.search, "searchball", counting)
+    monkeypatch.setattr(module, attr, counting)
     # the d=3 CSP case of tests/test_golden.py
     g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
     assert solve_csp(g, SolverConfig(t=6)).status == "sat"

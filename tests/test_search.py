@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from coversat.cnf import evaluate, first_unsatisfied_clause, formula, hamming_distance, restrict
+from coversat.cnf import (
+    Formula,
+    evaluate,
+    first_unsatisfied_clause,
+    formula,
+    hamming_distance,
+    restrict,
+)
 from coversat.codes import word_distance
 from coversat.search import (
     FastParams,
@@ -41,6 +48,11 @@ class TestSchoeningWalk:
     def test_gives_up_on_unsatisfiable(self):
         f = formula(1, [[1], [-1]])
         assert schoening_walk(f, (0,), WalkParams(rng_seed=1)) is None
+
+    def test_empty_clause_gives_up(self):
+        # no literal to flip: the walk returns None instead of raising
+        f = Formula(3, ((1, 2, 3), ()))
+        assert schoening_walk(f, (0, 0, 0), WalkParams(rng_seed=0)) is None
 
     def test_step_budget_respected(self):
         f = formula(4, [[1], [2], [3], [4]])

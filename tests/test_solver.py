@@ -1,13 +1,16 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 from coversat.cnf import Formula, evaluate, formula
 from coversat.codes import boolean_cover
+from coversat.csp import solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     _var_masks,
@@ -21,7 +24,43 @@ from coversat.solver import (
     solve_schoening,
 )
 
-from helpers import rand_kcnf, ref_all_solutions, ref_var_masks
+from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_var_masks
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the solver's process pool: record the worker count asked
+    for and run the items in this process, handing the task to the pool
+    initializer through a pickle round trip as a spawned worker receives it.
+    Returns the list of worker counts asked for."""
+    import coversat.solver as solver
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs, context=None):
+            asked.append(processes)
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(solver, "Pool", InlinePool)
+    # the initializer keeps the task on itself; drop it again after the test
+    monkeypatch.setattr(solver._install_task, "task", None, raising=False)
+    return asked
+
+
+def _result_key(res):
+    s = res.stats
+    return (res.status, res.witness, s.codewords_tried, s.boxes_tried,
+            s.search.recursion_nodes, s.search.leaves, s.search.max_depth)
 
 
 class TestBruteForce:
@@ -138,14 +177,33 @@ class TestSolveDeterministic:
         assert len(results) == 1
 
     def test_parallel_jobs_same_status(self):
-        rng = random.Random(8)
-        for _ in range(4):
-            f = rand_kcnf(rng, 6, rng.randint(5, 25), k=3)
-            seq = solve_deterministic(f, SolverConfig(jobs=1))
-            par = solve_deterministic(f, SolverConfig(jobs=2))
-            assert seq.status == par.status
-            if par.status == "sat":
-                assert evaluate(f, par.witness)
+        # results are read in codeword (CNF) or box (CSP) order, so two
+        # workers return the one-process result: status, witness and counts
+        cases = []
+        for seed in range(3):
+            for m in (50, 70):  # both sat and unsat at n=14
+                f = rand_kcnf(random.Random(f"jobs:{seed}:{m}"), 14, m)
+                cases += [(solve_deterministic, f, 6), (solve_deterministic, f, 3)]
+            for m in (18, 24, 30):
+                g = rand_csp(random.Random(f"jobs-csp:{seed}:{m}"), 3, 6, m)
+                cases.append((solve_csp, g, 6))
+        statuses = set()
+        for solver, f, t in cases:
+            seq = solver(f, SolverConfig(t=t, jobs=1))
+            par = solver(f, SolverConfig(t=t, jobs=2))
+            assert _result_key(par) == _result_key(seq), (solver.__name__, f, t)
+            statuses.add((solver, seq.status))
+        assert len(statuses) == 4  # sat and unsat for both solvers
+
+    def test_jobs_capped_by_cover_size(self, inline_pool):
+        # n=3 at rho=1/2 has a 2-word outer cover; 64 jobs ask for 2 workers
+        f = formula(3, [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)])
+        cfg = SolverConfig(rho=0.5)
+        assert len(boolean_cover(3, 0.5, 3).words) == 2
+        par = solve_deterministic(f, replace(cfg, jobs=64))
+        assert inline_pool == [2]
+        assert _result_key(par) == _result_key(solve_deterministic(f, cfg))
+        assert par.stats.codewords_tried == 2
 
     def test_zero_vars(self):
         assert solve_deterministic(formula(0, [])).status == "sat"
@@ -175,15 +233,18 @@ class TestSolveDeterministic:
         )
         assert proc.returncode == 0, proc.stderr.decode()
 
-    def test_codeword_task_uses_cache_dir(self, tmp_path, monkeypatch):
-        import coversat.codes as codes
-        from coversat.solver import _codeword_task
+    def test_workers_build_no_code(self, inline_pool, monkeypatch):
+        # the inner code travels with the task, so only the parent asks for it
+        import coversat.search as search
 
-        monkeypatch.setattr(codes, "_memory_cache", {})
-        f = formula(3, [[1, 2, 3]])
-        witness, _ = _codeword_task((f, (1, 1, 1), 1, 3, 6, str(tmp_path)))
-        assert witness is not None and evaluate(f, witness)
-        assert (tmp_path / "greedy_q3_t6_r2.code").exists()
+        calls = []
+        real = search.get_code
+        monkeypatch.setattr(search, "get_code", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
+        res = solve_deterministic(f, SolverConfig(jobs=2))
+        assert inline_pool == [2]
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
+        assert len(calls) == 1
 
 
 class TestSolveSchoening:
@@ -220,6 +281,10 @@ class TestSolveSchoening:
     def test_width_two_routes_to_brute(self):
         res = solve_schoening(formula(2, [[1], [-1]]))
         assert res.status == "unsat"  # brute route may prove unsat
+
+    def test_empty_clause_is_unsat_without_trials(self):
+        res = solve_schoening(Formula(3, ((1, 2, 3), ())))
+        assert (res.status, res.witness, res.stats.trials) == ("unsat", None, 0)
 
 
 class TestDispatcherAndConfig:
