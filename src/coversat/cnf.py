@@ -62,6 +62,16 @@ class Formula:
             u = next(u for u in chain.from_iterable(clauses) if abs(u) > self.num_vars)
             raise ValueError(f"literal {u} exceeds num_vars={self.num_vars}")
 
+    @classmethod
+    def _unchecked(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
+        """A formula whose clauses the caller has already validated: int
+        literals over pairwise distinct variables in 1..num_vars. Skips
+        ``__post_init__``; equal to ``Formula(num_vars, clauses)``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num_vars", num_vars)
+        object.__setattr__(f, "clauses", clauses)
+        return f
+
     @cached_property
     def max_width(self) -> int:
         """Maximum clause length (the k of a (<=k)-CNF); 0 for no clauses."""
@@ -105,10 +115,6 @@ class Formula:
 def formula(num_vars: int, clauses: Iterable[Iterable[int]]) -> Formula:
     """Convenience constructor from nested iterables of signed ints."""
     return Formula(num_vars, tuple(clauses))
-
-
-def literal_satisfied(u: Literal, alpha: Assignment) -> bool:
-    return alpha[u - 1] == 1 if u > 0 else alpha[-u - 1] == 0
 
 
 def clause_satisfied(clause: Clause, alpha: Assignment) -> bool:

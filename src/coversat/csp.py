@@ -189,6 +189,10 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     A literal (x_v != c) with c outside the pair is vacuously true and
     drops its whole constraint; c equal to the smaller value maps to y_v,
     to the larger value maps to -y_v.
+
+    The result is built with Formula._unchecked: CspFormula has already
+    checked that each constraint's variables are distinct and lie in 1..n,
+    and a reduced clause is those same variables with signs.
     """
     if len(box) != f.num_vars:
         raise ValueError("box arity does not match formula")
@@ -210,7 +214,7 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
                 break
         if not dropped:
             clauses.append(tuple(lits))
-    return Formula(f.num_vars, tuple(clauses))
+    return Formula._unchecked(f.num_vars, tuple(clauses))
 
 
 def decode_box_witness(box: TwoBox, bits: tuple[int, ...]) -> tuple[int, ...]:

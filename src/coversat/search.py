@@ -335,9 +335,11 @@ def _beta_search(
 
     The clauses beta satisfies are the OR of a mask fixed for the whole
     enumeration (alpha outside vbl(G)) and one precomputed mask per clause
-    of G (its local pattern). A beta that satisfies F is the witness and
-    one with no budget left is a dead leaf; each counts one node, the root
-    of the subsearch it would start. Every other beta goes to searchball.
+    of G (its local pattern). A beta that satisfies F is the witness, one
+    with no budget left is a dead leaf, and one that fixes every variable
+    of its lowest unsatisfied clause is a dead root (searchball would find
+    nothing to branch on); each counts one node, the root of the subsearch
+    it would start. Every other beta goes to searchball.
     Only recursion_nodes reach stats: leaves and max_depth stay those of the
     codeword recursion.
     """
@@ -366,7 +368,11 @@ def _beta_search(
             elif satisfied | mask == full:
                 inner.recursion_nodes += 1
                 return override(alpha, dict(chain.from_iterable(chosen)))
-            elif flips == budget:
+            elif flips == budget or in_g.issuperset(
+                map(abs, f.clauses[_lowest(full ^ (satisfied | mask))])
+            ):
+                # no budget left, or beta fixes its whole lowest unsatisfied
+                # clause: searchball would stop at its root
                 inner.recursion_nodes += 1
                 continue
             else:
@@ -377,6 +383,9 @@ def _beta_search(
         return None
 
     res = rec(0, r, outside)
+    # rec reaches itself through its closure: break that cycle so the
+    # enumeration state is freed now, not by the cycle collector
+    del rec
     stats.recursion_nodes += inner.recursion_nodes
     return res
 

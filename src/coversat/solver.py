@@ -215,7 +215,7 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
     n, k = f.num_vars, f.max_width
     if k <= 2:
         return brute_force(f)
-    if any(len(c) == 0 for c in f.clauses):
+    if not all(f.clauses):
         return SolveResult("unsat", None)
     b = cfg.outer_block_len if cfg.outer_block_len is not None else min(12, max(1, n))
     rho = cfg.rho if cfg.rho is not None else 1.0 / ((k - 1 + cfg.epsilon) + 1.0)
@@ -247,7 +247,7 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
     cfg = cfg or SolverConfig(mode="randomized")
     if f.max_width <= 2:
         return brute_force(f)
-    if any(len(c) == 0 for c in f.clauses):
+    if not all(f.clauses):
         return SolveResult("unsat", None)
     cap = cfg.trial_cap if cfg.trial_cap is not None else default_trial_cap(f)
     stats = SolveStats()

@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import coversat.search
 from coversat.cnf import Formula
 from coversat.csp import CspFormula
+from coversat.search import SearchStats
 
 
 def rand_formula(rng: random.Random, n: int, m: int, max_width: int = 3) -> Formula:
@@ -86,6 +88,41 @@ def sat_in_ball(f: Formula, alpha: tuple[int, ...], r: int) -> tuple[int, ...] |
         if ref_evaluate(f, beta):
             return beta
     return None
+
+
+def ref_beta_search(
+    f: Formula, alpha: tuple[int, ...], r: int, g: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...] | None, int]:
+    """The small-|G| enumeration without the dead-root prune: every beta to
+    vbl(G) that satisfies each clause of G, in lexicographic order clause by
+    clause, with at most r flips. A satisfying beta is the witness and one
+    with no budget left counts one node; every other beta goes to
+    coversat.search.searchball. Returns (witness, recursion nodes)."""
+    per_clause = [
+        [
+            {abs(u): bit for u, bit in zip(clause, bits)}
+            for bits in product((0, 1), repeat=len(clause))
+            if any((u > 0) == (bit == 1) for u, bit in zip(clause, bits))
+        ]
+        for clause in g
+    ]
+    stats = SearchStats()
+    for combo in product(*per_clause):
+        beta = {v: bit for part in combo for v, bit in part.items()}
+        flips = sum(alpha[v - 1] != bit for v, bit in beta.items())
+        if flips > r:
+            continue
+        gamma = tuple(beta.get(v, alpha[v - 1]) for v in range(1, f.num_vars + 1))
+        if ref_evaluate(f, gamma):
+            stats.recursion_nodes += 1
+            return gamma, stats.recursion_nodes
+        if flips == r:
+            stats.recursion_nodes += 1
+            continue
+        res, _ = coversat.search.searchball(f, alpha, r - flips, forced=beta, stats=stats)
+        if res is not None:
+            return res, stats.recursion_nodes
+    return None, stats.recursion_nodes
 
 
 def ref_var_masks(n: int) -> tuple[int, ...]:

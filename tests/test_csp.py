@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from coversat.csp import (
     verify_box_cover,
 )
 import coversat.csp as csp
+from coversat.cnf import Formula
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, brute_force
 
@@ -188,6 +191,43 @@ class TestRestrictToBox:
                 decoded = decode_box_witness(box, res.witness)
                 assert point_in_box(decoded, box)
                 assert csp_evaluate(g, decoded)
+
+    @pytest.mark.parametrize("d,n", [(3, 6), (4, 5)])
+    def test_trusted_result_equals_validated_formula(self, d, n):
+        # restrict_to_box skips Formula's clause validation; the result must
+        # be indistinguishable from the validating constructor's
+        rng = random.Random(f"trusted:{d}:{n}")
+        for _ in range(4):
+            g = rand_csp(rng, d, n, rng.randint(1, 6 * n))
+            for box in two_box_cover(d, n).boxes:
+                reduced = restrict_to_box(g, box)
+                expected = Formula(n, tuple(
+                    tuple(v if c == box[v - 1][0] else -v for v, c in con)
+                    for con in g.constraints
+                    if all(c in box[v - 1] for v, c in con)
+                ))
+                assert reduced == expected
+                assert hash(reduced) == hash(expected)
+                assert reduced.literal_masks == expected.literal_masks
+                assert reduced.max_width == expected.max_width
+
+    def test_unchecked_constructor_called_only_here(self):
+        # parsers and public constructors must keep validating their input
+        src = Path(csp.__file__).parent
+        callers = set()
+        for path in sorted(src.glob("*.py")):
+            # every use of the name, with the function it sits in
+            stack = [(ast.parse(path.read_text()), "<module>")]
+            while stack:
+                node, scope = stack.pop()
+                if isinstance(node, ast.FunctionDef):
+                    scope = node.name
+                if isinstance(node, ast.Attribute) and node.attr == "_unchecked":
+                    callers.add((path.name, scope))
+                if isinstance(node, ast.Name) and node.id == "_unchecked":
+                    callers.add((path.name, scope))
+                stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+        assert callers == {("csp.py", "restrict_to_box")}
 
 
 class TestBruteForceCsp:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -11,11 +12,13 @@ from coversat.cnf import (
     hamming_distance,
     restrict,
 )
+import coversat.search
 from coversat.codes import word_distance
 from coversat.search import (
     FastParams,
     SearchStats,
     WalkParams,
+    _beta_search,
     apply_codeword,
     maximal_disjoint_unsat,
     schoening_walk,
@@ -23,7 +26,7 @@ from coversat.search import (
     searchball_fast,
 )
 
-from helpers import rand_assignment, rand_formula, rand_kcnf, sat_in_ball
+from helpers import rand_assignment, rand_formula, rand_kcnf, ref_beta_search, sat_in_ball
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +308,69 @@ class TestSearchballFast:
         f = formula(4, [[1, 2, 3, 4]])
         with pytest.raises(ValueError):
             searchball_fast(f, (0, 0, 0, 0), 1, fp3)
+
+
+def count_searchball_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    real = coversat.search.searchball
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coversat.search, "searchball", counting)
+    return calls
+
+
+class TestBetaSearch:
+    def test_matches_enumeration_without_prune(self, monkeypatch):
+        # settling dead-root betas in place leaves witnesses and node counts
+        # exactly as if every such beta had started its subsearch
+        calls = count_searchball_calls(monkeypatch)
+        rng = random.Random(80)
+        ref_calls = fast_calls = 0
+        for _ in range(240):
+            n = rng.randint(3, 10)
+            f = rand_formula(rng, n, rng.randint(1, 5 * n))
+            alpha = rand_assignment(rng, n)
+            r = rng.randint(1, 4)
+            g = maximal_disjoint_unsat(f, alpha, 3)
+            calls[0] = 0
+            expected = ref_beta_search(f, alpha, r, g)
+            ref_calls += calls[0]
+            calls[0] = 0
+            stats = SearchStats()
+            assert (_beta_search(f, alpha, r, g, stats), stats.recursion_nodes) == expected
+            fast_calls += calls[0]
+        assert fast_calls < ref_calls  # the prune fired
+
+    def test_dead_root_starts_no_subsearch(self, monkeypatch):
+        # every beta satisfying (x1 v x2 v x3) falsifies a unit clause over
+        # vbl(G), which searchball could not branch on
+        calls = count_searchball_calls(monkeypatch)
+        f = formula(3, [[1, 2, 3], [-1], [-2], [-3]])
+        g = maximal_disjoint_unsat(f, (0, 0, 0), 3)
+        assert g == [(1, 2, 3)]
+        stats = SearchStats()
+        assert _beta_search(f, (0, 0, 0), 4, g, stats) is None
+        assert stats.recursion_nodes == 7  # one root per beta
+        assert calls[0] == 0
+        assert ref_beta_search(f, (0, 0, 0), 4, g) == (None, 7)
+        assert calls[0] == 7
+
+    def test_leaves_no_reference_cycle(self):
+        # its state is freed on return, not left to the cycle collector
+        f = formula(6, [[1, 2, 3], [-1, 4], [-2, 5], [4, 5, 6], [-6]])
+        alpha = (0,) * 6
+        g = maximal_disjoint_unsat(f, alpha, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            for r in range(1, 5):
+                _beta_search(f, alpha, r, g, SearchStats())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRestrictionBranchingDrop:
