@@ -4,12 +4,9 @@ from .cnf import (
     Assignment,
     Clause,
     Formula,
-    assign_literal,
     evaluate,
-    first_unsatisfied_clause,
     formula,
     hamming_distance,
-    restrict,
 )
 from .codes import (
     CoveringCode,

@@ -41,12 +41,8 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="solve a CNF or CSP file")
     solve.add_argument("--input", required=True)
     solve.add_argument("--mode", choices=["det", "rand", "brute"], default="det")
-    solve.add_argument("--format", choices=["auto", "cnf", "csp"], default="auto")
     solve.add_argument("--t", type=int, default=6, help="inner code block size")
     solve.add_argument("--epsilon", type=float, default=0.1)
-    solve.add_argument("--block-len", type=int, default=None, help="outer Boolean cover block")
-    solve.add_argument("--box-block-len", type=int, default=None, help="CSP 2-box cover block")
-    solve.add_argument("--rho", type=float, default=None)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trial-cap", type=int, default=None)
     solve.add_argument("--jobs", type=int, default=1)
@@ -68,7 +64,6 @@ def _build_parser() -> _Parser:
     reduce_p = sub.add_parser("reduce", help="emit the per-box CNFs of a CSP")
     reduce_p.add_argument("--input", required=True)
     reduce_p.add_argument("--outdir", required=True)
-    reduce_p.add_argument("--box-block-len", type=int, default=None)
 
     bench = sub.add_parser("bench", help="scaling experiments on planted instances")
     bench.add_argument("--k", type=int, default=3)
@@ -109,11 +104,8 @@ def _config_from(args) -> SolverConfig:
         mode=mode,
         t=args.t,
         epsilon=args.epsilon,
-        outer_block_len=args.block_len,
-        rho=args.rho,
         seed=args.seed,
         trial_cap=args.trial_cap,
-        box_block_len=args.box_block_len,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
@@ -161,7 +153,7 @@ def _emit_result(
 def _cmd_solve(args) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
-    kind = args.format if args.format != "auto" else _sniff_format(raw)
+    kind = _sniff_format(raw)
     cfg = _config_from(args)
     if kind == "cnf":
         f = parse_dimacs(raw)
@@ -214,7 +206,7 @@ def _cmd_reduce(args) -> int:
 
     with open(args.input, "rb") as fh:
         g = parse_csp(fh.read())
-    cover = two_box_cover(g.domain_size, g.num_vars, args.box_block_len)
+    cover = two_box_cover(g.domain_size, g.num_vars)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"schema": 1, "input": args.input, "domain_size": g.domain_size,
                 "num_vars": g.num_vars, "boxes": []}

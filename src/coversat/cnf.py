@@ -1,4 +1,4 @@
-"""Immutable CNF data model: formulas, assignments, Hamming geometry, restriction.
+"""Immutable CNF data model: formulas, assignments, evaluation, Hamming geometry.
 
 Literals use the DIMACS convention: the integer ``v`` (v >= 1) is the positive
 literal of variable ``v`` and ``-v`` its negation. A clause is a tuple of
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 Literal = int
 Clause = tuple[Literal, ...]
@@ -134,78 +134,11 @@ def evaluate(f: Formula, alpha: Assignment) -> bool:
     return all(clause_satisfied(c, alpha) for c in f.clauses)
 
 
-def first_unsatisfied_clause(f: Formula, alpha: Assignment) -> Optional[int]:
-    """Lowest input-order index of a clause unsatisfied by alpha, or None.
-
-    The lowest-index tie-break makes every engine built on top of this
-    deterministic and reproducible.
-    """
-    if len(alpha) != f.num_vars:
-        raise ValueError(f"assignment has {len(alpha)} values, formula has {f.num_vars} variables")
-    for i, clause in enumerate(f.clauses):
-        if not clause_satisfied(clause, alpha):
-            return i
-    return None
-
-
 def hamming_distance(alpha: Assignment, beta: Assignment) -> int:
     """Number of variables where the two assignments differ."""
     if len(alpha) != len(beta):
         raise ValueError(f"assignments over different variable sets ({len(alpha)} vs {len(beta)})")
     return sum(a != b for a, b in zip(alpha, beta))
-
-
-def assign_literal(f: Formula, u: Literal) -> Formula:
-    """The formula after permanently making literal u true.
-
-    Clauses containing u are satisfied and removed; occurrences of the
-    complement are deleted from the remaining clauses. num_vars is unchanged.
-    """
-    if u == 0 or abs(u) > f.num_vars:
-        raise ValueError(f"literal {u} out of range for {f.num_vars} variables")
-    out: list[Clause] = []
-    neg = -u
-    for clause in f.clauses:
-        if u in clause:
-            continue
-        if neg in clause:
-            out.append(tuple(w for w in clause if w != neg))
-        else:
-            out.append(clause)
-    return Formula(f.num_vars, tuple(out))
-
-
-def restrict(f: Formula, beta: PartialAssignment) -> Formula:
-    """The formula after permanently setting every variable in beta.
-
-    Equivalent to folding assign_literal over domain(beta) in any order.
-    Restriction may create empty clauses.
-    """
-    for v, bit in beta.items():
-        if not 1 <= v <= f.num_vars:
-            raise ValueError(f"variable {v} out of range")
-        if bit not in (0, 1):
-            raise ValueError(f"value for variable {v} must be 0 or 1")
-    out: list[Clause] = []
-    for clause in f.clauses:
-        satisfied = False
-        kept: list[int] = []
-        for u in clause:
-            bit = beta.get(abs(u))
-            if bit is None:
-                kept.append(u)
-            elif (u > 0) == (bit == 1):
-                satisfied = True
-                break
-        if not satisfied:
-            out.append(tuple(kept))
-    return Formula(f.num_vars, tuple(out))
-
-
-def flip(alpha: Assignment, variable: int) -> Assignment:
-    """alpha with one variable's value toggled."""
-    i = variable - 1
-    return alpha[:i] + (1 - alpha[i],) + alpha[i + 1:]
 
 
 def override(alpha: Assignment, beta: PartialAssignment) -> Assignment:

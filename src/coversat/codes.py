@@ -20,7 +20,10 @@ from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
-GREEDY_MAX_SPACE = 1 << 20
+# greedy_code's two costs (see its docstring); the slowest build measured
+# inside both caps, (21,4,1), takes about 38 s on a 2-core VM
+GREEDY_MAX_UPDATES = 3 * 10**7
+GREEDY_MAX_SCANS = 5 * 10**8
 VERIFY_MAX_SPACE = 10**7
 CONCAT_MAX_WORDS = 5 * 10**6
 
@@ -272,18 +275,25 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
 
     Ties break toward the lexicographically smallest center (see
     greedy_set_cover). The result is exhaustively verified before it is
-    returned.
+    returned. The build costs q^t * |ball| gain updates plus one argmax scan
+    of the q^t gains per pick, over at least q^t / |ball| picks; both are
+    capped before anything is built.
     """
     _check_params(q, t, r)
-    space = q**t
-    if space > GREEDY_MAX_SPACE:
-        raise ResourceCapError(f"q^t = {space} exceeds greedy-construction cap {GREEDY_MAX_SPACE}")
+    space, volume = q**t, ball_volume(q, t, r)
+    updates, scans = space * volume, space * -(-space // volume)
+    if updates > GREEDY_MAX_UPDATES or scans > GREEDY_MAX_SCANS:
+        raise ResourceCapError(
+            f"greedy code (q={q}, t={t}, r={r}) needs {updates:.2g} gain updates and "
+            f"{scans:.2g} argmax steps, beyond the caps {GREEDY_MAX_UPDATES:.0e} and "
+            f"{GREEDY_MAX_SCANS:.0e}; use a smaller --t"
+        )
     masks = _xor_masks(t, r) if q == 2 else None
 
     def ball(idx: int) -> list[int]:
         return [idx ^ m for m in masks] if masks is not None else _ball_of(idx, q, t, r)
 
-    centers = greedy_set_cover(space, space, ball_volume(q, t, r), ball, ball)
+    centers = greedy_set_cover(space, space, volume, ball, ball)
     code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
     if not verify_cover(code):
         raise CodeConstructionError(f"greedy code (q={q}, t={t}, r={r}) failed verification")

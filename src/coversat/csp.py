@@ -300,7 +300,7 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
         return brute_force_csp(f)
-    cover = two_box_cover(d, n, cfg.box_block_len)
+    cover = two_box_cover(d, n)
     task = partial(_solve_box, f, replace(cfg, jobs=1))
     witness, stats = first_witness(task, cover.boxes, cfg.jobs)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)

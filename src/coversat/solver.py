@@ -24,6 +24,7 @@ from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, WalkParams, schoening_walk, searchball_fast
 
 BRUTE_MAX_VARS = 24
+OUTER_BLOCK_LEN = 12
 RANDOM_TRIAL_HARD_CAP = 10**8
 
 MODES = ("deterministic", "randomized", "brute")
@@ -33,22 +34,19 @@ MODES = ("deterministic", "randomized", "brute")
 class SolverConfig:
     """Knobs for all solver modes.
 
-    rho defaults to 1/(a+1) for a = k-1+epsilon, the radius fraction that
-    balances the number of covering balls against the per-ball search cost.
-    outer_block_len defaults to min(12, n): one greedy block when n is small,
-    the product of 12-var blocks beyond that. cache_dir persists the covering
-    codes across runs. jobs > 1 spreads the codewords (CNF) or the boxes (CSP)
-    over worker processes; CNF workers receive the built inner code.
+    The paper's parameters are t, the inner-code length, and epsilon: the
+    outer cover has radius fraction 1/(a+1) = 1/(k+epsilon) for a = k-1+epsilon
+    and blocks of OUTER_BLOCK_LEN variables, and a CSP's 2-box cover follows
+    from d and n. cache_dir persists the covering codes across runs. jobs > 1
+    spreads the codewords (CNF) or the boxes (CSP) over worker processes;
+    CNF workers receive the built inner code.
     """
 
     mode: str = "deterministic"
     t: int = 6
     epsilon: float = 0.1
-    outer_block_len: int | None = None
-    rho: float | None = None
     seed: int = 0
     trial_cap: int | None = None
-    box_block_len: int | None = None
     jobs: int = 1
     cache_dir: str | None = None
 
@@ -57,10 +55,8 @@ class SolverConfig:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be > 0")
-        if self.outer_block_len is not None and not 1 <= self.outer_block_len <= 20:
-            raise UsageError("outer_block_len must lie in 1..20")
-        if self.rho is not None and not 0 < self.rho <= 0.5:
-            raise UsageError("rho must lie in (0, 1/2]")
+        if self.trial_cap is not None and self.trial_cap < 1:
+            raise UsageError("trial_cap must be >= 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
 
@@ -217,11 +213,7 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
         return brute_force(f)
     if not all(f.clauses):
         return SolveResult("unsat", None)
-    b = cfg.outer_block_len if cfg.outer_block_len is not None else min(12, max(1, n))
-    rho = cfg.rho if cfg.rho is not None else 1.0 / ((k - 1 + cfg.epsilon) + 1.0)
-    if not 0 < rho <= 0.5:
-        raise UsageError(f"derived rho {rho} outside (0, 1/2]; pass --rho explicitly")
-    cover = boolean_cover(n, rho, b, cache_dir=cfg.cache_dir)
+    cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
     fp = FastParams.for_k(k, cfg.t, cache_dir=cfg.cache_dir)
     task = partial(_search_codeword, f, cover.r, fp)
     witness, stats = first_witness(task, cover.words, cfg.jobs)

@@ -2,7 +2,9 @@
 
 The reference implementations here stay deliberately naive (explicit
 enumeration, no bit tricks) so they remain independent of the code paths
-they are used to check.
+they are used to check. The CNF operations first_unsatisfied_clause,
+assign_literal, restrict and flip are plain clause-by-clause definitions
+that only the tests use.
 """
 
 from __future__ import annotations
@@ -11,9 +13,74 @@ import random
 from itertools import product
 
 import coversat.search
-from coversat.cnf import Formula
+from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
 from coversat.csp import CspFormula
 from coversat.search import SearchStats
+
+
+def first_unsatisfied_clause(f: Formula, alpha: Assignment) -> int | None:
+    """Lowest input-order index of a clause unsatisfied by alpha, or None,
+    by a scan of every clause: the reference for the lowest set bit of
+    Formula.unsat_mask, the clause every engine branches on."""
+    if len(alpha) != f.num_vars:
+        raise ValueError(f"assignment has {len(alpha)} values, formula has {f.num_vars} variables")
+    for i, clause in enumerate(f.clauses):
+        if not clause_satisfied(clause, alpha):
+            return i
+    return None
+
+
+def assign_literal(f: Formula, u: Literal) -> Formula:
+    """The formula after permanently making literal u true.
+
+    Clauses containing u are satisfied and removed; occurrences of the
+    complement are deleted from the remaining clauses. num_vars is unchanged.
+    """
+    if u == 0 or abs(u) > f.num_vars:
+        raise ValueError(f"literal {u} out of range for {f.num_vars} variables")
+    out: list[Clause] = []
+    neg = -u
+    for clause in f.clauses:
+        if u in clause:
+            continue
+        if neg in clause:
+            out.append(tuple(w for w in clause if w != neg))
+        else:
+            out.append(clause)
+    return Formula(f.num_vars, tuple(out))
+
+
+def restrict(f: Formula, beta: PartialAssignment) -> Formula:
+    """The formula after permanently setting every variable in beta.
+
+    Equivalent to folding assign_literal over domain(beta) in any order.
+    Restriction may create empty clauses.
+    """
+    for v, bit in beta.items():
+        if not 1 <= v <= f.num_vars:
+            raise ValueError(f"variable {v} out of range")
+        if bit not in (0, 1):
+            raise ValueError(f"value for variable {v} must be 0 or 1")
+    out: list[Clause] = []
+    for clause in f.clauses:
+        satisfied = False
+        kept: list[int] = []
+        for u in clause:
+            bit = beta.get(abs(u))
+            if bit is None:
+                kept.append(u)
+            elif (u > 0) == (bit == 1):
+                satisfied = True
+                break
+        if not satisfied:
+            out.append(tuple(kept))
+    return Formula(f.num_vars, tuple(out))
+
+
+def flip(alpha: Assignment, variable: int) -> Assignment:
+    """alpha with one variable's value toggled."""
+    i = variable - 1
+    return alpha[:i] + (1 - alpha[i],) + alpha[i + 1:]
 
 
 def rand_formula(rng: random.Random, n: int, m: int, max_width: int = 3) -> Formula:

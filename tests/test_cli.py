@@ -1,8 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
-from coversat.cli import main
+import coversat.csp
+from coversat.cli import _build_parser, main
 from coversat.cnf import evaluate
-from coversat.csp import csp_evaluate, restrict_to_box, two_box_cover
+from coversat.csp import csp_evaluate, restrict_to_box, solve_csp
 from coversat.formats import parse_csp, parse_dimacs
 
 
@@ -40,6 +44,12 @@ class TestSolveCommand:
         ))
         code = main(["solve", "--input", path, "--mode", "rand", "--trial-cap", "20"])
         assert code == 30
+
+    def test_trial_cap_below_one_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "s.cnf", SAT_3CNF)
+        for cap in ("0", "-3"):
+            assert main(["solve", "--input", path, "--mode", "rand", "--trial-cap", cap]) == 1
+            assert "trial_cap" in capsys.readouterr().err
 
     def test_rand_empty_clause_unsat_exit_20(self, tmp_path, capsys):
         path = write(tmp_path, "e.cnf", "p cnf 3 2\n1 2 3 0\n0\n")
@@ -87,10 +97,9 @@ class TestSolveCommand:
         path = write(tmp_path, "t.csp", SAT_CSP)
         assert main(["solve", "--input", path, "--mode", "rand"]) == 1
 
-    def test_format_sniffing_and_override(self, tmp_path):
+    def test_format_sniffed_from_header(self, tmp_path):
         path = write(tmp_path, "odd.txt", SAT_CSP)
         assert main(["solve", "--input", path]) == 10
-        assert main(["solve", "--input", path, "--format", "csp"]) == 10
 
     def test_stats_json_schema(self, tmp_path):
         cnf = write(tmp_path, "s.cnf", SAT_3CNF)
@@ -114,6 +123,12 @@ class TestSolveCommand:
     def test_resource_cap_exit_2(self, tmp_path):
         path = write(tmp_path, "big.cnf", "p cnf 30 1\n1 2 0\n")
         assert main(["solve", "--input", path, "--mode", "brute"]) == 2
+
+    def test_inner_code_beyond_greedy_cap_exit_2(self, tmp_path, capsys):
+        # t=12 asks for the (3,12,4) inner code: 5.3e9 gain updates
+        path = write(tmp_path, "s.cnf", SAT_3CNF)
+        assert main(["solve", "--input", path, "--t", "12"]) == 2
+        assert "smaller --t" in capsys.readouterr().err
 
 
 class TestGencodeVerifycode:
@@ -145,19 +160,26 @@ class TestGencodeVerifycode:
 
 
 class TestReduce:
-    def test_emits_boxes_and_manifest(self, tmp_path, capsys):
-        path = write(tmp_path, "t.csp", SAT_CSP)
+    def test_emits_boxes_and_manifest(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "u.csp", UNSAT_CSP)
         outdir = tmp_path / "red"
         assert main(["reduce", "--input", path, "--outdir", str(outdir)]) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["schema"] == 1
-        g = parse_csp(SAT_CSP)
-        cover = two_box_cover(g.domain_size, g.num_vars, min(5, g.num_vars))
-        assert len(manifest["boxes"]) == len(cover.boxes)
-        for entry in manifest["boxes"]:
-            box = tuple(tuple(p) for p in entry["box"])
+        g = parse_csp(UNSAT_CSP)
+        boxes = [tuple(tuple(p) for p in entry["box"]) for entry in manifest["boxes"]]
+        for entry, box in zip(manifest["boxes"], boxes):
             reduced = parse_dimacs((outdir / entry["file"]).read_text())
             assert reduced == restrict_to_box(g, box)
+        visited = []
+
+        def recording_restrict(f, box):
+            visited.append(box)
+            return restrict_to_box(f, box)
+
+        monkeypatch.setattr(coversat.csp, "restrict_to_box", recording_restrict)
+        assert solve_csp(g).status == "unsat"
+        assert visited == boxes
 
 
 class TestBenchCommand:
@@ -187,3 +209,21 @@ class TestUsage:
 
     def test_no_command(self):
         assert main([]) == 1
+
+    def test_readme_synopsis_lists_every_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in synopsis.splitlines():
+            if line.startswith("coversat "):
+                command = line.split()[1]
+                documented[command] = set()
+            documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        actual = {
+            name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, sub in subparsers.choices.items()
+        }
+        assert documented == actual

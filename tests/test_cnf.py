@@ -3,18 +3,17 @@ import random
 
 import pytest
 
-from coversat.cnf import (
-    Formula,
+from coversat.cnf import Formula, evaluate, formula, hamming_distance
+
+from helpers import (
     assign_literal,
-    evaluate,
     first_unsatisfied_clause,
     flip,
-    formula,
-    hamming_distance,
+    rand_assignment,
+    rand_formula,
+    ref_evaluate,
     restrict,
 )
-
-from helpers import rand_assignment, rand_formula, ref_evaluate
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -176,6 +177,31 @@ class TestGreedyCode:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             greedy_code(5, 10, 2)
+
+    @pytest.mark.parametrize("params", [(8, 6, 1), (10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)])
+    def test_cap_refuses_slow_builds_at_once(self, params):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="smaller --t"):
+            greedy_code(*params)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [(2, 12, 4), (3, 9, 3), (4, 8, 2)] + [(k, 6, -(-6 // k)) for k in range(3, 8)],
+    )
+    def test_cap_admits_default_and_listed_codes(self, params, monkeypatch):
+        import coversat.codes as codes
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        # reaching the set cover means the cap let the build through
+        monkeypatch.setattr(codes, "greedy_set_cover", admitted)
+        with pytest.raises(Admitted):
+            greedy_code(*params)
 
     def test_failed_verification_raises(self, monkeypatch):
         import coversat.codes as codes

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from coversat.cnf import (
-    Formula,
-    evaluate,
-    first_unsatisfied_clause,
-    formula,
-    hamming_distance,
-    restrict,
-)
+from coversat.cnf import Formula, evaluate, formula, hamming_distance
 import coversat.search
 from coversat.codes import word_distance
 from coversat.search import (
@@ -26,7 +19,15 @@ from coversat.search import (
     searchball_fast,
 )
 
-from helpers import rand_assignment, rand_formula, rand_kcnf, ref_beta_search, sat_in_ball
+from helpers import (
+    first_unsatisfied_clause,
+    rand_assignment,
+    rand_formula,
+    rand_kcnf,
+    ref_beta_search,
+    restrict,
+    sat_in_ball,
+)
 
 
 @pytest.fixture(scope="module")

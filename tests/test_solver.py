@@ -196,10 +196,10 @@ class TestSolveDeterministic:
         assert len(statuses) == 4  # sat and unsat for both solvers
 
     def test_jobs_capped_by_cover_size(self, inline_pool):
-        # n=3 at rho=1/2 has a 2-word outer cover; 64 jobs ask for 2 workers
+        # n=3 at rho=1/3.1 has a 2-word outer cover; 64 jobs ask for 2 workers
         f = formula(3, [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)])
-        cfg = SolverConfig(rho=0.5)
-        assert len(boolean_cover(3, 0.5, 3).words) == 2
+        cfg = SolverConfig()
+        assert len(boolean_cover(3, 1 / 3.1, 12).words) == 2
         par = solve_deterministic(f, replace(cfg, jobs=64))
         assert inline_pool == [2]
         assert _result_key(par) == _result_key(solve_deterministic(f, cfg))
@@ -300,9 +300,7 @@ class TestDispatcherAndConfig:
         with pytest.raises(UsageError):
             SolverConfig(epsilon=0)
         with pytest.raises(UsageError):
-            SolverConfig(outer_block_len=25)
-        with pytest.raises(UsageError):
-            SolverConfig(rho=0.7)
+            SolverConfig(trial_cap=0)
         with pytest.raises(UsageError):
             SolverConfig(jobs=0)
 
