@@ -14,7 +14,7 @@ from . import bench as bench_mod
 from .codes import code_size_bound, get_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
 from .errors import CoversatError, ParseError, ResourceCapError, UsageError
-from .formats import parse_csp, parse_dimacs, read_code, write_code, write_dimacs
+from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
 from .cnf import evaluate
 from .solver import SolveResult, SolverConfig, brute_force, solve_deterministic, solve_schoening
 
@@ -84,20 +84,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _sniff_format(text: bytes) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(b"c"):
-            continue
-        if line.startswith(b"p"):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == b"csp":
-                return "csp"
-            return "cnf"
-        break
-    return "cnf"
-
-
 def _config_from(args) -> SolverConfig:
     mode = {"det": "deterministic", "rand": "randomized", "brute": "brute"}[args.mode]
     return SolverConfig(
@@ -153,7 +139,7 @@ def _emit_result(
 def _cmd_solve(args) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
-    kind = _sniff_format(raw)
+    kind = input_kind(raw)
     cfg = _config_from(args)
     if kind == "cnf":
         f = parse_dimacs(raw)

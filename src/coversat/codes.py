@@ -280,12 +280,20 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     capped before anything is built.
     """
     _check_params(q, t, r)
+    # q^t bounds both costs from below, so a long word is refused before its
+    # ball volume and the products are computed, which takes minutes at
+    # t = 10^5; as q >= 2, the test on t alone keeps q^t small
+    if t >= GREEDY_MAX_UPDATES.bit_length() or q**t > GREEDY_MAX_UPDATES:
+        raise ResourceCapError(
+            f"greedy code (q={q}, t={t}, r={r}) needs at least q^t = {q}^{t} gain updates, "
+            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
+        )
     space, volume = q**t, ball_volume(q, t, r)
     updates, scans = space * volume, space * -(-space // volume)
     if updates > GREEDY_MAX_UPDATES or scans > GREEDY_MAX_SCANS:
         raise ResourceCapError(
-            f"greedy code (q={q}, t={t}, r={r}) needs {updates:.2g} gain updates and "
-            f"{scans:.2g} argmax steps, beyond the caps {GREEDY_MAX_UPDATES:.0e} and "
+            f"greedy code (q={q}, t={t}, r={r}) needs {updates} gain updates and "
+            f"{scans} argmax steps, beyond the caps {GREEDY_MAX_UPDATES:.0e} and "
             f"{GREEDY_MAX_SCANS:.0e}; use a smaller --t"
         )
     masks = _xor_masks(t, r) if q == 2 else None

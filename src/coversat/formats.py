@@ -8,17 +8,22 @@
   space-separated symbols in 1..q.
 
 All parsers accept bytes or str (ASCII, LF or CRLF), never raise anything but
-ParseError on malformed input, and report 1-based line numbers.
+ParseError on malformed input, and report 1-based line numbers. An integer
+token is an optional sign followed by ASCII digits.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
+from operator import itemgetter
 
 from .cnf import Formula
 from .codes import CoveringCode
 from .csp import CspFormula
 from .errors import ParseError, ParseWarning
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _decode(text: str | bytes) -> str:
@@ -30,30 +35,123 @@ def _decode(text: str | bytes) -> str:
     return text
 
 
-def _int_token(token: str, line: int, what: str = "token") -> int:
+def _content_lines(text: str | bytes):
+    """Yield (line number, stripped line) for each line that is neither blank
+    nor a 'c' comment."""
+    for lineno, line in enumerate(map(str.strip, _decode(text).splitlines()), start=1):
+        if line and line[0] != "c":
+            yield lineno, line
+
+
+def _int_token(token: str, line: int | None, what: str) -> int:
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected integer {what}, got {token!r}", line) from None
+        if _INTEGER.fullmatch(token):
+            return int(token)
+    except ValueError:  # beyond int()'s digit limit
+        pass
+    raise ParseError(f"expected integer {what}, got {token!r}", line)
 
 
-def _normalize_clause(lits: list[int]) -> tuple[int, ...] | None:
-    """Deduplicate literals; return None for tautological clauses.
+def _ints(line: str, lineno: int | None, what: str) -> list[int]:
+    # int() also takes underscores and non-ASCII digits; a line free of both
+    # holds only integer tokens whenever int() accepts them all
+    if "_" not in line and line.isascii():
+        try:
+            return list(map(int, line.split()))
+        except ValueError:
+            pass
+    return [_int_token(token, lineno, what) for token in line.split()]
 
-    A clause containing both x and -x is always satisfied and is dropped,
-    preserving satisfiability while keeping the distinct-variables invariant.
-    """
-    seen: dict[int, int] = {}
-    out: list[int] = []
-    for u in lits:
-        v = abs(u)
-        prev = seen.get(v)
-        if prev is None:
-            seen[v] = u
-            out.append(u)
-        elif prev != u:
+
+def _fields(parts: list[str], names: tuple[str, ...], line: int) -> tuple[int, ...]:
+    return tuple(_int_token(token, line, name) for token, name in zip(parts, names))
+
+
+def _dedupe(items: list, var) -> tuple | None:
+    """Drop repeated items of a record; return None for a tautology, where
+    two items give one variable different values (x and -x, or x != a and
+    x != b), since every assignment satisfies it."""
+    seen: dict = {}
+    for item in items:
+        if seen.setdefault(var(item), item) != item:
             return None
-    return tuple(out)
+    return tuple(seen.values())
+
+
+def _header(lines, fmt: str, record: str, names: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
+    """Read the 'p <fmt> <names...>' header that must open lines; return its
+    values and its line number."""
+    for lineno, line in lines:
+        if not line.startswith("p"):
+            raise ParseError(f"{record} data before 'p {fmt}' header: {line!r}", lineno)
+        parts = line.split()
+        if len(parts) != 2 + len(names) or parts[1] != fmt:
+            raise ParseError(f"malformed header {line!r}", lineno)
+        return _fields(parts[2:], names, lineno), lineno
+    raise ParseError(f"missing 'p {fmt}' header")
+
+
+def _records(lines, record: str, declared: int, what: str, var, pairs=None, bound=None) -> list:
+    """Read the 0-terminated records left in lines; a record may span lines.
+
+    The tokens of all lines are converted at once, and a fault's line is
+    looked up only once one is found. bound, when given, caps each token's
+    absolute value (a DIMACS variable). pairs(values), when given, turns a
+    record's integers into its items or raises a ParseError, which gets the
+    line of the record's 0. Items are deduplicated by var (see _dedupe). A
+    record count other than the declared one is a ParseWarning.
+    """
+    data = list(lines)
+
+    def line_of(pos: int) -> int:
+        for lineno, line in data:
+            pos -= len(line.split())
+            if pos < 0:
+                return lineno
+
+    try:
+        ints = _ints(" ".join(map(itemgetter(1), data)), None, what)
+    except ParseError:
+        # a second 'p' line or a bad token: name the first such line
+        for lineno, line in data:
+            if line.startswith("p"):
+                raise ParseError("duplicate header", lineno) from None
+            _ints(line, lineno, what)
+        raise
+    if bound is not None and ints and (max(ints) > bound or -min(ints) > bound):
+        pos = next(i for i, u in enumerate(ints) if abs(u) > bound)
+        bad = abs(ints[pos])
+        raise ParseError(f"variable {bad} out of range (header declares {bound})", line_of(pos))
+    kept = []
+    count = ints.count(0)
+    start = 0
+    for _ in range(count):
+        end = ints.index(0, start)
+        items = ints[start:end]
+        if pairs is not None:
+            try:
+                items = pairs(items)
+            except ParseError as exc:
+                raise ParseError(str(exc), line_of(end)) from None
+        if len(set(map(var, items))) == len(items):  # nothing to drop
+            kept.append(tuple(items))
+        elif (item := _dedupe(items, var)) is not None:
+            kept.append(item)
+        start = end + 1
+    if start < len(ints):
+        raise ParseError(f"unterminated {record} at end of input (missing 0)", line_of(start))
+    if count != declared:
+        warnings.warn(
+            ParseWarning(f"header declares {declared} {record}s, file has {count}"), stacklevel=3
+        )
+    return kept
+
+
+def input_kind(text: str | bytes) -> str:
+    """'csp' when the first content line is a 'p csp' header, else 'cnf'.
+    Only that line is looked at; the parser checks the rest."""
+    line = next(_content_lines(text), (None, ""))[1]
+    return "csp" if line.startswith("p") and line.split()[1:2] == ["csp"] else "cnf"
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
@@ -62,190 +160,81 @@ def parse_dimacs(text: str | bytes) -> Formula:
     Clause-count mismatches against the header produce a ParseWarning;
     out-of-range variables are hard errors.
     """
-    num_vars = num_clauses = None
-    clauses: list[tuple[int, ...]] = []
-    raw_count = 0
-    current: list[int] = []
-    open_clause_line = None
-    for lineno, line in enumerate(_decode(text).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p"):
-            if num_vars is not None:
-                raise ParseError("duplicate header", lineno)
-            parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed header {stripped!r}", lineno)
-            num_vars = _int_token(parts[2], lineno, "variable count")
-            num_clauses = _int_token(parts[3], lineno, "clause count")
-            if num_vars < 0 or num_clauses < 0:
-                raise ParseError("header counts must be non-negative", lineno)
-            continue
-        if num_vars is None:
-            raise ParseError(f"clause data before 'p cnf' header: {stripped!r}", lineno)
-        for token in stripped.split():
-            lit = _int_token(token, lineno, "literal")
-            if lit == 0:
-                raw_count += 1
-                normalized = _normalize_clause(current)
-                if normalized is not None:
-                    clauses.append(normalized)
-                current = []
-                open_clause_line = None
-            else:
-                if abs(lit) > num_vars:
-                    raise ParseError(
-                        f"variable {abs(lit)} out of range (header declares {num_vars})", lineno
-                    )
-                current.append(lit)
-                if open_clause_line is None:
-                    open_clause_line = lineno
-    if num_vars is None:
-        raise ParseError("missing 'p cnf' header")
-    if current:
-        raise ParseError("unterminated clause at end of input (missing 0)", open_clause_line)
-    if num_clauses is not None and raw_count != num_clauses:
-        warnings.warn(
-            ParseWarning(f"header declares {num_clauses} clauses, file has {raw_count}"),
-            stacklevel=2,
-        )
-    return Formula(num_vars, tuple(clauses))
-
-
-def write_dimacs(f: Formula) -> str:
-    """Canonical DIMACS text: header then one 0-terminated clause per line."""
-    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(u) for u in clause) + (" 0" if clause else "0"))
-    return "\n".join(lines) + "\n"
-
-
-def _normalize_constraint(pairs: list[tuple[int, int]], line: int) -> tuple[tuple[int, int], ...] | None:
-    """Deduplicate pairs; drop tautologies (two forbidden values for one var).
-
-    A constraint with (x != a) and (x != b) for a != b is satisfied by every
-    assignment, mirroring the CNF tautology rule.
-    """
-    seen: dict[int, int] = {}
-    out: list[tuple[int, int]] = []
-    for v, c in pairs:
-        prev = seen.get(v)
-        if prev is None:
-            seen[v] = c
-            out.append((v, c))
-        elif prev != c:
-            return None
-    if not out:
-        raise ParseError("constraint with zero literals", line)
-    return tuple(out)
+    lines = _content_lines(text)
+    (n, m), line = _header(lines, "cnf", "clause", ("variable count", "clause count"))
+    if n < 0 or m < 0:
+        raise ParseError("header counts must be non-negative", line)
+    return Formula(n, tuple(_records(lines, "clause", m, "literal", abs, bound=n)))
 
 
 def parse_csp(text: str | bytes) -> CspFormula:
     """Parse 'p csp' text into a CspFormula."""
-    header = None
-    constraints: list[tuple[tuple[int, int], ...]] = []
-    raw_count = 0
-    current: list[int] = []
-    open_line = None
-    for lineno, line in enumerate(_decode(text).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p"):
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
-            parts = stripped.split()
-            if len(parts) != 5 or parts[1] != "csp":
-                raise ParseError(f"malformed header {stripped!r}", lineno)
-            d = _int_token(parts[2], lineno, "domain size")
-            n = _int_token(parts[3], lineno, "variable count")
-            m = _int_token(parts[4], lineno, "constraint count")
-            if d < 1 or n < 0 or m < 0:
-                raise ParseError("header counts out of range", lineno)
-            header = (d, n, m)
-            continue
-        if header is None:
-            raise ParseError(f"constraint data before 'p csp' header: {stripped!r}", lineno)
-        d, n, _ = header
-        for token in stripped.split():
-            value = _int_token(token, lineno)
-            if value == 0:
-                if len(current) % 2 != 0:
-                    raise ParseError("constraint has a dangling variable without a value", lineno)
-                pairs = [(current[i], current[i + 1]) for i in range(0, len(current), 2)]
-                for v, c in pairs:
-                    if not 1 <= v <= n:
-                        raise ParseError(f"variable {v} out of range (header declares {n})", lineno)
-                    if not 1 <= c <= d:
-                        raise ParseError(f"value {c} outside domain 1..{d}", lineno)
-                raw_count += 1
-                normalized = _normalize_constraint(pairs, lineno)
-                if normalized is not None:
-                    constraints.append(normalized)
-                current = []
-                open_line = None
-            else:
-                current.append(value)
-                if open_line is None:
-                    open_line = lineno
-    if header is None:
-        raise ParseError("missing 'p csp' header")
-    if current:
-        raise ParseError("unterminated constraint at end of input (missing 0)", open_line)
-    d, n, m = header
-    if raw_count != m:
-        warnings.warn(
-            ParseWarning(f"header declares {m} constraints, file has {raw_count}"),
-            stacklevel=2,
-        )
+    lines = _content_lines(text)
+    (d, n, m), line = _header(
+        lines, "csp", "constraint", ("domain size", "variable count", "constraint count")
+    )
+    if d < 1 or n < 0 or m < 0:
+        raise ParseError("header counts out of range", line)
+
+    def to_pairs(values: list[int]) -> list[tuple[int, int]]:
+        if len(values) % 2 != 0:
+            raise ParseError("constraint has a dangling variable without a value")
+        pairs = list(zip(values[::2], values[1::2]))
+        for v, c in pairs:
+            if not 1 <= v <= n:
+                raise ParseError(f"variable {v} out of range (header declares {n})")
+            if not 1 <= c <= d:
+                raise ParseError(f"value {c} outside domain 1..{d}")
+        if not pairs:
+            raise ParseError("constraint with zero literals")
+        return pairs
+
+    constraints = _records(lines, "constraint", m, "token", itemgetter(0), to_pairs)
     return CspFormula(d, n, tuple(constraints))
+
+
+def _write(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def write_dimacs(f: Formula) -> str:
+    """Canonical DIMACS text: header then one 0-terminated clause per line."""
+    rows = (" ".join(map(str, (*clause, 0))) for clause in f.clauses)
+    return _write(f"p cnf {f.num_vars} {len(f.clauses)}", rows)
 
 
 def write_csp(f: CspFormula) -> str:
     """Canonical CSP text: header then one 0-terminated constraint per line."""
-    lines = [f"p csp {f.domain_size} {f.num_vars} {len(f.constraints)}"]
-    for constraint in f.constraints:
-        flat = " ".join(f"{v} {c}" for v, c in constraint)
-        lines.append(flat + (" 0" if flat else "0"))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join([*(f"{v} {c}" for v, c in constraint), "0"]) for constraint in f.constraints)
+    return _write(f"p csp {f.domain_size} {f.num_vars} {len(f.constraints)}", rows)
 
 
 def write_code(code: CoveringCode) -> str:
     """Serialize a covering code: 'q t r size' header, one word per line."""
     if code.t < 1:
         raise ValueError("length-0 codes have no file representation")
-    lines = [f"{code.q} {code.t} {code.r} {len(code.words)}"]
-    for word in code.words:
-        lines.append(" ".join(str(s) for s in word))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, word)) for word in code.words)
+    return _write(f"{code.q} {code.t} {code.r} {len(code.words)}", rows)
 
 
 def read_code(text: str | bytes) -> CoveringCode:
     """Parse a covering-code file. The verified flag is NOT restored; run
     verify_cover (or verifycode) to re-establish it."""
-    lines = [
-        (i, line.strip())
-        for i, line in enumerate(_decode(text).splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("c")
-    ]
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError("missing code header")
     head_line, head = lines[0]
     parts = head.split()
     if len(parts) != 4:
         raise ParseError(f"malformed code header {head!r}", head_line)
-    q = _int_token(parts[0], head_line, "alphabet size")
-    t = _int_token(parts[1], head_line, "word length")
-    r = _int_token(parts[2], head_line, "radius")
-    size = _int_token(parts[3], head_line, "code size")
+    q, t, r, size = _fields(parts, ("alphabet size", "word length", "radius", "code size"), head_line)
     if q < 2 or t < 1 or not 0 <= r <= t or size < 0:
         raise ParseError("code header values out of range", head_line)
     if len(lines) - 1 != size:
         raise ParseError(f"header declares {size} words, file has {len(lines) - 1}", head_line)
     words = []
     for lineno, line in lines[1:]:
-        symbols = tuple(_int_token(tok, lineno, "symbol") for tok in line.split())
+        symbols = tuple(_ints(line, lineno, "symbol"))
         if len(symbols) != t:
             raise ParseError(f"word has length {len(symbols)}, expected {t}", lineno)
         for s in symbols:

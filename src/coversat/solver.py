@@ -10,6 +10,7 @@ promise search around it must succeed.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -53,8 +54,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epsilon <= 0:
-            raise UsageError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:  # also false for nan
+            raise UsageError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.trial_cap is not None and self.trial_cap < 1:
             raise UsageError("trial_cap must be >= 1")
         if self.jobs < 1:
@@ -107,12 +108,20 @@ def _run_installed(item):
     return _install_task.task(item)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def first_witness(task, items, jobs: int):
     """Run task(item) -> (witness or None, SolveStats) over items in order up
     to the first witness; return it (or None) and the merged stats. A pool of
-    min(jobs, len(items)) spawned workers gets task once per worker and is
-    read in item order, so any jobs gives the jobs=1 result."""
-    workers = min(jobs, len(items))
+    min(jobs, len(items), usable CPUs) spawned workers gets task once per
+    worker and is read in item order, so any jobs gives the jobs=1 result."""
+    workers = min(jobs, len(items), _usable_cpus())
     if workers <= 1:
         return _merge_until_witness(map(task, items))
     with Pool(workers, _install_task, (task,), context=get_context("spawn")) as pool:

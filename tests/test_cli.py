@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import time
 from pathlib import Path
 
 import coversat.csp
@@ -125,10 +126,26 @@ class TestSolveCommand:
         assert main(["solve", "--input", path, "--mode", "brute"]) == 2
 
     def test_inner_code_beyond_greedy_cap_exit_2(self, tmp_path, capsys):
-        # t=12 asks for the (3,12,4) inner code: 5.3e9 gain updates
+        # t=12 asks for the (3,12,4) inner code: 5.3e9 gain updates; at
+        # t=2000 the cost estimate no longer fits in a float
         path = write(tmp_path, "s.cnf", SAT_3CNF)
-        assert main(["solve", "--input", path, "--t", "12"]) == 2
-        assert "smaller --t" in capsys.readouterr().err
+        for t in ("12", "2000"):
+            start = time.perf_counter()
+            assert main(["solve", "--input", path, "--t", t]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert "smaller --t" in capsys.readouterr().err
+
+    def test_non_finite_epsilon_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "s.cnf", SAT_3CNF)
+        for epsilon in ("nan", "inf"):
+            assert main(["solve", "--input", path, "--epsilon", epsilon]) == 1
+            assert "epsilon" in capsys.readouterr().err
+
+    def test_underscore_in_header_exit_1(self, tmp_path, capsys):
+        # int() reads "1_0" as 10; DIMACS has no digit separators
+        path = write(tmp_path, "u.cnf", "p cnf 1_0 1\n1 0\n")
+        assert main(["solve", "--input", path]) == 1
+        assert "line 1: expected integer variable count, got '1_0'" in capsys.readouterr().err
 
 
 class TestGencodeVerifycode:
@@ -157,6 +174,10 @@ class TestGencodeVerifycode:
 
     def test_bad_params_exit_1(self):
         assert main(["gencode", "--q", "1", "--t", "3", "--radius", "1"]) == 1
+
+    def test_greedy_beyond_cap_exit_2(self, capsys):
+        assert main(["gencode", "--q", "3", "--t", "2000", "--radius", "667"]) == 2
+        assert "smaller --t" in capsys.readouterr().err
 
 
 class TestReduce:

@@ -178,7 +178,12 @@ class TestGreedyCode:
         with pytest.raises(ResourceCapError):
             greedy_code(5, 10, 2)
 
-    @pytest.mark.parametrize("params", [(8, 6, 1), (10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)])
+    @pytest.mark.parametrize(
+        "params",
+        [(8, 6, 1), (10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)]
+        # past t = 369 the costs overflow a float; at t = 10^5 they take minutes
+        + [(3, t, -(-t // 3)) for t in (370, 2000, 10**5)],
+    )
     def test_cap_refuses_slow_builds_at_once(self, params):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="smaller --t"):

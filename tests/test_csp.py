@@ -302,6 +302,8 @@ class TestSolveCsp:
             return real(processes, *args, **kwargs)
 
         monkeypatch.setattr(solver, "Pool", counting)
+        # two usable CPUs keep the pool under test on a 1-CPU host too
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
         g = saturated_triple()
         res = solve_csp(g, SolverConfig(jobs=2))
         assert res.status == "unsat"

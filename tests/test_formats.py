@@ -6,6 +6,7 @@ from coversat.cnf import formula
 from coversat.codes import CoveringCode
 from coversat.errors import ParseError, ParseWarning
 from coversat.formats import (
+    input_kind,
     parse_csp,
     parse_dimacs,
     read_code,
@@ -152,6 +153,91 @@ def _rand_code(rng: random.Random) -> CoveringCode:
     size = rng.randint(1, 6)
     words = {tuple(rng.randint(1, q) for _ in range(t)) for _ in range(size)}
     return CoveringCode(q, t, rng.randint(0, t), tuple(words))
+
+
+# Inputs with one fault each: (parser, text, line, message) of the ParseError.
+PARSE_FAULTS = [
+    ("dimacs", "p cnf 2 1\n1 x 0\n", 2, "expected integer literal, got 'x'"),
+    ("dimacs", "1 0\n", 1, "clause data before 'p cnf' header: '1 0'"),
+    ("dimacs", "c only a comment\n", None, "missing 'p cnf' header"),
+    ("dimacs", "p cnf 2 1\np cnf 2 1\n1 0\n", 2, "duplicate header"),
+    ("dimacs", "p cnf 2\n1 0\n", 1, "malformed header 'p cnf 2'"),
+    ("dimacs", "p cnf -1 0\n", 1, "header counts must be non-negative"),
+    ("dimacs", "p cnf x 1\n", 1, "expected integer variable count, got 'x'"),
+    ("dimacs", "p cnf 2 1\n3 1\n2 0\n", 2, "variable 3 out of range (header declares 2)"),
+    ("dimacs", "p cnf 2 1\n1\n-3 0\n", 3, "variable 3 out of range (header declares 2)"),
+    ("dimacs", "p cnf 2 2\n1 0\n1 2\n", 3, "unterminated clause at end of input (missing 0)"),
+    ("csp", "p csp 3 2 1\n1 2 2 0\n", 2, "constraint has a dangling variable without a value"),
+    ("csp", "p csp 2 1 1\n1 3 0\n", 2, "value 3 outside domain 1..2"),
+    ("csp", "p csp 3 2 1\n1 1\n5 1 0\n", 3, "variable 5 out of range (header declares 2)"),
+    ("csp", "p csp 3 2 1\n0\n", 2, "constraint with zero literals"),
+    ("csp", "p csp 3 2 1\n1 2\n\n2 1\n", 2, "unterminated constraint at end of input (missing 0)"),
+    ("csp", "p csp 0 2 1\n", 1, "header counts out of range"),
+    ("csp", "p cnf 3 2 1\n", 1, "malformed header 'p cnf 3 2 1'"),
+    ("csp", "p csp 3 2 1\n1 2 2 y 0\n", 2, "expected integer token, got 'y'"),
+    ("code", "3 2 1 1\n4 1\n", 2, "symbol 4 outside alphabet 1..3"),
+    ("code", "3 2 1 1\n1\n", 2, "word has length 1, expected 2"),
+    ("code", "3 1 0 2\n1\n", 1, "header declares 2 words, file has 1"),
+    ("code", "2 2 1 2\n1 2\n1 2\n", None, "duplicate codeword in file"),
+    ("code", "c comment\n3 2 1\n", 2, "malformed code header '3 2 1'"),
+    ("code", "3 x 1 1\n", 1, "expected integer word length, got 'x'"),
+    ("code", "1 2 0 1\n1 1\n", 1, "code header values out of range"),
+    ("code", "3 2 1 1\n1 +\n", 2, "expected integer symbol, got '+'"),
+]
+PARSERS = {"dimacs": parse_dimacs, "csp": parse_csp, "code": read_code}
+
+
+@pytest.mark.parametrize("kind, text, line, message", PARSE_FAULTS)
+def test_parse_fault_names_message_and_line(kind, text, line, message):
+    with pytest.raises(ParseError) as err:
+        PARSERS[kind](text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "kind, text, line, token",
+    [
+        ("dimacs", "p cnf 1_0 1\n1 0\n", 1, "1_0"),
+        ("dimacs", "p cnf 20 1\n1 1_0 0\n", 2, "1_0"),
+        ("dimacs", "p cnf 2 1\n\u0661 0\n", 2, "\u0661"),
+        ("csp", "p csp 3 2 1\n1 2_0 0\n", 2, "2_0"),
+        ("csp", "p csp 3 1_0 1\n1 2 0\n", 1, "1_0"),
+        ("code", "3 1_0 1 1\n1\n", 1, "1_0"),
+        ("code", "3 2 1 1\n1 +_2\n", 2, "+_2"),
+    ],
+)
+def test_integer_tokens_are_sign_and_ascii_digits(kind, text, line, token):
+    # int() also reads "1_0" as 10 and accepts non-ASCII digits
+    with pytest.raises(ParseError, match="expected integer") as err:
+        PARSERS[kind](text)
+    assert err.value.line == line
+    assert repr(token) in str(err.value)
+
+
+def test_signs_and_leading_zeros_accepted():
+    assert parse_dimacs("p cnf 02 +1\n+1 -02 -0\n") == formula(2, [[1, -2]])
+
+
+def test_non_ascii_whitespace_separates_tokens():
+    assert parse_dimacs("p cnf 2 1\n1\u00a02 0\n") == formula(2, [[1, 2]])
+
+
+def test_token_beyond_int_digit_limit_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_dimacs("p cnf 2 1\n" + "1" * 5000 + " 0\n")
+    assert err.value.line == 2
+
+
+class TestInputKind:
+    def test_kind_from_first_content_line(self):
+        assert input_kind(b"c x\n\np csp 3 1 1\n1 2 0\n") == "csp"
+        assert input_kind("p cnf 1 1\n1 0\n") == "cnf"
+        assert input_kind("1 0\n") == "cnf"
+        assert input_kind("") == "cnf"
+
+    def test_body_not_parsed(self):
+        assert input_kind("p csp 3 1 1\nnot a constraint\n") == "csp"
 
 
 class TestRoundTrips:

@@ -32,7 +32,8 @@ def inline_pool(monkeypatch):
     """Stand in for the solver's process pool: record the worker count asked
     for and run the items in this process, handing the task to the pool
     initializer through a pickle round trip as a spawned worker receives it.
-    Returns the list of worker counts asked for."""
+    The process may use 64 CPUs, so the CPU cap stays out of the way on a
+    small host. Returns the list of worker counts asked for."""
     import coversat.solver as solver
 
     asked = []
@@ -52,6 +53,7 @@ def inline_pool(monkeypatch):
             return map(func, items)
 
     monkeypatch.setattr(solver, "Pool", InlinePool)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 64)
     # the initializer keeps the task on itself; drop it again after the test
     monkeypatch.setattr(solver._install_task, "task", None, raising=False)
     return asked
@@ -176,9 +178,13 @@ class TestSolveDeterministic:
         }
         assert len(results) == 1
 
-    def test_parallel_jobs_same_status(self):
+    def test_parallel_jobs_same_status(self, monkeypatch):
         # results are read in codeword (CNF) or box (CSP) order, so two
-        # workers return the one-process result: status, witness and counts
+        # workers return the one-process result: status, witness and counts.
+        # Two usable CPUs keep the pool path under test on a 1-CPU host.
+        import coversat.solver
+
+        monkeypatch.setattr(coversat.solver, "_usable_cpus", lambda: 2)
         cases = []
         for seed in range(3):
             for m in (50, 70):  # both sat and unsat at n=14
@@ -204,6 +210,16 @@ class TestSolveDeterministic:
         assert inline_pool == [2]
         assert _result_key(par) == _result_key(solve_deterministic(f, cfg))
         assert par.stats.codewords_tried == 2
+
+    def test_jobs_capped_by_usable_cpus(self, inline_pool, monkeypatch):
+        # 500 jobs on a 32-word cover ask for as many workers as CPUs
+        import coversat.solver
+
+        monkeypatch.setattr(coversat.solver, "_usable_cpus", lambda: 3)
+        f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
+        res = solve_deterministic(f, SolverConfig(jobs=500))
+        assert inline_pool == [3]
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
 
     def test_zero_vars(self):
         assert solve_deterministic(formula(0, [])).status == "sat"
@@ -297,8 +313,9 @@ class TestDispatcherAndConfig:
     def test_config_validation(self):
         with pytest.raises(UsageError):
             SolverConfig(mode="magic")
-        with pytest.raises(UsageError):
-            SolverConfig(epsilon=0)
+        for epsilon in (0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="epsilon"):
+                SolverConfig(epsilon=epsilon)
         with pytest.raises(UsageError):
             SolverConfig(trial_cap=0)
         with pytest.raises(UsageError):
