@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .codes import code_size_bound, get_code, verify_cover
+from .codes import get_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
 from .errors import CoversatError, ParseError, ResourceCapError, UsageError
 from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
@@ -163,8 +163,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gencode(args) -> int:
     if args.method == "random":
-        size = args.size if args.size is not None else code_size_bound(args.q, args.t, args.radius)
-        code = get_code(args.q, args.t, args.radius, "random", size=size, seed=args.seed)
+        code = get_code(args.q, args.t, args.radius, "random", size=args.size, seed=args.seed)
     else:
         code = get_code(args.q, args.t, args.radius, "greedy")
     text = write_code(code)

@@ -212,19 +212,23 @@ def spot_check_cover(code: CoveringCode, samples: int = 100_000, seed: int = 0) 
 
 
 def random_code(
-    q: int, t: int, r: int, target_size: int, seed: int = 0, retries: int = 10
+    q: int, t: int, r: int, target_size: int | None = None, seed: int = 0, retries: int = 10
 ) -> CoveringCode:
     """Sample target_size words i.i.d. uniform and verify; retry with derived
     seeds up to `retries` attempts, then fail.
 
+    target_size defaults to code_size_bound(q, t, r), computed only once the
+    q^t verification cap has passed (the bound is a float of q^t).
     Duplicates among the samples are collapsed, so the returned code may hold
     fewer than target_size distinct words.
     """
     _check_params(q, t, r)
-    if target_size < 1:
+    if target_size is not None and target_size < 1:
         raise ValueError("target_size must be >= 1")
     if q**t > VERIFY_MAX_SPACE:
         raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
+    if target_size is None:
+        target_size = code_size_bound(q, t, r)
     for attempt in range(retries):
         rng = random.Random(f"randcode:{seed}:{attempt}")
         words = tuple(
@@ -402,7 +406,7 @@ def get_code(
     if method == "greedy":
         code = greedy_code(q, t, r)
     else:
-        code = random_code(q, t, r, size if size is not None else code_size_bound(q, t, r), seed)
+        code = random_code(q, t, r, size, seed)
     _memory_cache[key] = code
     if path is not None:
         _write_code_file(code, cache_dir, path)

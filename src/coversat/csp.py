@@ -19,10 +19,9 @@ from typing import Iterable
 from .cnf import Formula
 from .codes import _index_of, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
-from .solver import SolveResult, SolverConfig, _periodic_mask, _timed, first_witness
+from .solver import SolveResult, SolverConfig, _bitmap, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
 
-CSP_BRUTE_MAX_SPACE = 10**7
 BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_COVER_MAX = 10**6
 BOX_VERIFY_MAX = 10**6
@@ -222,58 +221,19 @@ def decode_box_witness(box: TwoBox, bits: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(hi if bit else lo for (lo, hi), bit in zip(box, bits))
 
 
-@lru_cache(maxsize=8)
-def _digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """masks[v-1][c-1] has bit i set iff assignment index i gives variable v
-    the value c (index i enumerates d-ary tuples lexicographically)."""
-    total_bits = d**n
-    out = []
-    for v in range(1, n + 1):
-        run = d ** (n - v)
-        unit = (1 << run) - 1
-        masks = (_periodic_mask(unit << (c * run), d * run, total_bits) for c in range(d))
-        out.append(tuple(masks))
-    return tuple(out)
-
-
 def csp_solution_bitmap(f: CspFormula) -> int:
     """Bitmap over all d^n assignments with bit i set iff assignment i
     satisfies F."""
-    d, n = f.domain_size, f.num_vars
-    space = d**n
-    if space > CSP_BRUTE_MAX_SPACE:
-        raise ResourceCapError(f"d^n = {space} exceeds the CSP brute-force cap")
-    masks = _digit_masks(d, n)
-    sat = (1 << space) - 1
-    for constraint in f.constraints:
-        violating = (1 << space) - 1
-        for v, c in constraint:
-            violating &= masks[v - 1][c - 1]
-            if not violating:
-                break
-        sat &= ~violating
-        if not sat:
-            break
-    return sat
-
-
-def csp_index_to_assignment(i: int, d: int, n: int) -> tuple[int, ...]:
-    values = [0] * n
-    for v in range(n, 0, -1):
-        i, rem = divmod(i, d)
-        values[v - 1] = rem + 1
-    return tuple(values)
+    return _bitmap(f.domain_size, f.num_vars, f.constraints)
 
 
 @_timed
 def brute_force_csp(f: CspFormula) -> SolveResult:
     """Exhaustive d-ary oracle; first satisfying assignment in
-    lexicographic order. Capped at d^n <= 10^7."""
-    sat = csp_solution_bitmap(f)
-    if sat == 0:
+    lexicographic order. Capped at n*d*d^n <= 2^30 mask bits."""
+    witness = _first_solution(csp_solution_bitmap(f), f.domain_size, f.num_vars)
+    if witness is None:
         return SolveResult("unsat", None)
-    lowest = (sat & -sat).bit_length() - 1
-    witness = csp_index_to_assignment(lowest, f.domain_size, f.num_vars)
     if not csp_evaluate(f, witness):
         raise AssertionError("internal error: brute-force witness failed re-verification")
     return SolveResult("sat", witness)

@@ -87,26 +87,31 @@ class WalkParams:
 class FastParams:
     """Covering-code parameters for searchball_fast over (<=k)-CNF.
 
-    The code lives on alphabet {1..k}, word length t, covering radius
-    ceil(t/k); delta = t - 2*ceil(t/k) is the guaranteed radius progress
-    per level and must be positive.
+    t, k and delta are read from the code: it lives on alphabet {1..k} with
+    word length t and covering radius r (ceil(t/k) from for_k), and
+    delta = t - 2r is the guaranteed radius progress per level and must be
+    positive.
     """
 
-    t: int
     code: CoveringCode
-    delta: int
 
     def __post_init__(self) -> None:
         if self.delta < 1:
             raise ValueError(f"delta must be >= 1, got {self.delta} (t={self.t} too small)")
-        if self.code.t != self.t:
-            raise ValueError(f"code length {self.code.t} does not match t={self.t}")
         if not self.code.verified:
             raise ValueError("searchball_fast requires a verified covering code")
 
     @property
+    def t(self) -> int:
+        return self.code.t
+
+    @property
     def k(self) -> int:
         return self.code.q
+
+    @property
+    def delta(self) -> int:
+        return self.code.t - 2 * self.code.r
 
     @classmethod
     def for_k(cls, k: int, t: int = 6, cache_dir=None) -> "FastParams":
@@ -117,10 +122,8 @@ class FastParams:
         """
         if k < 2:
             raise ValueError("k must be >= 2")
-        radius = -(-t // k)
-        delta = t - 2 * radius
-        code = get_code(k, t, radius, "greedy", cache_dir=cache_dir)
-        return cls(t, code, delta)
+        code = get_code(k, t, -(-t // k), "greedy", cache_dir=cache_dir)
+        return cls(code)
 
 
 def _lowest(mask: int) -> int:

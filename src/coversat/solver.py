@@ -13,18 +13,20 @@ import math
 import os
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial, reduce, wraps
 from multiprocessing import get_context
 from multiprocessing.pool import Pool
+from operator import or_
 from typing import Optional
 
-from .cnf import Assignment, Formula, evaluate
-from .codes import boolean_cover
+from .cnf import Formula, evaluate
+from .codes import _word_of, boolean_cover
 from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, WalkParams, schoening_walk, searchball_fast
 
-BRUTE_MAX_VARS = 24
+BRUTE_MAX_TABLE_BITS = 1 << 30
 OUTER_BLOCK_LEN = 12
 RANDOM_TRIAL_HARD_CAP = 10**8
 
@@ -151,51 +153,77 @@ def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=8)
-def _var_masks(n: int) -> tuple[int, ...]:
-    """mask[v-1] has bit i set iff assignment index i gives variable v the
-    value 1, where index i enumerates assignments lexicographically
-    (variable 1 most significant)."""
-    total_bits = 1 << n
-    masks = []
+@lru_cache(maxsize=1)
+def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """masks[v-1][c-1], for c >= 2, has bit i set iff assignment index i
+    gives variable v the value c; masks[v-1][0] is x_v != 1, the OR of the
+    others, so that for d = 2 it is the very int of x_v = 2 and for d = 1 it
+    is 0. Index i enumerates {1..d}^n lexicographically (variable 1 most
+    significant). One table is kept, so the cache holds no more than the
+    brute-force cap admits."""
+    total_bits = d**n
+    table = []
     for v in range(1, n + 1):
-        run = 1 << (n - v)
-        masks.append(_periodic_mask(((1 << run) - 1) << run, 2 * run, total_bits))
-    return tuple(masks)
+        run = d ** (n - v)
+        unit = (1 << run) - 1
+        rest = [
+            _periodic_mask(unit << ((c - 1) * run), d * run, total_bits) for c in range(2, d + 1)
+        ]
+        table.append((reduce(or_, rest) if rest else 0, *rest))
+    return tuple(table)
 
 
-def solution_bitmap(f: Formula) -> int:
-    """Bitmap over all 2^n assignments with bit i set iff assignment i
-    satisfies F. Assignment i gives variable v the bit (i >> (n-v)) & 1."""
-    n = f.num_vars
-    if n > BRUTE_MAX_VARS:
-        raise ResourceCapError(f"{n} variables exceed the brute-force cap {BRUTE_MAX_VARS}")
-    masks = _var_masks(n)
-    full = (1 << (1 << n)) - 1
+def _bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """Bitmap over all d^n assignments with bit i set iff assignment i meets
+    every constraint, a disjunction of pairs (v, c) each meaning x_v != c.
+
+    The mask table takes n*d*d^n bits; beyond BRUTE_MAX_TABLE_BITS it is
+    refused before any mask is built. As d^n >= 2^n for d >= 2, n above the
+    cap's bit length is refused without computing d^n.
+    """
+    if (d > 1 and n > BRUTE_MAX_TABLE_BITS.bit_length()) or n * d * d**n > BRUTE_MAX_TABLE_BITS:
+        raise ResourceCapError(
+            f"brute force over {d}^{n} assignments needs n*d*d^n mask bits, "
+            f"beyond the cap 2^{BRUTE_MAX_TABLE_BITS.bit_length() - 1}"
+        )
+    masks = _value_masks(d, n)
+    full = (1 << d**n) - 1
     sat = full
-    for clause in f.clauses:
+    for constraint in constraints:
         cmask = 0
-        for u in clause:
-            cmask |= masks[u - 1] if u > 0 else full ^ masks[-u - 1]
+        for v, c in constraint:
+            row = masks[v - 1]
+            cmask |= row[0] if c == 1 else full ^ row[c - 1]
         sat &= cmask
         if not sat:
             break
     return sat
 
 
-def index_to_assignment(i: int, n: int) -> Assignment:
-    return tuple((i >> (n - v)) & 1 for v in range(1, n + 1))
+def _first_solution(sat: int, d: int, n: int) -> tuple[int, ...] | None:
+    """The lexicographically first assignment (values 1..d) whose bit is set
+    in sat, or None when sat is 0."""
+    if not sat:
+        return None
+    return _word_of((sat & -sat).bit_length() - 1, d, n)
+
+
+def solution_bitmap(f: Formula) -> int:
+    """Bitmap over all 2^n assignments with bit i set iff assignment i
+    satisfies F. Assignment i gives variable v the bit (i >> (n-v)) & 1:
+    F is the d = 2 case, literal +v being x_v != 1 and -v being x_v != 2."""
+    clauses = (((u, 1) if u > 0 else (-u, 2) for u in clause) for clause in f.clauses)
+    return _bitmap(2, f.num_vars, clauses)
 
 
 @_timed
 def brute_force(f: Formula) -> SolveResult:
     """Exhaustive oracle: first satisfying assignment in lexicographic
-    order, or unsat. Limited to n <= 24."""
-    sat = solution_bitmap(f)
-    if sat == 0:
+    order, or unsat. Limited to n <= 24 (see _bitmap)."""
+    values = _first_solution(solution_bitmap(f), 2, f.num_vars)
+    if values is None:
         return SolveResult("unsat", None)
-    lowest = (sat & -sat).bit_length() - 1
-    witness = index_to_assignment(lowest, f.num_vars)
+    witness = tuple(c - 1 for c in values)
     if not evaluate(f, witness):
         raise AssertionError("internal error: brute-force witness failed re-verification")
     return SolveResult("sat", witness)

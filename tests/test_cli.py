@@ -125,6 +125,15 @@ class TestSolveCommand:
         path = write(tmp_path, "big.cnf", "p cnf 30 1\n1 2 0\n")
         assert main(["solve", "--input", path, "--mode", "brute"]) == 2
 
+    def test_width_two_csp_beyond_oracle_cap_exit_2(self, tmp_path):
+        # det mode sends width <= 2 to the oracle, whose n*d*d^n mask bits
+        # exceed 2^30 here, though d^n <= 10^7
+        for d in (3162, 1000):
+            path = write(tmp_path, f"w{d}.csp", f"p csp {d} 2 1\n1 1 2 1 0\n")
+            start = time.perf_counter()
+            assert main(["solve", "--input", path]) == 2
+            assert time.perf_counter() - start < 1.0
+
     def test_inner_code_beyond_greedy_cap_exit_2(self, tmp_path, capsys):
         # t=12 asks for the (3,12,4) inner code: 5.3e9 gain updates; at
         # t=2000 the cost estimate no longer fits in a float
@@ -178,6 +187,14 @@ class TestGencodeVerifycode:
     def test_greedy_beyond_cap_exit_2(self, capsys):
         assert main(["gencode", "--q", "3", "--t", "2000", "--radius", "667"]) == 2
         assert "smaller --t" in capsys.readouterr().err
+
+    def test_random_beyond_cap_exit_2(self, capsys):
+        # no --size: the default size is not computed past the q^t cap
+        start = time.perf_counter()
+        assert main(["gencode", "--q", "3", "--t", "2000", "--radius", "667",
+                     "--method", "random"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "too large to verify" in capsys.readouterr().err
 
 
 class TestReduce:

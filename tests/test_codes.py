@@ -147,6 +147,18 @@ class TestRandomCode:
     def test_deterministic_for_seed(self):
         assert random_code(3, 4, 2, 10, seed=42) == random_code(3, 4, 2, 10, seed=42)
 
+    def test_default_size_is_the_bound(self):
+        bound = code_size_bound(3, 4, 2)
+        assert random_code(3, 4, 2, seed=1) == random_code(3, 4, 2, bound, seed=1)
+
+    def test_default_size_beyond_cap_refused(self):
+        # the size bound is a float of q^t and overflows for 3^2000; the
+        # q^t cap refuses first
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            get_code(3, 2000, 667, "random")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestGreedyCode:
     def test_radius_zero_needs_every_word(self):

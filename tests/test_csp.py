@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from coversat.csp import (
     brute_force_csp,
     csp_evaluate,
     csp_formula,
-    csp_index_to_assignment,
     csp_solution_bitmap,
     decode_box_witness,
     point_in_box,
@@ -21,11 +21,13 @@ from coversat.csp import (
     verify_box_cover,
 )
 import coversat.csp as csp
+import coversat.solver as solver
 from coversat.cnf import Formula
+from coversat.codes import _word_of
 from coversat.errors import CodeConstructionError, ResourceCapError
-from coversat.solver import SolverConfig, brute_force
+from coversat.solver import SolverConfig, _value_masks, brute_force
 
-from helpers import rand_csp, ref_csp_solutions, ref_digit_masks
+from helpers import rand_csp, ref_csp_solutions
 
 
 def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
@@ -248,7 +250,7 @@ class TestBruteForceCsp:
             g = rand_csp(rng, d, n, rng.randint(0, 6))
             bitmap = csp_solution_bitmap(g)
             got = [
-                csp_index_to_assignment(i, d, n)
+                _word_of(i, d, n)
                 for i in range(d**n)
                 if (bitmap >> i) & 1
             ]
@@ -258,9 +260,18 @@ class TestBruteForceCsp:
         with pytest.raises(ResourceCapError):
             brute_force_csp(csp_formula(10, 8, []))
 
-    def test_digit_masks_match_division_reference(self):
-        for d, n in [(2, 1), (2, 9), (3, 1), (3, 7), (4, 5), (5, 4), (7, 3)]:
-            assert csp._digit_masks(d, n) == ref_digit_masks(d, n)
+    def test_cap_bounds_mask_bits(self, monkeypatch):
+        # n*d*d^n mask bits: (3162, 2) would need 2*3162 masks of 10^7 bits,
+        # about 7.9 GB, and (1000, 2) 2*10^9 bits; both were inside d^n <= 10^7
+        def no_table(d, n):
+            raise AssertionError("mask table built for a refused input")
+
+        monkeypatch.setattr(solver, "_value_masks", no_table)
+        for d in (3162, 1000):
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError):
+                brute_force_csp(csp_formula(d, 2, [[(1, 1), (2, 1)]]))
+            assert time.perf_counter() - start < 1.0
 
     def test_fourteen_ternary_vars(self):
         # each variable may take only its one unforbidden value
@@ -272,8 +283,19 @@ class TestBruteForceCsp:
         try:
             res = brute_force_csp(g)
         finally:
-            csp._digit_masks.cache_clear()
+            _value_masks.cache_clear()
         assert (res.status, res.witness) == ("sat", allowed)
+
+    def test_twenty_four_binary_vars(self):
+        # refused under the old d^n <= 10^7 cap; 2*24*2^24 bits fit 2^30
+        rng = random.Random(24)
+        planted = tuple(rng.randint(1, 2) for _ in range(24))
+        g = csp_formula(2, 24, [[(v, 3 - c)] for v, c in enumerate(planted, start=1)])
+        try:
+            res = brute_force_csp(g)
+        finally:
+            _value_masks.cache_clear()
+        assert (res.status, res.witness) == ("sat", planted)
 
 
 class TestSolveCsp:

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from coversat.cli import main
+from coversat.cnf import formula
 from coversat.csp import solve_csp
-from coversat.solver import SolverConfig
+from coversat.solver import SolverConfig, solve_deterministic
 
 from helpers import rand_csp
 
@@ -36,6 +38,20 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
+def _count_calls(monkeypatch, name):
+    modname, attr = name.rsplit(".", 1)
+    module = importlib.import_module(modname)
+    calls = []
+    orig = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -48,17 +64,24 @@ def test_traced_names_resolve():
 def test_searchball_called_through_module_attribute(monkeypatch, name):
     # the tracer counts each layer's calls by patching these attributes; a
     # caller that reached the function another way would read as zero
-    modname, attr = name.rsplit(".", 1)
-    module = importlib.import_module(modname)
-    calls = []
-    orig = getattr(module, attr)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(module, attr, counting)
+    calls = _count_calls(monkeypatch, name)
     # the d=3 CSP case of tests/test_golden.py
     g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
     assert solve_csp(g, SolverConfig(t=6)).status == "sat"
+    assert calls
+
+
+def test_brute_force_called_through_cli_attribute(monkeypatch, tmp_path):
+    # cnf-brute's solver.brute_s and solver.brute_calls come from this patch
+    calls = _count_calls(monkeypatch, "coversat.cli.brute_force")
+    path = tmp_path / "b.cnf"
+    path.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 0\n")
+    assert main(["solve", "--input", str(path), "--mode", "brute"]) == 10
+    assert calls
+
+
+def test_brute_force_called_through_solver_attribute(monkeypatch):
+    # solve_deterministic sends width <= 2 to the oracle
+    calls = _count_calls(monkeypatch, "coversat.solver.brute_force")
+    assert solve_deterministic(formula(3, [[1, 2], [-1, 3], [-2, -3]])).status == "sat"
     assert calls

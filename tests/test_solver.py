@@ -9,22 +9,21 @@ from dataclasses import replace
 import pytest
 
 from coversat.cnf import Formula, evaluate, formula
-from coversat.codes import boolean_cover
-from coversat.csp import solve_csp
+from coversat.codes import _word_of, boolean_cover
+from coversat.csp import brute_force_csp, csp_formula, csp_solution_bitmap, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
-    _var_masks,
+    _value_masks,
     SolverConfig,
     brute_force,
     default_trial_cap,
-    index_to_assignment,
     solution_bitmap,
     solve,
     solve_deterministic,
     solve_schoening,
 )
 
-from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_var_masks
+from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_digit_masks, ref_var_masks
 
 
 @pytest.fixture
@@ -82,7 +81,7 @@ class TestBruteForce:
             bitmap = solution_bitmap(f)
             expected = ref_all_solutions(f)
             got = [
-                index_to_assignment(i, n)
+                tuple(c - 1 for c in _word_of(i, 2, n))
                 for i in range(2**n)
                 if (bitmap >> i) & 1
             ]
@@ -101,9 +100,24 @@ class TestBruteForce:
         assert brute_force(formula(0, [])).status == "sat"
         assert brute_force(formula(0, [])).witness == ()
 
-    def test_var_masks_match_division_reference(self):
-        for n in range(1, 15):
-            assert _var_masks(n) == ref_var_masks(n)
+    def test_value_masks_match_division_reference(self):
+        # entry [v-1][c-1] is x_v = c for c >= 2, and entry [v-1][0] is x_v != 1
+        cases = [(2, n) for n in range(1, 15)]
+        cases += [(3, 1), (3, 7), (4, 5), (5, 4), (7, 3), (1, 1), (1, 5)]
+        for d, n in cases:
+            table = _value_masks(d, n)
+            full = (1 << d**n) - 1
+            ref = ref_digit_masks(d, n)
+            assert len(table) == n
+            for row, ref_row in zip(table, ref):
+                assert row[0] == full ^ ref_row[0]
+                assert row[1:] == ref_row[1:]
+                if d == 2:
+                    assert row[0] is row[1]
+                if d == 1:
+                    assert row == (0,)
+            if d == 2:
+                assert tuple(row[1] for row in table) == ref_var_masks(n)
 
     def test_twenty_four_vars(self):
         # the unit clauses leave exactly one satisfying assignment
@@ -113,8 +127,24 @@ class TestBruteForce:
         try:
             res = brute_force(formula(24, units))
         finally:
-            _var_masks.cache_clear()
+            _value_masks.cache_clear()
         assert (res.status, res.witness) == ("sat", planted)
+
+    def test_agrees_with_csp_oracle_on_d2_translation(self):
+        # a CNF is the d = 2 CSP with +v as x_v != 1 and -v as x_v != 2
+        rng = random.Random(29)
+        statuses = set()
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            f = rand_kcnf(rng, n, rng.randint(0, 12), k=rng.randint(1, min(3, n)))
+            g = csp_formula(2, n, [[(abs(u), 1 if u > 0 else 2) for u in c] for c in f.clauses])
+            assert solution_bitmap(f) == csp_solution_bitmap(g)
+            res, res_csp = brute_force(f), brute_force_csp(g)
+            assert res.status == res_csp.status
+            if res.status == "sat":
+                assert tuple(b + 1 for b in res.witness) == res_csp.witness
+            statuses.add(res.status)
+        assert statuses == {"sat", "unsat"}
 
 
 class TestSolveDeterministic:
