@@ -27,7 +27,7 @@ from coversat.codes import _word_of
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
-from helpers import rand_csp, ref_csp_solutions
+from helpers import rand_csp, ref_csp_solutions, ref_digit_masks
 
 
 def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
@@ -272,6 +272,17 @@ class TestBruteForceCsp:
             with pytest.raises(ResourceCapError):
                 brute_force_csp(csp_formula(d, 2, [[(1, 1), (2, 1)]]))
             assert time.perf_counter() - start < 1.0
+
+    def test_digit_masks_match_division_reference(self):
+        # entry [v-1][c-1] is x_v = c for c >= 2, and entry [v-1][0] is x_v != 1
+        cases = [(2, 1), (2, 9), (3, 1), (3, 7), (4, 5), (5, 4), (7, 3), (1, 1), (1, 5)]
+        for d, n in cases:
+            full = (1 << d**n) - 1
+            table = _value_masks(d, n)
+            ref = ref_digit_masks(d, n)
+            assert len(table) == len(ref) == n
+            for row, ref_row in zip(table, ref):
+                assert row == (full ^ ref_row[0],) + ref_row[1:]
 
     def test_fourteen_ternary_vars(self):
         # each variable may take only its one unforbidden value

@@ -23,7 +23,7 @@ from coversat.solver import (
     solve_schoening,
 )
 
-from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_digit_masks, ref_var_masks
+from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_var_masks
 
 
 @pytest.fixture
@@ -100,24 +100,13 @@ class TestBruteForce:
         assert brute_force(formula(0, [])).status == "sat"
         assert brute_force(formula(0, [])).witness == ()
 
-    def test_value_masks_match_division_reference(self):
-        # entry [v-1][c-1] is x_v = c for c >= 2, and entry [v-1][0] is x_v != 1
-        cases = [(2, n) for n in range(1, 15)]
-        cases += [(3, 1), (3, 7), (4, 5), (5, 4), (7, 3), (1, 1), (1, 5)]
-        for d, n in cases:
-            table = _value_masks(d, n)
-            full = (1 << d**n) - 1
-            ref = ref_digit_masks(d, n)
-            assert len(table) == n
-            for row, ref_row in zip(table, ref):
-                assert row[0] == full ^ ref_row[0]
-                assert row[1:] == ref_row[1:]
-                if d == 2:
-                    assert row[0] is row[1]
-                if d == 1:
-                    assert row == (0,)
-            if d == 2:
-                assert tuple(row[1] for row in table) == ref_var_masks(n)
+    def test_var_masks_match_division_reference(self):
+        # a CNF reads entry [v-1][1], x_v = 2, as x_v = 1 in 0-based bits, and
+        # entry [v-1][0], x_v != 1, is that same int
+        for n in range(1, 15):
+            table = _value_masks(2, n)
+            assert tuple(row[1] for row in table) == ref_var_masks(n)
+            assert all(row[0] is row[1] for row in table)
 
     def test_twenty_four_vars(self):
         # the unit clauses leave exactly one satisfying assignment
