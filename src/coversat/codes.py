@@ -211,6 +211,16 @@ def spot_check_cover(code: CoveringCode, samples: int = 100_000, seed: int = 0) 
     return True
 
 
+def _random_size(q: int, t: int, r: int, target_size: int | None) -> int:
+    """The number of words random_code samples (see its docstring)."""
+    _check_params(q, t, r)
+    if target_size is not None and target_size < 1:
+        raise ValueError("target_size must be >= 1")
+    if q**t > VERIFY_MAX_SPACE:
+        raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
+    return code_size_bound(q, t, r) if target_size is None else target_size
+
+
 def random_code(
     q: int, t: int, r: int, target_size: int | None = None, seed: int = 0, retries: int = 10
 ) -> CoveringCode:
@@ -222,13 +232,7 @@ def random_code(
     Duplicates among the samples are collapsed, so the returned code may hold
     fewer than target_size distinct words.
     """
-    _check_params(q, t, r)
-    if target_size is not None and target_size < 1:
-        raise ValueError("target_size must be >= 1")
-    if q**t > VERIFY_MAX_SPACE:
-        raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
-    if target_size is None:
-        target_size = code_size_bound(q, t, r)
+    target_size = _random_size(q, t, r, target_size)
     for attempt in range(retries):
         rng = random.Random(f"randcode:{seed}:{attempt}")
         words = tuple(
@@ -370,10 +374,14 @@ def get_code(
     """Construct a code, reusing an in-memory and optional on-disk cache.
 
     Cache keys include the construction method so greedy and random codes
-    never alias. Disk entries are re-verified on load and rebuilt if stale.
+    never alias, and a random code's key holds its resolved size, so the
+    default size and the same size passed explicitly share one entry. Disk
+    entries are re-verified on load and rebuilt if stale.
     """
     if method not in ("greedy", "random"):
         raise ValueError(f"unknown construction method {method!r}")
+    if method == "random":
+        size = _random_size(q, t, r, size)
     key = (q, t, r, method, size, seed)
     path = None
     if cache_dir is not None:

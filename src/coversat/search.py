@@ -21,7 +21,12 @@ bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
 Formula.unsat_mask ORs one mask per variable, O(n) big-int operations in
 place of a scan of every literal, and its lowest set bit is the
 lowest-index unsatisfied clause every engine branches on. The small-|G|
-enumeration scores each of its assignments by OR-ing precomputed masks.
+enumeration scores each of its assignments by OR-ing precomputed masks and
+hands that mask to the subsearch it starts as the root's mask. Inside
+searchball each node receives its mask from its parent, which computes it
+from its own assignment with the child's literal set; a radius-0 child is a
+leaf, and when some clause unsatisfied at the parent lacks the new literal
+it is settled with one AND, counted without a mask or a call.
 Node counts and returned witnesses are identical to the restriction-based
 formulation.
 """
@@ -185,11 +190,12 @@ def _searchball(
     r: int,
     depth: int,
     stats: SearchStats,
+    unsat: int,
 ) -> Optional[Assignment]:
+    # unsat is the mask of the clauses cur leaves unsatisfied
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    unsat = f.unsat_mask(cur)
     if not unsat:
         stats.leaves += 1
         return tuple(cur)
@@ -201,12 +207,24 @@ def _searchball(
         # the clause is empty in the restricted formula: dead end
         stats.leaves += 1
         return None
+    masks = f.literal_masks
+    full = (1 << len(f.clauses)) - 1
     for u in branch:
         v = abs(u)
+        new = 1 if u > 0 else 0
+        if r == 1 and unsat & ~masks[v - 1][new]:
+            # a radius-0 child is a leaf; some clause unsatisfied here lacks
+            # the new literal, so the child is unsatisfied too
+            stats.recursion_nodes += 1
+            stats.leaves += 1
+            if depth + 1 > stats.max_depth:
+                stats.max_depth = depth + 1
+            continue
         old = cur[v - 1]
-        cur[v - 1] = 1 if u > 0 else 0
+        cur[v - 1] = new
         forced.add(v)
-        res = _searchball(f, cur, forced, r - 1, depth + 1, stats)
+        child = full ^ reduce(or_, map(tuple.__getitem__, masks, cur), 0)
+        res = _searchball(f, cur, forced, r - 1, depth + 1, stats, child)
         forced.discard(v)
         cur[v - 1] = old
         if res is not None:
@@ -221,13 +239,16 @@ def searchball(
     *,
     forced: dict[int, int] | None = None,
     stats: SearchStats | None = None,
+    unsat: int | None = None,
 ) -> tuple[Optional[Assignment], SearchStats]:
     """Recursive promise-ball search branching over unsatisfied-clause
     literals (radius r, at most k branches per node, <= k^r leaves).
 
     `forced` pre-restricts variables (the search runs on F with those
     variables permanently set), which is how the fast engine hands over its
-    small-|G| subproblems.
+    small-|G| subproblems. `unsat`, when given, must be the unsat mask of
+    alpha overridden by `forced` (Formula.unsat_mask); the enumeration
+    that already holds it passes it so the root does not recompute it.
     """
     if stats is None:
         stats = SearchStats()
@@ -239,7 +260,9 @@ def searchball(
         if not 1 <= v <= f.num_vars:
             raise ValueError(f"forced variable {v} out of range")
         cur[v - 1] = bit
-    witness = _searchball(f, cur, set(forced), r, 0, stats)
+    if unsat is None:
+        unsat = f.unsat_mask(cur)
+    witness = _searchball(f, cur, set(forced), r, 0, stats, unsat)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: searchball witness failed re-verification")
     return witness, stats
@@ -368,19 +391,19 @@ def _beta_search(
             chosen[i] = pairs
             if i < last:
                 res = rec(i + 1, budget - flips, satisfied | mask)
-            elif satisfied | mask == full:
+            elif not (unsat := full ^ (satisfied | mask)):
                 inner.recursion_nodes += 1
                 return override(alpha, dict(chain.from_iterable(chosen)))
-            elif flips == budget or in_g.issuperset(
-                map(abs, f.clauses[_lowest(full ^ (satisfied | mask))])
-            ):
+            elif flips == budget or in_g.issuperset(map(abs, f.clauses[_lowest(unsat)])):
                 # no budget left, or beta fixes its whole lowest unsatisfied
                 # clause: searchball would stop at its root
                 inner.recursion_nodes += 1
                 continue
             else:
                 beta = dict(chain.from_iterable(chosen))
-                res, _ = searchball(f, alpha, budget - flips, forced=beta, stats=inner)
+                res, _ = searchball(
+                    f, alpha, budget - flips, forced=beta, stats=inner, unsat=unsat
+                )
             if res is not None:
                 return res
         return None

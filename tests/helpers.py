@@ -192,6 +192,41 @@ def ref_beta_search(
     return None, stats.recursion_nodes
 
 
+def ref_searchball(
+    f: Formula, alpha: tuple[int, ...], r: int, forced: PartialAssignment | None = None
+) -> tuple[tuple[int, ...] | None, SearchStats]:
+    """Textbook searchball: at every node scan for the first unsatisfied
+    clause, stop if there is none (witness), if the radius is spent or if
+    every variable of that clause is fixed; otherwise set each unfixed
+    literal of it true in turn, fix its variable and recurse with radius
+    r - 1. Every node counts, every stop is a leaf. Returns (witness, stats)
+    in the shape of coversat.search.searchball."""
+    stats = SearchStats()
+
+    def rec(cur: tuple[int, ...], fixed: frozenset[int], r: int, depth: int):
+        stats.recursion_nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        i = first_unsatisfied_clause(f, cur)
+        if i is None:
+            stats.leaves += 1
+            return cur
+        branch = [u for u in f.clauses[i] if abs(u) not in fixed]
+        if r == 0 or not branch:
+            stats.leaves += 1
+            return None
+        for u in branch:
+            v = abs(u)
+            child = cur[: v - 1] + (1 if u > 0 else 0,) + cur[v:]
+            res = rec(child, fixed | {v}, r - 1, depth + 1)
+            if res is not None:
+                return res
+        return None
+
+    forced = forced or {}
+    start = tuple(forced.get(v, alpha[v - 1]) for v in range(1, f.num_vars + 1))
+    return rec(start, frozenset(forced), r, 0), stats
+
+
 def ref_var_masks(n: int) -> tuple[int, ...]:
     """The brute oracle's variable masks by one big-int division per mask:
     the all-ones word divided by 2^(2*run) - 1 repeats a 1 every 2*run bits."""

@@ -308,6 +308,16 @@ class TestGetCodeCache:
         assert a.verified
         assert (tmp_path / "random_q2_t3_r1_s6_seed5.code").exists()
 
+    def test_random_default_size_shares_the_explicit_entry(self, tmp_path):
+        # the default size resolves to the bound before the caches are keyed
+        from coversat.codes import _memory_cache
+
+        _memory_cache.clear()
+        a = get_code(2, 4, 1, "random", cache_dir=tmp_path)
+        b = get_code(2, 4, 1, "random", size=code_size_bound(2, 4, 1), cache_dir=tmp_path)
+        assert a is b
+        assert [p.name for p in tmp_path.iterdir()] == ["random_q2_t4_r1_s12_seed0.code"]
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             get_code(2, 2, 1, "magic")

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import coversat.search
 from coversat.cli import main
-from coversat.cnf import formula
+from coversat.cnf import formula, override
 from coversat.csp import solve_csp
 from coversat.solver import SolverConfig, solve_deterministic
 
@@ -69,6 +70,26 @@ def test_searchball_called_through_module_attribute(monkeypatch, name):
     g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
     assert solve_csp(g, SolverConfig(t=6)).status == "sat"
     assert calls
+
+
+def test_subsearches_pass_stats_and_root_mask_by_keyword(monkeypatch):
+    # the tracer reads kwargs["stats"] of every searchball call; the beta
+    # enumeration also hands over the root's unsat mask, which must be the
+    # one searchball would compute itself
+    real = coversat.search.searchball
+    calls = []
+
+    def recording(f, alpha, r, **kwargs):
+        calls.append(kwargs)
+        assert {"stats", "unsat"} <= kwargs.keys()
+        assert kwargs["unsat"] == f.unsat_mask(override(alpha, kwargs.get("forced") or {}))
+        return real(f, alpha, r, **kwargs)
+
+    monkeypatch.setattr(coversat.search, "searchball", recording)
+    g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
+    assert solve_csp(g, SolverConfig(t=6)).status == "sat"
+    # one call per non-dead beta: handing the mask over leaves search.searchball_calls
+    assert len(calls) == 70
 
 
 def test_brute_force_called_through_cli_attribute(monkeypatch, tmp_path):

@@ -25,6 +25,7 @@ from helpers import (
     rand_formula,
     rand_kcnf,
     ref_beta_search,
+    ref_searchball,
     restrict,
     sat_in_ball,
 )
@@ -178,6 +179,22 @@ class TestSearchball:
             if w is not None:
                 assert evaluate(f, w)
                 assert all(w[v - 1] == bit for v, bit in beta.items())
+
+    def test_matches_textbook_recursion(self):
+        # same witness, nodes, leaves and max depth as a rescan of every
+        # clause at every node, whether or not the caller hands over the
+        # root's unsat mask; radius-0 children settled in place count too
+        rng = random.Random(66)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            f = rand_formula(rng, n, rng.randint(1, 4 * n))
+            alpha = rand_assignment(rng, n)
+            forced = {v: rng.randint(0, 1) for v in range(1, rng.randint(0, n) + 1)}
+            root = f.unsat_mask(tuple(forced.get(v, alpha[v - 1]) for v in range(1, n + 1)))
+            for r in range(n + 1):
+                expected = ref_searchball(f, alpha, r, forced)
+                assert searchball(f, alpha, r, forced=forced) == expected, (f, alpha, r, forced)
+                assert searchball(f, alpha, r, forced=forced, unsat=root) == expected
 
 
 class TestMaximalDisjointUnsat:
