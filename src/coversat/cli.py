@@ -7,6 +7,7 @@ Exit codes follow SAT-solver convention: 10 sat, 20 unsat, 30 unknown,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and gives every call a fresh namespace."""
     p = _Parser(prog="coversat", description="Covering-code k-SAT and CSP solver")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -14,14 +14,14 @@ import random
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
 # greedy_code's two costs (see its docstring); the slowest build measured
-# inside both caps, (21,4,1), takes about 38 s on a 2-core VM
+# inside both caps, (21,4,1), takes about 3 s on a 2-core VM
 GREEDY_MAX_UPDATES = 3 * 10**7
 GREEDY_MAX_SCANS = 5 * 10**8
 VERIFY_MAX_SPACE = 10**7
@@ -133,26 +133,56 @@ def _xor_masks(t: int, r: int) -> list[int]:
     return masks
 
 
-def _ball_of(idx: int, q: int, t: int, r: int) -> list[int]:
-    """Indices of all words within distance <= r of idx (general alphabet)."""
-    digits = []
+def _ball_layers(idx: int, q: int, t: int, r: int) -> list[list[int]]:
+    """Indices of the words at distance exactly s from idx, for s = 0..r.
+
+    A layered walk over the digits: each position extends layer s by layer
+    s-1 plus that digit's q-1 offsets (nd - d) * q^(t-1-pos), for s falling,
+    so that layer s-1 still holds only the earlier positions' words.
+    """
+    layers = [[idx]] + [[] for _ in range(r)]
     x = idx
-    for _ in range(t):
+    w = 1
+    for seen in range(t):
         x, d = divmod(x, q)
-        digits.append(d)
-    digits.reverse()
-    pows = [q ** (t - 1 - pos) for pos in range(t)]
-    result = [idx]
-    for s in range(1, r + 1):
-        for combo in combinations(range(t), s):
-            choices = []
-            for pos in combo:
-                d = digits[pos]
-                w = pows[pos]
-                choices.append([(nd - d) * w for nd in range(q) if nd != d])
-            for deltas in product(*choices):
-                result.append(idx + sum(deltas))
-    return result
+        offsets = [(nd - d) * w for nd in range(q) if nd != d]
+        for s in range(min(r, seen + 1), 0, -1):
+            layers[s] += [y + o for y in layers[s - 1] for o in offsets]
+        w *= q
+    return layers
+
+
+def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
+    """ball(idx): the indices of all words within distance <= r of idx.
+
+    For q = 2 the ball is idx XOR each mask of _xor_masks. Otherwise a word
+    splits into its first t - t//2 digits and its last t//2; a word within
+    distance r of idx is at some distance s from idx's first half and within
+    r - s of its second. So ball(idx) is one comprehension over two tables
+    built once by _ball_layers: for every first half, its layers by exact
+    distance, scaled by q^(t//2); for every second half, its neighbours
+    within each distance.
+    """
+    if q == 2:
+        masks = _xor_masks(t, r)
+
+        def ball(idx: int) -> list[int]:
+            return [idx ^ m for m in masks]
+
+        return ball
+    scale = q ** (t // 2)
+    firsts = [
+        [[y * scale for y in layer] for layer in _ball_layers(h, q, t - t // 2, r)]
+        for h in range(q ** (t - t // 2))
+    ]
+    seconds = [list(accumulate(_ball_layers(low, q, t // 2, r))) for low in range(scale)]
+
+    def ball(idx: int) -> list[int]:
+        high, low = divmod(idx, scale)
+        first, second = firsts[high], seconds[low]
+        return [a + b for s in range(r + 1) for a in first[s] for b in second[r - s]]
+
+    return ball
 
 
 def verify_cover(code: CoveringCode) -> bool:
@@ -260,14 +290,31 @@ def greedy_set_cover(
     the sets that hold point p; every point must lie in some set. Repeatedly
     picks the set covering the most uncovered points, breaking ties toward
     the lowest index, and returns the picks in order. Gains are kept per set,
-    so besides one argmax per pick the work is O(num_points * sets per point).
+    so the updates cost O(num_points * sets per point).
+
+    The argmax is a falling maximum ``top``: gains only fall, so no set up
+    to the last pick, all below ``top`` once it is made, reaches ``top``
+    again, and the next pick is the first set after the last pick whose
+    gain is still ``top``. When none is left, ``top`` becomes the new
+    maximum and the scan restarts at 0. The picks made at one maximum scan
+    the gains at most once between them, and the fall to it costs one
+    failed scan and one max pass: at most three passes per distinct
+    maximum, where ``gain.index(max(gain))`` makes two per pick.
     """
     gain = [set_size] * num_sets
     covered = bytearray(num_points)
     uncovered = num_points
     chosen: list[int] = []
+    top, start = set_size, 0
     while uncovered:
-        best = gain.index(max(gain))
+        try:
+            best = gain.index(top, start)
+        except ValueError:
+            top, start = max(gain), 0
+            if top == 0:
+                raise ValueError("some point lies in no set") from None
+            continue
+        start = best + 1
         chosen.append(best)
         for p in members(best):
             if not covered[p]:
@@ -283,9 +330,10 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
 
     Ties break toward the lexicographically smallest center (see
     greedy_set_cover). The result is exhaustively verified before it is
-    returned. The build costs q^t * |ball| gain updates plus one argmax scan
-    of the q^t gains per pick, over at least q^t / |ball| picks; both are
-    capped before anything is built.
+    returned. The build costs q^t * |ball| gain updates plus the argmax
+    scans of the q^t gains, at most three passes per distinct maximum gain
+    (see greedy_set_cover). Both are capped before anything is built; the
+    scan cap charges one pass per pick, over at least q^t / |ball| picks.
     """
     _check_params(q, t, r)
     # q^t bounds both costs from below, so a long word is refused before its
@@ -304,11 +352,7 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
             f"{scans} argmax steps, beyond the caps {GREEDY_MAX_UPDATES:.0e} and "
             f"{GREEDY_MAX_SCANS:.0e}; use a smaller --t"
         )
-    masks = _xor_masks(t, r) if q == 2 else None
-
-    def ball(idx: int) -> list[int]:
-        return [idx ^ m for m in masks] if masks is not None else _ball_of(idx, q, t, r)
-
+    ball = _ball_of(q, t, r)
     centers = greedy_set_cover(space, space, volume, ball, ball)
     code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
     if not verify_cover(code):

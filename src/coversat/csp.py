@@ -17,7 +17,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .cnf import Formula
-from .codes import _index_of, _word_of, greedy_set_cover
+from .codes import _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
 from .solver import SolveResult, SolverConfig, _bitmap, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
@@ -90,17 +90,29 @@ class BoxCover:
     boxes: tuple[TwoBox, ...]
 
 
-def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:
-    return all(p == lo or p == hi for p, (lo, hi) in zip(point, box))
+def _box_points(box: TwoBox, d: int) -> list[int]:
+    """Indices (codes._index_of) of the 2^len(box) points of a box, in the
+    order product(*box) lists them."""
+    idxs = [0]
+    for lo, hi in box:
+        idxs = [i * d + v for i in idxs for v in (lo - 1, hi - 1)]
+    return idxs
 
 
 def verify_box_cover(cover: BoxCover, d: int, n: int) -> bool:
-    """Exhaustive check that every point of {1..d}^n lies in some box.
-    Capped at d^n <= 10^6."""
+    """Exhaustive check that every point of {1..d}^n lies in some box:
+    each box marks its 2^n points, then every point must be marked. A box
+    of arity other than n, or with a pair outside 1 <= lo < hi <= d, fails
+    the check. Capped at d^n <= 10^6."""
     if d**n > BOX_VERIFY_MAX:
         raise ResourceCapError(f"d^n = {d**n} exceeds box-cover verification cap")
-    boxes = cover.boxes
-    return all(any(point_in_box(p, b) for b in boxes) for p in product(range(1, d + 1), repeat=n))
+    marked = bytearray(d**n)
+    for box in cover.boxes:
+        if len(box) != n or not all(1 <= lo < hi <= d for lo, hi in box):
+            return False
+        for i in _box_points(box, d):
+            marked[i] = 1
+    return 0 not in marked
 
 
 def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
@@ -126,8 +138,8 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
     def box_pairs(box_idx: int) -> TwoBox:
         return tuple(pairs[i - 1] for i in _word_of(box_idx, npairs, length))
 
-    def box_points(box_idx: int) -> Iterable[int]:
-        return (_index_of(values, d) for values in product(*box_pairs(box_idx)))
+    def box_points(box_idx: int) -> list[int]:
+        return _box_points(box_pairs(box_idx), d)
 
     def boxes_containing(point_idx: int) -> Iterable[int]:
         # one coordinate at a time, in the order product() would list them

@@ -10,11 +10,12 @@ that only the tests use.
 from __future__ import annotations
 
 import random
-from itertools import product
+from collections.abc import Callable, Iterable
+from itertools import combinations, product
 
 import coversat.search
 from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
-from coversat.csp import CspFormula
+from coversat.csp import CspFormula, TwoBox
 from coversat.search import SearchStats
 
 
@@ -248,3 +249,58 @@ def ref_digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
         rep = ((1 << total_bits) - 1) // ((1 << (d * run)) - 1)
         out.append(tuple((((1 << run) - 1) << ((c - 1) * run)) * rep for c in range(1, d + 1)))
     return tuple(out)
+
+
+def ref_ball_of(idx: int, q: int, t: int, r: int) -> list[int]:
+    """Indices of all words within distance <= r of idx (general alphabet):
+    for every s <= r and every s positions, every choice of other digits
+    there. The reference for coversat.codes._ball_of."""
+    digits = []
+    x = idx
+    for _ in range(t):
+        x, d = divmod(x, q)
+        digits.append(d)
+    digits.reverse()
+    pows = [q ** (t - 1 - pos) for pos in range(t)]
+    result = [idx]
+    for s in range(1, r + 1):
+        for combo in combinations(range(t), s):
+            choices = []
+            for pos in combo:
+                d = digits[pos]
+                w = pows[pos]
+                choices.append([(nd - d) * w for nd in range(q) if nd != d])
+            for deltas in product(*choices):
+                result.append(idx + sum(deltas))
+    return result
+
+
+def ref_greedy_set_cover(
+    num_points: int,
+    num_sets: int,
+    set_size: int,
+    members: Callable[[int], Iterable[int]],
+    containing: Callable[[int], Iterable[int]],
+) -> list[int]:
+    """Textbook greedy set cover: each pick is gain.index(max(gain)), the
+    lowest-index set covering the most uncovered points. The reference for
+    coversat.codes.greedy_set_cover, with the same arguments."""
+    gain = [set_size] * num_sets
+    covered = bytearray(num_points)
+    uncovered = num_points
+    chosen: list[int] = []
+    while uncovered:
+        best = gain.index(max(gain))
+        chosen.append(best)
+        for p in members(best):
+            if not covered[p]:
+                covered[p] = 1
+                uncovered -= 1
+                for s in containing(p):
+                    gain[s] -= 1
+    return chosen
+
+
+def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:
+    """True iff each coordinate of point is one of its pair's two values."""
+    return all(p == lo or p == hi for p, (lo, hi) in zip(point, box))

@@ -4,6 +4,7 @@ import re
 import time
 from pathlib import Path
 
+import coversat.bench
 import coversat.csp
 from coversat.cli import _build_parser, main
 from coversat.cnf import evaluate
@@ -239,6 +240,35 @@ class TestBenchCommand:
     def test_bad_range_exit_1(self):
         assert main(["bench", "--r", "5"]) == 1
         assert main(["bench", "--r", "9:2"]) == 1
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_then_valid_solve(self, tmp_path, capsys):
+        path = write(tmp_path, "t.cnf", "p cnf 1 1\n1 0\n")
+        assert main(["solve", "--frobnicate"]) == 1
+        assert main(["solve", "--input", path, "--mode", "brute"]) == 10
+        assert "v 1 0" in capsys.readouterr().out
+
+    def test_engine_lists_do_not_accumulate(self, monkeypatch):
+        seen = []
+
+        def recording_run(engine, *args, **kwargs):
+            seen.append(engine)
+            return []
+
+        monkeypatch.setattr(coversat.bench, "run_scaling", recording_run)
+        assert main(["bench", "--r", "1:1", "--engine", "searchball"]) == 0
+        assert seen == ["searchball"]
+        seen.clear()
+        assert main(["bench", "--r", "1:1", "--engine", "schoening_walk",
+                     "--engine", "searchball_fast"]) == 0
+        assert seen == ["schoening_walk", "searchball_fast"]
+        seen.clear()
+        assert main(["bench", "--r", "1:1"]) == 0
+        assert seen == ["searchball", "searchball_fast"]
 
 
 class TestUsage:

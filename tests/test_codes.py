@@ -4,14 +4,18 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coversat.codes import (
     CoveringCode,
+    _ball_of,
     ball_volume,
     boolean_cover,
     code_size_bound,
     get_code,
     greedy_code,
+    greedy_set_cover,
     random_code,
     shell_volume,
     spot_check_cover,
@@ -19,6 +23,8 @@ from coversat.codes import (
     word_distance,
 )
 from coversat.errors import CodeConstructionError, ResourceCapError
+
+from helpers import ref_ball_of, ref_greedy_set_cover
 
 
 def brute_ball_count(q: int, t: int, r: int) -> int:
@@ -158,6 +164,54 @@ class TestRandomCode:
         with pytest.raises(ResourceCapError):
             get_code(3, 2000, 667, "random")
         assert time.perf_counter() - start < 1.0
+
+
+class TestBallOf:
+    def test_matches_reference(self):
+        rng = random.Random(5)
+        for q in range(2, 6):
+            for t in range(7):
+                space = q**t
+                centers = {0, space - 1} | {rng.randrange(space) for _ in range(3)}
+                for r in range(t + 1):
+                    volume = ball_volume(q, t, r)
+                    ball_of = _ball_of(q, t, r)
+                    for idx in centers:
+                        ball = ball_of(idx)
+                        assert len(ball) == volume, (q, t, r, idx)
+                        assert len(set(ball)) == volume, (q, t, r, idx)
+                        assert set(ball) == set(ref_ball_of(idx, q, t, r)), (q, t, r, idx)
+
+
+@st.composite
+def set_systems(draw):
+    """A seeded random system of equal-size sets covering every point; few
+    points and small sets make many gains tie."""
+    num_points = draw(st.integers(1, 24))
+    set_size = draw(st.integers(1, min(4, num_points)))
+    num_sets = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sets = [rng.sample(range(num_points), set_size) for _ in range(num_sets)]
+    for p in range(num_points):
+        if not any(p in s for s in sets):
+            others = [x for x in range(num_points) if x != p]
+            sets.insert(rng.randrange(len(sets) + 1), [p] + rng.sample(others, set_size - 1))
+    return num_points, set_size, sets
+
+
+class TestGreedySetCover:
+    @settings(max_examples=300, deadline=None)
+    @given(set_systems())
+    def test_matches_textbook_argmax(self, system):
+        num_points, set_size, sets = system
+        holding = [[i for i, s in enumerate(sets) if p in s] for p in range(num_points)]
+        args = (num_points, len(sets), set_size, sets.__getitem__, holding.__getitem__)
+        assert greedy_set_cover(*args) == ref_greedy_set_cover(*args)
+
+    def test_point_in_no_set_raises(self):
+        sets, holding = [[0, 1]], [[0], [0], []]
+        with pytest.raises(ValueError, match="no set"):
+            greedy_set_cover(3, 1, 2, sets.__getitem__, holding.__getitem__)
 
 
 class TestGreedyCode:

@@ -14,7 +14,6 @@ from coversat.csp import (
     csp_formula,
     csp_solution_bitmap,
     decode_box_witness,
-    point_in_box,
     restrict_to_box,
     solve_csp,
     two_box_cover,
@@ -27,7 +26,7 @@ from coversat.codes import _word_of
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
-from helpers import rand_csp, ref_csp_solutions, ref_digit_masks
+from helpers import point_in_box, rand_csp, ref_csp_solutions, ref_digit_masks
 
 
 def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
@@ -66,6 +65,48 @@ class TestCspEvaluate:
             CspFormula(3, 2, (((1, 1), (1, 2)),))
         with pytest.raises(ValueError):
             CspFormula(3, 2, ((),))
+
+
+class TestVerifyBoxCover:
+    def test_box_of_wrong_arity_fails(self):
+        assert verify_box_cover(BoxCover((((1, 2),),)), 2, 2) is False
+        assert verify_box_cover(BoxCover((((1, 2), (1, 2), (1, 2)),)), 2, 2) is False
+
+    def test_pair_outside_domain_or_order_fails(self):
+        # a complete cover plus one malformed box: index marking would alias
+        # an out-of-range value onto another point
+        boxes = two_box_cover(3, 2, 2).boxes
+        assert verify_box_cover(BoxCover(boxes), 3, 2) is True
+        for bad in [(0, 3), (2, 4), (3, 2), (2, 2)]:
+            assert verify_box_cover(BoxCover(boxes + ((bad, (1, 2)),)), 3, 2) is False, bad
+
+    def test_cover_missing_one_point_fails(self):
+        assert verify_box_cover(BoxCover((((1, 2),),)), 3, 1) is False
+        cover = two_box_cover(3, 4, 4)
+        assert verify_box_cover(cover, 3, 4) is True
+        failed = 0
+        for i in range(len(cover.boxes)):
+            rest = cover.boxes[:i] + cover.boxes[i + 1:]
+            covers = all(
+                any(point_in_box(p, b) for b in rest) for p in product((1, 2, 3), repeat=4)
+            )
+            assert verify_box_cover(BoxCover(rest), 3, 4) is covers, i
+            failed += not covers
+        assert failed > 0
+
+    def test_matches_point_in_box_reference(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            d, n = rng.randint(2, 5), rng.randint(0, 3)
+            pairs = [(lo, hi) for lo in range(1, d + 1) for hi in range(lo + 1, d + 1)]
+            boxes = tuple(
+                tuple(rng.choice(pairs) for _ in range(n)) for _ in range(rng.randint(0, 12))
+            )
+            want = all(
+                any(point_in_box(p, b) for b in boxes)
+                for p in product(range(1, d + 1), repeat=n)
+            )
+            assert verify_box_cover(BoxCover(boxes), d, n) is want, (d, n, boxes)
 
 
 class TestTwoBoxCover:

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from coversat.codes import greedy_code
-from coversat.csp import solve_csp, two_box_cover
+from coversat.csp import _greedy_box_block, solve_csp, two_box_cover
 from coversat.solver import SolverConfig, solve_deterministic, solve_schoening
 
 from helpers import rand_csp, rand_kcnf
@@ -111,3 +111,25 @@ def test_golden_box_cover(case):
     d, n, b, size, digest = case
     boxes = two_box_cover(d, n, b).boxes
     assert (len(boxes), _digest(boxes)) == (size, digest)
+
+
+# The full sha256 of further builds, recorded before the radius-r balls were
+# built as a layered walk over the digits and the greedy argmax became a
+# falling maximum: codes beyond the defaults, and the single 2-box blocks at
+# the default block lengths for d=5 (b=5) and d=7 (b=4).
+# (kind, parameters, number of words or boxes, sha256 of their repr)
+GOLDEN_BUILDS = [
+    ("code", (4, 6, 2), 68, "2fac43d786a35c769bbea7d8be716ad3522c1056f7b1be87c33f1fee9fe38e0f"),
+    ("code", (5, 6, 2), 171, "6b6a201938feb16a4addc2946df784acc2495c01489498dfcd70117d621ab262"),
+    ("code", (3, 7, 3), 17, "2b530803751fd7688831bb9fd4e0abfcf614c590222948ceaa2a5defd84bb109"),
+    ("code", (2, 12, 4), 16, "f01bf06af9ef25b469d1b3012afc8cb1d22c248d688ac9d6dc7ccc28fdb55f69"),
+    ("box", (5, 5), 166, "a306c348dd23b7f36f7122c0a96678ada930eac4c7907d25cf4167010bce6d68"),
+    ("box", (7, 4), 209, "1775213b9948f262e2b03bb5b3e11f5ebee180e711e773564273859ea032734f"),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_BUILDS, ids=lambda c: "{}-{}".format(c[0], c[1]))
+def test_golden_build(case):
+    kind, params, size, digest = case
+    built = greedy_code(*params).words if kind == "code" else _greedy_box_block(*params)
+    assert (len(built), hashlib.sha256(repr(built).encode()).hexdigest()) == (size, digest)
