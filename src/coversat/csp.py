@@ -242,8 +242,8 @@ def csp_solution_bitmap(f: CspFormula) -> int:
 @_timed
 def brute_force_csp(f: CspFormula) -> SolveResult:
     """Exhaustive d-ary oracle; first satisfying assignment in
-    lexicographic order. Capped at n*d*d^n <= 2^30 mask bits."""
-    witness = _first_solution(csp_solution_bitmap(f), f.domain_size, f.num_vars)
+    lexicographic order. Capped at n*d*d^n <= 2^30 (see solver._chunks)."""
+    witness = _first_solution(f.domain_size, f.num_vars, f.constraints)
     if witness is None:
         return SolveResult("unsat", None)
     if not csp_evaluate(f, witness):

@@ -158,13 +158,15 @@ def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
     Clause-count mismatches against the header produce a ParseWarning;
-    out-of-range variables are hard errors.
+    out-of-range variables are hard errors. The scanner leaves only int
+    literals over distinct variables in 1..n, so the Formula is built
+    without validating its clauses again.
     """
     lines = _content_lines(text)
     (n, m), line = _header(lines, "cnf", "clause", ("variable count", "clause count"))
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", line)
-    return Formula(n, tuple(_records(lines, "clause", m, "literal", abs, bound=n)))
+    return Formula._unchecked(n, tuple(_records(lines, "clause", m, "literal", abs, bound=n)))
 
 
 def parse_csp(text: str | bytes) -> CspFormula:

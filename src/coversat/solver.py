@@ -13,12 +13,12 @@ import math
 import os
 import random
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce, wraps
 from multiprocessing import get_context
 from multiprocessing.pool import Pool
-from operator import or_
+from operator import and_, or_
 from typing import Optional
 
 from .cnf import Formula, evaluate
@@ -27,6 +27,7 @@ from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, WalkParams, schoening_walk, searchball_fast
 
 BRUTE_MAX_TABLE_BITS = 1 << 30
+BRUTE_CHUNK_BITS = 1 << 16
 OUTER_BLOCK_LEN = 12
 RANDOM_TRIAL_HARD_CAP = 10**8
 
@@ -159,8 +160,8 @@ def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     gives variable v the value c; masks[v-1][0] is x_v != 1, the OR of the
     others, so that for d = 2 it is the very int of x_v = 2 and for d = 1 it
     is 0. Index i enumerates {1..d}^n lexicographically (variable 1 most
-    significant). One table is kept, so the cache holds no more than the
-    brute-force cap admits."""
+    significant). The oracle asks only for chunk-sized tables, d^n <=
+    BRUTE_CHUNK_BITS, and one table is kept."""
     total_bits = d**n
     table = []
     for v in range(1, n + 1):
@@ -173,54 +174,126 @@ def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
-    """Bitmap over all d^n assignments with bit i set iff assignment i meets
-    every constraint, a disjunction of pairs (v, c) each meaning x_v != c.
+def _top_indices(d: int, top: int, fixed: dict[int, int]) -> list[int]:
+    """Indices, in {1..d}^top order, of the assignments to variables 1..top
+    that give every variable in fixed its value there."""
+    indices = [0]
+    for v in range(1, top + 1):
+        c = fixed.get(v)
+        if c is None:
+            indices = [i * d + b for i in indices for b in range(d)]
+        else:
+            indices = [i * d + c - 1 for i in indices]
+    return indices
 
-    The mask table takes n*d*d^n bits; beyond BRUTE_MAX_TABLE_BITS it is
-    refused before any mask is built. As d^n >= 2^n for d >= 2, n above the
-    cap's bit length is refused without computing d^n.
+
+def _chunks(
+    d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]
+) -> tuple[int, Iterator[int]]:
+    """The solution bitmap of the constraints over all d^n assignments, cut
+    into chunks of width = d^low bits: chunk j is the bitmap over the low
+    variables n-low+1..n under the j-th assignment, in lexicographic order,
+    of the top variables 1..n-low. low is the most variables whose chunk
+    fits BRUTE_CHUNK_BITS. Returns (width, chunks), the chunks computed
+    lazily in order.
+
+    A constraint is a disjunction of pairs (v, c) over distinct variables,
+    each meaning x_v != c. Its low pairs are ORed into one chunk mask, and
+    constraints with the same top pairs are ANDed into one group: a top
+    assignment that gives each of those pairs' variables its value c
+    falsifies the top pairs, and its chunk is the AND of the constraints
+    without top pairs (base) and of every group it falsifies.
+
+    Inputs with n*d*d^n > BRUTE_MAX_TABLE_BITS, the size a full table of
+    d^n-bit masks would take, are refused before any mask is built (a CNF
+    up to n = 24, d = 3 up to n = 15); as d^n >= 2^n for d >= 2, n above
+    the cap's bit length is refused without computing d^n. Within the cap
+    the oracle holds the table of low * d masks of at most BRUTE_CHUNK_BITS
+    bits, base, one mask per group (at most (d+1)^top of them) and the
+    chunk at hand.
     """
     if (d > 1 and n > BRUTE_MAX_TABLE_BITS.bit_length()) or n * d * d**n > BRUTE_MAX_TABLE_BITS:
         raise ResourceCapError(
-            f"brute force over {d}^{n} assignments needs n*d*d^n mask bits, "
-            f"beyond the cap 2^{BRUTE_MAX_TABLE_BITS.bit_length() - 1}"
+            f"brute force over {d}^{n} assignments is refused beyond n*d*d^n = "
+            f"2^{BRUTE_MAX_TABLE_BITS.bit_length() - 1}"
         )
-    masks = _value_masks(d, n)
-    full = (1 << d**n) - 1
-    sat = full
+    low = n
+    while d**low > BRUTE_CHUNK_BITS:
+        low -= 1
+    top = n - low
+    masks = _value_masks(d, low)
+    full = (1 << d**low) - 1
+    base = full
+    groups: dict[tuple[tuple[int, int], ...], int] = {}
     for constraint in constraints:
+        top_pairs = []
         cmask = 0
         for v, c in constraint:
-            row = masks[v - 1]
-            cmask |= row[0] if c == 1 else full ^ row[c - 1]
-        sat &= cmask
-        if not sat:
-            break
-    return sat
+            if v <= top:
+                top_pairs.append((v, c))
+            else:
+                row = masks[v - top - 1]
+                cmask |= row[0] if c == 1 else full ^ row[c - 1]
+        if top_pairs:
+            key = tuple(sorted(top_pairs))
+            groups[key] = groups.get(key, full) & cmask
+        else:
+            base &= cmask
+    falsified: list[list[int]] = [[] for _ in range(d**top)]
+    for key, gmask in groups.items():
+        for j in _top_indices(d, top, dict(key)):
+            falsified[j].append(gmask)
+    # once a chunk is 0, each further AND is constant time
+    return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)
 
 
-def _first_solution(sat: int, d: int, n: int) -> tuple[int, ...] | None:
-    """The lexicographically first assignment (values 1..d) whose bit is set
-    in sat, or None when sat is 0."""
-    if not sat:
-        return None
-    return _word_of((sat & -sat).bit_length() - 1, d, n)
+def _bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """Bitmap over all d^n assignments with bit i set iff assignment i meets
+    every constraint (see _chunks); it holds d^n bits on top of what the
+    chunks hold. The chunks are joined in time linear in d^n: every 8
+    consecutive chunks span exactly width bytes."""
+    width, chunks = _chunks(d, n, constraints)
+    parts = []
+    group = 0
+    for j, chunk in enumerate(chunks):
+        group |= chunk << (j % 8 * width)
+        if j % 8 == 7:
+            parts.append(group.to_bytes(width, "little"))
+            group = 0
+    parts.append(group.to_bytes(width, "little"))
+    return int.from_bytes(b"".join(parts), "little")
+
+
+def _first_solution(
+    d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]
+) -> tuple[int, ...] | None:
+    """The lexicographically first assignment (values 1..d) that meets every
+    constraint, or None; no chunk after the first nonzero one is built."""
+    width, chunks = _chunks(d, n, constraints)
+    for j, chunk in enumerate(chunks):
+        if chunk:
+            return _word_of(j * width + (chunk & -chunk).bit_length() - 1, d, n)
+    return None
+
+
+def _cnf_constraints(f: Formula) -> Iterator[Iterator[tuple[int, int]]]:
+    """F as the d = 2 case: literal +v is x_v != 1 and -v is x_v != 2, so
+    assignment index i gives variable v the bit (i >> (n-v)) & 1."""
+    return (((u, 1) if u > 0 else (-u, 2) for u in clause) for clause in f.clauses)
 
 
 def solution_bitmap(f: Formula) -> int:
     """Bitmap over all 2^n assignments with bit i set iff assignment i
-    satisfies F. Assignment i gives variable v the bit (i >> (n-v)) & 1:
-    F is the d = 2 case, literal +v being x_v != 1 and -v being x_v != 2."""
-    clauses = (((u, 1) if u > 0 else (-u, 2) for u in clause) for clause in f.clauses)
-    return _bitmap(2, f.num_vars, clauses)
+    satisfies F. Assignment i gives variable v the bit (i >> (n-v)) & 1."""
+    return _bitmap(2, f.num_vars, _cnf_constraints(f))
 
 
 @_timed
 def brute_force(f: Formula) -> SolveResult:
     """Exhaustive oracle: first satisfying assignment in lexicographic
-    order, or unsat. Limited to n <= 24 (see _bitmap)."""
-    values = _first_solution(solution_bitmap(f), 2, f.num_vars)
+    order, or unsat. Limited to n <= 24 (see _chunks); stops at the first
+    chunk of 2^16 assignments that holds a solution."""
+    values = _first_solution(2, f.num_vars, _cnf_constraints(f))
     if values is None:
         return SolveResult("unsat", None)
     witness = tuple(c - 1 for c in values)

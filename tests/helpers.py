@@ -17,6 +17,7 @@ import coversat.search
 from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
 from coversat.csp import CspFormula, TwoBox
 from coversat.search import SearchStats
+from coversat.solver import _value_masks
 
 
 def first_unsatisfied_clause(f: Formula, alpha: Assignment) -> int | None:
@@ -249,6 +250,25 @@ def ref_digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
         rep = ((1 << total_bits) - 1) // ((1 << (d * run)) - 1)
         out.append(tuple((((1 << run) - 1) << ((c - 1) * run)) * rep for c in range(1, d + 1)))
     return tuple(out)
+
+
+def ref_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """The brute oracle's bitmap in one pass over the full table of d^n-bit
+    masks: bit i set iff assignment i meets every constraint, each a
+    disjunction of pairs (v, c) meaning x_v != c. The reference for the
+    chunked coversat.solver._bitmap; its table takes n*d*d^n bits."""
+    masks = _value_masks(d, n)
+    full = (1 << d**n) - 1
+    sat = full
+    for constraint in constraints:
+        cmask = 0
+        for v, c in constraint:
+            row = masks[v - 1]
+            cmask |= row[0] if c == 1 else full ^ row[c - 1]
+        sat &= cmask
+        if not sat:
+            break
+    return sat
 
 
 def ref_ball_of(idx: int, q: int, t: int, r: int) -> list[int]:

@@ -127,8 +127,8 @@ class TestSolveCommand:
         assert main(["solve", "--input", path, "--mode", "brute"]) == 2
 
     def test_width_two_csp_beyond_oracle_cap_exit_2(self, tmp_path):
-        # det mode sends width <= 2 to the oracle, whose n*d*d^n mask bits
-        # exceed 2^30 here, though d^n <= 10^7
+        # det mode sends width <= 2 to the oracle, whose cap n*d*d^n <= 2^30
+        # refuses these, though d^n <= 10^7
         for d in (3162, 1000):
             path = write(tmp_path, f"w{d}.csp", f"p csp {d} 2 1\n1 1 2 1 0\n")
             start = time.perf_counter()

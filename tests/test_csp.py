@@ -255,7 +255,8 @@ class TestRestrictToBox:
                 assert reduced.max_width == expected.max_width
 
     def test_unchecked_constructor_called_only_here(self):
-        # parsers and public constructors must keep validating their input
+        # restrict_to_box and parse_dimacs check their clauses as they build
+        # them; every other constructor must keep validating its input
         src = Path(csp.__file__).parent
         callers = set()
         for path in sorted(src.glob("*.py")):
@@ -270,7 +271,7 @@ class TestRestrictToBox:
                 if isinstance(node, ast.Name) and node.id == "_unchecked":
                     callers.add((path.name, scope))
                 stack.extend((child, scope) for child in ast.iter_child_nodes(node))
-        assert callers == {("csp.py", "restrict_to_box")}
+        assert callers == {("csp.py", "restrict_to_box"), ("formats.py", "parse_dimacs")}
 
 
 class TestBruteForceCsp:
@@ -302,8 +303,9 @@ class TestBruteForceCsp:
             brute_force_csp(csp_formula(10, 8, []))
 
     def test_cap_bounds_mask_bits(self, monkeypatch):
-        # n*d*d^n mask bits: (3162, 2) would need 2*3162 masks of 10^7 bits,
-        # about 7.9 GB, and (1000, 2) 2*10^9 bits; both were inside d^n <= 10^7
+        # the cap n*d*d^n <= 2^30 is checked before any mask table is built:
+        # both inputs are inside d^n <= 10^7, and a full table for (3162, 2)
+        # would have held 2*3162 masks of 10^7 bits, about 7.9 GB
         def no_table(d, n):
             raise AssertionError("mask table built for a refused input")
 

@@ -1,8 +1,9 @@
 import random
+import warnings
 
 import pytest
 
-from coversat.cnf import formula
+from coversat.cnf import Formula, formula
 from coversat.codes import CoveringCode
 from coversat.errors import ParseError, ParseWarning
 from coversat.formats import (
@@ -227,6 +228,63 @@ def test_token_beyond_int_digit_limit_is_parse_error():
     with pytest.raises(ParseError) as err:
         parse_dimacs("p cnf 2 1\n" + "1" * 5000 + " 0\n")
     assert err.value.line == 2
+
+
+def _dimacs_token(rng: random.Random, u: int) -> str:
+    sign = "-" if u < 0 else rng.choice(["", "", "+"])
+    return sign + "0" * rng.randint(0, 1) + str(abs(u))
+
+
+def _dimacs_text(rng: random.Random, n: int, m: int, tokens: list[str]) -> str:
+    """tokens under a 'p cnf n m' header, cut into lines at random, with
+    comment and blank lines between them."""
+    lines = [f"p cnf {n} {m}"]
+    while tokens:
+        cut = rng.randint(1, 4)
+        lines.append(rng.choice([" ", "  ", "\t"]).join(tokens[:cut]))
+        tokens = tokens[cut:]
+        lines.extend(rng.choice([[], [], ["c note"], [""]]))
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_dimacs_equals_validating_constructor():
+    # parse_dimacs skips Formula's clause validation: for every file it
+    # accepts, the result must equal Formula(n, clauses) on the clauses a
+    # plain reading gives (first occurrence of each literal kept, clauses
+    # with x and -x dropped), and a file with a fault must still raise
+    rng = random.Random(2027)
+    faults = 0
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        records = [
+            [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 5) if n else 0)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        tokens = [_dimacs_token(rng, u) for record in records for u in (*record, 0)]
+        fault = rng.choice([None, None, None, "range", "token", "unterminated"])
+        if fault == "range":
+            tokens.insert(rng.randint(0, len(tokens)), str(rng.choice((1, -1)) * (n + 1)))
+        elif fault == "token":
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(["x", "1.5", "--1", "1_0"]))
+        elif fault == "unterminated":
+            tokens.append(_dimacs_token(rng, rng.randint(1, n + 1)))
+        text = _dimacs_text(rng, n, rng.choice([len(records), rng.randint(0, 8)]), tokens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParseWarning)
+            if fault is not None:
+                faults += 1
+                with pytest.raises(ParseError):
+                    parse_dimacs(text)
+                continue
+            parsed = parse_dimacs(text)
+        kept = [tuple(dict.fromkeys(r)) for r in records if not any(-u in r for u in r)]
+        expected = Formula(n, tuple(kept))
+        assert parsed == expected
+        assert hash(parsed) == hash(expected)
+        assert all(type(u) is int for clause in parsed.clauses for u in clause)
+        assert parsed.literal_masks == expected.literal_masks
+        assert parsed.max_width == expected.max_width
+    assert faults > 50
 
 
 class TestInputKind:

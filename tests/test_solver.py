@@ -13,6 +13,7 @@ from coversat.codes import _word_of, boolean_cover
 from coversat.csp import brute_force_csp, csp_formula, csp_solution_bitmap, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
+    BRUTE_CHUNK_BITS,
     _value_masks,
     SolverConfig,
     brute_force,
@@ -23,7 +24,7 @@ from coversat.solver import (
     solve_schoening,
 )
 
-from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_var_masks
+from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_bitmap, ref_var_masks
 
 
 @pytest.fixture
@@ -134,6 +135,87 @@ class TestBruteForce:
                 assert tuple(b + 1 for b in res.witness) == res_csp.witness
             statuses.add(res.status)
         assert statuses == {"sat", "unsat"}
+
+
+def _cnf_pairs(f: Formula):
+    return [[(abs(u), 1 if u > 0 else 2) for u in clause] for clause in f.clauses]
+
+
+def _first_of(bitmap: int, d: int, n: int):
+    return _word_of((bitmap & -bitmap).bit_length() - 1, d, n) if bitmap else None
+
+
+class TestChunkedOracle:
+    """The oracle cuts the d^n assignments into chunks of at most
+    BRUTE_CHUNK_BITS over the low-order variables; these sizes put one to
+    256 chunks over the top ones, and each case compares the joined bitmap
+    and the first witness with the full-table reference."""
+
+    @pytest.mark.parametrize("n", range(15, 23))
+    @pytest.mark.parametrize("status", ["sat", "unsat"])
+    def test_cnf_matches_full_table(self, n, status):
+        # near the threshold a sat draw has few solutions, in scattered chunks
+        rng = random.Random(f"chunked:{n}:{status}")
+        m = 4 * n if status == "sat" else 6 * n
+        while True:
+            f = rand_kcnf(rng, n, m)
+            ref = ref_bitmap(2, n, _cnf_pairs(f))
+            if bool(ref) == (status == "sat"):
+                break
+        assert solution_bitmap(f) == ref
+        res = brute_force(f)
+        assert res.status == status
+        first = _first_of(ref, 2, n)
+        assert res.witness == (None if first is None else tuple(c - 1 for c in first))
+
+    @pytest.mark.parametrize("d, n", [(3, n) for n in range(9, 14)] + [(5, n) for n in range(6, 9)])
+    def test_csp_matches_full_table(self, d, n):
+        rng = random.Random(f"chunked:{d}:{n}")
+        statuses = set()
+        for m in (2 * n, 4 * n, 8 * n, 16 * n, 32 * n):
+            g = rand_csp(rng, d, n, m)
+            ref = ref_bitmap(d, n, g.constraints)
+            assert csp_solution_bitmap(g) == ref
+            res = brute_force_csp(g)
+            assert res.witness == _first_of(ref, d, n)
+            statuses.add(res.status)
+        assert statuses == {"sat", "unsat"}
+
+    @pytest.mark.parametrize("n", [0, 3, 18])
+    def test_empty_clause(self, n):
+        f = Formula(n, ((),) + tuple((v,) for v in range(1, n + 1)))
+        assert solution_bitmap(f) == ref_bitmap(2, n, _cnf_pairs(f)) == 0
+        assert brute_force(f).status == "unsat"
+
+    def test_zero_vars(self):
+        assert solution_bitmap(formula(0, [])) == ref_bitmap(2, 0, []) == 1
+        assert csp_solution_bitmap(csp_formula(4, 0, [])) == 1
+        assert brute_force_csp(csp_formula(4, 0, [])).witness == ()
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_domain_one(self, n):
+        # the one assignment is all ones, and x_v != 1 never holds
+        free = csp_formula(1, n, [])
+        assert csp_solution_bitmap(free) == ref_bitmap(1, n, []) == 1
+        assert brute_force_csp(free).witness == (1,) * n
+        stuck = csp_formula(1, n, [[(n, 1)]])
+        assert csp_solution_bitmap(stuck) == ref_bitmap(1, n, stuck.constraints) == 0
+        assert brute_force_csp(stuck).status == "unsat"
+
+    def test_twenty_four_vars_holds_chunk_table(self):
+        # the oracle's one cached table is the 2^16-bit one of the low 16
+        # variables, not the 24 x 2^24-bit full table
+        _value_masks.cache_clear()
+        try:
+            res = brute_force(formula(24, [[-1], [2, 24], [-24]]))
+            before = _value_masks.cache_info()
+            table = _value_masks(2, 16)
+            after = _value_masks.cache_info()
+        finally:
+            _value_masks.cache_clear()
+        assert res.witness == (0, 1) + (0,) * 22
+        assert (before.currsize, after.hits, after.misses) == (1, before.hits + 1, before.misses)
+        assert all(mask.bit_length() <= BRUTE_CHUNK_BITS for row in table for mask in row)
 
 
 class TestSolveDeterministic:
