@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, product
 from typing import Iterable
 
@@ -61,9 +61,41 @@ class CspFormula:
                     raise ValueError(f"variable {v} repeated within a constraint")
                 seen.add(v)
 
+    @classmethod
+    def _unchecked(
+        cls, domain_size: int, num_vars: int, constraints: tuple[Constraint, ...]
+    ) -> CspFormula:
+        """A formula whose constraints the caller has already validated:
+        non-empty tuples of int (variable, value) pairs over distinct
+        variables in 1..num_vars and values in 1..domain_size, with
+        domain_size >= 1 and num_vars >= 0. Skips ``__post_init__``; equal
+        to ``CspFormula(domain_size, num_vars, constraints)``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain_size", domain_size)
+        object.__setattr__(f, "num_vars", num_vars)
+        object.__setattr__(f, "constraints", constraints)
+        return f
+
     @property
     def max_width(self) -> int:
         return max((len(c) for c in self.constraints), default=0)
+
+    @cached_property
+    def _constraint_bitsets(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(masks, literals), with a literal (x_v != c) indexed (v-1)*d + c-1:
+        masks[j] has bit i set iff constraint i holds literal j, and
+        literals[i] lists constraint i's literal indices. Built on first use
+        and stored on the instance (restrict_to_box reads them for every
+        box); no part of equality or hashing."""
+        d = self.domain_size
+        masks = [0] * (self.num_vars * d)
+        literals = []
+        for i, constraint in enumerate(self.constraints):
+            lits = tuple((v - 1) * d + c - 1 for v, c in constraint)
+            for j in lits:
+                masks[j] |= 1 << i
+            literals.append(lits)
+        return tuple(masks), tuple(literals)
 
 
 def csp_formula(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> CspFormula:
@@ -141,13 +173,29 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
     def box_points(box_idx: int) -> list[int]:
         return _box_points(box_pairs(box_idx), d)
 
-    def boxes_containing(point_idx: int) -> Iterable[int]:
-        # one coordinate at a time, in the order product() would list them
+    def containing(point_idx: int, width: int) -> list[int]:
+        # the boxes over width coordinates holding the point, one coordinate
+        # at a time, in the order product() would list them
         idxs = [0]
-        for v in _word_of(point_idx, d, length):
+        for v in _word_of(point_idx, d, width):
             ids = pair_ids_with_value[v]
             idxs = [i * npairs + c for i in idxs for c in ids]
         return idxs
+
+    # a point's first length - length//2 coordinates and its last length//2
+    # are held by independent halves of a box: tables of both, built once
+    # (as in codes._ball_of), make each point's boxes one comprehension
+    tail = length // 2
+    scale, point_scale = npairs**tail, d**tail
+    firsts = [
+        [i * scale for i in containing(high, length - tail)] for high in range(d ** (length - tail))
+    ]
+    seconds = [containing(low, tail) for low in range(point_scale)]
+
+    def boxes_containing(point_idx: int) -> list[int]:
+        high, low = divmod(point_idx, point_scale)
+        second = seconds[low]
+        return [a + b for a in firsts[high] for b in second]
 
     chosen = greedy_set_cover(d**length, npairs**length, 1 << length, box_points, boxes_containing)
     block = [box_pairs(box_idx) for box_idx in chosen]
@@ -201,31 +249,34 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     drops its whole constraint; c equal to the smaller value maps to y_v,
     to the larger value maps to -y_v.
 
-    The result is built with Formula._unchecked: CspFormula has already
-    checked that each constraint's variables are distinct and lie in 1..n,
-    and a reduced clause is those same variables with signs.
+    The dropped constraints are the OR of one constraint bitset (see
+    CspFormula._constraint_bitsets) per variable and value outside its
+    pair; the others are mapped, literal by literal, through a table of the
+    box's n*d literals. The result is built with Formula._unchecked:
+    CspFormula has already checked that each constraint's variables are
+    distinct and lie in 1..n, and a reduced clause is those same variables
+    with signs.
     """
     if len(box) != f.num_vars:
         raise ValueError("box arity does not match formula")
-    for lo, hi in box:
-        if not (1 <= lo < hi <= f.domain_size):
+    d = f.domain_size
+    masks, literals = f._constraint_bitsets
+    table = [0] * len(masks)
+    dropped = 0
+    for v, (lo, hi) in enumerate(box, 1):
+        if not (1 <= lo < hi <= d):
             raise ValueError(f"invalid pair ({lo}, {hi})")
-    clauses = []
-    for constraint in f.constraints:
-        lits = []
-        dropped = False
-        for v, c in constraint:
-            lo, hi = box[v - 1]
-            if c == lo:
-                lits.append(v)
-            elif c == hi:
-                lits.append(-v)
-            else:
-                dropped = True
-                break
-        if not dropped:
-            clauses.append(tuple(lits))
-    return Formula._unchecked(f.num_vars, tuple(clauses))
+        base = (v - 1) * d - 1
+        table[base + lo] = v
+        table[base + hi] = -v
+        for c in range(1, d + 1):
+            if c != lo and c != hi:
+                dropped |= masks[base + c]
+    lit = table.__getitem__
+    # bit i of ~dropped, lowest first, says whether constraint i survives
+    kept = bin(((1 << len(literals)) - 1) ^ dropped)[:1:-1]
+    clauses = tuple([tuple(map(lit, lits)) for lits, bit in zip(literals, kept) if bit == "1"])
+    return Formula._unchecked(f.num_vars, clauses)
 
 
 def decode_box_witness(box: TwoBox, bits: tuple[int, ...]) -> tuple[int, ...]:

@@ -170,7 +170,12 @@ def parse_dimacs(text: str | bytes) -> Formula:
 
 
 def parse_csp(text: str | bytes) -> CspFormula:
-    """Parse 'p csp' text into a CspFormula."""
+    """Parse 'p csp' text into a CspFormula.
+
+    The scanner leaves only non-empty constraints of int pairs over
+    distinct variables in 1..n with values in 1..d, so the CspFormula is
+    built without validating its constraints again.
+    """
     lines = _content_lines(text)
     (d, n, m), line = _header(
         lines, "csp", "constraint", ("domain size", "variable count", "constraint count")
@@ -192,7 +197,7 @@ def parse_csp(text: str | bytes) -> CspFormula:
         return pairs
 
     constraints = _records(lines, "constraint", m, "token", itemgetter(0), to_pairs)
-    return CspFormula(d, n, tuple(constraints))
+    return CspFormula._unchecked(d, n, tuple(constraints))
 
 
 def _write(header: str, rows) -> str:

@@ -20,13 +20,19 @@ The unsatisfied clauses of an assignment are read from the formula's clause
 bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
 Formula.unsat_mask ORs one mask per variable, O(n) big-int operations in
 place of a scan of every literal, and its lowest set bit is the
-lowest-index unsatisfied clause every engine branches on. The small-|G|
-enumeration scores each of its assignments by OR-ing precomputed masks and
-hands that mask to the subsearch it starts as the root's mask. Inside
-searchball each node receives its mask from its parent, which computes it
-from its own assignment with the child's literal set; a radius-0 child is a
-leaf, and when some clause unsatisfied at the parent lacks the new literal
-it is settled with one AND, counted without a mask or a call.
+lowest-index unsatisfied clause every engine branches on. Each node of
+the codeword recursion computes its mask once and hands it to
+maximal_disjoint_unsat. The small-|G| enumeration reads the satisfying
+rows of each clause of G, with their flips, from a table per (width, sign
+pattern) and builds only the rows' clause masks; it scores each of its
+assignments by OR-ing those masks and hands that mask to the subsearch it
+starts as the root's mask. The (variable, bit) dict of an assignment is
+built only for a subsearch or a witness, and searchball overlays it on
+alpha only once its root descends or returns. Inside searchball each node
+receives its mask from its parent, which computes it from its own
+assignment with the child's literal set; a radius-0 child is a leaf, and
+when some clause unsatisfied at the parent lacks the new literal it is
+settled with one AND, counted without a mask or a call.
 Node counts and returned witnesses are identical to the restriction-based
 formulation.
 """
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 from typing import Optional
@@ -185,20 +191,24 @@ def schoening_walk(
 
 def _searchball(
     f: Formula,
-    cur: list[int],
-    forced: set[int],
+    cur: Assignment | list[int],
+    forced: dict[int, int] | set[int],
     r: int,
     depth: int,
     stats: SearchStats,
     unsat: int,
 ) -> Optional[Assignment]:
-    # unsat is the mask of the clauses cur leaves unsatisfied
+    # unsat is the mask of the clauses cur leaves unsatisfied. Below the
+    # root, cur is the list overlay and forced the set of forced variables,
+    # both shared by the whole recursion; the root (depth 0) still holds the
+    # caller's alpha and forced dict and overlays them only when it returns
+    # a witness or descends into a child
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
     if not unsat:
         stats.leaves += 1
-        return tuple(cur)
+        return tuple(cur) if depth else override(cur, forced)
     if r <= 0:
         stats.leaves += 1
         return None
@@ -209,6 +219,7 @@ def _searchball(
         return None
     masks = f.literal_masks
     full = (1 << len(f.clauses)) - 1
+    root = not depth
     for u in branch:
         v = abs(u)
         new = 1 if u > 0 else 0
@@ -220,6 +231,8 @@ def _searchball(
             if depth + 1 > stats.max_depth:
                 stats.max_depth = depth + 1
             continue
+        if root:
+            cur, forced, root = list(override(cur, forced)), set(forced), False
         old = cur[v - 1]
         cur[v - 1] = new
         forced.add(v)
@@ -246,40 +259,43 @@ def searchball(
 
     `forced` pre-restricts variables (the search runs on F with those
     variables permanently set), which is how the fast engine hands over its
-    small-|G| subproblems. `unsat`, when given, must be the unsat mask of
-    alpha overridden by `forced` (Formula.unsat_mask); the enumeration
-    that already holds it passes it so the root does not recompute it.
+    small-|G| subproblems; neither it nor alpha is modified. `unsat`, when
+    given, must be the unsat mask of alpha overridden by `forced`
+    (Formula.unsat_mask); the enumeration that already holds it passes it
+    so the root does not recompute it. The overlay of `forced` on alpha is
+    built only once the root returns a witness or descends into a child.
     """
     if stats is None:
         stats = SearchStats()
     if len(alpha) != f.num_vars:
         raise ValueError("assignment length does not match formula")
-    cur = list(alpha)
     forced = forced or {}
-    for v, bit in forced.items():
-        if not 1 <= v <= f.num_vars:
-            raise ValueError(f"forced variable {v} out of range")
-        cur[v - 1] = bit
+    if forced and not (min(forced) >= 1 and max(forced) <= f.num_vars):
+        v = next(v for v in forced if not 1 <= v <= f.num_vars)
+        raise ValueError(f"forced variable {v} out of range")
     if unsat is None:
-        unsat = f.unsat_mask(cur)
-    witness = _searchball(f, cur, set(forced), r, 0, stats, unsat)
+        unsat = f.unsat_mask(override(alpha, forced))
+    witness = _searchball(f, alpha, forced, r, 0, stats, unsat)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: searchball witness failed re-verification")
     return witness, stats
 
 
-def maximal_disjoint_unsat(f: Formula, alpha: Assignment, k: int) -> list[Clause]:
+def maximal_disjoint_unsat(
+    f: Formula, alpha: Assignment, k: int, *, unsat: int | None = None
+) -> list[Clause]:
     """Greedy maximal set of pairwise variable-disjoint width-k clauses
     unsatisfied by alpha, scanned in clause input order.
 
     Only clauses of width exactly k enter; maximality is at the variable
     level: every unsatisfied width-k clause of F shares a variable with
-    some member.
+    some member. `unsat`, when given, must be f.unsat_mask(alpha); the
+    codeword recursion, which already holds it, passes it.
     """
     masks = f.literal_masks
     out: list[Clause] = []
     # candidates: unsatisfied clauses sharing no variable with a member
-    candidates = f.unsat_mask(alpha)
+    candidates = f.unsat_mask(alpha) if unsat is None else unsat
     while candidates:
         low = candidates & -candidates
         clause = f.clauses[low.bit_length() - 1]
@@ -321,24 +337,41 @@ def apply_codeword(alpha: Assignment, h: list[Clause], w: tuple[int, ...]) -> As
     return tuple(values)
 
 
+@lru_cache(maxsize=256)
+def _pattern_table(width: int, falsifying: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The satisfying rows of a width-`width` clause whose one falsifying
+    bit pattern, read as a binary number with the first literal's bit most
+    significant, is `falsifying`: (index, flips, bits) for every other
+    pattern, in increasing order of index (lexicographic order of bits).
+    flips counts the bits in which the row differs from the falsifying
+    pattern, the literals it makes true. Built on first use per (width,
+    sign pattern); a few hundred tables are kept."""
+    return tuple(
+        (i, (i ^ falsifying).bit_count(), tuple(i >> p & 1 for p in range(width - 1, -1, -1)))
+        for i in range(1 << width)
+        if i != falsifying
+    )
+
+
 def _satisfying_patterns(
-    clause: Clause, alpha: Assignment, masks: tuple[tuple[int, int], ...]
-) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    clause: Clause, masks: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int, tuple[int, ...]]]:
     """All local assignments to vbl(clause) that satisfy it, in
-    lexicographic order of their bits, as (flips vs alpha, mask of the
-    clauses they satisfy, (variable, bit) pairs) triples."""
-    rows: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    lexicographic order of their bits, as (flips, mask of the clauses they
+    satisfy, bits in clause literal order) triples.
+
+    The clause must be falsified by the assignment the flips are counted
+    from, as every clause of G is, so flips is the number of literals the
+    row makes true and the rows come from _pattern_table; only the masks
+    are built per call, one per pattern of the clause's bits."""
+    row_masks = [0]
+    falsifying = 0
     for u in clause:
-        v = abs(u)
-        current = alpha[v - 1]
-        neg, pos = masks[v - 1]
-        rows = [
-            (flips + (bit != current), mask | (pos if bit else neg), pairs + ((v, bit),))
-            for flips, mask, pairs in rows
-            for bit in (0, 1)
-        ]
-    falsifying = tuple((abs(u), 0 if u > 0 else 1) for u in clause)
-    return [row for row in rows if row[2] != falsifying]
+        neg, pos = masks[abs(u) - 1]
+        row_masks = [m | b for m in row_masks for b in (neg, pos)]
+        falsifying = 2 * falsifying + (u < 0)
+    table = _pattern_table(len(clause), falsifying)
+    return [(flips, row_masks[i], bits) for i, flips, bits in table]
 
 
 def _beta_search(
@@ -363,44 +396,48 @@ def _beta_search(
     enumeration (alpha outside vbl(G)) and one precomputed mask per clause
     of G (its local pattern). A beta that satisfies F is the witness, one
     with no budget left is a dead leaf, and one that fixes every variable
-    of its lowest unsatisfied clause is a dead root (searchball would find
-    nothing to branch on); each counts one node, the root of the subsearch
-    it would start. Every other beta goes to searchball.
-    Only recursion_nodes reach stats: leaves and max_depth stay those of the
-    codeword recursion.
+    of its lowest unsatisfied clause (a clause with no variable outside
+    vbl(G)) is a dead root (searchball would find nothing to branch on);
+    each counts one node, the root of the subsearch it would start. Every
+    other beta goes to searchball, and only then, or for the witness, is
+    beta built as a (variable, bit) dict.
+    Only recursion_nodes reach stats, once, at the end: leaves and max_depth
+    stay those of the codeword recursion.
     """
     masks = f.literal_masks
-    in_g = {abs(u) for clause in g for u in clause}
-    outside = reduce(
-        or_, (masks[v - 1][alpha[v - 1]] for v in range(1, f.num_vars + 1) if v not in in_g), 0
-    )
+    g_vars = [abs(u) for clause in g for u in clause]
+    # the literal masks with vbl(G) blanked out
+    local = list(masks)
+    for v in g_vars:
+        local[v - 1] = (0, 0)
+    outside = reduce(or_, map(tuple.__getitem__, local, alpha), 0)
     full = (1 << len(f.clauses)) - 1
+    inside = full ^ reduce(or_, chain.from_iterable(local), 0)
     # an empty G leaves one beta, the empty assignment
-    per_clause = [_satisfying_patterns(clause, alpha, masks) for clause in g] or [[(0, 0, ())]]
+    per_clause = [_satisfying_patterns(clause, masks) for clause in g] or [[(0, 0, ())]]
     last = len(per_clause) - 1
-    chosen: list[tuple[tuple[int, int], ...]] = [()] * len(per_clause)
+    chosen: list[tuple[int, ...]] = [()] * len(per_clause)
     inner = SearchStats()
 
     def rec(i: int, budget: int, satisfied: int) -> Optional[Assignment]:
-        # every remaining clause is unsatisfied under alpha, so needs >= 1 flip
-        if budget < len(g) - i:
-            return None
-        for flips, mask, pairs in per_clause[i]:
-            if flips > budget:
+        # every later clause is unsatisfied under alpha, so needs >= 1 flip
+        cap = budget - (last - i)
+        for flips, mask, bits in per_clause[i]:
+            if flips > cap:
                 continue
-            chosen[i] = pairs
+            chosen[i] = bits
             if i < last:
                 res = rec(i + 1, budget - flips, satisfied | mask)
             elif not (unsat := full ^ (satisfied | mask)):
                 inner.recursion_nodes += 1
-                return override(alpha, dict(chain.from_iterable(chosen)))
-            elif flips == budget or in_g.issuperset(map(abs, f.clauses[_lowest(unsat)])):
+                return override(alpha, dict(zip(g_vars, chain.from_iterable(chosen))))
+            elif flips == budget or unsat & -unsat & inside:
                 # no budget left, or beta fixes its whole lowest unsatisfied
                 # clause: searchball would stop at its root
                 inner.recursion_nodes += 1
                 continue
             else:
-                beta = dict(chain.from_iterable(chosen))
+                beta = dict(zip(g_vars, chain.from_iterable(chosen)))
                 res, _ = searchball(
                     f, alpha, budget - flips, forced=beta, stats=inner, unsat=unsat
                 )
@@ -461,13 +498,14 @@ def _fast(
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    if not f.unsat_mask(alpha):
+    unsat = f.unsat_mask(alpha)
+    if not unsat:
         stats.leaves += 1
         return alpha
     if r <= 0:
         stats.leaves += 1
         return None
-    g = maximal_disjoint_unsat(f, alpha, params.k)
+    g = maximal_disjoint_unsat(f, alpha, params.k, unsat=unsat)
     if len(g) < params.t:
         stats.leaves += 1
         return _beta_search(f, alpha, r, g, stats)

@@ -102,6 +102,16 @@ def rand_kcnf(rng: random.Random, n: int, m: int, k: int = 3) -> Formula:
     return Formula(n, tuple(clauses))
 
 
+def rand_kcsp(rng: random.Random, d: int, n: int, m: int, k: int = 3) -> CspFormula:
+    """m constraints of width exactly k, uniform forbidden values (the shape
+    of perfbench's csp-d3 corpus)."""
+    constraints = []
+    for _ in range(m):
+        variables = rng.sample(range(1, n + 1), k)
+        constraints.append(tuple((v, rng.randint(1, d)) for v in variables))
+    return CspFormula(d, n, tuple(constraints))
+
+
 def rand_assignment(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, 1) for _ in range(n))
 
@@ -192,6 +202,28 @@ def ref_beta_search(
         if res is not None:
             return res, stats.recursion_nodes
     return None, stats.recursion_nodes
+
+
+def ref_satisfying_patterns(
+    clause: Clause, alpha: Assignment, masks: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """All local assignments to vbl(clause) that satisfy it, in
+    lexicographic order of their bits, as (flips vs alpha, mask of the
+    clauses they satisfy, (variable, bit) pairs) triples, built one literal
+    at a time from alpha. The reference for
+    coversat.search._satisfying_patterns, which reads its rows from tables."""
+    rows: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    for u in clause:
+        v = abs(u)
+        current = alpha[v - 1]
+        neg, pos = masks[v - 1]
+        rows = [
+            (flips + (bit != current), mask | (pos if bit else neg), pairs + ((v, bit),))
+            for flips, mask, pairs in rows
+            for bit in (0, 1)
+        ]
+    falsifying = tuple((abs(u), 0 if u > 0 else 1) for u in clause)
+    return [row for row in rows if row[2] != falsifying]
 
 
 def ref_searchball(
@@ -319,6 +351,34 @@ def ref_greedy_set_cover(
                 for s in containing(p):
                     gain[s] -= 1
     return chosen
+
+
+def ref_restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
+    """The Boolean CNF of F inside the box, constraint by constraint: a
+    literal (x_v != c) with c outside the pair drops its constraint, c the
+    smaller value maps to y_v and the larger to -y_v. The reference for
+    coversat.csp.restrict_to_box, which reads constraint bitsets."""
+    if len(box) != f.num_vars:
+        raise ValueError("box arity does not match formula")
+    for lo, hi in box:
+        if not (1 <= lo < hi <= f.domain_size):
+            raise ValueError(f"invalid pair ({lo}, {hi})")
+    clauses = []
+    for constraint in f.constraints:
+        lits = []
+        dropped = False
+        for v, c in constraint:
+            lo, hi = box[v - 1]
+            if c == lo:
+                lits.append(v)
+            elif c == hi:
+                lits.append(-v)
+            else:
+                dropped = True
+                break
+        if not dropped:
+            clauses.append(tuple(lits))
+    return Formula(f.num_vars, tuple(clauses))
 
 
 def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:

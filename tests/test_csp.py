@@ -26,7 +26,13 @@ from coversat.codes import _word_of
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
-from helpers import point_in_box, rand_csp, ref_csp_solutions, ref_digit_masks
+from helpers import (
+    point_in_box,
+    rand_csp,
+    ref_csp_solutions,
+    ref_digit_masks,
+    ref_restrict_to_box,
+)
 
 
 def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
@@ -254,9 +260,35 @@ class TestRestrictToBox:
                 assert reduced.literal_masks == expected.literal_masks
                 assert reduced.max_width == expected.max_width
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_constraint_by_constraint_reference(self, d):
+        # the same clauses, in the same order, and the same clause masks as
+        # mapping each constraint on its own, for widths 1-4 and any pairs
+        rng = random.Random(f"restrict-ref:{d}")
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            g = rand_csp(rng, d, n, rng.randint(0, 8 * n), k=4)
+            for _ in range(6):
+                box = tuple(tuple(sorted(rng.sample(range(1, d + 1), 2))) for _ in range(n))
+                reduced = restrict_to_box(g, box)
+                expected = ref_restrict_to_box(g, box)
+                assert reduced.clauses == expected.clauses
+                assert reduced == expected
+                assert reduced.literal_masks == expected.literal_masks
+                assert reduced.max_width == expected.max_width
+
+    def test_invalid_boxes_rejected(self):
+        g = csp_formula(4, 2, [[(1, 2), (2, 4)]])
+        bad = (((1, 2),), ((1, 2), (2, 2)), ((1, 2), (3, 2)), ((0, 1), (1, 2)), ((1, 5), (1, 2)))
+        for box in bad:
+            for restrict in (restrict_to_box, ref_restrict_to_box):
+                with pytest.raises(ValueError):
+                    restrict(g, box)
+
     def test_unchecked_constructor_called_only_here(self):
-        # restrict_to_box and parse_dimacs check their clauses as they build
-        # them; every other constructor must keep validating its input
+        # restrict_to_box, parse_dimacs and parse_csp check their clauses or
+        # constraints as they build them; every other constructor must keep
+        # validating its input
         src = Path(csp.__file__).parent
         callers = set()
         for path in sorted(src.glob("*.py")):
@@ -271,7 +303,11 @@ class TestRestrictToBox:
                 if isinstance(node, ast.Name) and node.id == "_unchecked":
                     callers.add((path.name, scope))
                 stack.extend((child, scope) for child in ast.iter_child_nodes(node))
-        assert callers == {("csp.py", "restrict_to_box"), ("formats.py", "parse_dimacs")}
+        assert callers == {
+            ("csp.py", "restrict_to_box"),
+            ("formats.py", "parse_dimacs"),
+            ("formats.py", "parse_csp"),
+        }
 
 
 class TestBruteForceCsp:

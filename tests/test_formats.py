@@ -5,6 +5,7 @@ import pytest
 
 from coversat.cnf import Formula, formula
 from coversat.codes import CoveringCode
+from coversat.csp import CspFormula
 from coversat.errors import ParseError, ParseWarning
 from coversat.formats import (
     input_kind,
@@ -235,10 +236,10 @@ def _dimacs_token(rng: random.Random, u: int) -> str:
     return sign + "0" * rng.randint(0, 1) + str(abs(u))
 
 
-def _dimacs_text(rng: random.Random, n: int, m: int, tokens: list[str]) -> str:
-    """tokens under a 'p cnf n m' header, cut into lines at random, with
-    comment and blank lines between them."""
-    lines = [f"p cnf {n} {m}"]
+def _record_text(rng: random.Random, header: str, tokens: list[str]) -> str:
+    """tokens under the header, cut into lines at random, with comment and
+    blank lines between them."""
+    lines = [header]
     while tokens:
         cut = rng.randint(1, 4)
         lines.append(rng.choice([" ", "  ", "\t"]).join(tokens[:cut]))
@@ -268,7 +269,8 @@ def test_fuzzed_dimacs_equals_validating_constructor():
             tokens.insert(rng.randint(0, len(tokens)), rng.choice(["x", "1.5", "--1", "1_0"]))
         elif fault == "unterminated":
             tokens.append(_dimacs_token(rng, rng.randint(1, n + 1)))
-        text = _dimacs_text(rng, n, rng.choice([len(records), rng.randint(0, 8)]), tokens)
+        m = rng.choice([len(records), rng.randint(0, 8)])
+        text = _record_text(rng, f"p cnf {n} {m}", tokens)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParseWarning)
             if fault is not None:
@@ -285,6 +287,62 @@ def test_fuzzed_dimacs_equals_validating_constructor():
         assert parsed.literal_masks == expected.literal_masks
         assert parsed.max_width == expected.max_width
     assert faults > 50
+
+
+def test_fuzzed_csp_equals_validating_constructor():
+    # parse_csp skips CspFormula's constraint validation: for every file it
+    # accepts, the result must equal CspFormula(d, n, constraints) on the
+    # constraints a plain reading gives (first occurrence of each pair kept,
+    # constraints giving one variable two values dropped), and a file with a
+    # fault must still raise
+    rng = random.Random(2028)
+    faults = 0
+    for _ in range(400):
+        d, n = rng.randint(1, 4), rng.randint(0, 6)
+        records = [
+            [(rng.randint(1, n), rng.randint(1, d)) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 6) if n else 0)
+        ]
+        tokens = []
+        boundaries = [0]  # token positions where a record may start
+        for record in records:
+            tokens += [_dimacs_token(rng, x) for pair in record for x in pair] + ["0"]
+            boundaries.append(len(tokens))
+        fault = rng.choice([None, None, None, "variable", "value", "dangling", "empty", "token"])
+        # inserted inside a record, a fault record splits it into two, and
+        # one of them is then faulty or has an odd number of values
+        at = rng.randint(0, len(tokens))
+        if fault == "variable":
+            tokens[at:at] = [str(rng.choice((0, n + 1, -1))), "1", "0"]
+        elif fault == "value":
+            tokens[at:at] = ["1", str(rng.choice((0, d + 1, -1))), "0"]
+        elif fault == "dangling":
+            tokens[at:at] = ["1", "0"]
+        elif fault == "empty":
+            at = rng.choice(boundaries)
+            tokens[at:at] = ["0"]
+        elif fault == "token":
+            tokens.insert(at, rng.choice(["x", "1.5", "--1", "1_0"]))
+        text = _record_text(rng, f"p csp {d} {n} {len(records)}", tokens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParseWarning)
+            if fault is not None:
+                faults += 1
+                with pytest.raises(ParseError):
+                    parse_csp(text)
+                continue
+            parsed = parse_csp(text)
+        kept = [
+            tuple(dict.fromkeys(r)) for r in records if len(dict(r)) == len(dict.fromkeys(r))
+        ]
+        expected = CspFormula(d, n, tuple(kept))
+        assert parsed == expected
+        assert hash(parsed) == hash(expected)
+        assert all(type(x) is int for con in parsed.constraints for pair in con for x in pair)
+        assert all(type(pair) is tuple for con in parsed.constraints for pair in con)
+        assert parsed.max_width == expected.max_width
+        assert parsed._constraint_bitsets == expected._constraint_bitsets
+    assert faults > 150
 
 
 class TestInputKind:

@@ -9,6 +9,12 @@ codeword order decides which witness is found first and how many codewords
 and nodes are spent. The n=14 and n=18 cases span two outer blocks, so a
 sat case that needs more codewords than the tail block holds pins the
 product order; t=3 makes the codeword recursion fire (max_depth > 0).
+The two "kcsp" cases are d=3, n=9 CSPs of width-3 constraints, the shape of
+the csp-d3 benchmark: their 144 boxes are the product of 2-box blocks of 16
+and 9 boxes, the unsat case runs all of them, and the sat case needs 31, so
+both cross from one box of the first block to the next. They were recorded
+before the small-|G| enumeration read its rows from pattern tables and
+before restrict_to_box read constraint bitsets.
 """
 
 import hashlib
@@ -20,7 +26,7 @@ from coversat.codes import greedy_code
 from coversat.csp import _greedy_box_block, solve_csp, two_box_cover
 from coversat.solver import SolverConfig, solve_deterministic, solve_schoening
 
-from helpers import rand_csp, rand_kcnf
+from helpers import rand_csp, rand_kcnf, rand_kcsp
 
 # kind, n, m, seed, t, status, witness, codewords_tried, boxes_tried,
 # recursion_nodes, leaves, max_depth
@@ -34,6 +40,8 @@ GOLDEN = [
     ("cnf", 14, 60, 0, 3, "sat", "10100010111000", 2, 0, 900, 32, 3),
     ("cnf", 14, 60, 2, 3, "unsat", None, 32, 0, 12087, 407, 3),
     ("csp", 6, 30, 3, 6, "sat", "131212", 42, 11, 297, 42, 0),
+    ("kcsp", 9, 315, 0, 6, "unsat", None, 1152, 144, 39175, 1152, 0),
+    ("kcsp", 9, 198, 11, 6, "sat", "122311322", 244, 31, 7900, 244, 0),
 ]
 
 
@@ -43,8 +51,11 @@ def test_golden(case):
     if kind == "cnf":
         f = rand_kcnf(random.Random(f"golden:{n}:{m}:{seed}"), n, m)
         res = solve_deterministic(f, SolverConfig(t=t))
-    else:
+    elif kind == "csp":
         g = rand_csp(random.Random(f"golden-csp:{n}:{m}:{seed}"), 3, n, m)
+        res = solve_csp(g, SolverConfig(t=t))
+    else:
+        g = rand_kcsp(random.Random(f"golden-kcsp:{n}:{m}:{seed}"), 3, n, m)
         res = solve_csp(g, SolverConfig(t=t))
     got_witness = "".join(map(str, res.witness)) if res.witness is not None else None
     s = res.stats

@@ -92,6 +92,25 @@ def test_subsearches_pass_stats_and_root_mask_by_keyword(monkeypatch):
     assert len(calls) == 70
 
 
+def test_disjoint_sets_get_the_node_mask_through_module_attribute(monkeypatch):
+    # the codeword recursion computes each node's unsat mask once and hands
+    # it to maximal_disjoint_unsat, which it must still reach through the
+    # attribute the tracer patches
+    real = coversat.search.maximal_disjoint_unsat
+    calls = []
+
+    def recording(f, alpha, k, **kwargs):
+        calls.append(kwargs)
+        assert kwargs.keys() == {"unsat"}
+        assert kwargs["unsat"] == f.unsat_mask(alpha)
+        return real(f, alpha, k, **kwargs)
+
+    monkeypatch.setattr(coversat.search, "maximal_disjoint_unsat", recording)
+    g = rand_csp(random.Random("golden-csp:6:30:3"), 3, 6, 30)
+    assert solve_csp(g, SolverConfig(t=6)).status == "sat"
+    assert calls
+
+
 def test_brute_force_called_through_cli_attribute(monkeypatch, tmp_path):
     # cnf-brute's solver.brute_s and solver.brute_calls come from this patch
     calls = _count_calls(monkeypatch, "coversat.cli.brute_force")

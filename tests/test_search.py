@@ -12,6 +12,8 @@ from coversat.search import (
     SearchStats,
     WalkParams,
     _beta_search,
+    _pattern_table,
+    _satisfying_patterns,
     apply_codeword,
     maximal_disjoint_unsat,
     schoening_walk,
@@ -25,6 +27,7 @@ from helpers import (
     rand_formula,
     rand_kcnf,
     ref_beta_search,
+    ref_satisfying_patterns,
     ref_searchball,
     restrict,
     sat_in_ball,
@@ -195,6 +198,32 @@ class TestSearchball:
                 expected = ref_searchball(f, alpha, r, forced)
                 assert searchball(f, alpha, r, forced=forced) == expected, (f, alpha, r, forced)
                 assert searchball(f, alpha, r, forced=forced, unsat=root) == expected
+
+    def test_caller_arguments_untouched(self):
+        # the root overlays forced on alpha in a copy, also when it descends
+        # or returns a witness
+        rng = random.Random(67)
+        descended = 0
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            f = rand_formula(rng, n, rng.randint(1, 4 * n))
+            alpha = list(rand_assignment(rng, n))
+            forced = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            alpha_before, forced_before = list(alpha), dict(forced)
+            for r in range(n + 1):
+                w, stats = searchball(f, alpha, r, forced=forced)
+                descended += stats.max_depth > 0
+                assert (alpha, forced) == (alpha_before, forced_before)
+                assert list(forced.items()) == list(forced_before.items())
+                if w is not None:
+                    assert all(w[v - 1] == bit for v, bit in forced.items())
+        assert descended > 50
+
+    def test_forced_variable_range_checked(self):
+        f = formula(3, [[1, 2, 3]])
+        for v in (0, 4, -1):
+            with pytest.raises(ValueError, match=f"forced variable {v} out of range"):
+                searchball(f, (0, 0, 0), 1, forced={1: 1, v: 0})
 
 
 class TestMaximalDisjointUnsat:
@@ -376,6 +405,32 @@ class TestBetaSearch:
         assert ref_beta_search(f, (0, 0, 0), 4, g) == (None, 7)
         assert calls[0] == 7
 
+    @pytest.mark.parametrize("k, t", [(4, 5), (5, 4)])
+    def test_wide_clauses_match_enumeration(self, k, t):
+        # width-k clauses, |G| up to t-1, the most the codeword recursion
+        # hands to the enumeration; G's clauses come first, so they enter G
+        rng = random.Random(f"wide-beta:{k}:{t}")
+        sizes = set()
+        for _ in range(30):
+            size = rng.randint(0, t - 1)
+            n = k * size + rng.randint(1, 3)
+            alpha = rand_assignment(rng, n)
+            picked = rng.sample(range(1, n + 1), k * size)
+            falsified = tuple(
+                tuple(-v if alpha[v - 1] else v for v in picked[i * k:(i + 1) * k])
+                for i in range(size)
+            )
+            f = Formula(n, falsified + rand_formula(rng, n, rng.randint(1, 2 * n), k).clauses)
+            g = maximal_disjoint_unsat(f, alpha, k)
+            if len(g) >= t:
+                continue
+            sizes.add(len(g))
+            r = rng.randint(1, len(g) + 3)
+            stats = SearchStats()
+            expected = ref_beta_search(f, alpha, r, g)
+            assert (_beta_search(f, alpha, r, g, stats), stats.recursion_nodes) == expected
+        assert sizes >= {t - 2, t - 1}
+
     def test_leaves_no_reference_cycle(self):
         # its state is freed on return, not left to the cycle collector
         f = formula(6, [[1, 2, 3], [-1, 4], [-2, 5], [4, 5, 6], [-6]])
@@ -455,3 +510,33 @@ class TestDistanceProgress:
             assert word_distance(nearest, w_star) <= code.r
             moved = apply_codeword(alpha, h, nearest)
             assert hamming_distance(moved, star) <= hamming_distance(alpha, star) - progress
+
+
+class TestSatisfyingPatterns:
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_rows_match_reference(self, width):
+        # every sign pattern: same flips, masks and bits, in the same order,
+        # as rows built one literal at a time from alpha
+        rng = random.Random(f"patterns:{width}")
+        n = width + 2
+        f = rand_formula(rng, n, 4 * n, max_width=4)
+        for signs in range(1 << width):
+            variables = rng.sample(range(1, n + 1), width)
+            clause = tuple(-v if signs >> i & 1 else v for i, v in enumerate(variables))
+            alpha = [rng.randint(0, 1) for _ in range(n)]
+            for u in clause:  # alpha falsifies the clause, as it does G's
+                alpha[abs(u) - 1] = 0 if u > 0 else 1
+            rows = _satisfying_patterns(clause, f.literal_masks)
+            got = [(flips, mask, tuple(zip(variables, bits))) for flips, mask, bits in rows]
+            assert got == ref_satisfying_patterns(clause, tuple(alpha), f.literal_masks)
+            assert len(rows) == (1 << width) - 1
+
+    def test_table_built_per_sign_pattern(self):
+        # one table of 2^w - 1 rows per (width, sign pattern) that occurs
+        _pattern_table.cache_clear()
+        f = formula(6, [[1, -2, 3, -4, 5, -6], [1, 2]])
+        _satisfying_patterns(f.clauses[0], f.literal_masks)
+        _satisfying_patterns(f.clauses[0], f.literal_masks)
+        assert _pattern_table.cache_info().currsize == 1
+        assert len(_pattern_table(6, 0b010101)) == 63
+        assert _pattern_table.cache_info().currsize == 1
