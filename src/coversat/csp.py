@@ -204,11 +204,22 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
     return block
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
+def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
+    """The greedy block of _greedy_box_block, built once per (d, length).
+    A block has at most d^length boxes (every pick covers a new point), so
+    the kept blocks are small next to the product covers made from them."""
+    return tuple(_greedy_box_block(d, length))
+
+
+@lru_cache(maxsize=1)
 def _cached_cover(d: int, n: int, b: int) -> BoxCover:
-    blocks = [_greedy_box_block(d, b)] * (n // b)
+    """The product cover of two_box_cover. Only the last one is kept: one
+    can hold up to BOX_COVER_MAX boxes (a d=3, n=24 cover of 589,824 boxes
+    takes about 142 MB), while its blocks are cached by _box_block."""
+    blocks = [_box_block(d, b)] * (n // b)
     if n % b:
-        blocks.append(_greedy_box_block(d, n % b))
+        blocks.append(_box_block(d, n % b))
     size = math.prod(len(block) for block in blocks)
     if size > BOX_COVER_MAX:
         raise ResourceCapError(f"box cover of size {size} exceeds the cap {BOX_COVER_MAX}")

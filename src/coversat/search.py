@@ -22,13 +22,18 @@ Formula.unsat_mask ORs one mask per variable, O(n) big-int operations in
 place of a scan of every literal, and its lowest set bit is the
 lowest-index unsatisfied clause every engine branches on. Each node of
 the codeword recursion computes its mask once and hands it to
-maximal_disjoint_unsat. The small-|G| enumeration reads the satisfying
-rows of each clause of G, with their flips, from a table per (width, sign
-pattern) and builds only the rows' clause masks; it scores each of its
-assignments by OR-ing those masks and hands that mask to the subsearch it
-starts as the root's mask. The (variable, bit) dict of an assignment is
-built only for a subsearch or a witness, and searchball overlays it on
-alpha only once its root descends or returns. Inside searchball each node
+maximal_disjoint_unsat. The small-|G| enumeration walks the assignments
+to vbl(G) without recursion: lazy prefix generators, one per clause of G
+but the last, feed one flat loop over the last clause's rows. Each level
+reads the satisfying rows of its clause, with their flips, from a table
+per (width, sign pattern, budget cap) that lists only the rows within the
+budget, and indexes the clause's 2^w row masks, built once per
+enumeration. It scores each assignment by OR-ing those masks and hands
+that mask to the subsearch it starts as the root's mask. The (variable,
+bit) dict of an assignment is built only for a subsearch or a witness,
+and searchball overlays it on alpha only once its root descends or
+returns. Inside searchball a node walks the literals of its lowest
+unsatisfied clause in place, building no branch list, and each node
 receives its mask from its parent, which computes it from its own
 assignment with the child's literal set; a radius-0 child is a leaf, and
 when some clause unsatisfied at the parent lacks the new literal it is
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
@@ -198,11 +204,16 @@ def _searchball(
     stats: SearchStats,
     unsat: int,
 ) -> Optional[Assignment]:
-    # unsat is the mask of the clauses cur leaves unsatisfied. Below the
-    # root, cur is the list overlay and forced the set of forced variables,
-    # both shared by the whole recursion; the root (depth 0) still holds the
-    # caller's alpha and forced dict and overlays them only when it returns
-    # a witness or descends into a child
+    """One node of searchball. unsat is the mask of the clauses cur leaves
+    unsatisfied. Below the root, cur is the list overlay and forced the set
+    of forced variables, both shared by the whole recursion; the root
+    (depth 0) still holds the caller's alpha and forced dict and overlays
+    them only when it returns a witness or descends into a child.
+
+    The node walks the literals of its lowest unsatisfied clause in clause
+    order and skips the forced ones; it builds the all-clauses mask only to
+    compute a child's mask. A node with no free literal there is a dead-end
+    leaf: that clause is empty in the restricted formula."""
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -212,16 +223,14 @@ def _searchball(
     if r <= 0:
         stats.leaves += 1
         return None
-    branch = [u for u in f.clauses[_lowest(unsat)] if abs(u) not in forced]
-    if not branch:
-        # the clause is empty in the restricted formula: dead end
-        stats.leaves += 1
-        return None
     masks = f.literal_masks
-    full = (1 << len(f.clauses)) - 1
     root = not depth
-    for u in branch:
+    free = False
+    for u in f.clauses[(unsat & -unsat).bit_length() - 1]:
         v = abs(u)
+        if v in forced:
+            continue
+        free = True
         new = 1 if u > 0 else 0
         if r == 1 and unsat & ~masks[v - 1][new]:
             # a radius-0 child is a leaf; some clause unsatisfied here lacks
@@ -236,12 +245,16 @@ def _searchball(
         old = cur[v - 1]
         cur[v - 1] = new
         forced.add(v)
-        child = full ^ reduce(or_, map(tuple.__getitem__, masks, cur), 0)
+        child = ((1 << len(f.clauses)) - 1) ^ reduce(or_, map(tuple.__getitem__, masks, cur), 0)
         res = _searchball(f, cur, forced, r - 1, depth + 1, stats, child)
         forced.discard(v)
         cur[v - 1] = old
         if res is not None:
             return res
+    if not free:
+        # every variable of the clause is forced: it is empty in the
+        # restricted formula, a dead end
+        stats.leaves += 1
     return None
 
 
@@ -338,40 +351,58 @@ def apply_codeword(alpha: Assignment, h: list[Clause], w: tuple[int, ...]) -> As
 
 
 @lru_cache(maxsize=256)
-def _pattern_table(width: int, falsifying: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The satisfying rows of a width-`width` clause whose one falsifying
-    bit pattern, read as a binary number with the first literal's bit most
-    significant, is `falsifying`: (index, flips, bits) for every other
-    pattern, in increasing order of index (lexicographic order of bits).
-    flips counts the bits in which the row differs from the falsifying
-    pattern, the literals it makes true. Built on first use per (width,
-    sign pattern); a few hundred tables are kept."""
+def _pattern_table(
+    width: int, falsifying: int, cap: int
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The satisfying rows with at most `cap` flips of a width-`width`
+    clause whose one falsifying bit pattern, read as a binary number with
+    the first literal's bit most significant, is `falsifying`: (index,
+    flips, bits) for every other pattern within the cap, in increasing
+    order of index (lexicographic order of bits). flips counts the bits in
+    which the row differs from the falsifying pattern, the literals it
+    makes true.
+
+    Built on first use per (width, sign pattern, cap). The enumeration
+    clamps its caps to 1..width, so equal tables share one entry and a
+    width has width * 2^width keys: 34 for widths 1-3, 258 for widths 1-5.
+    At most 256 tables are kept, each of at most 2^width - 1 rows: all the
+    width 1-5 tables take about 0.6 MB (tracemalloc), and at worst, 256
+    width-8 tables of up to 255 rows, about 11 MB."""
     return tuple(
-        (i, (i ^ falsifying).bit_count(), tuple(i >> p & 1 for p in range(width - 1, -1, -1)))
+        (i, flips, tuple(i >> p & 1 for p in range(width - 1, -1, -1)))
         for i in range(1 << width)
-        if i != falsifying
+        if 0 < (flips := (i ^ falsifying).bit_count()) <= cap
     )
 
 
-def _satisfying_patterns(
+def _clause_rows(
     clause: Clause, masks: tuple[tuple[int, int], ...]
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All local assignments to vbl(clause) that satisfy it, in
-    lexicographic order of their bits, as (flips, mask of the clauses they
-    satisfy, bits in clause literal order) triples.
-
-    The clause must be falsified by the assignment the flips are counted
-    from, as every clause of G is, so flips is the number of literals the
-    row makes true and the rows come from _pattern_table; only the masks
-    are built per call, one per pattern of the clause's bits."""
+) -> tuple[int, int, list[int]]:
+    """(width, falsifying pattern, row masks) of a clause falsified by the
+    assignment its flips are counted from, as every clause of G is: the key
+    of its _pattern_table rows, and the mask of the clauses each of its 2^w
+    local patterns satisfies, indexed by pattern."""
     row_masks = [0]
     falsifying = 0
     for u in clause:
-        neg, pos = masks[abs(u) - 1]
-        row_masks = [m | b for m in row_masks for b in (neg, pos)]
+        row_masks = [m | b for m in row_masks for b in masks[abs(u) - 1]]
         falsifying = 2 * falsifying + (u < 0)
-    table = _pattern_table(len(clause), falsifying)
-    return [(flips, row_masks[i], bits) for i, flips, bits in table]
+    return len(clause), falsifying, row_masks
+
+
+Prefix = tuple[int, int, tuple[int, ...]]
+
+
+def _prefixes(
+    prefixes: Iterable[Prefix], width: int, falsifying: int, row_masks: list[int], reserve: int
+) -> Iterator[Prefix]:
+    """Extend each prefix (budget left, clauses satisfied, bits) of
+    `prefixes`, lazily and in order, by each row of one more clause of G
+    that leaves `reserve` flips, one for each clause after it."""
+    for left, satisfied, bits in prefixes:
+        cap = left - reserve
+        for i, flips, row in _pattern_table(width, falsifying, cap if cap < width else width):
+            yield left - flips, satisfied | row_masks[i], bits + row
 
 
 def _beta_search(
@@ -392,18 +423,25 @@ def _beta_search(
     flips already spent inside vbl(G); both prunes preserve the promise
     contract.
 
-    The clauses beta satisfies are the OR of a mask fixed for the whole
-    enumeration (alpha outside vbl(G)) and one precomputed mask per clause
-    of G (its local pattern). A beta that satisfies F is the witness, one
-    with no budget left is a dead leaf, and one that fixes every variable
-    of its lowest unsatisfied clause (a clause with no variable outside
-    vbl(G)) is a dead root (searchball would find nothing to branch on);
-    each counts one node, the root of the subsearch it would start. Every
-    other beta goes to searchball, and only then, or for the witness, is
-    beta built as a (variable, bit) dict.
+    The enumeration is lexicographic, clause by clause: a chain of lazy
+    _prefixes generators, one link per clause of G but the last, feeds one
+    flat loop over the last clause's rows. Every level reads its rows from
+    _pattern_table capped at its budget, which keeps one flip for each
+    later clause (each is falsified by alpha), so no row over budget is
+    visited. The clauses beta satisfies are the OR of a mask fixed for the
+    whole enumeration (alpha outside vbl(G)) and one row mask per clause of
+    G (its local pattern). A beta that satisfies F is the witness, one with
+    no budget left is a dead leaf, and one that fixes every variable of its
+    lowest unsatisfied clause (a clause with no variable outside vbl(G)) is
+    a dead root (searchball would find nothing to branch on); each counts
+    one node, the root of the subsearch it would start. Every other beta
+    goes to searchball, and only then, or for the witness, is beta built as
+    a (variable, bit) dict.
     Only recursion_nodes reach stats, once, at the end: leaves and max_depth
     stay those of the codeword recursion.
     """
+    if r < len(g):
+        return None  # each clause of G needs a flip of its own
     masks = f.literal_masks
     g_vars = [abs(u) for clause in g for u in clause]
     # the literal masks with vbl(G) blanked out
@@ -413,44 +451,38 @@ def _beta_search(
     outside = reduce(or_, map(tuple.__getitem__, local, alpha), 0)
     full = (1 << len(f.clauses)) - 1
     inside = full ^ reduce(or_, chain.from_iterable(local), 0)
+    tables = [_clause_rows(clause, masks) for clause in g]
+    prefixes = ((r, outside, ()),)
+    last = len(tables) - 1
+    for j in range(last):
+        prefixes = _prefixes(prefixes, *tables[j], last - j)
     # an empty G leaves one beta, the empty assignment
-    per_clause = [_satisfying_patterns(clause, masks) for clause in g] or [[(0, 0, ())]]
-    last = len(per_clause) - 1
-    chosen: list[tuple[int, ...]] = [()] * len(per_clause)
+    width, falsifying, last_masks = tables[-1] if g else (0, 0, [0])
+    settled = 0  # betas counted in place, one node each
     inner = SearchStats()
-
-    def rec(i: int, budget: int, satisfied: int) -> Optional[Assignment]:
-        # every later clause is unsatisfied under alpha, so needs >= 1 flip
-        cap = budget - (last - i)
-        for flips, mask, bits in per_clause[i]:
-            if flips > cap:
-                continue
-            chosen[i] = bits
-            if i < last:
-                res = rec(i + 1, budget - flips, satisfied | mask)
-            elif not (unsat := full ^ (satisfied | mask)):
-                inner.recursion_nodes += 1
-                return override(alpha, dict(zip(g_vars, chain.from_iterable(chosen))))
-            elif flips == budget or unsat & -unsat & inside:
+    for left, satisfied, bits in prefixes:
+        if g:
+            rows = _pattern_table(width, falsifying, left if left < width else width)
+        else:
+            rows = ((0, 0, ()),)
+        for i, flips, row in rows:
+            unsat = full ^ (satisfied | last_masks[i])
+            if not unsat:
+                settled += 1
+                res = override(alpha, dict(zip(g_vars, bits + row)))
+            elif flips == left or unsat & -unsat & inside:
                 # no budget left, or beta fixes its whole lowest unsatisfied
                 # clause: searchball would stop at its root
-                inner.recursion_nodes += 1
+                settled += 1
                 continue
             else:
-                beta = dict(zip(g_vars, chain.from_iterable(chosen)))
-                res, _ = searchball(
-                    f, alpha, budget - flips, forced=beta, stats=inner, unsat=unsat
-                )
+                beta = dict(zip(g_vars, bits + row))
+                res, _ = searchball(f, alpha, left - flips, forced=beta, stats=inner, unsat=unsat)
             if res is not None:
+                stats.recursion_nodes += inner.recursion_nodes + settled
                 return res
-        return None
-
-    res = rec(0, r, outside)
-    # rec reaches itself through its closure: break that cycle so the
-    # enumeration state is freed now, not by the cycle collector
-    del rec
-    stats.recursion_nodes += inner.recursion_nodes
-    return res
+    stats.recursion_nodes += inner.recursion_nodes + settled
+    return None
 
 
 def searchball_fast(

@@ -210,8 +210,8 @@ def ref_satisfying_patterns(
     """All local assignments to vbl(clause) that satisfy it, in
     lexicographic order of their bits, as (flips vs alpha, mask of the
     clauses they satisfy, (variable, bit) pairs) triples, built one literal
-    at a time from alpha. The reference for
-    coversat.search._satisfying_patterns, which reads its rows from tables."""
+    at a time from alpha. The reference for coversat.search._pattern_table
+    and the row masks of coversat.search._clause_rows."""
     rows: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     for u in clause:
         v = abs(u)

@@ -1,6 +1,8 @@
 import ast
+import gc
 import random
 import time
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -160,6 +162,7 @@ class TestTwoBoxCover:
 
         monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
         csp._cached_cover.cache_clear()
+        csp._box_block.cache_clear()
         try:
             assert len(two_box_cover(3, 9, 5).boxes) == 144
             assert calls and all(n <= 5 for _, n in calls), calls
@@ -167,6 +170,38 @@ class TestTwoBoxCover:
             assert all(n <= 5 for _, n in calls), calls
         finally:
             csp._cached_cover.cache_clear()
+            csp._box_block.cache_clear()
+
+    def test_one_product_cover_held_blocks_reused(self, monkeypatch):
+        # three shapes in turn: each block is built once, and only the last
+        # product cover stays in memory
+        builds = []
+        greedy = csp._greedy_box_block
+
+        def recording_greedy(d, length):
+            builds.append((d, length))
+            return greedy(d, length)
+
+        monkeypatch.setattr(csp, "_greedy_box_block", recording_greedy)
+        csp._cached_cover.cache_clear()
+        csp._box_block.cache_clear()
+        try:
+            shapes = [(3, 6, 3), (3, 7, 3), (3, 9, 3)]
+            covers = [two_box_cover(*shape) for shape in shapes]
+            assert builds == [(3, 3), (3, 1)]
+            block = len(greedy(3, 3))
+            assert [len(c.boxes) for c in covers] == [block**2, 2 * block**2, block**3]
+            refs = [weakref.ref(c) for c in covers]
+            del covers
+            gc.collect()
+            assert [ref() is None for ref in refs] == [True, True, False]
+            assert csp._cached_cover.cache_info().currsize == 1
+            assert two_box_cover(*shapes[-1]) is refs[-1]()
+            assert verify_box_cover(two_box_cover(*shapes[0]), 3, 6)
+            assert builds == [(3, 3), (3, 1)]
+        finally:
+            csp._cached_cover.cache_clear()
+            csp._box_block.cache_clear()
 
     def test_failed_block_verification_raises(self, monkeypatch):
         greedy = csp.greedy_set_cover

@@ -12,8 +12,8 @@ from coversat.search import (
     SearchStats,
     WalkParams,
     _beta_search,
+    _clause_rows,
     _pattern_table,
-    _satisfying_patterns,
     apply_codeword,
     maximal_disjoint_unsat,
     schoening_walk,
@@ -198,6 +198,28 @@ class TestSearchball:
                 expected = ref_searchball(f, alpha, r, forced)
                 assert searchball(f, alpha, r, forced=forced) == expected, (f, alpha, r, forced)
                 assert searchball(f, alpha, r, forced=forced, unsat=root) == expected
+
+    def test_random_forced_sets_match_textbook_recursion(self):
+        # forced dicts over random variable subsets, clauses up to width 5
+        # and radii 0-4: same witness, nodes, leaves and max depth as the
+        # textbook recursion, dead-end nodes (every variable of the lowest
+        # unsatisfied clause forced) included
+        rng = random.Random(68)
+        dead_roots = found = 0
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            f = rand_formula(rng, n, rng.randint(1, 4 * n), max_width=5)
+            alpha = rand_assignment(rng, n)
+            domain = rng.sample(range(1, n + 1), rng.randint(0, n))
+            forced = {v: rng.randint(0, 1) for v in domain}
+            start = tuple(forced.get(v, alpha[v - 1]) for v in range(1, n + 1))
+            i = first_unsatisfied_clause(f, start)
+            dead_roots += i is not None and all(abs(u) in forced for u in f.clauses[i])
+            for r in range(5):
+                expected = ref_searchball(f, alpha, r, forced)
+                assert searchball(f, alpha, r, forced=forced) == expected, (f, alpha, r, forced)
+                found += expected[0] is not None
+        assert dead_roots > 30 and found > 150
 
     def test_caller_arguments_untouched(self):
         # the root overlays forced on alpha in a copy, also when it descends
@@ -431,6 +453,45 @@ class TestBetaSearch:
             assert (_beta_search(f, alpha, r, g, stats), stats.recursion_nodes) == expected
         assert sizes >= {t - 2, t - 1}
 
+    @pytest.mark.parametrize("k, t", [(3, 6), (4, 5), (5, 4)])
+    def test_planted_witness_in_enumeration_order(self, k, t):
+        # satisfiable cases whose witness comes mid-enumeration, where the
+        # order of the betas decides which one is returned: |G| from 0 to
+        # t-1 and budgets from |G|-1, at which the cap empties the first
+        # level, to one past the planted assignment's distance
+        rng = random.Random(f"beta-order:{k}:{t}")
+        sizes, mid, emptied = set(), 0, 0
+        for _ in range(36):
+            size = rng.randint(0, t - 1)
+            n = k * size + rng.randint(2, 4)
+            alpha = rand_assignment(rng, n)
+            picked = rng.sample(range(1, n + 1), k * size)
+            planted = [
+                tuple(-v if alpha[v - 1] else v for v in picked[i * k:(i + 1) * k])
+                for i in range(size)
+            ]
+            # sigma makes one literal of each planted clause true and flips
+            # up to two variables outside them
+            rest = [v for v in range(1, n + 1) if v not in picked]
+            flipped = {abs(rng.choice(c)) for c in planted}
+            flipped |= set(rng.sample(rest, rng.randint(0, 2)))
+            sigma = tuple(1 - a if v in flipped else a for v, a in enumerate(alpha, 1))
+            extra = rand_formula(rng, n, 3 * n, k).clauses
+            kept = tuple(c for c in extra if evaluate(Formula(n, (c,)), sigma))
+            f = Formula(n, tuple(planted) + kept)
+            g = maximal_disjoint_unsat(f, alpha, k)
+            if len(g) >= t:
+                continue
+            sizes.add(len(g))
+            for r in sorted({max(len(g) - 1, 0), len(g), len(flipped), len(flipped) + 1}):
+                stats = SearchStats()
+                got = _beta_search(f, alpha, r, g, stats)
+                assert (got, stats.recursion_nodes) == ref_beta_search(f, alpha, r, g)
+                emptied += r < len(g)
+                mid += got is not None and stats.recursion_nodes > 1
+        assert sizes == set(range(t))
+        assert mid > 40 and emptied > 15
+
     def test_leaves_no_reference_cycle(self):
         # its state is freed on return, not left to the cycle collector
         f = formula(6, [[1, 2, 3], [-1, 4], [-2, 5], [4, 5, 6], [-6]])
@@ -515,8 +576,9 @@ class TestDistanceProgress:
 class TestSatisfyingPatterns:
     @pytest.mark.parametrize("width", range(1, 9))
     def test_rows_match_reference(self, width):
-        # every sign pattern: same flips, masks and bits, in the same order,
-        # as rows built one literal at a time from alpha
+        # every sign pattern and every cap: the capped table's flips and
+        # bits with the clause's row masks are the reference rows built one
+        # literal at a time from alpha, filtered by flips <= cap, in order
         rng = random.Random(f"patterns:{width}")
         n = width + 2
         f = rand_formula(rng, n, 4 * n, max_width=4)
@@ -526,17 +588,49 @@ class TestSatisfyingPatterns:
             alpha = [rng.randint(0, 1) for _ in range(n)]
             for u in clause:  # alpha falsifies the clause, as it does G's
                 alpha[abs(u) - 1] = 0 if u > 0 else 1
-            rows = _satisfying_patterns(clause, f.literal_masks)
-            got = [(flips, mask, tuple(zip(variables, bits))) for flips, mask, bits in rows]
-            assert got == ref_satisfying_patterns(clause, tuple(alpha), f.literal_masks)
-            assert len(rows) == (1 << width) - 1
+            expected = ref_satisfying_patterns(clause, tuple(alpha), f.literal_masks)
+            assert len(expected) == (1 << width) - 1
+            key, falsifying, row_masks = _clause_rows(clause, f.literal_masks)
+            assert key == width and len(row_masks) == 1 << width
+            for cap in range(width + 2):
+                got = [
+                    (flips, row_masks[i], tuple(zip(variables, bits)))
+                    for i, flips, bits in _pattern_table(width, falsifying, cap)
+                ]
+                assert got == [row for row in expected if row[0] <= cap], (clause, cap)
 
     def test_table_built_per_sign_pattern(self):
-        # one table of 2^w - 1 rows per (width, sign pattern) that occurs
+        # one table per (width, sign pattern, cap) that occurs; the
+        # enumeration clamps its caps to the width, so every budget that
+        # admits all rows shares one entry
         _pattern_table.cache_clear()
         f = formula(6, [[1, -2, 3, -4, 5, -6], [1, 2]])
-        _satisfying_patterns(f.clauses[0], f.literal_masks)
-        _satisfying_patterns(f.clauses[0], f.literal_masks)
+        alpha = (0, 1, 0, 1, 0, 1)
+        g = maximal_disjoint_unsat(f, alpha, 6)
+        assert _clause_rows(g[0], f.literal_masks)[:2] == (6, 0b010101)
+        for r in (6, 7, 12):
+            _beta_search(f, alpha, r, g, SearchStats())
         assert _pattern_table.cache_info().currsize == 1
-        assert len(_pattern_table(6, 0b010101)) == 63
+        assert len(_pattern_table(6, 0b010101, 6)) == 63
         assert _pattern_table.cache_info().currsize == 1
+        _beta_search(f, alpha, 2, g, SearchStats())
+        assert len(_pattern_table(6, 0b010101, 2)) == 6 + 15
+        assert _pattern_table.cache_info().currsize == 2
+
+    def test_cache_is_bounded(self):
+        # more keys than the cache holds: the oldest tables are dropped
+        _pattern_table.cache_clear()
+        maxsize = _pattern_table.cache_info().maxsize
+        assert maxsize == 256
+        # every key the enumeration can ask for at widths 1-5
+        keys = [
+            (width, signs, cap)
+            for width in range(1, 6)
+            for signs in range(1 << width)
+            for cap in range(1, width + 1)
+        ]
+        assert len(keys) == 258 > maxsize
+        for key in keys:
+            _pattern_table(*key)
+        assert _pattern_table.cache_info().currsize == maxsize
+        _pattern_table.cache_clear()
