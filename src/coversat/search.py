@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import or_
 from typing import Optional
 
@@ -258,6 +257,14 @@ def _searchball(
     return None
 
 
+@lru_cache(maxsize=1)
+def _variables(n: int) -> frozenset[int]:
+    """The variables 1..n, for searchball's range check of a forced dict.
+    A solve asks for one n, so one set is kept: about 75n bytes with its
+    ints, about what the formula's literal_masks pairs take."""
+    return frozenset(range(1, n + 1))
+
+
 def searchball(
     f: Formula,
     alpha: Assignment,
@@ -283,8 +290,8 @@ def searchball(
     if len(alpha) != f.num_vars:
         raise ValueError("assignment length does not match formula")
     forced = forced or {}
-    if forced and not (min(forced) >= 1 and max(forced) <= f.num_vars):
-        v = next(v for v in forced if not 1 <= v <= f.num_vars)
+    if forced and not forced.keys() <= _variables(f.num_vars):
+        v = next(v for v in forced if v not in _variables(f.num_vars))
         raise ValueError(f"forced variable {v} out of range")
     if unsat is None:
         unsat = f.unsat_mask(override(alpha, forced))
@@ -377,16 +384,22 @@ def _pattern_table(
 
 def _clause_rows(
     clause: Clause, masks: tuple[tuple[int, int], ...]
-) -> tuple[int, int, list[int]]:
-    """(width, falsifying pattern, row masks) of a clause falsified by the
-    assignment its flips are counted from, as every clause of G is: the key
-    of its _pattern_table rows, and the mask of the clauses each of its 2^w
-    local patterns satisfies, indexed by pattern."""
-    row_masks = [0]
+) -> tuple[int, int, Sequence[int]]:
+    """(width, falsifying pattern, row masks) of a nonempty clause falsified
+    by the assignment its flips are counted from, as every clause of G is:
+    the key of its _pattern_table rows, and the mask of the clauses each of
+    its 2^w local patterns satisfies, indexed by pattern.
+
+    The row masks are built by doubling, from the last literal's two masks:
+    each step ORs the two masks of the literal before, the pattern's new
+    most significant bit, into every mask so far, so the last step takes
+    the first literal's two masks times the 2^(w-1) masks of the rest."""
     falsifying = 0
     for u in clause:
-        row_masks = [m | b for m in row_masks for b in masks[abs(u) - 1]]
         falsifying = 2 * falsifying + (u < 0)
+    row_masks: Sequence[int] = masks[abs(clause[-1]) - 1]
+    for u in clause[-2::-1]:
+        row_masks = [b | m for b in masks[abs(u) - 1] for m in row_masks]
     return len(clause), falsifying, row_masks
 
 
@@ -394,7 +407,7 @@ Prefix = tuple[int, int, tuple[int, ...]]
 
 
 def _prefixes(
-    prefixes: Iterable[Prefix], width: int, falsifying: int, row_masks: list[int], reserve: int
+    prefixes: Iterable[Prefix], width: int, falsifying: int, row_masks: Sequence[int], reserve: int
 ) -> Iterator[Prefix]:
     """Extend each prefix (budget left, clauses satisfied, bits) of
     `prefixes`, lazily and in order, by each row of one more clause of G
@@ -430,8 +443,10 @@ def _beta_search(
     later clause (each is falsified by alpha), so no row over budget is
     visited. The clauses beta satisfies are the OR of a mask fixed for the
     whole enumeration (alpha outside vbl(G)) and one row mask per clause of
-    G (its local pattern). A beta that satisfies F is the witness, one with
-    no budget left is a dead leaf, and one that fixes every variable of its
+    G (its local pattern, from _clause_rows); one pass over the variables
+    outside vbl(G) builds that fixed mask and the mask of the clauses those
+    variables touch. A beta that satisfies F is the witness, one with no
+    budget left is a dead leaf, and one that fixes every variable of its
     lowest unsatisfied clause (a clause with no variable outside vbl(G)) is
     a dead root (searchball would find nothing to branch on); each counts
     one node, the root of the subsearch it would start. Every other beta
@@ -444,13 +459,17 @@ def _beta_search(
         return None  # each clause of G needs a flip of its own
     masks = f.literal_masks
     g_vars = [abs(u) for clause in g for u in clause]
-    # the literal masks with vbl(G) blanked out
-    local = list(masks)
-    for v in g_vars:
-        local[v - 1] = (0, 0)
-    outside = reduce(or_, map(tuple.__getitem__, local, alpha), 0)
+    in_g = set(g_vars)
+    outside = touched = 0
+    for v, (neg, pos) in enumerate(masks, 1):
+        if v not in in_g:
+            if alpha[v - 1]:
+                outside |= pos
+            else:
+                outside |= neg
+            touched |= neg | pos
     full = (1 << len(f.clauses)) - 1
-    inside = full ^ reduce(or_, chain.from_iterable(local), 0)
+    inside = full ^ touched
     tables = [_clause_rows(clause, masks) for clause in g]
     prefixes = ((r, outside, ()),)
     last = len(tables) - 1

@@ -123,8 +123,11 @@ def first_witness(task, items, jobs: int):
     """Run task(item) -> (witness or None, SolveStats) over items in order up
     to the first witness; return it (or None) and the merged stats. A pool of
     min(jobs, len(items), usable CPUs) spawned workers gets task once per
-    worker and is read in item order, so any jobs gives the jobs=1 result."""
-    workers = min(jobs, len(items), _usable_cpus())
+    worker and is read in item order, so any jobs gives the jobs=1 result.
+    The usable CPUs are counted only when more than one worker could run."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        workers = min(workers, _usable_cpus())
     if workers <= 1:
         return _merge_until_witness(map(task, items))
     with Pool(workers, _install_task, (task,), context=get_context("spawn")) as pool:
@@ -156,13 +159,15 @@ def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
 
 @lru_cache(maxsize=1)
 def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """masks[v-1][c-1], for c >= 2, has bit i set iff assignment index i
-    gives variable v the value c; masks[v-1][0] is x_v != 1, the OR of the
-    others, so that for d = 2 it is the very int of x_v = 2 and for d = 1 it
-    is 0. Index i enumerates {1..d}^n lexicographically (variable 1 most
-    significant). The oracle asks only for chunk-sized tables, d^n <=
-    BRUTE_CHUNK_BITS, and one table is kept."""
+    """masks[v-1][c-1] has bit i set iff assignment index i gives variable
+    v a value other than c: the mask of the pair (v, c) of a constraint, so
+    the oracle ORs it in as it is. Index i enumerates {1..d}^n
+    lexicographically (variable 1 most significant). For d = 2 slot 0 is
+    x_v = 2 and slot 1 its complement; for d = 1 the one slot is 0. The
+    oracle asks only for chunk-sized tables, d^n <= BRUTE_CHUNK_BITS, and
+    one table is kept."""
     total_bits = d**n
+    full = (1 << total_bits) - 1
     table = []
     for v in range(1, n + 1):
         run = d ** (n - v)
@@ -170,13 +175,22 @@ def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
         rest = [
             _periodic_mask(unit << ((c - 1) * run), d * run, total_bits) for c in range(2, d + 1)
         ]
-        table.append((reduce(or_, rest) if rest else 0, *rest))
+        table.append((reduce(or_, rest) if rest else 0, *(full ^ m for m in rest)))
     return tuple(table)
 
 
-def _top_indices(d: int, top: int, fixed: dict[int, int]) -> list[int]:
+@lru_cache(maxsize=1024)
+def _top_indices(d: int, top: int, key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Indices, in {1..d}^top order, of the assignments to variables 1..top
-    that give every variable in fixed its value there."""
+    that give the variable of every (variable, value) pair of key its value.
+
+    Memoized per (d, top, key). The oracle's keys are never empty, so a
+    result holds at most d^(top-1) indices: for every (d, n) that _chunks
+    admits that is at most 128 (a CNF at n = 24, top = 8), and a result
+    with its ints takes at most about 3 KB (d = 5, n = 10), so the 1024
+    kept results take at most about 3.2 MB. A 3-CNF at n = 24 has 576
+    keys of up to 3 pairs, so they all stay cached."""
+    fixed = dict(key)
     indices = [0]
     for v in range(1, top + 1):
         c = fixed.get(v)
@@ -184,7 +198,7 @@ def _top_indices(d: int, top: int, fixed: dict[int, int]) -> list[int]:
             indices = [i * d + b for i in indices for b in range(d)]
         else:
             indices = [i * d + c - 1 for i in indices]
-    return indices
+    return tuple(indices)
 
 
 def _chunks(
@@ -198,11 +212,15 @@ def _chunks(
     lazily in order.
 
     A constraint is a disjunction of pairs (v, c) over distinct variables,
-    each meaning x_v != c. Its low pairs are ORed into one chunk mask, and
-    constraints with the same top pairs are ANDed into one group: a top
-    assignment that gives each of those pairs' variables its value c
-    falsifies the top pairs, and its chunk is the AND of the constraints
-    without top pairs (base) and of every group it falsifies.
+    each meaning x_v != c. Its low pairs are ORed into one chunk mask, each
+    read as it is from the _value_masks slot of the pair, and constraints
+    with the same top pairs are ANDed into one group: a top assignment that
+    gives each of those pairs' variables its value c falsifies the top
+    pairs, and its chunk is the AND of the constraints without top pairs
+    (base) and of every group it falsifies. A constraint's mask starts as
+    its first low pair's slot and a group as its first constraint's mask,
+    so neither starts with a copy of a chunk-wide int. The top assignments
+    of a group come from _top_indices.
 
     Inputs with n*d*d^n > BRUTE_MAX_TABLE_BITS, the size a full table of
     d^n-bit masks would take, are refused before any mask is built (a CNF
@@ -231,17 +249,19 @@ def _chunks(
         for v, c in constraint:
             if v <= top:
                 top_pairs.append((v, c))
+            elif cmask:
+                cmask |= masks[v - top - 1][c - 1]
             else:
-                row = masks[v - top - 1]
-                cmask |= row[0] if c == 1 else full ^ row[c - 1]
+                cmask = masks[v - top - 1][c - 1]
         if top_pairs:
             key = tuple(sorted(top_pairs))
-            groups[key] = groups.get(key, full) & cmask
+            gmask = groups.get(key)
+            groups[key] = cmask if gmask is None else gmask & cmask
         else:
             base &= cmask
     falsified: list[list[int]] = [[] for _ in range(d**top)]
     for key, gmask in groups.items():
-        for j in _top_indices(d, top, dict(key)):
+        for j in _top_indices(d, top, key):
             falsified[j].append(gmask)
     # once a chunk is 0, each further AND is constant time
     return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)

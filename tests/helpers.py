@@ -17,7 +17,6 @@ import coversat.search
 from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
 from coversat.csp import CspFormula, TwoBox
 from coversat.search import SearchStats
-from coversat.solver import _value_masks
 
 
 def first_unsatisfied_clause(f: Formula, alpha: Assignment) -> int | None:
@@ -284,23 +283,43 @@ def ref_digit_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+REF_BITMAP_SLICE_BITS = 1 << 14
+
+
 def ref_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
-    """The brute oracle's bitmap in one pass over the full table of d^n-bit
-    masks: bit i set iff assignment i meets every constraint, each a
-    disjunction of pairs (v, c) meaning x_v != c. The reference for the
-    chunked coversat.solver._bitmap; its table takes n*d*d^n bits."""
-    masks = _value_masks(d, n)
-    full = (1 << d**n) - 1
-    sat = full
-    for constraint in constraints:
-        cmask = 0
-        for v, c in constraint:
-            row = masks[v - 1]
-            cmask |= row[0] if c == 1 else full ^ row[c - 1]
-        sat &= cmask
-        if not sat:
-            break
-    return sat
+    """The brute oracle's bitmap by direct evaluation: bit i set iff
+    assignment i meets every constraint, each a disjunction of pairs (v, c)
+    meaning x_v != c. For each assignment of the top variables 1..n-low, in
+    lexicographic order, a constraint holds on the whole slice of d^low
+    assignments when one of its top pairs holds, and otherwise where one of
+    its low pairs holds, read from ref_digit_masks(d, low). low is the most
+    variables with d^low <= REF_BITMAP_SLICE_BITS, a split other than the
+    oracle's; each slice's bits are written out and the slices joined as
+    one binary string. The reference for coversat.solver._bitmap."""
+    constraints = [tuple(constraint) for constraint in constraints]
+    low = n
+    while d**low > REF_BITMAP_SLICE_BITS:
+        low -= 1
+    top = n - low
+    width = d**low
+    full = (1 << width) - 1
+    equal = ref_digit_masks(d, low)
+    slices = []
+    for values in product(range(1, d + 1), repeat=top):
+        sat = full
+        for constraint in constraints:
+            cmask = 0
+            for v, c in constraint:
+                if v > top:
+                    cmask |= full ^ equal[v - top - 1][c - 1]
+                elif values[v - 1] != c:
+                    cmask = full
+                    break
+            sat &= cmask
+            if not sat:
+                break
+        slices.append(format(sat, f"0{width}b"))
+    return int("".join(reversed(slices)), 2)
 
 
 def ref_ball_of(idx: int, q: int, t: int, r: int) -> list[int]:

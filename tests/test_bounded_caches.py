@@ -1,0 +1,107 @@
+"""Memory in the package stays bounded (ROADMAP aim 3): every lru_cache
+names an integer maxsize, and functools.cache, which never evicts, only
+decorates functions without arguments, whose one entry cannot grow."""
+
+import ast
+from pathlib import Path
+
+import coversat
+
+
+def _is_name(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _is_functools_cache(node: ast.AST, imported: set[str]) -> bool:
+    """functools.cache, or a name bound to it by `from functools import`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "cache" and _is_name(node.value, "functools")
+    return isinstance(node, ast.Name) and node.id in imported
+
+
+def _int_maxsize(call: ast.Call) -> bool:
+    given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return len(given) == 1 and isinstance(given[0], ast.Constant) and type(given[0].value) is int
+
+
+def _takes_arguments(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    a = fn.args
+    return bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+
+
+def _unbounded_caches(tree: ast.AST) -> list[int]:
+    """Line numbers of lru_cache uses without an integer maxsize and of
+    functools.cache on a function with arguments or outside a decorator."""
+    found = []
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name == "cache"
+    }
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_name(node.func, "lru_cache"):
+            called.add(id(node.func))
+            if not _int_maxsize(node):
+                found.append(node.lineno)
+    decorating = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if _is_functools_cache(dec, imported):
+                    decorating.add(id(dec))
+                    if _takes_arguments(node):
+                        found.append(dec.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if _is_name(node, "lru_cache") and id(node) not in called:
+                found.append(node.lineno)  # bare @lru_cache: maxsize left to the default
+            elif _is_functools_cache(node, imported) and id(node) not in decorating:
+                found.append(node.lineno)  # cache(f) on a function it cannot see
+    return sorted(found)
+
+
+def test_package_caches_are_bounded():
+    package = Path(coversat.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        for line in _unbounded_caches(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_lint_flags_unbounded_caches():
+    source = """
+from functools import cache, lru_cache
+import functools
+
+@lru_cache(maxsize=8)
+def ok(x): ...
+
+@functools.lru_cache(4)
+def ok_positional(x): ...
+
+@cache
+def ok_no_arguments(): ...
+
+@lru_cache
+def bare(x): ...
+
+@lru_cache()
+def default(x): ...
+
+@functools.lru_cache(maxsize=None)
+def unbounded(x): ...
+
+@cache
+def cached_with_argument(x): ...
+
+wrapped = cache(len)
+self.cache = {}
+"""
+    assert _unbounded_caches(ast.parse(source)) == [14, 17, 20, 23, 26]

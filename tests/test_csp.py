@@ -388,7 +388,7 @@ class TestBruteForceCsp:
             assert time.perf_counter() - start < 1.0
 
     def test_digit_masks_match_division_reference(self):
-        # entry [v-1][c-1] is x_v = c for c >= 2, and entry [v-1][0] is x_v != 1
+        # entry [v-1][c-1] is x_v != c, the complement of the reference's x_v = c
         cases = [(2, 1), (2, 9), (3, 1), (3, 7), (4, 5), (5, 4), (7, 3), (1, 1), (1, 5)]
         for d, n in cases:
             full = (1 << d**n) - 1
@@ -396,7 +396,7 @@ class TestBruteForceCsp:
             ref = ref_digit_masks(d, n)
             assert len(table) == len(ref) == n
             for row, ref_row in zip(table, ref):
-                assert row == (full ^ ref_row[0],) + ref_row[1:]
+                assert row == tuple(full ^ mask for mask in ref_row)
 
     def test_fourteen_ternary_vars(self):
         # each variable may take only its one unforbidden value

@@ -246,6 +246,11 @@ class TestSearchball:
         for v in (0, 4, -1):
             with pytest.raises(ValueError, match=f"forced variable {v} out of range"):
                 searchball(f, (0, 0, 0), 1, forced={1: 1, v: 0})
+        with pytest.raises(ValueError, match=f"forced variable {10**9} out of range"):
+            searchball(f, (0, 0, 0), 1, forced={10**9: 1})
+        # every variable 1..n may be forced, the last one included
+        assert searchball(f, (0, 0, 0), 1, forced={3: 1})[0] == (0, 0, 1)
+        assert searchball(f, (0, 0, 0), 0, forced={1: 0, 2: 0, 3: 0})[0] is None
 
 
 class TestMaximalDisjointUnsat:

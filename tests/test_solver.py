@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,9 @@ from coversat.csp import brute_force_csp, csp_formula, csp_solution_bitmap, solv
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
+    _top_indices,
     _value_masks,
+    SolveStats,
     SolverConfig,
     brute_force,
     default_trial_cap,
@@ -102,12 +105,13 @@ class TestBruteForce:
         assert brute_force(formula(0, [])).witness == ()
 
     def test_var_masks_match_division_reference(self):
-        # a CNF reads entry [v-1][1], x_v = 2, as x_v = 1 in 0-based bits, and
-        # entry [v-1][0], x_v != 1, is that same int
+        # entry [v-1][c-1] is x_v != c: entry [v-1][0], x_v != 1, is x_v = 2,
+        # which a CNF reads as x_v = 1 in 0-based bits, and entry [v-1][1]
+        # is its complement
         for n in range(1, 15):
+            full = (1 << 2**n) - 1
             table = _value_masks(2, n)
-            assert tuple(row[1] for row in table) == ref_var_masks(n)
-            assert all(row[0] is row[1] for row in table)
+            assert table == tuple((mask, full ^ mask) for mask in ref_var_masks(n))
 
     def test_twenty_four_vars(self):
         # the unit clauses leave exactly one satisfying assignment
@@ -217,6 +221,37 @@ class TestChunkedOracle:
         assert (before.currsize, after.hits, after.misses) == (1, before.hits + 1, before.misses)
         assert all(mask.bit_length() <= BRUTE_CHUNK_BITS for row in table for mask in row)
 
+    def test_top_indices_match_enumeration(self):
+        # every key of up to 3 pairs on distinct top variables, against the
+        # top assignments enumerated one by one; a second pass only hits
+        _top_indices.cache_clear()
+        try:
+            cases = []
+            for d in (2, 3):
+                for top in range(4):
+                    for size in range(min(top, 3) + 1):
+                        for variables in combinations(range(1, top + 1), size):
+                            for values in product(range(1, d + 1), repeat=size):
+                                cases.append((d, top, tuple(zip(variables, values))))
+            for d, top, key in cases:
+                expected = tuple(
+                    j
+                    for j, word in enumerate(product(range(1, d + 1), repeat=top))
+                    if all(word[v - 1] == c for v, c in key)
+                )
+                assert _top_indices(d, top, key) == expected, (d, top, key)
+            info = _top_indices.cache_info()
+            assert (info.misses, info.currsize, info.maxsize) == (len(cases), len(cases), 1024)
+            for case in cases:
+                _top_indices(*case)
+            assert _top_indices.cache_info().hits == info.hits + len(cases)
+            # the memo keeps at most maxsize keys
+            for c in range(1, 1101):
+                assert _top_indices(1100, 1, ((1, c),)) == (c - 1,)
+            assert _top_indices.cache_info().currsize == 1024
+        finally:
+            _top_indices.cache_clear()
+
 
 class TestSolveDeterministic:
     def test_no_clauses_sat(self):
@@ -311,6 +346,18 @@ class TestSolveDeterministic:
         assert inline_pool == [2]
         assert _result_key(par) == _result_key(solve_deterministic(f, cfg))
         assert par.stats.codewords_tried == 2
+
+    def test_one_job_counts_no_cpus(self, monkeypatch):
+        # jobs=1 runs in this process without asking how many CPUs it may use
+        import coversat.solver
+
+        def no_affinity():
+            raise AssertionError("usable CPUs counted for jobs=1")
+
+        monkeypatch.setattr(coversat.solver, "_usable_cpus", no_affinity)
+        task = lambda item: (item if item == 3 else None, SolveStats(codewords_tried=1))
+        witness, stats = coversat.solver.first_witness(task, [1, 2, 3, 4], 1)
+        assert (witness, stats.codewords_tried) == (3, 3)
 
     def test_jobs_capped_by_usable_cpus(self, inline_pool, monkeypatch):
         # 500 jobs on a 32-word cover ask for as many workers as CPUs
