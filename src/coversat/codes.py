@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 
 from .errors import CodeConstructionError, ResourceCapError
 
@@ -25,7 +26,22 @@ Word = tuple[int, ...]
 GREEDY_MAX_UPDATES = 3 * 10**7
 GREEDY_MAX_SCANS = 5 * 10**8
 VERIFY_MAX_SPACE = 10**7
-CONCAT_MAX_WORDS = 5 * 10**6
+
+
+class BlockProduct:
+    """Concatenations of one item per block, in itertools.product order: sorted
+    when each block is sorted and its items share a length. Holds only the blocks."""
+
+    def __init__(self, blocks: Iterable[tuple]) -> None:
+        self.blocks = tuple(blocks)
+        if math.prod(map(len, self.blocks)) > sys.maxsize:
+            raise ResourceCapError("product cover too large for len() to count its items")
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.blocks))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return (tuple(chain.from_iterable(combo)) for combo in product(*self.blocks))
 
 
 @dataclass
@@ -33,14 +49,14 @@ class CoveringCode:
     """A set of distinct words claimed to cover {1..q}^t at radius r.
 
     ``verified`` is set by verify_cover (or by boolean_cover for a product
-    of verified blocks) and is excluded from equality so that file
-    round-trips compare equal.
+    of verified blocks, whose words are a BlockProduct) and is excluded from
+    equality so that file round-trips compare equal.
     """
 
     q: int
     t: int
     r: int
-    words: tuple[Word, ...]
+    words: tuple[Word, ...] | BlockProduct
     verified: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -58,6 +74,14 @@ class CoveringCode:
 
     def __len__(self) -> int:
         return len(self.words)
+
+    @classmethod
+    def _unchecked(cls, q: int, t: int, r: int, words: BlockProduct) -> CoveringCode:
+        """``CoveringCode(q, t, r, tuple(words))`` without ``__post_init__``, marked
+        verified: the caller has validated the words, in sorted order, and their cover."""
+        code = object.__new__(cls)
+        code.q, code.t, code.r, code.words, code.verified = q, t, r, words, True
+        return code
 
 
 def word_distance(a: Word, b: Word) -> int:
@@ -373,7 +397,7 @@ def boolean_cover(
     Each full block is a greedy code of radius ceil(rho*b); a shorter final
     block covers the residual coordinates at the same radius fraction. The
     returned radius is the realized per-block sum, which may exceed rho*n
-    slightly when blocks round up. When n <= b the block itself is returned.
+    slightly when blocks round up. A lone block (0 < n <= b) is returned as is.
     Blocks are verified once, where get_code builds or loads them; covering
     holds blockwise, so the product is verified without another check.
     """
@@ -381,9 +405,6 @@ def boolean_cover(
         raise ValueError("rho must lie in (0, 1/2]")
     if not 1 <= b <= 20:
         raise ValueError("block length must lie in 1..20")
-    if n == 0:
-        return CoveringCode(2, 0, 0, ((),), verified=True)
-    b = min(b, n)
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
     blocks = [
         get_code(2, t, _ceil_fraction(rho * t), "greedy", cache_dir=cache_dir) for t in lengths
@@ -393,13 +414,8 @@ def boolean_cover(
             raise CodeConstructionError(f"greedy block (2, {block.t}) is not verified")
     if len(blocks) == 1:
         return blocks[0]
-    if math.prod(len(block) for block in blocks) > CONCAT_MAX_WORDS:
-        raise ResourceCapError("outer cover would exceed the word-count cap")
-    words = tuple(
-        tuple(s for part in combo for s in part)
-        for combo in product(*(block.words for block in blocks))
-    )
-    return CoveringCode(2, n, sum(block.r for block in blocks), words, verified=True)
+    words = BlockProduct(block.words for block in blocks)
+    return CoveringCode._unchecked(2, n, sum(block.r for block in blocks), words)
 
 
 _memory_cache: dict[tuple, CoveringCode] = {}

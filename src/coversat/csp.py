@@ -13,17 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable
 
 from .cnf import Formula
-from .codes import _word_of, greedy_set_cover
+from .codes import BlockProduct, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
 from .solver import SolveResult, SolverConfig, _bitmap, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
 
 BOX_CANDIDATE_MAX = 2 * 10**5
-BOX_COVER_MAX = 10**6
 BOX_VERIFY_MAX = 10**6
 
 Constraint = tuple[tuple[int, int], ...]
@@ -119,7 +118,7 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
 class BoxCover:
     """Set of 2-boxes meant to cover {1..d}^n (see verify_box_cover)."""
 
-    boxes: tuple[TwoBox, ...]
+    boxes: tuple[TwoBox, ...] | BlockProduct
 
 
 def _box_points(box: TwoBox, d: int) -> list[int]:
@@ -206,25 +205,9 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
 
 @lru_cache(maxsize=16)
 def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
-    """The greedy block of _greedy_box_block, built once per (d, length).
-    A block has at most d^length boxes (every pick covers a new point), so
-    the kept blocks are small next to the product covers made from them."""
-    return tuple(_greedy_box_block(d, length))
-
-
-@lru_cache(maxsize=1)
-def _cached_cover(d: int, n: int, b: int) -> BoxCover:
-    """The product cover of two_box_cover. Only the last one is kept: one
-    can hold up to BOX_COVER_MAX boxes (a d=3, n=24 cover of 589,824 boxes
-    takes about 142 MB), while its blocks are cached by _box_block."""
-    blocks = [_box_block(d, b)] * (n // b)
-    if n % b:
-        blocks.append(_box_block(d, n % b))
-    size = math.prod(len(block) for block in blocks)
-    if size > BOX_COVER_MAX:
-        raise ResourceCapError(f"box cover of size {size} exceeds the cap {BOX_COVER_MAX}")
-    boxes = sorted(tuple(pair for part in combo for pair in part) for combo in product(*blocks))
-    return BoxCover(tuple(boxes))
+    """The greedy block of _greedy_box_block, sorted, built once per (d, length).
+    It has at most d^length boxes (every pick covers a new point)."""
+    return tuple(sorted(_greedy_box_block(d, length)))
 
 
 def two_box_cover(d: int, n: int, b: int | None = None) -> BoxCover:
@@ -249,7 +232,8 @@ def two_box_cover(d: int, n: int, b: int | None = None) -> BoxCover:
     elif b is None:
         fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
         b = max(fits, default=1)
-    return _cached_cover(d, n, min(b, n))
+    lengths = [b] * (n // b) + ([n % b] if n % b else [])
+    return BoxCover(BlockProduct(_box_block(d, t) for t in lengths))
 
 
 def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:

@@ -372,6 +372,14 @@ def ref_greedy_set_cover(
     return chosen
 
 
+def ref_product_cover(blocks: Iterable[Iterable[tuple]]) -> tuple[tuple, ...]:
+    """Every concatenation of one item per block, materialized and sorted:
+    the product cover as coversat.codes.boolean_cover and
+    coversat.csp.two_box_cover built it before they iterated it lazily from
+    their blocks. A block's items may come in any order."""
+    return tuple(sorted(tuple(s for part in combo for s in part) for combo in product(*blocks)))
+
+
 def ref_restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     """The Boolean CNF of F inside the box, constraint by constraint: a
     literal (x_v != c) with c outside the pair drops its constraint, c the

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from coversat.codes import (
     CoveringCode,
     _ball_of,
+    _ceil_fraction,
     ball_volume,
     boolean_cover,
     code_size_bound,
@@ -24,7 +27,7 @@ from coversat.codes import (
 )
 from coversat.errors import CodeConstructionError, ResourceCapError
 
-from helpers import ref_ball_of, ref_greedy_set_cover
+from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover
 
 
 def brute_ball_count(q: int, t: int, r: int) -> int:
@@ -309,7 +312,51 @@ class TestBooleanCover:
 
     def test_zero_vars(self):
         cover = boolean_cover(0, 0.5, 4)
-        assert cover.words == ((),)
+        assert tuple(cover.words) == ((),)
+        assert (cover.q, cover.t, cover.r, cover.verified) == (2, 0, 0, True)
+
+    @pytest.mark.parametrize("n", [13, 17, 24, 25, 36])
+    def test_matches_materialized_reference(self, n):
+        # the words, in order, of the sorted product the cover was once built as
+        rho = 1 / 3.1
+        lengths = [12] * (n // 12) + ([n % 12] if n % 12 else [])
+        blocks = [get_code(2, t, _ceil_fraction(rho * t)).words for t in lengths]
+        cover = boolean_cover(n, rho, 12)
+        assert tuple(cover.words) == ref_product_cover(blocks)
+        assert len(cover.words) == len(cover) == math.prod(map(len, blocks))
+
+    @pytest.mark.parametrize("n,b", [(4, 2), (5, 3), (9, 3), (13, 12), (17, 4), (25, 12)])
+    def test_product_equals_validated_code(self, n, b):
+        # the unchecked product code lists what the validating constructor
+        # would make of its words
+        cover = boolean_cover(n, 1 / 3.1, b)
+        checked = CoveringCode(2, n, cover.r, tuple(cover.words))
+        assert (cover.q, cover.t, cover.r) == (checked.q, checked.t, checked.r)
+        assert tuple(cover.words) == checked.words
+        assert cover.verified is True
+
+    def test_outer_cover_beyond_old_cap_is_lazy(self):
+        # 16^6 words: refused by the old word-count cap, now held as its blocks
+        block = boolean_cover(12, 1 / 3.1, 12)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cover = boolean_cover(72, 1 / 3.1, 12)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
+        assert len(cover.words) == len(block.words) ** 6 == 16**6
+        assert (cover.t, cover.r, cover.verified) == (72, 6 * block.r, True)
+        first = next(iter(cover.words))
+        assert first == block.words[0] * 6
+
+    def test_uncountable_product_refused(self):
+        # 16^16 words: more than len() can report
+        assert 16**16 > sys.maxsize
+        with pytest.raises(ResourceCapError):
+            boolean_cover(16 * 12, 1 / 3.1, 12)
 
     def test_unverified_block_rejected(self, monkeypatch):
         import coversat.codes as codes

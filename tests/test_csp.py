@@ -1,8 +1,6 @@
 import ast
-import gc
 import random
 import time
-import weakref
 from itertools import product
 from pathlib import Path
 
@@ -33,6 +31,7 @@ from helpers import (
     rand_csp,
     ref_csp_solutions,
     ref_digit_masks,
+    ref_product_cover,
     ref_restrict_to_box,
 )
 
@@ -83,7 +82,7 @@ class TestVerifyBoxCover:
     def test_pair_outside_domain_or_order_fails(self):
         # a complete cover plus one malformed box: index marking would alias
         # an out-of-range value onto another point
-        boxes = two_box_cover(3, 2, 2).boxes
+        boxes = tuple(two_box_cover(3, 2, 2).boxes)
         assert verify_box_cover(BoxCover(boxes), 3, 2) is True
         for bad in [(0, 3), (2, 4), (3, 2), (2, 2)]:
             assert verify_box_cover(BoxCover(boxes + ((bad, (1, 2)),)), 3, 2) is False, bad
@@ -92,9 +91,10 @@ class TestVerifyBoxCover:
         assert verify_box_cover(BoxCover((((1, 2),),)), 3, 1) is False
         cover = two_box_cover(3, 4, 4)
         assert verify_box_cover(cover, 3, 4) is True
+        boxes = tuple(cover.boxes)
         failed = 0
-        for i in range(len(cover.boxes)):
-            rest = cover.boxes[:i] + cover.boxes[i + 1:]
+        for i in range(len(boxes)):
+            rest = boxes[:i] + boxes[i + 1:]
             covers = all(
                 any(point_in_box(p, b) for b in rest) for p in product((1, 2, 3), repeat=4)
             )
@@ -120,7 +120,7 @@ class TestVerifyBoxCover:
 class TestTwoBoxCover:
     def test_domain_two_single_box(self):
         cover = two_box_cover(2, 4)
-        assert cover.boxes == (((1, 2), (1, 2), (1, 2), (1, 2)),)
+        assert tuple(cover.boxes) == (((1, 2), (1, 2), (1, 2), (1, 2)),)
 
     def test_even_domain_product_construction(self):
         cover = two_box_cover(4, 2)
@@ -161,7 +161,6 @@ class TestTwoBoxCover:
             return verify(cover, d, n)
 
         monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
-        csp._cached_cover.cache_clear()
         csp._box_block.cache_clear()
         try:
             assert len(two_box_cover(3, 9, 5).boxes) == 144
@@ -169,12 +168,11 @@ class TestTwoBoxCover:
             assert len(two_box_cover(4, 9).boxes) == 2**9
             assert all(n <= 5 for _, n in calls), calls
         finally:
-            csp._cached_cover.cache_clear()
             csp._box_block.cache_clear()
 
-    def test_one_product_cover_held_blocks_reused(self, monkeypatch):
-        # three shapes in turn: each block is built once, and only the last
-        # product cover stays in memory
+    def test_covers_hold_only_blocks_built_once(self, monkeypatch):
+        # three shapes in turn: each block is built once per (d, length),
+        # and a cover holds its blocks, not its boxes
         builds = []
         greedy = csp._greedy_box_block
 
@@ -183,25 +181,37 @@ class TestTwoBoxCover:
             return greedy(d, length)
 
         monkeypatch.setattr(csp, "_greedy_box_block", recording_greedy)
-        csp._cached_cover.cache_clear()
         csp._box_block.cache_clear()
         try:
             shapes = [(3, 6, 3), (3, 7, 3), (3, 9, 3)]
             covers = [two_box_cover(*shape) for shape in shapes]
             assert builds == [(3, 3), (3, 1)]
-            block = len(greedy(3, 3))
-            assert [len(c.boxes) for c in covers] == [block**2, 2 * block**2, block**3]
-            refs = [weakref.ref(c) for c in covers]
-            del covers
-            gc.collect()
-            assert [ref() is None for ref in refs] == [True, True, False]
-            assert csp._cached_cover.cache_info().currsize == 1
-            assert two_box_cover(*shapes[-1]) is refs[-1]()
-            assert verify_box_cover(two_box_cover(*shapes[0]), 3, 6)
+            block = csp._box_block(3, 3)
+            assert [len(c.boxes) for c in covers] == [len(block) ** 2, 2 * len(block) ** 2,
+                                                      len(block) ** 3]
+            assert [len(c.boxes.blocks) for c in covers] == [2, 3, 3]
+            assert all(part is block for c in covers for part in c.boxes.blocks[:2])
+            assert covers[1].boxes.blocks[2] is csp._box_block(3, 1)
+            again = two_box_cover(*shapes[0])
+            assert again is not covers[0] and tuple(again.boxes) == tuple(covers[0].boxes)
+            assert verify_box_cover(again, 3, 6)
             assert builds == [(3, 3), (3, 1)]
         finally:
-            csp._cached_cover.cache_clear()
             csp._box_block.cache_clear()
+
+    @pytest.mark.parametrize("d,n,b", [
+        (3, 9, 5), (3, 7, 3), (3, 8, 3), (3, 4, 5), (3, 1, 5), (3, 6, 1),
+        (5, 5, 2), (5, 4, 4), (4, 5, None), (6, 3, 2), (2, 6, 3),
+    ])
+    def test_matches_materialized_reference(self, d, n, b):
+        # the boxes, in order, of the sorted product of the greedy blocks (in
+        # pick order) that the cover was once built as; even d takes b = 1
+        length = 1 if d % 2 == 0 else b
+        lengths = [length] * (n // length) + ([n % length] if n % length else [])
+        blocks = [csp._greedy_box_block(d, t) for t in lengths]
+        cover = two_box_cover(d, n, b)
+        assert tuple(cover.boxes) == ref_product_cover(blocks)
+        assert len(cover.boxes) == len(ref_product_cover(blocks))
 
     def test_failed_block_verification_raises(self, monkeypatch):
         greedy = csp.greedy_set_cover
@@ -212,7 +222,7 @@ class TestTwoBoxCover:
     def test_default_block_length_fits_candidate_cap(self):
         # C(7,2)^5 candidate boxes exceed the cap, so d=7 defaults to b=4
         cover = two_box_cover(7, 6)
-        assert cover == two_box_cover(7, 6, 4)
+        assert tuple(cover.boxes) == tuple(two_box_cover(7, 6, 4).boxes)
         rng = random.Random(21)
         for _ in range(200):
             point = tuple(rng.randint(1, 7) for _ in range(6))
@@ -242,7 +252,8 @@ class TestRestrictToBox:
         for _ in range(100):
             g = rand_csp(rng, 3, 5, rng.randint(1, 8))
             cover = two_box_cover(3, 5, 5)
-            box = cover.boxes[rng.randrange(len(cover.boxes))]
+            boxes = tuple(cover.boxes)
+            box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             assert reduced.max_width <= g.max_width
 
@@ -254,7 +265,8 @@ class TestRestrictToBox:
             n = rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(1, 3 * n))
             cover = two_box_cover(d, n, min(5, n))
-            box = cover.boxes[rng.randrange(len(cover.boxes))]
+            boxes = tuple(cover.boxes)
+            box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             cnf_solutions = brute_force(reduced).status == "sat"
             in_box = any(
@@ -268,7 +280,8 @@ class TestRestrictToBox:
             d, n = 3, rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(0, 2 * n))
             cover = two_box_cover(d, n, min(5, n))
-            box = cover.boxes[rng.randrange(len(cover.boxes))]
+            boxes = tuple(cover.boxes)
+            box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             res = brute_force(reduced)
             if res.status == "sat":
@@ -339,6 +352,7 @@ class TestRestrictToBox:
                     callers.add((path.name, scope))
                 stack.extend((child, scope) for child in ast.iter_child_nodes(node))
         assert callers == {
+            ("codes.py", "boolean_cover"),
             ("csp.py", "restrict_to_box"),
             ("formats.py", "parse_dimacs"),
             ("formats.py", "parse_csp"),

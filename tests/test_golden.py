@@ -120,7 +120,7 @@ def test_golden_code(case):
 @pytest.mark.parametrize("case", GOLDEN_BOX_COVERS, ids=lambda c: "d{}-n{}-b{}".format(*c[:3]))
 def test_golden_box_cover(case):
     d, n, b, size, digest = case
-    boxes = two_box_cover(d, n, b).boxes
+    boxes = tuple(two_box_cover(d, n, b).boxes)
     assert (len(boxes), _digest(boxes)) == (size, digest)
 
 

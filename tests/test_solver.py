@@ -297,6 +297,29 @@ class TestSolveDeterministic:
                 unsat += 1
         assert sat > 10 and unsat > 10
 
+    def test_agrees_with_oracle_on_product_outer_covers(self):
+        # n = 13..18: the outer cover is a 12-bit block times a residual one
+        rng = random.Random(1318)
+        sat = unsat = 0
+        for _ in range(40):
+            n = rng.randint(13, 18)
+            f = rand_kcnf(rng, n, rng.randint(round(3.6 * n), round(4.8 * n)), k=3)
+            assert len(boolean_cover(n, 1 / 3.1, 12).words.blocks) == 2
+            res = solve_deterministic(f)
+            assert res.status == brute_force(f).status, f
+            if res.status == "sat":
+                sat += 1
+                assert evaluate(f, res.witness)
+            else:
+                unsat += 1
+        assert sat >= 10 and unsat >= 5, (sat, unsat)
+
+    def test_uncountable_outer_cover_refused(self):
+        # 16 blocks of 16 words: 2^64 codewords, more than len() can report
+        f = formula(192, [[1, 2, 3]])
+        with pytest.raises(ResourceCapError):
+            solve_deterministic(f)
+
     def test_codewords_bounded_by_cover_size(self):
         rng = random.Random(11)
         cfg = SolverConfig()
