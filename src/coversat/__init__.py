@@ -52,7 +52,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     brute_force,
-    solve,
     solve_deterministic,
     solve_schoening,
 )

@@ -14,7 +14,7 @@ import sys
 from . import bench as bench_mod
 from .codes import get_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
-from .errors import CoversatError, ParseError, ResourceCapError, UsageError
+from .errors import CoversatError, ResourceCapError, UsageError
 from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
 from .cnf import evaluate
 from .solver import SolveResult, SolverConfig, brute_force, solve_deterministic, solve_schoening
@@ -89,9 +89,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> SolverConfig:
-    mode = {"det": "deterministic", "rand": "randomized", "brute": "brute"}[args.mode]
     return SolverConfig(
-        mode=mode,
         t=args.t,
         epsilon=args.epsilon,
         seed=args.seed,
@@ -147,9 +145,9 @@ def _cmd_solve(args) -> int:
     cfg = _config_from(args)
     if kind == "cnf":
         f = parse_dimacs(raw)
-        if cfg.mode == "deterministic":
+        if args.mode == "det":
             result = solve_deterministic(f, cfg)
-        elif cfg.mode == "randomized":
+        elif args.mode == "rand":
             result = solve_schoening(f, cfg)
         else:
             result = brute_force(f)
@@ -157,9 +155,9 @@ def _cmd_solve(args) -> int:
             raise AssertionError("internal error: witness failed re-verification")
         return _emit_result(result, kind, args, len(f.clauses), f.max_width, f.num_vars)
     g = parse_csp(raw)
-    if cfg.mode == "randomized":
+    if args.mode == "rand":
         raise UsageError("--mode rand supports CNF inputs only")
-    result = brute_force_csp(g) if cfg.mode == "brute" else solve_csp(g, cfg)
+    result = brute_force_csp(g) if args.mode == "brute" else solve_csp(g, cfg)
     if result.status == "sat" and not csp_evaluate(g, result.witness):
         raise AssertionError("internal error: witness failed re-verification")
     return _emit_result(result, kind, args, len(g.constraints), g.max_width, g.num_vars)
@@ -259,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (UsageError, ParseError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CoversatError as exc:
+    except (CoversatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,15 +16,15 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, product
+from operator import eq
 
 from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
-# greedy_code's two costs (see its docstring); the slowest build measured
-# inside both caps, (21,4,1), takes about 3 s on a 2-core VM
+# greedy_code's cost (see its docstring); on a 2-core VM the slowest builds
+# measured inside the cap take about 5.5 s, (9,6,1), and 11 s at r = 0, (2,20,0)
 GREEDY_MAX_UPDATES = 3 * 10**7
-GREEDY_MAX_SCANS = 5 * 10**8
 VERIFY_MAX_SPACE = 10**7
 
 
@@ -43,6 +43,12 @@ class BlockProduct:
     def __iter__(self) -> Iterator[tuple]:
         return (tuple(chain.from_iterable(combo)) for combo in product(*self.blocks))
 
+    def __eq__(self, other: object) -> bool:
+        """Equal to a tuple or BlockProduct of the same items in the same order."""
+        if not isinstance(other, (tuple, BlockProduct)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
 
 @dataclass
 class CoveringCode:
@@ -50,7 +56,8 @@ class CoveringCode:
 
     ``verified`` is set by verify_cover (or by boolean_cover for a product
     of verified blocks, whose words are a BlockProduct) and is excluded from
-    equality so that file round-trips compare equal.
+    equality, and words compare by value, so that file round-trips compare
+    equal.
     """
 
     q: int
@@ -82,13 +89,6 @@ class CoveringCode:
         code = object.__new__(cls)
         code.q, code.t, code.r, code.words, code.verified = q, t, r, words, True
         return code
-
-
-def word_distance(a: Word, b: Word) -> int:
-    """Hamming distance between two equal-length words."""
-    if len(a) != len(b):
-        raise ValueError("words of different length")
-    return sum(x != y for x, y in zip(a, b))
 
 
 def _check_params(q: int, t: int, r: int) -> None:
@@ -219,8 +219,7 @@ def verify_cover(code: CoveringCode) -> bool:
     space = q**t
     if space > VERIFY_MAX_SPACE:
         raise ResourceCapError(
-            f"q^t = {space} exceeds exhaustive-verification cap {VERIFY_MAX_SPACE}; "
-            "use spot_check_cover instead"
+            f"q^t = {space} exceeds exhaustive-verification cap {VERIFY_MAX_SPACE}"
         )
     if t == 0:
         code.verified = len(code.words) > 0
@@ -252,17 +251,6 @@ def verify_cover(code: CoveringCode) -> bool:
                         queue.append((nb, dist + 1))
     code.verified = count == space
     return code.verified
-
-
-def spot_check_cover(code: CoveringCode, samples: int = 100_000, seed: int = 0) -> bool:
-    """Randomized covering check for spaces too large to enumerate."""
-    rng = random.Random(f"spot:{seed}")
-    words = code.words
-    for _ in range(samples):
-        w = tuple(rng.randint(1, code.q) for _ in range(code.t))
-        if all(word_distance(w, c) > code.r for c in words):
-            return False
-    return True
 
 
 def _random_size(q: int, t: int, r: int, target_size: int | None) -> int:
@@ -355,13 +343,17 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     Ties break toward the lexicographically smallest center (see
     greedy_set_cover). The result is exhaustively verified before it is
     returned. The build costs q^t * |ball| gain updates plus the argmax
-    scans of the q^t gains, at most three passes per distinct maximum gain
-    (see greedy_set_cover). Both are capped before anything is built; the
-    scan cap charges one pass per pick, over at least q^t / |ball| picks.
+    scans of the q^t gains: at most three passes per distinct maximum gain
+    (see greedy_set_cover), and the gains are integers in 0..|ball|, so the
+    scans stay within about three times the updates. Each pick also builds
+    and checks a word of t symbols, and at r = 0 every point is a pick, so
+    the one cap, checked before anything is built, charges each point
+    max(|ball|, 1 + t(q-1)): the updates of a radius-1 ball, which |ball|
+    reaches for every r >= 1.
     """
     _check_params(q, t, r)
-    # q^t bounds both costs from below, so a long word is refused before its
-    # ball volume and the products are computed, which takes minutes at
+    # q^t bounds the cost from below, so a long word is refused before its
+    # ball volume and the product are computed, which takes minutes at
     # t = 10^5; as q >= 2, the test on t alone keeps q^t small
     if t >= GREEDY_MAX_UPDATES.bit_length() or q**t > GREEDY_MAX_UPDATES:
         raise ResourceCapError(
@@ -369,12 +361,11 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
             f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
         )
     space, volume = q**t, ball_volume(q, t, r)
-    updates, scans = space * volume, space * -(-space // volume)
-    if updates > GREEDY_MAX_UPDATES or scans > GREEDY_MAX_SCANS:
+    cost = space * max(volume, 1 + t * (q - 1))
+    if cost > GREEDY_MAX_UPDATES:
         raise ResourceCapError(
-            f"greedy code (q={q}, t={t}, r={r}) needs {updates} gain updates and "
-            f"{scans} argmax steps, beyond the caps {GREEDY_MAX_UPDATES:.0e} and "
-            f"{GREEDY_MAX_SCANS:.0e}; use a smaller --t"
+            f"greedy code (q={q}, t={t}, r={r}) needs {cost} gain updates, "
+            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
         )
     ball = _ball_of(q, t, r)
     centers = greedy_set_cover(space, space, volume, ball, ball)

@@ -19,7 +19,7 @@ from typing import Iterable
 from .cnf import Formula
 from .codes import BlockProduct, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
-from .solver import SolveResult, SolverConfig, _bitmap, _first_solution, _timed, first_witness
+from .solver import SolveResult, SolverConfig, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
 
 BOX_CANDIDATE_MAX = 2 * 10**5
@@ -277,12 +277,6 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
 def decode_box_witness(box: TwoBox, bits: tuple[int, ...]) -> tuple[int, ...]:
     """Map a Boolean witness of the reduced CNF back into the box."""
     return tuple(hi if bit else lo for (lo, hi), bit in zip(box, bits))
-
-
-def csp_solution_bitmap(f: CspFormula) -> int:
-    """Bitmap over all d^n assignments with bit i set iff assignment i
-    satisfies F."""
-    return _bitmap(f.domain_size, f.num_vars, f.constraints)
 
 
 @_timed

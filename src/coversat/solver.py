@@ -31,12 +31,10 @@ BRUTE_CHUNK_BITS = 1 << 16
 OUTER_BLOCK_LEN = 12
 RANDOM_TRIAL_HARD_CAP = 10**8
 
-MODES = ("deterministic", "randomized", "brute")
-
 
 @dataclass
 class SolverConfig:
-    """Knobs for all solver modes.
+    """Knobs for the deterministic, randomized and CSP solvers.
 
     The paper's parameters are t, the inner-code length, and epsilon: the
     outer cover has radius fraction 1/(a+1) = 1/(k+epsilon) for a = k-1+epsilon
@@ -46,7 +44,6 @@ class SolverConfig:
     CNF workers receive the built inner code.
     """
 
-    mode: str = "deterministic"
     t: int = 6
     epsilon: float = 0.1
     seed: int = 0
@@ -55,8 +52,6 @@ class SolverConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0 < self.epsilon < math.inf:  # also false for nan
             raise UsageError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.trial_cap is not None and self.trial_cap < 1:
@@ -267,23 +262,6 @@ def _chunks(
     return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)
 
 
-def _bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
-    """Bitmap over all d^n assignments with bit i set iff assignment i meets
-    every constraint (see _chunks); it holds d^n bits on top of what the
-    chunks hold. The chunks are joined in time linear in d^n: every 8
-    consecutive chunks span exactly width bytes."""
-    width, chunks = _chunks(d, n, constraints)
-    parts = []
-    group = 0
-    for j, chunk in enumerate(chunks):
-        group |= chunk << (j % 8 * width)
-        if j % 8 == 7:
-            parts.append(group.to_bytes(width, "little"))
-            group = 0
-    parts.append(group.to_bytes(width, "little"))
-    return int.from_bytes(b"".join(parts), "little")
-
-
 def _first_solution(
     d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]
 ) -> tuple[int, ...] | None:
@@ -300,12 +278,6 @@ def _cnf_constraints(f: Formula) -> Iterator[Iterator[tuple[int, int]]]:
     """F as the d = 2 case: literal +v is x_v != 1 and -v is x_v != 2, so
     assignment index i gives variable v the bit (i >> (n-v)) & 1."""
     return (((u, 1) if u > 0 else (-u, 2) for u in clause) for clause in f.clauses)
-
-
-def solution_bitmap(f: Formula) -> int:
-    """Bitmap over all 2^n assignments with bit i set iff assignment i
-    satisfies F. Assignment i gives variable v the bit (i >> (n-v)) & 1."""
-    return _bitmap(2, f.num_vars, _cnf_constraints(f))
 
 
 @_timed
@@ -366,7 +338,7 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
     """Randomized solver: repeat [uniform alpha; correction walk] up to
     trial_cap times. Returns 'unknown' on exhaustion; 'unsat' only for an
     empty clause or through the width <= 2 oracle route."""
-    cfg = cfg or SolverConfig(mode="randomized")
+    cfg = cfg or SolverConfig()
     if f.max_width <= 2:
         return brute_force(f)
     if not all(f.clauses):
@@ -385,13 +357,3 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
                 raise AssertionError("internal error: walk witness failed re-verification")
             return SolveResult("sat", witness, stats)
     return SolveResult("unknown", None, stats)
-
-
-def solve(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on cfg.mode."""
-    cfg = cfg or SolverConfig()
-    if cfg.mode == "deterministic":
-        return solve_deterministic(f, cfg)
-    if cfg.mode == "randomized":
-        return solve_schoening(f, cfg)
-    return brute_force(f)

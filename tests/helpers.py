@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterable
 from itertools import combinations, product
 
 import coversat.search
+import coversat.solver
 from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
 from coversat.csp import CspFormula, TwoBox
 from coversat.search import SearchStats
@@ -295,7 +296,7 @@ def ref_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]])
     its low pairs holds, read from ref_digit_masks(d, low). low is the most
     variables with d^low <= REF_BITMAP_SLICE_BITS, a split other than the
     oracle's; each slice's bits are written out and the slices joined as
-    one binary string. The reference for coversat.solver._bitmap."""
+    one binary string. The reference for oracle_bitmap."""
     constraints = [tuple(constraint) for constraint in constraints]
     low = n
     while d**low > REF_BITMAP_SLICE_BITS:
@@ -320,6 +321,16 @@ def ref_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]])
                 break
         slices.append(format(sat, f"0{width}b"))
     return int("".join(reversed(slices)), 2)
+
+
+def oracle_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """The brute oracle's bitmap over all d^n assignments: every chunk of
+    coversat.solver._chunks, chunk j shifted by j times the chunk width."""
+    width, chunks = coversat.solver._chunks(d, n, constraints)
+    bitmap = 0
+    for j, chunk in enumerate(chunks):
+        bitmap |= chunk << (j * width)
+    return bitmap
 
 
 def ref_ball_of(idx: int, q: int, t: int, r: int) -> list[int]:

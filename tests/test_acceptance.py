@@ -33,9 +33,9 @@ from coversat.formats import (
     write_dimacs,
 )
 from coversat.search import FastParams, WalkParams, schoening_walk, searchball, searchball_fast
-from coversat.solver import brute_force, solution_bitmap, solve_deterministic
+from coversat.solver import brute_force, solve_deterministic
 
-from helpers import rand_csp, rand_formula, rand_kcnf
+from helpers import rand_csp, rand_formula, rand_kcnf, sat_in_ball
 
 
 def report(criterion: int, label: str, detail: str) -> None:
@@ -199,19 +199,9 @@ def test_c05_promise_completeness():
         inst = gen_planted(3, n, m, seed=f"c5:{i}", distance=r)
         f, start = inst.formula, inst.start
 
-        # independent oracle: satisfying-set bitmap intersected with the ball
-        sat_bits = solution_bitmap(f)
-        ball_hit = False
-        for flips in range(r + 1):
-            if ball_hit:
-                break
-            for positions in combinations(range(n), flips):
-                idx = sum((start[n - 1 - j] ^ (1 if (n - 1 - j) in positions else 0)) << j
-                          for j in range(n))
-                if (sat_bits >> idx) & 1:
-                    ball_hit = True
-                    break
-        assert ball_hit, "planted instance must contain its plant in the ball"
+        # independent oracle: a satisfying assignment by enumeration of the ball
+        hit = sat_in_ball(f, start, r)
+        assert hit is not None, "planted instance must contain its plant in the ball"
 
         w_plain, _ = searchball(f, start, r)
         if w_plain is None or not evaluate(f, w_plain):
@@ -275,7 +265,6 @@ def test_c08_distance_progress():
     t = fp.t
     progress = t - 2 * math.ceil(t / 3)
     from coversat.cnf import hamming_distance
-    from coversat.codes import word_distance
     from coversat.search import apply_codeword
 
     violations = 0
@@ -296,7 +285,7 @@ def test_c08_distance_progress():
                 if ((star[u - 1] == 1) if u > 0 else (star[-u - 1] == 0))
             ]
             w_star.append(rng.choice(positions))
-        nearest = min(code.words, key=lambda w: (word_distance(w, tuple(w_star)), w))
+        nearest = min(code.words, key=lambda w: (hamming_distance(w, tuple(w_star)), w))
         moved = apply_codeword(alpha, h, nearest)
         if hamming_distance(moved, star) > hamming_distance(alpha, star) - progress:
             violations += 1

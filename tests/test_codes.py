@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coversat.cnf import hamming_distance
 from coversat.codes import (
     CoveringCode,
     _ball_of,
@@ -21,11 +22,10 @@ from coversat.codes import (
     greedy_set_cover,
     random_code,
     shell_volume,
-    spot_check_cover,
     verify_cover,
-    word_distance,
 )
 from coversat.errors import CodeConstructionError, ResourceCapError
+from coversat.formats import read_code, write_code
 
 from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover
 
@@ -33,7 +33,7 @@ from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover
 def brute_ball_count(q: int, t: int, r: int) -> int:
     center = tuple([1] * t)
     return sum(
-        word_distance(center, w) <= r for w in product(range(1, q + 1), repeat=t)
+        hamming_distance(center, w) <= r for w in product(range(1, q + 1), repeat=t)
     )
 
 
@@ -74,7 +74,7 @@ class TestVolumes:
             r = rng.randint(0, t)
             v = tuple(rng.randint(1, q) for _ in range(t))
             w = tuple(rng.randint(1, q) for _ in range(t))
-            assert (word_distance(v, w) <= r) == (word_distance(w, v) <= r)
+            assert (hamming_distance(v, w) <= r) == (hamming_distance(w, v) <= r)
 
 
 class TestCodeSizeBound:
@@ -124,7 +124,7 @@ class TestVerifyCover:
             )
             code = CoveringCode(q, t, r, words)
             expected = all(
-                any(word_distance(w, c) <= r for c in words)
+                any(hamming_distance(w, c) <= r for c in words)
                 for w in product(range(1, q + 1), repeat=t)
             )
             assert verify_cover(code) == expected
@@ -249,9 +249,11 @@ class TestGreedyCode:
 
     @pytest.mark.parametrize(
         "params",
-        [(8, 6, 1), (10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)]
+        [(10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)]
         # past t = 369 the costs overflow a float; at t = 10^5 they take minutes
-        + [(3, t, -(-t // 3)) for t in (370, 2000, 10**5)],
+        + [(3, t, -(-t // 3)) for t in (370, 2000, 10**5)]
+        # at r = 0 every point is a pick: 2^23 words, minutes and gigabytes
+        + [(2, 23, 0)],
     )
     def test_cap_refuses_slow_builds_at_once(self, params):
         start = time.perf_counter()
@@ -261,7 +263,8 @@ class TestGreedyCode:
 
     @pytest.mark.parametrize(
         "params",
-        [(2, 12, 4), (3, 9, 3), (4, 8, 2)] + [(k, 6, -(-6 // k)) for k in range(3, 8)],
+        [(2, 12, 4), (3, 9, 3), (4, 8, 2)]
+        + [(k, 6, -(-6 // k)) for k in range(3, 10)],
     )
     def test_cap_admits_default_and_listed_codes(self, params, monkeypatch):
         import coversat.codes as codes
@@ -276,6 +279,11 @@ class TestGreedyCode:
         monkeypatch.setattr(codes, "greedy_set_cover", admitted)
         with pytest.raises(Admitted):
             greedy_code(*params)
+
+    def test_builds_beyond_the_old_scan_cap(self):
+        # the scans stay within about three times the capped gain updates
+        code = greedy_code(2, 17, 1)
+        assert code.verified is True and verify_cover(code) is True
 
     def test_failed_verification_raises(self, monkeypatch):
         import coversat.codes as codes
@@ -295,7 +303,7 @@ class TestBooleanCover:
         assert len(cover.words) == 4
         assert cover.r == 2
         for point in product((1, 2), repeat=4):
-            assert any(word_distance(point, w) <= 2 for w in cover.words)
+            assert any(hamming_distance(point, w) <= 2 for w in cover.words)
 
     def test_size_is_block_size_power(self):
         block = greedy_code(2, 3, 1)
@@ -373,7 +381,17 @@ class TestBooleanCover:
         assert (cover.t, cover.r) == (24, 8)
         assert len(cover.words) == len(block.words) ** 2
         assert cover.verified is True
-        assert spot_check_cover(cover, samples=2000, seed=9) is True
+        words = tuple(cover.words)
+        rng = random.Random("spot:9")
+        for _ in range(2000):
+            point = tuple(rng.randint(1, 2) for _ in range(24))
+            assert any(hamming_distance(point, w) <= cover.r for w in words), point
+
+    def test_product_cover_equals_its_file_round_trip(self):
+        cover = boolean_cover(13, 1 / 3.1, 12)
+        back = read_code(write_code(cover))
+        assert back == cover and cover == back
+        assert back != boolean_cover(14, 1 / 3.1, 12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

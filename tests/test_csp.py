@@ -12,7 +12,6 @@ from coversat.csp import (
     brute_force_csp,
     csp_evaluate,
     csp_formula,
-    csp_solution_bitmap,
     decode_box_witness,
     restrict_to_box,
     solve_csp,
@@ -27,6 +26,7 @@ from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
 from helpers import (
+    oracle_bitmap,
     point_in_box,
     rand_csp,
     ref_csp_solutions,
@@ -375,7 +375,7 @@ class TestBruteForceCsp:
             d = rng.randint(2, 4)
             n = rng.randint(1, 4)
             g = rand_csp(rng, d, n, rng.randint(0, 6))
-            bitmap = csp_solution_bitmap(g)
+            bitmap = oracle_bitmap(d, n, g.constraints)
             got = [
                 _word_of(i, d, n)
                 for i in range(d**n)

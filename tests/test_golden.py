@@ -78,7 +78,7 @@ GOLDEN_WALK = [
 def test_golden_walk(case):
     n, m, seed, status, witness, trials, steps = case
     f = rand_kcnf(random.Random(f"golden-walk:{n}:{m}:{seed}"), n, m)
-    res = solve_schoening(f, SolverConfig(mode="randomized", seed=seed))
+    res = solve_schoening(f, SolverConfig(seed=seed))
     got_witness = "".join(map(str, res.witness)) if res.witness is not None else None
     assert (res.status, got_witness) == (status, witness)
     assert (res.stats.trials, res.stats.search.recursion_nodes) == (trials, steps)

@@ -111,12 +111,23 @@ def test_disjoint_sets_get_the_node_mask_through_module_attribute(monkeypatch):
     assert calls
 
 
-def test_brute_force_called_through_cli_attribute(monkeypatch, tmp_path):
-    # cnf-brute's solver.brute_s and solver.brute_calls come from this patch
-    calls = _count_calls(monkeypatch, "coversat.cli.brute_force")
-    path = tmp_path / "b.cnf"
-    path.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 0\n")
-    assert main(["solve", "--input", str(path), "--mode", "brute"]) == 10
+# (mode, input) of a solve that the CLI hands to each traced solver
+CLI_SOLVES = {
+    "coversat.cli.brute_force": ("brute", "p cnf 3 2\n1 2 3 0\n-1 -2 0\n"),
+    "coversat.cli.solve_deterministic": ("det", "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"),
+    "coversat.cli.solve_csp": ("det", "p csp 3 3 1\n1 1 2 2 3 3 0\n"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_SOLVES)
+def test_solvers_called_through_cli_attribute(monkeypatch, tmp_path, name):
+    # solver.brute_s, solver.outer_s, solver.codewords_tried and
+    # csp.boxes_tried of the CLI's solves come from these patches
+    calls = _count_calls(monkeypatch, name)
+    mode, text = CLI_SOLVES[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["solve", "--input", str(path), "--mode", mode]) == 10
     assert calls
 
 

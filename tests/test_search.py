@@ -6,7 +6,6 @@ import pytest
 
 from coversat.cnf import Formula, evaluate, formula, hamming_distance
 import coversat.search
-from coversat.codes import word_distance
 from coversat.search import (
     FastParams,
     SearchStats,
@@ -572,8 +571,8 @@ class TestDistanceProgress:
                 assert sat_positions
                 w_star.append(rng.choice(sat_positions))
             w_star = tuple(w_star)
-            nearest = min(code.words, key=lambda w: (word_distance(w, w_star), w))
-            assert word_distance(nearest, w_star) <= code.r
+            nearest = min(code.words, key=lambda w: (hamming_distance(w, w_star), w))
+            assert hamming_distance(nearest, w_star) <= code.r
             moved = apply_codeword(alpha, h, nearest)
             assert hamming_distance(moved, star) <= hamming_distance(alpha, star) - progress
 

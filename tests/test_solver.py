@@ -11,23 +11,29 @@ import pytest
 
 from coversat.cnf import Formula, evaluate, formula
 from coversat.codes import _word_of, boolean_cover
-from coversat.csp import brute_force_csp, csp_formula, csp_solution_bitmap, solve_csp
+from coversat.csp import CspFormula, brute_force_csp, csp_formula, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
+    _cnf_constraints,
     _top_indices,
     _value_masks,
     SolveStats,
     SolverConfig,
     brute_force,
     default_trial_cap,
-    solution_bitmap,
-    solve,
     solve_deterministic,
     solve_schoening,
 )
 
-from helpers import rand_csp, rand_kcnf, ref_all_solutions, ref_bitmap, ref_var_masks
+from helpers import (
+    oracle_bitmap,
+    rand_csp,
+    rand_kcnf,
+    ref_all_solutions,
+    ref_bitmap,
+    ref_var_masks,
+)
 
 
 @pytest.fixture
@@ -62,6 +68,15 @@ def inline_pool(monkeypatch):
     return asked
 
 
+def _cnf_bitmap(f: Formula) -> int:
+    """The brute oracle's bitmap of a CNF, read through the solver's d = 2 translation."""
+    return oracle_bitmap(2, f.num_vars, _cnf_constraints(f))
+
+
+def _csp_bitmap(g: CspFormula) -> int:
+    return oracle_bitmap(g.domain_size, g.num_vars, g.constraints)
+
+
 def _result_key(res):
     s = res.stats
     return (res.status, res.witness, s.codewords_tried, s.boxes_tried,
@@ -82,7 +97,7 @@ class TestBruteForce:
         for _ in range(200):
             n = rng.randint(1, 6)
             f = rand_kcnf(rng, n, rng.randint(0, 9), k=min(3, n))
-            bitmap = solution_bitmap(f)
+            bitmap = _cnf_bitmap(f)
             expected = ref_all_solutions(f)
             got = [
                 tuple(c - 1 for c in _word_of(i, 2, n))
@@ -132,7 +147,7 @@ class TestBruteForce:
             n = rng.randint(1, 7)
             f = rand_kcnf(rng, n, rng.randint(0, 12), k=rng.randint(1, min(3, n)))
             g = csp_formula(2, n, [[(abs(u), 1 if u > 0 else 2) for u in c] for c in f.clauses])
-            assert solution_bitmap(f) == csp_solution_bitmap(g)
+            assert _cnf_bitmap(f) == _csp_bitmap(g)
             res, res_csp = brute_force(f), brute_force_csp(g)
             assert res.status == res_csp.status
             if res.status == "sat":
@@ -166,7 +181,7 @@ class TestChunkedOracle:
             ref = ref_bitmap(2, n, _cnf_pairs(f))
             if bool(ref) == (status == "sat"):
                 break
-        assert solution_bitmap(f) == ref
+        assert _cnf_bitmap(f) == ref
         res = brute_force(f)
         assert res.status == status
         first = _first_of(ref, 2, n)
@@ -179,7 +194,7 @@ class TestChunkedOracle:
         for m in (2 * n, 4 * n, 8 * n, 16 * n, 32 * n):
             g = rand_csp(rng, d, n, m)
             ref = ref_bitmap(d, n, g.constraints)
-            assert csp_solution_bitmap(g) == ref
+            assert _csp_bitmap(g) == ref
             res = brute_force_csp(g)
             assert res.witness == _first_of(ref, d, n)
             statuses.add(res.status)
@@ -188,22 +203,22 @@ class TestChunkedOracle:
     @pytest.mark.parametrize("n", [0, 3, 18])
     def test_empty_clause(self, n):
         f = Formula(n, ((),) + tuple((v,) for v in range(1, n + 1)))
-        assert solution_bitmap(f) == ref_bitmap(2, n, _cnf_pairs(f)) == 0
+        assert _cnf_bitmap(f) == ref_bitmap(2, n, _cnf_pairs(f)) == 0
         assert brute_force(f).status == "unsat"
 
     def test_zero_vars(self):
-        assert solution_bitmap(formula(0, [])) == ref_bitmap(2, 0, []) == 1
-        assert csp_solution_bitmap(csp_formula(4, 0, [])) == 1
+        assert _cnf_bitmap(formula(0, [])) == ref_bitmap(2, 0, []) == 1
+        assert _csp_bitmap(csp_formula(4, 0, [])) == 1
         assert brute_force_csp(csp_formula(4, 0, [])).witness == ()
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_domain_one(self, n):
         # the one assignment is all ones, and x_v != 1 never holds
         free = csp_formula(1, n, [])
-        assert csp_solution_bitmap(free) == ref_bitmap(1, n, []) == 1
+        assert _csp_bitmap(free) == ref_bitmap(1, n, []) == 1
         assert brute_force_csp(free).witness == (1,) * n
         stuck = csp_formula(1, n, [[(n, 1)]])
-        assert csp_solution_bitmap(stuck) == ref_bitmap(1, n, stuck.constraints) == 0
+        assert _csp_bitmap(stuck) == ref_bitmap(1, n, stuck.constraints) == 0
         assert brute_force_csp(stuck).status == "unsat"
 
     def test_twenty_four_vars_holds_chunk_table(self):
@@ -437,27 +452,27 @@ class TestSolveDeterministic:
 class TestSolveSchoening:
     def test_finds_satisfying_quickly(self):
         f = formula(4, [[1, 2, 3], [-1, 2, 4], [2, 3, 4]])
-        res = solve_schoening(f, SolverConfig(mode="randomized", seed=1))
+        res = solve_schoening(f, SolverConfig(seed=1))
         assert res.status == "sat"
         assert evaluate(f, res.witness)
 
     def test_unsat_reports_unknown_never_unsat(self):
         f = formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
         assert brute_force(f).status == "unsat"
-        res = solve_schoening(f, SolverConfig(mode="randomized", seed=0, trial_cap=50))
+        res = solve_schoening(f, SolverConfig(seed=0, trial_cap=50))
         assert res.status == "unknown"
         assert res.witness is None
 
     def test_trial_cap_respected(self):
         f = formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
-        res = solve_schoening(f, SolverConfig(mode="randomized", trial_cap=7))
+        res = solve_schoening(f, SolverConfig(trial_cap=7))
         assert res.stats.trials == 7
 
     def test_deterministic_given_seed(self):
         rng = random.Random(2)
         f = rand_kcnf(rng, 8, 28, k=3)
-        a = solve_schoening(f, SolverConfig(mode="randomized", seed=11))
-        b = solve_schoening(f, SolverConfig(mode="randomized", seed=11))
+        a = solve_schoening(f, SolverConfig(seed=11))
+        b = solve_schoening(f, SolverConfig(seed=11))
         assert a.status == b.status and a.witness == b.witness
         assert a.stats.trials == b.stats.trials
 
@@ -477,13 +492,11 @@ class TestSolveSchoening:
 class TestDispatcherAndConfig:
     def test_modes(self):
         f = formula(3, [[1, 2, 3]])
-        assert solve(f, SolverConfig(mode="brute")).status == "sat"
-        assert solve(f, SolverConfig(mode="deterministic")).status == "sat"
-        assert solve(f, SolverConfig(mode="randomized")).status == "sat"
+        assert brute_force(f).status == "sat"
+        assert solve_deterministic(f, SolverConfig()).status == "sat"
+        assert solve_schoening(f, SolverConfig()).status == "sat"
 
     def test_config_validation(self):
-        with pytest.raises(UsageError):
-            SolverConfig(mode="magic")
         for epsilon in (0, float("nan"), float("inf")):
             with pytest.raises(UsageError, match="epsilon"):
                 SolverConfig(epsilon=epsilon)
