@@ -179,14 +179,16 @@ def _ball_layers(idx: int, q: int, t: int, r: int) -> list[list[int]]:
 def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
     """ball(idx): the indices of all words within distance <= r of idx.
 
-    For q = 2 the ball is idx XOR each mask of _xor_masks. Otherwise a word
-    splits into its first t - t//2 digits and its last t//2; a word within
-    distance r of idx is at some distance s from idx's first half and within
-    r - s of its second. So ball(idx) is one comprehension over two tables
-    built once by _ball_layers: for every first half, its layers by exact
-    distance, scaled by q^(t//2); for every second half, its neighbours
-    within each distance.
+    At r = 0 the ball is [idx], and no table is built. For q = 2 it is idx
+    XOR each mask of _xor_masks. Otherwise a word splits into its first
+    t - t//2 digits and its last t//2; a word within distance r of idx is at
+    some distance s from idx's first half and within r - s of its second.
+    So ball(idx) is one comprehension over two tables built once by
+    _ball_layers: for every first half, its layers by exact distance, scaled
+    by q^(t//2); for every second half, its neighbours within each distance.
     """
+    if r == 0:
+        return lambda idx: [idx]
     if q == 2:
         masks = _xor_masks(t, r)
 

@@ -12,34 +12,35 @@ of alpha, find any satisfying assignment (not necessarily inside the ball).
   covering code of radius ceil(t/k); radius shrinks by
   delta = t - 2*ceil(t/k) per level.
 
-Branching is implemented with an assignment overlay instead of materialized
-formula restrictions: a variable forced to a value behaves exactly like the
-restricted formula F^[v:=bit] (clauses satisfied by the forced value drop
-out of the unsatisfied set, falsified occurrences stop being branchable).
-The unsatisfied clauses of an assignment are read from the formula's clause
+Branching overlays forced values on the assignment: a variable forced to a
+value behaves exactly like the restricted formula F^[v:=bit], and node
+counts and witnesses are those of the restriction-based formulation. The
+unsatisfied clauses of an assignment are read from the formula's clause
 bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
-Formula.unsat_mask ORs one mask per variable, O(n) big-int operations in
-place of a scan of every literal, and its lowest set bit is the
-lowest-index unsatisfied clause every engine branches on. Each node of
-the codeword recursion computes its mask once and hands it to
-maximal_disjoint_unsat. The small-|G| enumeration walks the assignments
-to vbl(G) without recursion: lazy prefix generators, one per clause of G
-but the last, feed one flat loop over the last clause's rows. Each level
-reads the satisfying rows of its clause, with their flips, from a table
-per (width, sign pattern, budget cap) that lists only the rows within the
-budget, and indexes the clause's 2^w row masks, built once per
-enumeration. It scores each assignment by OR-ing those masks and hands
-that mask to the subsearch it starts as the root's mask. The (variable,
-bit) dict of an assignment is built only for a subsearch or a witness,
-and searchball overlays it on alpha only once its root descends or
-returns. Inside searchball a node walks the literals of its lowest
-unsatisfied clause in place, building no branch list, and each node
-receives its mask from its parent, which computes it from its own
-assignment with the child's literal set; a radius-0 child is a leaf, and
-when some clause unsatisfied at the parent lacks the new literal it is
-settled with one AND, counted without a mask or a call.
-Node counts and returned witnesses are identical to the restriction-based
-formulation.
+Formula.unsat_mask ORs one mask per variable, and its lowest set bit is the
+lowest-index unsatisfied clause every engine branches on. Each node of the
+codeword recursion computes its mask once and hands it to
+maximal_disjoint_unsat.
+
+The small-|G| enumeration is one flat loop over the last clause of G fed by
+lazy prefix generators, one per earlier clause. Each level reads the rows
+of its clause within the budget, with their flips, from a table per (width,
+sign pattern, budget cap), and ORs the clause's row masks, built once per
+enumeration, into the mask of the clauses beta satisfies. A beta that
+satisfies F is the witness. One whose subsearch cannot find a witness is
+counted in place with the nodes that subsearch would count: no budget
+left, a lowest unsatisfied clause with no free variable, or radius 1 with
+every free literal of that clause missing some unsatisfied clause (each
+child is then a leaf one AND settles). Any other beta goes to searchball,
+as a (variable, bit) dict with its mask as the root's: it has radius >= 2,
+or radius 1 and some free literal in every unsatisfied clause.
+
+Inside searchball a node walks the literals of its lowest unsatisfied
+clause in place, and hands each child the mask it computes from its own
+assignment with the child's literal set; a radius-0 child that some clause
+unsatisfied at the parent lacks is settled with one AND, without a mask or
+a call. The root overlays the forced dict on alpha only once it descends or
+returns.
 """
 
 from __future__ import annotations
@@ -418,6 +419,25 @@ def _prefixes(
             yield left - flips, satisfied | row_masks[i], bits + row
 
 
+def _leaf_children(
+    clause: Clause, forced: set[int], masks: tuple[tuple[int, int], ...], unsat: int
+) -> int:
+    """The number of free literals of `clause`, the lowest clause in
+    `unsat`, when every one of them leaves some clause of `unsat`
+    unsatisfied, and 0 when one does not. At radius 1 each free literal is
+    a radius-0 child of searchball's root, and such a child is a leaf with
+    no witness."""
+    free = 0
+    for u in clause:
+        v = abs(u)
+        if v in forced:
+            continue
+        if not unsat & ~masks[v - 1][u > 0]:
+            return 0
+        free += 1
+    return free
+
+
 def _beta_search(
     f: Formula,
     alpha: Assignment,
@@ -445,13 +465,19 @@ def _beta_search(
     whole enumeration (alpha outside vbl(G)) and one row mask per clause of
     G (its local pattern, from _clause_rows); one pass over the variables
     outside vbl(G) builds that fixed mask and the mask of the clauses those
-    variables touch. A beta that satisfies F is the witness, one with no
-    budget left is a dead leaf, and one that fixes every variable of its
-    lowest unsatisfied clause (a clause with no variable outside vbl(G)) is
-    a dead root (searchball would find nothing to branch on); each counts
-    one node, the root of the subsearch it would start. Every other beta
-    goes to searchball, and only then, or for the witness, is beta built as
-    a (variable, bit) dict.
+    variables touch.
+
+    A beta that satisfies F is the witness. A beta whose subsearch cannot
+    find a witness is settled in place with the nodes that subsearch would
+    count. One with no budget left, or one that fixes every variable of its
+    lowest unsatisfied clause (a clause with no variable outside vbl(G)),
+    is one node, the root searchball would stop at. One with one flip left
+    whose every free literal in that clause misses some unsatisfied clause
+    (_leaf_children) is the root plus one leaf per free literal, each a
+    radius-0 child that one AND settles. Every other beta, of radius >= 2
+    or of radius 1 with some free literal in every unsatisfied clause, goes
+    to searchball, and only then, or for the witness, is beta built as a
+    (variable, bit) dict.
     Only recursion_nodes reach stats, once, at the end: leaves and max_depth
     stay those of the codeword recursion.
     """
@@ -493,6 +519,13 @@ def _beta_search(
                 # no budget left, or beta fixes its whole lowest unsatisfied
                 # clause: searchball would stop at its root
                 settled += 1
+                continue
+            elif left - flips == 1 and (
+                free := _leaf_children(f.clauses[_lowest(unsat)], in_g, masks, unsat)
+            ):
+                # radius 1 and each child a leaf one AND settles: searchball
+                # would count its root and those leaves, and find no witness
+                settled += 1 + free
                 continue
             else:
                 beta = dict(zip(g_vars, bits + row))

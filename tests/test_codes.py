@@ -185,6 +185,14 @@ class TestBallOf:
                         assert len(set(ball)) == volume, (q, t, r, idx)
                         assert set(ball) == set(ref_ball_of(idx, q, t, r)), (q, t, r, idx)
 
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_radius_zero_is_the_center(self, q):
+        # built with no digit offsets; a radius-0 code still takes every word
+        for t in range(1, 4):
+            ball_of = _ball_of(q, t, 0)
+            assert all(ball_of(i) == [i] for i in range(q**t))
+        assert greedy_code(q, 1, 0).words == tuple((d,) for d in range(1, q + 1))
+
 
 @st.composite
 def set_systems(draw):

@@ -1,10 +1,11 @@
 import gc
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from coversat.cnf import Formula, evaluate, formula, hamming_distance
+from coversat.cnf import Formula, clause_satisfied, evaluate, formula, hamming_distance
 import coversat.search
 from coversat.search import (
     FastParams,
@@ -383,53 +384,106 @@ class TestSearchballFast:
             searchball_fast(f, (0, 0, 0, 0), 1, fp3)
 
 
-def count_searchball_calls(monkeypatch) -> list[int]:
-    calls = [0]
+def record_searchball_calls(monkeypatch) -> list[tuple]:
+    """(f, alpha, r, forced) of every coversat.search.searchball call."""
+    calls = []
     real = coversat.search.searchball
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def recording(f, alpha, r, **kwargs):
+        calls.append((f, alpha, r, kwargs.get("forced") or {}))
+        return real(f, alpha, r, **kwargs)
 
-    monkeypatch.setattr(coversat.search, "searchball", counting)
+    monkeypatch.setattr(coversat.search, "searchball", recording)
     return calls
+
+
+def settled_in_place(f: Formula, alpha, r: int, forced: dict[int, int]) -> str | None:
+    """Why the small-|G| enumeration counts the subsearch around alpha with
+    `forced` at radius r in place, by a scan of every clause: "dead root"
+    when every variable of the lowest unsatisfied clause is forced, "radius
+    1" when r = 1 and each free literal of that clause misses some
+    unsatisfied clause; None when the subsearch must start."""
+    gamma = tuple(forced.get(v, a) for v, a in enumerate(alpha, 1))
+    free = [u for u in f.clauses[first_unsatisfied_clause(f, gamma)] if abs(u) not in forced]
+    if not free:
+        return "dead root"
+    unsat = [c for c in f.clauses if not clause_satisfied(c, gamma)]
+    if r == 1 and all(any(u not in c for c in unsat) for u in free):
+        return "radius 1"
+    return None
 
 
 class TestBetaSearch:
     def test_matches_enumeration_without_prune(self, monkeypatch):
-        # settling dead-root betas in place leaves witnesses and node counts
-        # exactly as if every such beta had started its subsearch
-        calls = count_searchball_calls(monkeypatch)
+        # settling dead-root and radius-1 betas in place leaves witnesses and
+        # node counts exactly as if every such beta had started its
+        # subsearch, and every other subsearch still starts, in order
+        calls = record_searchball_calls(monkeypatch)
         rng = random.Random(80)
-        ref_calls = fast_calls = 0
+        reasons = Counter()
         for _ in range(240):
             n = rng.randint(3, 10)
             f = rand_formula(rng, n, rng.randint(1, 5 * n))
             alpha = rand_assignment(rng, n)
             r = rng.randint(1, 4)
             g = maximal_disjoint_unsat(f, alpha, 3)
-            calls[0] = 0
+            calls.clear()
             expected = ref_beta_search(f, alpha, r, g)
-            ref_calls += calls[0]
-            calls[0] = 0
+            why = [settled_in_place(*call) for call in calls]
+            reasons.update(why)
+            started = [call for call, reason in zip(calls, why) if reason is None]
+            calls.clear()
             stats = SearchStats()
             assert (_beta_search(f, alpha, r, g, stats), stats.recursion_nodes) == expected
-            fast_calls += calls[0]
-        assert fast_calls < ref_calls  # the prune fired
+            assert calls == started
+        # both settles fired, and some subsearches still started
+        assert reasons["dead root"] and reasons["radius 1"] and reasons[None]
 
     def test_dead_root_starts_no_subsearch(self, monkeypatch):
         # every beta satisfying (x1 v x2 v x3) falsifies a unit clause over
         # vbl(G), which searchball could not branch on
-        calls = count_searchball_calls(monkeypatch)
+        calls = record_searchball_calls(monkeypatch)
         f = formula(3, [[1, 2, 3], [-1], [-2], [-3]])
         g = maximal_disjoint_unsat(f, (0, 0, 0), 3)
         assert g == [(1, 2, 3)]
         stats = SearchStats()
         assert _beta_search(f, (0, 0, 0), 4, g, stats) is None
         assert stats.recursion_nodes == 7  # one root per beta
-        assert calls[0] == 0
+        assert not calls
         assert ref_beta_search(f, (0, 0, 0), 4, g) == (None, 7)
-        assert calls[0] == 7
+        assert len(calls) == 7
+
+    def test_radius_one_with_a_literal_in_every_unsat_clause_searches(self, monkeypatch):
+        # the first beta, x3 = 1, leaves (-3 v 5 v 4) and (-3 v 4) unsatisfied
+        # with one flip left: x5 misses (-3 v 4), but x4 is in both, so the
+        # subsearch starts and its child x4 = 1 is the witness
+        calls = record_searchball_calls(monkeypatch)
+        f = formula(5, [[1, 2, 3], [-3, 5, 4], [-3, 4]])
+        alpha = (0,) * 5
+        g = maximal_disjoint_unsat(f, alpha, 3)
+        assert g == [(1, 2, 3)]
+        stats = SearchStats()
+        got = _beta_search(f, alpha, 2, g, stats)
+        assert got == (0, 0, 1, 1, 0)
+        assert stats.recursion_nodes == 3  # the root and its two children
+        assert [call[2:] for call in calls] == [(1, {1: 0, 2: 0, 3: 1})]
+        assert ref_beta_search(f, alpha, 2, g) == (got, 3)
+
+    def test_radius_one_of_leaf_children_starts_no_subsearch(self, monkeypatch):
+        # the one beta, x1 = 1, leaves (-1 v 2 v 3) and (-1 v 4) unsatisfied
+        # with one flip left: x2 and x3 each miss (-1 v 4), so both children
+        # are leaves one AND settles
+        calls = record_searchball_calls(monkeypatch)
+        f = formula(4, [[1], [-1, 2, 3], [-1, 4]])
+        alpha = (0,) * 4
+        g = maximal_disjoint_unsat(f, alpha, 1)
+        assert g == [(1,)]
+        stats = SearchStats()
+        assert _beta_search(f, alpha, 2, g, stats) is None
+        assert stats.recursion_nodes == 1 + 2  # the root and its two free literals
+        assert not calls
+        assert ref_beta_search(f, alpha, 2, g) == (None, 3)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("k, t", [(4, 5), (5, 4)])
     def test_wide_clauses_match_enumeration(self, k, t):
