@@ -4,6 +4,10 @@ Words are tuples of symbols in 1..q, length t. A code has covering radius r
 when every word of {1..q}^t lies within Hamming distance r of some codeword.
 Internally words map to integers via the mixed-radix index
 ``sum((sym_i - 1) * q^(t-1-i))``, so numeric order equals lexicographic order.
+A set of words is then also a q^t-bit int, bit i for word i: greedy_code
+counts the gains of all words at once on such bitsets when that is
+estimated to pay (_bitsliced_pays), with the same picks as the set cover
+over ball lists, and verify_cover dilates the codewords' bitset to radius r.
 """
 
 from __future__ import annotations
@@ -12,18 +16,18 @@ import math
 import os
 import random
 import sys
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain, combinations, product
-from operator import eq
+from operator import eq, or_
 
 from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
 # greedy_code's cost (see its docstring); on a 2-core VM the slowest builds
-# measured inside the cap take about 5.5 s, (9,6,1), and 11 s at r = 0, (2,20,0)
+# measured inside the cap take about 6.5 s, (9,6,1), and 12 s at r = 0, (2,20,0)
 GREEDY_MAX_UPDATES = 3 * 10**7
 VERIFY_MAX_SPACE = 10**7
 
@@ -214,8 +218,13 @@ def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
 def verify_cover(code: CoveringCode) -> bool:
     """Exhaustively check the covering property; sets code.verified.
 
-    Runs a multi-source BFS out to depth r from all codewords, so the cost
-    is O(q^t * t * q) regardless of code size.
+    The codewords are a bitset over the q^t indices, dilated to radius r one
+    position at a time: layer s holds the words within distance s of a
+    codeword on the positions seen so far, and each position adds to layer
+    s the spread of layer s-1 along that digit (_spread). The cost is
+    O(r * t * log q) operations on q^t-bit ints, with no loop over points,
+    so any code inside VERIFY_MAX_SPACE is checked in about a second.
+    The check shares no code with greedy_code's gain counters.
     """
     q, t, r = code.q, code.t, code.r
     space = q**t
@@ -226,33 +235,50 @@ def verify_cover(code: CoveringCode) -> bool:
     if t == 0:
         code.verified = len(code.words) > 0
         return code.verified
-    seen = bytearray(space)
-    queue = deque()
+    marks = bytearray((space + 7) // 8)
     for word in code.words:
         idx = _index_of(word, q)
-        if not seen[idx]:
-            seen[idx] = 1
-            queue.append((idx, 0))
-    count = len(queue)
-    pows = [q ** (t - 1 - pos) for pos in range(t)]
-    while queue:
-        idx, dist = queue.popleft()
-        if dist == r:
-            continue
-        x = idx
-        for pos in range(t - 1, -1, -1):
-            x, d = divmod(x, q)
-            w = pows[pos]
-            base = idx - d * w
-            for nd in range(q):
-                if nd != d:
-                    nb = base + nd * w
-                    if not seen[nb]:
-                        seen[nb] = 1
-                        count += 1
-                        queue.append((nb, dist + 1))
-    code.verified = count == space
+        marks[idx >> 3] |= 1 << (idx & 7)
+    layers = [int.from_bytes(marks, "little")] * (r + 1)
+    w = 1
+    for seen in range(t):
+        zero, span = (1 << w) - 1, q * w
+        while span < space:
+            zero |= zero << span
+            span *= 2
+        for s in range(min(r, seen + 1), 0, -1):
+            layers[s] |= _spread(layers[s - 1], q, w, zero)
+        w *= q
+    code.verified = layers[r] == (1 << space) - 1
     return code.verified
+
+
+def _spread(x: int, q: int, w: int, zero: int) -> int:
+    """The words that differ from a word of bitset x at most in the digit of
+    weight w: every digit's bits gathered onto digit 0 and broadcast back.
+
+    ``zero`` marks the words whose digit is 0. Windows of k = 1, 2, 4, ...
+    digits double by shifts, and each k in q's binary digits takes the
+    window at digit q & -2k (q with its bits up to k cleared): these tile
+    digits 0..q-1 exactly, so no window reaches into the next block.
+    """
+    parts, window, k = [], x, 1
+    while True:
+        if q & k:
+            parts.append(window >> ((q & -2 * k) * w))
+        if 2 * k > q:
+            break
+        window |= window >> (k * w)
+        k *= 2
+    parts, span, k = [], reduce(or_, parts) & zero, 1
+    while True:
+        if q & k:
+            parts.append(span << ((q & -2 * k) * w))
+        if 2 * k > q:
+            break
+        span |= span << (k * w)
+        k *= 2
+    return reduce(or_, parts)
 
 
 def _random_size(q: int, t: int, r: int, target_size: int | None) -> int:
@@ -339,19 +365,175 @@ def greedy_set_cover(
     return chosen
 
 
+def _rotations(q: int, t: int) -> list[list[tuple[int, int, int, int]]]:
+    """Per position (weight w = q^p), per nonzero offset a: the shifts and
+    masks that give every word the bit of the word whose digit there is
+    higher by a, mod q. A word with digit d < q - a reads d + a, a right
+    shift by a*w under the mask of digits below q - a; the rest wrap round
+    to d + a - q, a left shift by (q - a)*w under the mask of the others."""
+    space = q**t
+    full = (1 << space) - 1
+    out = []
+    w = 1
+    for _ in range(t):
+        rots = []
+        for a in range(1, q):
+            low, span = (1 << (q - a) * w) - 1, q * w
+            while span < space:
+                low |= low << span
+                span *= 2
+            low &= full
+            rots.append((a * w, low, (q - a) * w, full ^ low))
+        out.append(rots)
+        w *= q
+    return out
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """The sum of two bit-sliced counters (plane i holds bit i of every count)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = []
+    carry = 0
+    for i, x in enumerate(a):
+        if i < len(b):
+            y = b[i]
+            s = x ^ y
+            out.append(s ^ carry)
+            carry = (x & y) | (carry & s)
+        elif carry:
+            out.append(x ^ carry)
+            carry &= x
+        else:
+            out += a[i:]
+            return out
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _gains(uncovered: int, r: int, rotations: list) -> list[int]:
+    """Bit-sliced |ball_r(w) & uncovered| for every word w.
+
+    Layer s counts the uncovered words that differ from w in exactly s of
+    the positions seen so far and agree on the rest; each position adds to
+    layer s every rotation of that digit of layer s-1 (s falling, as in
+    _ball_layers). The gain is the sum of the layers.
+    """
+    layers = [[uncovered]] + [[] for _ in range(r)]
+    for seen, rots in enumerate(rotations):
+        for s in range(min(r, seen + 1), 0, -1):
+            below, acc = layers[s - 1], layers[s]
+            for down, low, up, high in rots:
+                acc = _add(acc, [(p >> down) & low | (p << up) & high for p in below])
+            layers[s] = acc
+    total = layers[0]
+    for layer in layers[1:]:
+        total = _add(total, layer)
+    return total
+
+
+def _dilate(x: int, r: int, rotations: list) -> int:
+    """The words within distance r of a word of bitset x."""
+    for _ in range(r):
+        grown = x
+        for rots in rotations:
+            for down, low, up, high in rots:
+                grown |= (x >> down) & low | (x << up) & high
+        x = grown
+    return x
+
+
+def _moved(x: int, idx: int, q: int, rotations: list) -> int:
+    """Bitset x translated by word idx (digitwise mod q): for each nonzero
+    digit d of idx, every word of x moves up by d in that digit, so word 0
+    lands on idx."""
+    for rots in rotations:
+        idx, d = divmod(idx, q)
+        if d:
+            down, low, up, high = rots[q - d - 1]
+            x = (x >> down) & low | (x << up) & high
+    return x
+
+
+def _greedy_bitsliced(q: int, t: int, r: int) -> list[int]:
+    """greedy_set_cover's picks over {1..q}^t with radius-r balls, from
+    bit-sliced gains of all words at once.
+
+    ``ties`` holds the words whose gain is the current maximum. Gains only
+    fall, so while some word keeps that maximum the next pick is the lowest
+    such word; a pick lowers exactly the words within r of the points it
+    newly covers, and those leave ``ties``. When none is left the gains are
+    counted again: one _gains pass per distinct maximum at most. The balls
+    of radius r and 2r around word 0 are built once and moved onto each
+    pick; when a pick covers its whole ball, the words it lowers are its
+    radius-2r ball.
+    """
+    rotations = _rotations(q, t)
+    ball0 = _dilate(1, r, rotations)
+    reach0 = _dilate(ball0, r, rotations)
+    uncovered = full = (1 << q**t) - 1
+    ties = 0
+    chosen: list[int] = []
+    while uncovered:
+        if not ties:
+            ties = full
+            for plane in reversed(_gains(uncovered, r, rotations)):
+                if ties & plane:
+                    ties &= plane
+        best = (ties & -ties).bit_length() - 1
+        chosen.append(best)
+        ball = _moved(ball0, best, q, rotations)
+        newly = ball & uncovered
+        uncovered ^= newly
+        ties ^= 1 << best
+        if ties:
+            if newly == ball:
+                ties &= ~_moved(reach0, best, q, rotations)
+            else:
+                ties &= ~_dilate(newly, r, rotations)
+    return chosen
+
+
+def _bitsliced_pays(q: int, t: int, r: int, volume: int) -> bool:
+    """Whether greedy_code takes _greedy_bitsliced rather than
+    greedy_set_cover, by estimated work from (q, t, r) and the ball volume
+    alone.
+
+    greedy_set_cover makes q^t * |ball| gain updates. The bit-sliced build
+    makes about q^t / |ball| picks, and each moves or dilates a ball by up
+    to r * t * (q-1) rotations of a q^t-bit int, about q^t / 64 + 64
+    machine words each; one gain update costs about as much as 8 such
+    words. So the bit-sliced build wins when |ball|^2 is large against
+    r * t * (q-1) * (q^t / 64 + 64): at every r >= 2 inside the cap, and at
+    r = 1 only for small spaces, for example (2,11,1) but not (2,12,1).
+    Below 512 gain updates the set cover takes some tens of microseconds,
+    less than the masks and counters the bit-sliced build sets up, and at
+    r = 0 every word is a pick.
+    """
+    if r == 0 or q**t * volume < 512:
+        return False
+    return r * t * (q - 1) * (q**t // 64 + 64) <= 8 * volume**2
+
+
 def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     """Greedy set cover over {1..q}^t with radius-r balls as the sets.
 
-    Ties break toward the lexicographically smallest center (see
-    greedy_set_cover). The result is exhaustively verified before it is
-    returned. The build costs q^t * |ball| gain updates plus the argmax
-    scans of the q^t gains: at most three passes per distinct maximum gain
-    (see greedy_set_cover), and the gains are integers in 0..|ball|, so the
-    scans stay within about three times the updates. Each pick also builds
-    and checks a word of t symbols, and at r = 0 every point is a pick, so
-    the one cap, checked before anything is built, charges each point
-    max(|ball|, 1 + t(q-1)): the updates of a radius-1 ball, which |ball|
-    reaches for every r >= 1.
+    Ties break toward the lexicographically smallest center: each pick is
+    the lowest-index word of largest gain, as in greedy_set_cover. Two
+    builds make exactly these picks, and _bitsliced_pays chooses between
+    them before anything is built: greedy_set_cover over ball index lists,
+    or _greedy_bitsliced over bitsets of all q^t words. The result is
+    exhaustively verified before it is returned.
+
+    The one cap is the set cover's cost, which bounds both builds: q^t *
+    |ball| gain updates plus argmax scans at most three passes per distinct
+    maximum gain (see greedy_set_cover); the gains are integers in
+    0..|ball|, so the scans stay within about three times the updates. Each
+    pick also builds and checks a word of t symbols, and at r = 0 every
+    point is a pick, so the cap, checked before anything is built, charges
+    each point max(|ball|, 1 + t(q-1)): the updates of a radius-1 ball,
+    which |ball| reaches for every r >= 1.
     """
     _check_params(q, t, r)
     # q^t bounds the cost from below, so a long word is refused before its
@@ -369,8 +551,11 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
             f"greedy code (q={q}, t={t}, r={r}) needs {cost} gain updates, "
             f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
         )
-    ball = _ball_of(q, t, r)
-    centers = greedy_set_cover(space, space, volume, ball, ball)
+    if _bitsliced_pays(q, t, r, volume):
+        centers = _greedy_bitsliced(q, t, r)
+    else:
+        ball = _ball_of(q, t, r)
+        centers = greedy_set_cover(space, space, volume, ball, ball)
     code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
     if not verify_cover(code):
         raise CodeConstructionError(f"greedy code (q={q}, t={t}, r={r}) failed verification")

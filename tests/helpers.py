@@ -10,6 +10,7 @@ that only the tests use.
 from __future__ import annotations
 
 import random
+from collections import deque
 from collections.abc import Callable, Iterable
 from itertools import combinations, product
 
@@ -355,6 +356,37 @@ def ref_ball_of(idx: int, q: int, t: int, r: int) -> list[int]:
             for deltas in product(*choices):
                 result.append(idx + sum(deltas))
     return result
+
+
+def ref_verify_cover(q: int, t: int, r: int, words: Iterable[tuple[int, ...]]) -> bool:
+    """Whether the words cover {1..q}^t at radius r, by a multi-source BFS
+    out to depth r from all of them, one neighbour at a time: the reference
+    for coversat.codes.verify_cover, which dilates bitsets."""
+    space = q**t
+    pows = [q ** (t - 1 - pos) for pos in range(t)]
+    seen = bytearray(space)
+    queue = deque()
+    for word in words:
+        idx = sum((s - 1) * w for s, w in zip(word, pows))
+        if not seen[idx]:
+            seen[idx] = 1
+            queue.append((idx, 0))
+    count = len(queue)
+    while queue:
+        idx, dist = queue.popleft()
+        if dist == r:
+            continue
+        for pos in range(t):
+            w = pows[pos]
+            d = idx // w % q
+            for nd in range(q):
+                if nd != d:
+                    nb = idx + (nd - d) * w
+                    if not seen[nb]:
+                        seen[nb] = 1
+                        count += 1
+                        queue.append((nb, dist + 1))
+    return count == space
 
 
 def ref_greedy_set_cover(

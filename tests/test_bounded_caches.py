@@ -3,6 +3,10 @@ names an integer maxsize, and functools.cache, which never evicts, only
 decorates functions without arguments, whose one entry cannot grow."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import coversat
@@ -105,3 +109,34 @@ wrapped = cache(len)
 self.cache = {}
 """
     assert _unbounded_caches(ast.parse(source)) == [14, 17, 20, 23, 26]
+
+
+_IMPORT_PROBE = """
+import json, sys
+import coversat.cli
+from coversat import codes
+caches = {
+    f"{name}.{key}": value.cache_info().currsize
+    for name, module in sorted(sys.modules.items())
+    if name == "coversat" or name.startswith("coversat.")
+    for key, value in vars(module).items()
+    if hasattr(value, "cache_info") and getattr(value, "__module__", None) == name
+}
+print(json.dumps({"caches": caches, "codes": len(codes._memory_cache)}))
+"""
+
+
+def test_importing_the_cli_builds_nothing():
+    # a cold `coversat solve` pays only for what its input needs: a brute
+    # solve builds no code, so importing the CLI may fill no cache
+    package_root = str(Path(coversat.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    state = json.loads(out.stdout)
+    assert "coversat.solver._value_masks" in state["caches"], state
+    assert "coversat.cli._build_parser" in state["caches"], state
+    assert all(size == 0 for size in state["caches"].values()), state
+    assert state["codes"] == 0, state

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from coversat.cnf import hamming_distance
 from coversat.codes import (
+    VERIFY_MAX_SPACE,
     CoveringCode,
     _ball_of,
+    _bitsliced_pays,
     _ceil_fraction,
+    _word_of,
     ball_volume,
     boolean_cover,
     code_size_bound,
@@ -27,7 +30,7 @@ from coversat.codes import (
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.formats import read_code, write_code
 
-from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover
+from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover, ref_verify_cover
 
 
 def brute_ball_count(q: int, t: int, r: int) -> int:
@@ -128,6 +131,67 @@ class TestVerifyCover:
                 for w in product(range(1, q + 1), repeat=t)
             )
             assert verify_cover(code) == expected
+
+    @staticmethod
+    def _cases():
+        """Seeded (q, t, r, words): random codes with q 2..7, t 0..7 and
+        r 0..t (q^t <= 2*10^4 keeps the reference quick), some holding the
+        words of index 0 and q^t - 1, then large alphabets at t = 1, 2."""
+        rng = random.Random("verify-cover-diff")
+        cases = []
+        for _ in range(200):
+            q, t = rng.randint(2, 7), rng.randint(0, 7)
+            space = q**t
+            if space > 2 * 10**4:
+                continue
+            r = rng.randint(0, t)
+            # about twice the sphere-covering count, so that some cover
+            size = max(1, min(space, 2 * space // ball_volume(q, t, r) + rng.randint(0, 2)))
+            idxs = {rng.randrange(space) for _ in range(size)}
+            if rng.random() < 0.5:
+                idxs |= {0, space - 1}
+            cases.append((q, t, r, [_word_of(i, q, t) for i in sorted(idxs)]))
+        for q in (50, 257, 1000):
+            cases += [(q, 1, 0, [(s,) for s in range(1, q + 1)]), (q, 1, 1, [(q,)])]
+        for q in (50, 130, 300):
+            diagonal = [(s, s) for s in range(1, q + 1)]
+            cases += [(q, 2, 1, diagonal), (q, 2, 2, [(q, 1)]), (q, 2, 0, diagonal)]
+            cases.append((q, 2, 1, [(s, q + 1 - s) for s in range(1, q + 1)] + [(1, 1), (q, q)]))
+        return cases
+
+    def test_matches_bfs_reference(self):
+        verdicts = set()
+        for q, t, r, words in self._cases():
+            # each code as drawn, then without one of its words
+            for kept in (words, words[:-1]):
+                expected = ref_verify_cover(q, t, r, kept)
+                code = CoveringCode(q, t, r, tuple(kept))
+                assert verify_cover(code) is expected, (q, t, r, kept)
+                assert code.verified is expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_time_is_bounded_inside_the_cap(self):
+        # a BFS from every codeword took 5.9 s on a (1000, 2, 1) code like
+        # this one, and its t(q-1) neighbours per codeword grow with q up to
+        # 3162, the largest alphabet inside the cap at t = 2
+        rng = random.Random("verify-time")
+        words = tuple(
+            {(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(20000)}
+        )
+        q = math.isqrt(VERIFY_MAX_SPACE)
+        codes = [
+            CoveringCode(1000, 2, 1, words),
+            CoveringCode(q, 2, 1, tuple((s, s) for s in range(1, q + 1))),
+        ]
+        start = time.perf_counter()
+        verdicts = [verify_cover(code) for code in codes]
+        assert time.perf_counter() - start < 1.0
+        # at t = 2 and r = 1 a code covers iff its words meet every row or
+        # every column: a row and a column both missed meet in a point no
+        # word reaches
+        rows, columns = ({word[i] for word in words} for i in (0, 1))
+        assert verdicts == [len(rows) == 1000 or len(columns) == 1000, True]
 
     def test_cap_refuses(self):
         code = CoveringCode(2, 20, 1, ((1,) * 20,))
@@ -283,8 +347,9 @@ class TestGreedyCode:
         def admitted(*args):
             raise Admitted
 
-        # reaching the set cover means the cap let the build through
+        # reaching either build means the cap let the build through
         monkeypatch.setattr(codes, "greedy_set_cover", admitted)
+        monkeypatch.setattr(codes, "_greedy_bitsliced", admitted)
         with pytest.raises(Admitted):
             greedy_code(*params)
 
@@ -292,6 +357,44 @@ class TestGreedyCode:
         # the scans stay within about three times the capped gain updates
         code = greedy_code(2, 17, 1)
         assert code.verified is True and verify_cover(code) is True
+
+    @staticmethod
+    def _sweep():
+        """Seeded (q, t, r) whose q^t * |ball| updates and q^t / |ball|
+        textbook argmax scans of q^t gains each stay within 2*10^5, plus
+        (2,16,2) and the radius-1 codes on both sides of the path rule."""
+        rng = random.Random("greedy-code-diff")
+        cases = {(2, 16, 2), (2, 12, 1), (2, 11, 1)}
+        while len(cases) < 40:
+            q, t = rng.randint(2, 9), rng.randint(1, 12)
+            r = rng.randint(0, t)
+            space, volume = q**t, ball_volume(q, t, r)
+            if space * max(volume, space // volume) <= 2 * 10**5:
+                cases.add((q, t, r))
+        return sorted(cases)
+
+    def test_matches_textbook_greedy_on_both_builds(self):
+        paths = set()
+        for q, t, r in self._sweep():
+            space = q**t
+            if q == 2:
+                # a binary ball is its center XOR the ball around word 0
+                around0 = ref_ball_of(0, q, t, r)
+
+                def ball(idx, around0=around0):
+                    return [idx ^ x for x in around0]
+
+            else:
+
+                def ball(idx, q=q, t=t, r=r):
+                    return ref_ball_of(idx, q, t, r)
+
+            centers = ref_greedy_set_cover(space, space, ball_volume(q, t, r), ball, ball)
+            expected = tuple(sorted(_word_of(idx, q, t) for idx in centers))
+            assert greedy_code(q, t, r).words == expected, (q, t, r)
+            paths.add(_bitsliced_pays(q, t, r, ball_volume(q, t, r)))
+        assert paths == {True, False}
+        assert _bitsliced_pays(2, 11, 1, 12) and not _bitsliced_pays(2, 12, 1, 13)
 
     def test_failed_verification_raises(self, monkeypatch):
         import coversat.codes as codes
