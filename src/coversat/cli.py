@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .codes import get_code, verify_cover
+from .codes import get_code, random_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
 from .errors import CoversatError, ResourceCapError, UsageError
 from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
@@ -165,9 +165,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gencode(args) -> int:
     if args.method == "random":
-        code = get_code(args.q, args.t, args.radius, "random", size=args.size, seed=args.seed)
+        code = random_code(args.q, args.t, args.radius, args.size, args.seed)
     else:
-        code = get_code(args.q, args.t, args.radius, "greedy")
+        code = get_code(args.q, args.t, args.radius)
     text = write_code(code)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

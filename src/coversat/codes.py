@@ -27,7 +27,7 @@ from .errors import CodeConstructionError, ResourceCapError
 Word = tuple[int, ...]
 
 # greedy_code's cost (see its docstring); on a 2-core VM the slowest builds
-# measured inside the cap take about 6.5 s, (9,6,1), and 12 s at r = 0, (2,20,0)
+# measured inside the cap take about 6.5 s, (9,6,1), and 8 s at r = 0, (2,20,0)
 GREEDY_MAX_UPDATES = 3 * 10**7
 VERIFY_MAX_SPACE = 10**7
 
@@ -87,11 +87,14 @@ class CoveringCode:
         return len(self.words)
 
     @classmethod
-    def _unchecked(cls, q: int, t: int, r: int, words: BlockProduct) -> CoveringCode:
-        """``CoveringCode(q, t, r, tuple(words))`` without ``__post_init__``, marked
-        verified: the caller has validated the words, in sorted order, and their cover."""
+    def _unchecked(
+        cls, q: int, t: int, r: int, words: tuple[Word, ...] | BlockProduct
+    ) -> CoveringCode:
+        """``CoveringCode(q, t, r, words)`` without ``__post_init__``, for words
+        the package built or has checked: valid, distinct and sorted. The code
+        is not marked verified."""
         code = object.__new__(cls)
-        code.q, code.t, code.r, code.words, code.verified = q, t, r, words, True
+        code.q, code.t, code.r, code.words, code.verified = q, t, r, words, False
         return code
 
 
@@ -232,9 +235,6 @@ def verify_cover(code: CoveringCode) -> bool:
         raise ResourceCapError(
             f"q^t = {space} exceeds exhaustive-verification cap {VERIFY_MAX_SPACE}"
         )
-    if t == 0:
-        code.verified = len(code.words) > 0
-        return code.verified
     marks = bytearray((space + 7) // 8)
     for word in code.words:
         idx = _index_of(word, q)
@@ -281,16 +281,6 @@ def _spread(x: int, q: int, w: int, zero: int) -> int:
     return reduce(or_, parts)
 
 
-def _random_size(q: int, t: int, r: int, target_size: int | None) -> int:
-    """The number of words random_code samples (see its docstring)."""
-    _check_params(q, t, r)
-    if target_size is not None and target_size < 1:
-        raise ValueError("target_size must be >= 1")
-    if q**t > VERIFY_MAX_SPACE:
-        raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
-    return code_size_bound(q, t, r) if target_size is None else target_size
-
-
 def random_code(
     q: int, t: int, r: int, target_size: int | None = None, seed: int = 0, retries: int = 10
 ) -> CoveringCode:
@@ -302,13 +292,17 @@ def random_code(
     Duplicates among the samples are collapsed, so the returned code may hold
     fewer than target_size distinct words.
     """
-    target_size = _random_size(q, t, r, target_size)
+    _check_params(q, t, r)
+    if target_size is not None and target_size < 1:
+        raise ValueError("target_size must be >= 1")
+    if q**t > VERIFY_MAX_SPACE:
+        raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
+    if target_size is None:
+        target_size = code_size_bound(q, t, r)
     for attempt in range(retries):
         rng = random.Random(f"randcode:{seed}:{attempt}")
-        words = tuple(
-            tuple(rng.randint(1, q) for _ in range(t)) for _ in range(target_size)
-        )
-        code = CoveringCode(q, t, r, words)
+        words = {tuple(rng.randint(1, q) for _ in range(t)) for _ in range(target_size)}
+        code = CoveringCode._unchecked(q, t, r, tuple(sorted(words)))
         if verify_cover(code):
             return code
     raise CodeConstructionError(
@@ -530,7 +524,7 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     |ball| gain updates plus argmax scans at most three passes per distinct
     maximum gain (see greedy_set_cover); the gains are integers in
     0..|ball|, so the scans stay within about three times the updates. Each
-    pick also builds and checks a word of t symbols, and at r = 0 every
+    pick also builds a word of t symbols, and at r = 0 every
     point is a pick, so the cap, checked before anything is built, charges
     each point max(|ball|, 1 + t(q-1)): the updates of a radius-1 ball,
     which |ball| reaches for every r >= 1.
@@ -556,7 +550,7 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     else:
         ball = _ball_of(q, t, r)
         centers = greedy_set_cover(space, space, volume, ball, ball)
-    code = CoveringCode(q, t, r, tuple(_word_of(idx, q, t) for idx in centers))
+    code = CoveringCode._unchecked(q, t, r, tuple(_word_of(idx, q, t) for idx in sorted(centers)))
     if not verify_cover(code):
         raise CodeConstructionError(f"greedy code (q={q}, t={t}, r={r}) failed verification")
     return code
@@ -584,49 +578,31 @@ def boolean_cover(
     if not 1 <= b <= 20:
         raise ValueError("block length must lie in 1..20")
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
-    blocks = [
-        get_code(2, t, _ceil_fraction(rho * t), "greedy", cache_dir=cache_dir) for t in lengths
-    ]
+    blocks = [get_code(2, t, _ceil_fraction(rho * t), cache_dir=cache_dir) for t in lengths]
     for block in blocks:
         if not block.verified:
             raise CodeConstructionError(f"greedy block (2, {block.t}) is not verified")
     if len(blocks) == 1:
         return blocks[0]
     words = BlockProduct(block.words for block in blocks)
-    return CoveringCode._unchecked(2, n, sum(block.r for block in blocks), words)
+    code = CoveringCode._unchecked(2, n, sum(block.r for block in blocks), words)
+    code.verified = True
+    return code
 
 
-_memory_cache: dict[tuple, CoveringCode] = {}
+_memory_cache: dict[tuple[int, int, int], CoveringCode] = {}
 
 
 def get_code(
-    q: int,
-    t: int,
-    r: int,
-    method: str = "greedy",
-    *,
-    size: int | None = None,
-    seed: int = 0,
-    cache_dir: str | os.PathLike | None = None,
+    q: int, t: int, r: int, *, cache_dir: str | os.PathLike | None = None
 ) -> CoveringCode:
-    """Construct a code, reusing an in-memory and optional on-disk cache.
-
-    Cache keys include the construction method so greedy and random codes
-    never alias, and a random code's key holds its resolved size, so the
-    default size and the same size passed explicitly share one entry. Disk
-    entries are re-verified on load and rebuilt if stale.
-    """
-    if method not in ("greedy", "random"):
-        raise ValueError(f"unknown construction method {method!r}")
-    if method == "random":
-        size = _random_size(q, t, r, size)
-    key = (q, t, r, method, size, seed)
+    """greedy_code(q, t, r), reusing an in-memory and optional on-disk cache
+    keyed by (q, t, r). Disk entries are re-verified on load and rebuilt if
+    stale."""
+    key = (q, t, r)
     path = None
     if cache_dir is not None:
-        name = f"{method}_q{q}_t{t}_r{r}"
-        if method == "random":
-            name += f"_s{size}_seed{seed}"
-        path = os.path.join(cache_dir, name + ".code")
+        path = os.path.join(cache_dir, f"greedy_q{q}_t{t}_r{r}.code")
     code = _memory_cache.get(key)
     if code is not None:
         if path is not None and not os.path.exists(path):
@@ -649,10 +625,7 @@ def get_code(
             ):
                 _memory_cache[key] = cached
                 return cached
-    if method == "greedy":
-        code = greedy_code(q, t, r)
-    else:
-        code = random_code(q, t, r, size, seed)
+    code = greedy_code(q, t, r)
     _memory_cache[key] = code
     if path is not None:
         _write_code_file(code, cache_dir, path)

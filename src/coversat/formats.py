@@ -250,7 +250,4 @@ def read_code(text: str | bytes) -> CoveringCode:
         words.append(symbols)
     if len(set(words)) != len(words):
         raise ParseError("duplicate codeword in file")
-    try:
-        return CoveringCode(q, t, r, tuple(words))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return CoveringCode._unchecked(q, t, r, tuple(sorted(words)))

@@ -39,8 +39,7 @@ Inside searchball a node walks the literals of its lowest unsatisfied
 clause in place, and hands each child the mask it computes from its own
 assignment with the child's literal set; a radius-0 child that some clause
 unsatisfied at the parent lacks is settled with one AND, without a mask or
-a call. The root overlays the forced dict on alpha only once it descends or
-returns.
+a call.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ class FastParams:
         """
         if k < 2:
             raise ValueError("k must be >= 2")
-        code = get_code(k, t, -(-t // k), "greedy", cache_dir=cache_dir)
+        code = get_code(k, t, -(-t // k), cache_dir=cache_dir)
         return cls(code)
 
 
@@ -197,18 +196,16 @@ def schoening_walk(
 
 def _searchball(
     f: Formula,
-    cur: Assignment | list[int],
-    forced: dict[int, int] | set[int],
+    cur: list[int],
+    forced: set[int],
     r: int,
     depth: int,
     stats: SearchStats,
     unsat: int,
 ) -> Optional[Assignment]:
-    """One node of searchball. unsat is the mask of the clauses cur leaves
-    unsatisfied. Below the root, cur is the list overlay and forced the set
-    of forced variables, both shared by the whole recursion; the root
-    (depth 0) still holds the caller's alpha and forced dict and overlays
-    them only when it returns a witness or descends into a child.
+    """One node of searchball. cur is the assignment with the forced values
+    overlaid and forced the set of forced variables, both shared by the
+    whole recursion; unsat is the mask of the clauses cur leaves unsatisfied.
 
     The node walks the literals of its lowest unsatisfied clause in clause
     order and skips the forced ones; it builds the all-clauses mask only to
@@ -219,12 +216,11 @@ def _searchball(
         stats.max_depth = depth
     if not unsat:
         stats.leaves += 1
-        return tuple(cur) if depth else override(cur, forced)
+        return tuple(cur)
     if r <= 0:
         stats.leaves += 1
         return None
     masks = f.literal_masks
-    root = not depth
     free = False
     for u in f.clauses[(unsat & -unsat).bit_length() - 1]:
         v = abs(u)
@@ -240,8 +236,6 @@ def _searchball(
             if depth + 1 > stats.max_depth:
                 stats.max_depth = depth + 1
             continue
-        if root:
-            cur, forced, root = list(override(cur, forced)), set(forced), False
         old = cur[v - 1]
         cur[v - 1] = new
         forced.add(v)
@@ -256,14 +250,6 @@ def _searchball(
         # restricted formula, a dead end
         stats.leaves += 1
     return None
-
-
-@lru_cache(maxsize=1)
-def _variables(n: int) -> frozenset[int]:
-    """The variables 1..n, for searchball's range check of a forced dict.
-    A solve asks for one n, so one set is kept: about 75n bytes with its
-    ints, about what the formula's literal_masks pairs take."""
-    return frozenset(range(1, n + 1))
 
 
 def searchball(
@@ -283,20 +269,20 @@ def searchball(
     small-|G| subproblems; neither it nor alpha is modified. `unsat`, when
     given, must be the unsat mask of alpha overridden by `forced`
     (Formula.unsat_mask); the enumeration that already holds it passes it
-    so the root does not recompute it. The overlay of `forced` on alpha is
-    built only once the root returns a witness or descends into a child.
+    so the root does not recompute it.
     """
     if stats is None:
         stats = SearchStats()
     if len(alpha) != f.num_vars:
         raise ValueError("assignment length does not match formula")
     forced = forced or {}
-    if forced and not forced.keys() <= _variables(f.num_vars):
-        v = next(v for v in forced if v not in _variables(f.num_vars))
+    if forced and not 1 <= min(forced) <= max(forced) <= f.num_vars:
+        v = min(forced) if min(forced) < 1 else max(forced)
         raise ValueError(f"forced variable {v} out of range")
+    beta = override(alpha, forced)
     if unsat is None:
-        unsat = f.unsat_mask(override(alpha, forced))
-    witness = _searchball(f, alpha, forced, r, 0, stats, unsat)
+        unsat = f.unsat_mask(beta)
+    witness = _searchball(f, list(beta), set(forced), r, 0, stats, unsat)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: searchball witness failed re-verification")
     return witness, stats

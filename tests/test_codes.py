@@ -171,6 +171,16 @@ class TestVerifyCover:
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
+    def test_length_zero(self):
+        # {1..q}^0 is the one empty word: a code holding it covers at r = 0,
+        # and a code with no words does not
+        for q in (2, 5):
+            for words, expected in ((((),), True), ((), False)):
+                assert ref_verify_cover(q, 0, 0, words) is expected
+                code = CoveringCode(q, 0, 0, words)
+                assert verify_cover(code) is expected
+                assert code.verified is expected
+
     def test_time_is_bounded_inside_the_cap(self):
         # a BFS from every codeword took 5.9 s on a (1000, 2, 1) code like
         # this one, and its t(q-1) neighbours per codeword grow with q up to
@@ -229,7 +239,7 @@ class TestRandomCode:
         # q^t cap refuses first
         start = time.perf_counter()
         with pytest.raises(ResourceCapError):
-            get_code(3, 2000, 667, "random")
+            random_code(3, 2000, 667)
         assert time.perf_counter() - start < 1.0
 
 
@@ -517,10 +527,10 @@ class TestGetCodeCache:
     def test_disk_round_trip(self, tmp_path):
         from coversat.codes import _memory_cache
 
-        a = get_code(3, 3, 1, "greedy", cache_dir=tmp_path)
+        a = get_code(3, 3, 1, cache_dir=tmp_path)
         assert (tmp_path / "greedy_q3_t3_r1.code").exists()
         _memory_cache.clear()
-        b = get_code(3, 3, 1, "greedy", cache_dir=tmp_path)
+        b = get_code(3, 3, 1, cache_dir=tmp_path)
         assert a == b and b.verified is True
 
     def test_corrupt_cache_rebuilt(self, tmp_path):
@@ -529,25 +539,6 @@ class TestGetCodeCache:
         _memory_cache.clear()
         path = tmp_path / "greedy_q2_t2_r1.code"
         path.write_text("garbage\n")
-        code = get_code(2, 2, 1, "greedy", cache_dir=tmp_path)
+        code = get_code(2, 2, 1, cache_dir=tmp_path)
         assert code.verified is True
         assert verify_cover(code)
-
-    def test_random_method_keyed_by_seed(self, tmp_path):
-        a = get_code(2, 3, 1, "random", size=6, seed=5, cache_dir=tmp_path)
-        assert a.verified
-        assert (tmp_path / "random_q2_t3_r1_s6_seed5.code").exists()
-
-    def test_random_default_size_shares_the_explicit_entry(self, tmp_path):
-        # the default size resolves to the bound before the caches are keyed
-        from coversat.codes import _memory_cache
-
-        _memory_cache.clear()
-        a = get_code(2, 4, 1, "random", cache_dir=tmp_path)
-        b = get_code(2, 4, 1, "random", size=code_size_bound(2, 4, 1), cache_dir=tmp_path)
-        assert a is b
-        assert [p.name for p in tmp_path.iterdir()] == ["random_q2_t4_r1_s12_seed0.code"]
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            get_code(2, 2, 1, "magic")

@@ -334,9 +334,10 @@ class TestRestrictToBox:
                     restrict(g, box)
 
     def test_unchecked_constructor_called_only_here(self):
-        # restrict_to_box, parse_dimacs and parse_csp check their clauses or
-        # constraints as they build them; every other constructor must keep
-        # validating its input
+        # restrict_to_box, parse_dimacs, parse_csp and read_code check their
+        # clauses, constraints or words as they build them, and greedy_code,
+        # random_code and boolean_cover build their words valid; every other
+        # constructor must keep validating its input
         src = Path(csp.__file__).parent
         callers = set()
         for path in sorted(src.glob("*.py")):
@@ -353,6 +354,9 @@ class TestRestrictToBox:
                 stack.extend((child, scope) for child in ast.iter_child_nodes(node))
         assert callers == {
             ("codes.py", "boolean_cover"),
+            ("codes.py", "greedy_code"),
+            ("codes.py", "random_code"),
+            ("formats.py", "read_code"),
             ("csp.py", "restrict_to_box"),
             ("formats.py", "parse_dimacs"),
             ("formats.py", "parse_csp"),

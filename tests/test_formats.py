@@ -142,6 +142,11 @@ class TestCodeFiles:
         with pytest.raises(ParseError, match="duplicate"):
             read_code("2 2 1 2\n1 2\n1 2\n")
 
+    def test_unsorted_words_sorted(self):
+        code = read_code("2 1 0 2\n2\n1\n")
+        assert code.words == ((1,), (2,))
+        assert code.verified is False
+
     def test_verified_flag_not_restored_but_equality_holds(self):
         code = CoveringCode(2, 2, 2, ((1, 1),), verified=True)
         back = read_code(write_code(code))
