@@ -35,56 +35,65 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged and gives every call a fresh namespace."""
+@functools.lru_cache(maxsize=6)
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser, built once per process and command: parse_args
+    leaves it unchanged and gives every call a fresh namespace. A command
+    of _COMMANDS gets only its own sub-parser; None gets all five, for the
+    top-level help and the messages of a missing or unknown command."""
     p = _Parser(prog="coversat", description="Covering-code k-SAT and CSP solver")
     sub = p.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve a CNF or CSP file")
-    solve.add_argument("--input", required=True)
-    solve.add_argument("--mode", choices=["det", "rand", "brute"], default="det")
-    solve.add_argument("--t", type=int, default=6, help="inner code block size")
-    solve.add_argument("--epsilon", type=float, default=0.1)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--trial-cap", type=int, default=None)
-    solve.add_argument("--jobs", type=int, default=1)
-    solve.add_argument("--cache-dir", default=None)
-    solve.add_argument("--stats", default=None, help="write a JSON stats report here")
+    if command in (None, "solve"):
+        solve = sub.add_parser("solve", help="solve a CNF or CSP file")
+        solve.add_argument("--input", required=True)
+        solve.add_argument("--mode", choices=["det", "rand", "brute"], default="det")
+        solve.add_argument("--t", type=int, default=6, help="inner code block size")
+        solve.add_argument("--epsilon", type=float, default=0.1)
+        solve.add_argument("--seed", type=int, default=0)
+        solve.add_argument("--trial-cap", type=int, default=None)
+        solve.add_argument("--jobs", type=int, default=1)
+        solve.add_argument("--cache-dir", default=None)
+        solve.add_argument("--stats", default=None, help="write a JSON stats report here")
 
-    gencode = sub.add_parser("gencode", help="construct a covering code")
-    gencode.add_argument("--q", type=int, required=True)
-    gencode.add_argument("--t", type=int, required=True)
-    gencode.add_argument("--radius", type=int, required=True)
-    gencode.add_argument("--method", choices=["greedy", "random"], default="greedy")
-    gencode.add_argument("--size", type=int, default=None, help="random method: words to sample")
-    gencode.add_argument("--seed", type=int, default=0)
-    gencode.add_argument("--out", default=None, help="output file (default: stdout)")
+    if command in (None, "gencode"):
+        gencode = sub.add_parser("gencode", help="construct a covering code")
+        gencode.add_argument("--q", type=int, required=True)
+        gencode.add_argument("--t", type=int, required=True)
+        gencode.add_argument("--radius", type=int, required=True)
+        gencode.add_argument("--method", choices=["greedy", "random"], default="greedy")
+        gencode.add_argument(
+            "--size", type=int, default=None, help="random method: words to sample"
+        )
+        gencode.add_argument("--seed", type=int, default=0)
+        gencode.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    verify = sub.add_parser("verifycode", help="exhaustively verify a code file")
-    verify.add_argument("file")
+    if command in (None, "verifycode"):
+        verify = sub.add_parser("verifycode", help="exhaustively verify a code file")
+        verify.add_argument("file")
 
-    reduce_p = sub.add_parser("reduce", help="emit the per-box CNFs of a CSP")
-    reduce_p.add_argument("--input", required=True)
-    reduce_p.add_argument("--outdir", required=True)
+    if command in (None, "reduce"):
+        reduce_p = sub.add_parser("reduce", help="emit the per-box CNFs of a CSP")
+        reduce_p.add_argument("--input", required=True)
+        reduce_p.add_argument("--outdir", required=True)
 
-    bench = sub.add_parser("bench", help="scaling experiments on planted instances")
-    bench.add_argument("--k", type=int, default=3)
-    bench.add_argument("--t", type=int, default=6)
-    bench.add_argument("--r", required=True, help="radius range LO:HI (inclusive)")
-    bench.add_argument("--trials", type=int, default=50)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--m", type=int, default=None)
-    bench.add_argument(
-        "--engine",
-        action="append",
-        choices=list(bench_mod.ENGINES),
-        default=None,
-        help="repeatable; default: searchball and searchball_fast",
-    )
-    bench.add_argument("--csv", default=None)
+    if command in (None, "bench"):
+        bench = sub.add_parser("bench", help="scaling experiments on planted instances")
+        bench.add_argument("--k", type=int, default=3)
+        bench.add_argument("--t", type=int, default=6)
+        bench.add_argument("--r", required=True, help="radius range LO:HI (inclusive)")
+        bench.add_argument("--trials", type=int, default=50)
+        bench.add_argument("--seed", type=int, default=0)
+        bench.add_argument("--n", type=int, default=None)
+        bench.add_argument("--m", type=int, default=None)
+        bench.add_argument(
+            "--engine",
+            action="append",
+            choices=list(bench_mod.ENGINES),
+            default=None,
+            help="repeatable; default: searchball and searchball_fast",
+        )
+        bench.add_argument("--csv", default=None)
     return p
 
 
@@ -133,8 +142,7 @@ def _emit_result(
             "wall_time": result.stats.wall_time,
         }
         with open(args.stats, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
     return _STATUS_EXIT[result.status]
 
 
@@ -239,21 +247,22 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "gencode": _cmd_gencode,
+    "verifycode": _cmd_verifycode,
+    "reduce": _cmd_reduce,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "gencode":
-            return _cmd_gencode(args)
-        if args.command == "verifycode":
-            return _cmd_verifycode(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser(command).parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

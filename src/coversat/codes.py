@@ -26,7 +26,7 @@ from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
-# greedy_code's cost (see its docstring); on a 2-core VM the slowest builds
+# greedy_code's cost (see check_greedy_cap); on a 2-core VM the slowest builds
 # measured inside the cap take about 6.5 s, (9,6,1), and 8 s at r = 0, (2,20,0)
 GREEDY_MAX_UPDATES = 3 * 10**7
 VERIFY_MAX_SPACE = 10**7
@@ -510,6 +510,32 @@ def _bitsliced_pays(q: int, t: int, r: int, volume: int) -> bool:
     return r * t * (q - 1) * (q**t // 64 + 64) <= 8 * volume**2
 
 
+def check_greedy_cap(q: int, t: int, r: int) -> None:
+    """Raise ResourceCapError when greedy_code(q, t, r) costs more than
+    GREEDY_MAX_UPDATES gain updates; builds nothing.
+
+    The cost is the set cover's, which bounds both builds: q^t * |ball|
+    gain updates plus argmax scans that stay within about three times the
+    updates (see greedy_set_cover). At r = 0 every point is a pick, so
+    each point is charged at least the 1 + t(q-1) updates of a radius-1
+    ball. As q^t alone bounds the cost from below, a long word is refused
+    before its ball volume is computed, which takes minutes at t = 10^5.
+    """
+    _check_params(q, t, r)
+    # as q >= 2, the test on t alone keeps q^t small
+    if t >= GREEDY_MAX_UPDATES.bit_length() or q**t > GREEDY_MAX_UPDATES:
+        raise ResourceCapError(
+            f"greedy code (q={q}, t={t}, r={r}) needs at least q^t = {q}^{t} gain updates, "
+            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
+        )
+    cost = q**t * max(ball_volume(q, t, r), 1 + t * (q - 1))
+    if cost > GREEDY_MAX_UPDATES:
+        raise ResourceCapError(
+            f"greedy code (q={q}, t={t}, r={r}) needs {cost} gain updates, "
+            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
+        )
+
+
 def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     """Greedy set cover over {1..q}^t with radius-r balls as the sets.
 
@@ -517,34 +543,12 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     the lowest-index word of largest gain, as in greedy_set_cover. Two
     builds make exactly these picks, and _bitsliced_pays chooses between
     them before anything is built: greedy_set_cover over ball index lists,
-    or _greedy_bitsliced over bitsets of all q^t words. The result is
-    exhaustively verified before it is returned.
-
-    The one cap is the set cover's cost, which bounds both builds: q^t *
-    |ball| gain updates plus argmax scans at most three passes per distinct
-    maximum gain (see greedy_set_cover); the gains are integers in
-    0..|ball|, so the scans stay within about three times the updates. Each
-    pick also builds a word of t symbols, and at r = 0 every
-    point is a pick, so the cap, checked before anything is built, charges
-    each point max(|ball|, 1 + t(q-1)): the updates of a radius-1 ball,
-    which |ball| reaches for every r >= 1.
+    or _greedy_bitsliced over bitsets of all q^t words. check_greedy_cap
+    refuses a build beyond the cap first. The result is exhaustively
+    verified before it is returned.
     """
-    _check_params(q, t, r)
-    # q^t bounds the cost from below, so a long word is refused before its
-    # ball volume and the product are computed, which takes minutes at
-    # t = 10^5; as q >= 2, the test on t alone keeps q^t small
-    if t >= GREEDY_MAX_UPDATES.bit_length() or q**t > GREEDY_MAX_UPDATES:
-        raise ResourceCapError(
-            f"greedy code (q={q}, t={t}, r={r}) needs at least q^t = {q}^{t} gain updates, "
-            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
-        )
+    check_greedy_cap(q, t, r)
     space, volume = q**t, ball_volume(q, t, r)
-    cost = space * max(volume, 1 + t * (q - 1))
-    if cost > GREEDY_MAX_UPDATES:
-        raise ResourceCapError(
-            f"greedy code (q={q}, t={t}, r={r}) needs {cost} gain updates, "
-            f"beyond the cap {GREEDY_MAX_UPDATES:.0e}; use a smaller --t"
-        )
     if _bitsliced_pays(q, t, r, volume):
         centers = _greedy_bitsliced(q, t, r)
     else:

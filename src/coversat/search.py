@@ -48,7 +48,7 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Optional
 
@@ -60,7 +60,7 @@ from .cnf import (
     evaluate,
     override,
 )
-from .codes import CoveringCode, get_code
+from .codes import CoveringCode, check_greedy_cap, get_code
 
 
 @dataclass
@@ -103,43 +103,48 @@ class WalkParams:
 class FastParams:
     """Covering-code parameters for searchball_fast over (<=k)-CNF.
 
-    t, k and delta are read from the code: it lives on alphabet {1..k} with
-    word length t and covering radius r (ceil(t/k) from for_k), and
-    delta = t - 2r is the guaranteed radius progress per level and must be
-    positive.
+    The inner code lives on alphabet {1..k} with word length t and
+    covering radius ceil(t/k): when k does not divide t the radius rounds
+    up, which keeps the covering property and shrinks delta conservatively.
+    delta = t - 2*ceil(t/k) is the guaranteed radius progress per level and
+    must be positive. Construction checks delta and the greedy cost cap of
+    the code without building it; the first read of code gets the verified
+    greedy code from get_code (cache_dir as there) and keeps it on the
+    instance, so a pickled copy carries it once it is built. The code is
+    read only at a node with t disjoint width-k clauses, which needs
+    n >= k*t variables.
     """
 
-    code: CoveringCode
+    k: int
+    t: int = 6
+    cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if self.delta < 1:
             raise ValueError(f"delta must be >= 1, got {self.delta} (t={self.t} too small)")
-        if not self.code.verified:
-            raise ValueError("searchball_fast requires a verified covering code")
+        check_greedy_cap(self.k, self.t, self.radius)
 
     @property
-    def t(self) -> int:
-        return self.code.t
-
-    @property
-    def k(self) -> int:
-        return self.code.q
+    def radius(self) -> int:
+        return -(-self.t // self.k)
 
     @property
     def delta(self) -> int:
-        return self.code.t - 2 * self.code.r
+        return self.t - 2 * self.radius
+
+    @cached_property
+    def code(self) -> CoveringCode:
+        code = get_code(self.k, self.t, self.radius, cache_dir=self.cache_dir)
+        if not code.verified:
+            raise ValueError("searchball_fast requires a verified covering code")
+        return code
 
     @classmethod
-    def for_k(cls, k: int, t: int = 6, cache_dir=None) -> "FastParams":
-        """Build params with the cached greedy code of radius ceil(t/k).
-
-        When k does not divide t the radius rounds up, which keeps the
-        covering property and shrinks delta conservatively.
-        """
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        code = get_code(k, t, -(-t // k), cache_dir=cache_dir)
-        return cls(code)
+    def for_k(cls, k: int, t: int = 6, cache_dir: str | None = None) -> "FastParams":
+        """Params for (<=k)-CNF with the greedy inner code of radius ceil(t/k)."""
+        return cls(k, t, cache_dir)
 
 
 def _lowest(mask: int) -> int:
@@ -585,9 +590,10 @@ def _fast(
         stats.leaves += 1
         return None
     h = g[: params.t]
+    child_r = r - params.delta
     for w in params.code.words:
         moved = apply_codeword(alpha, h, w)
-        res = _fast(f, moved, r - params.delta, params, stats, depth + 1)
+        res = _fast(f, moved, child_r, params, stats, depth + 1)
         if res is not None:
             return res
     return None

@@ -39,9 +39,10 @@ class SolverConfig:
     The paper's parameters are t, the inner-code length, and epsilon: the
     outer cover has radius fraction 1/(a+1) = 1/(k+epsilon) for a = k-1+epsilon
     and blocks of OUTER_BLOCK_LEN variables, and a CSP's 2-box cover follows
-    from d and n. cache_dir persists the covering codes across runs. jobs > 1
-    spreads the codewords (CNF) or the boxes (CSP) over worker processes;
-    CNF workers receive the built inner code.
+    from d and n. The inner code is built only when n >= k*t, as only then can
+    a node hold t disjoint k-clauses. cache_dir persists the covering codes
+    across runs. jobs > 1 spreads the codewords (CNF) or the boxes (CSP) over
+    worker processes; CNF workers receive the inner code when it is built.
     """
 
     t: int = 6
@@ -317,6 +318,10 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
         return SolveResult("unsat", None)
     cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
     fp = FastParams.for_k(k, cfg.t, cache_dir=cfg.cache_dir)
+    if n >= k * fp.t:
+        # some node may hold t disjoint k-clauses: build the inner code here,
+        # once, so that pool workers receive it with the task
+        fp.code
     task = partial(_search_codeword, f, cover.r, fp)
     witness, stats = first_witness(task, cover.words, cfg.jobs)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)

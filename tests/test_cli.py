@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import coversat.bench
 import coversat.csp
@@ -113,6 +118,14 @@ class TestSolveCommand:
         assert report["k"] == 3
         assert isinstance(report["witness"], list)
         assert report["codewords_tried"] >= 1
+
+    def test_stats_file_is_canonical_json(self, tmp_path):
+        # one write of the indented report and a newline, as json.dump wrote it
+        for name, text in (("s.cnf", SAT_3CNF), ("u.csp", UNSAT_CSP)):
+            stats = tmp_path / f"{name}.json"
+            main(["solve", "--input", write(tmp_path, name, text), "--stats", str(stats)])
+            body = stats.read_text()
+            assert body == json.dumps(json.loads(body), indent=2) + "\n"
 
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.cnf"]) == 1
@@ -242,9 +255,22 @@ class TestBenchCommand:
         assert main(["bench", "--r", "9:2"]) == 1
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 class TestParserReuse:
     def test_built_once(self):
         assert _build_parser() is _build_parser()
+
+    def test_one_subparser_per_command(self):
+        for command in ("solve", "gencode", "verifycode", "reduce", "bench"):
+            parser = _build_parser(command)
+            assert parser is _build_parser(command)
+            assert list(_subparsers(parser).choices) == [command]
+        assert list(_subparsers(_build_parser()).choices) == [
+            "solve", "gencode", "verifycode", "reduce", "bench"
+        ]
 
     def test_usage_error_then_valid_solve(self, tmp_path, capsys):
         path = write(tmp_path, "t.cnf", "p cnf 1 1\n1 0\n")
@@ -278,6 +304,26 @@ class TestUsage:
     def test_no_command(self):
         assert main([]) == 1
 
+    def test_messages_name_every_command(self, tmp_path, capsys):
+        path = write(tmp_path, "t.cnf", "p cnf 1 1\n1 0\n")
+        choices = "'solve', 'gencode', 'verifycode', 'reduce', 'bench'"
+        cases = [
+            ([], "the following arguments are required: command"),
+            (["bogus"], f"argument command: invalid choice: 'bogus' (choose from {choices})"),
+            (["solve", "--bogus"], "the following arguments are required: --input"),
+            (["solve", "--input", path, "--bogus"], "unrecognized arguments: --bogus"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+        assert listed == "solve,gencode,verifycode,reduce,bench"
+
     def test_readme_synopsis_lists_every_flag(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
@@ -287,11 +333,44 @@ class TestUsage:
                 command = line.split()[1]
                 documented[command] = set()
             documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
-        subparsers = next(
-            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
         actual = {
             name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
-            for name, sub in subparsers.choices.items()
+            for name, sub in _subparsers(_build_parser()).choices.items()
         }
         assert documented == actual
+
+
+_CONSOLE_PROBE = """
+import argparse, json, sys
+import coversat.cli, coversat.search
+
+built, requests = [], []
+add_parser, get_code = argparse._SubParsersAction.add_parser, coversat.search.get_code
+argparse._SubParsersAction.add_parser = lambda self, name, **kw: (
+    built.append(name) or add_parser(self, name, **kw)
+)
+coversat.search.get_code = lambda *a, **kw: requests.append(a) or get_code(*a, **kw)
+sys.argv = ["coversat", "solve", "--input", sys.argv[1]]
+try:
+    coversat.cli.console_main()
+except SystemExit as exc:
+    print(json.dumps({"exit": exc.code, "built": built, "requests": requests}))
+"""
+
+
+class TestColdStart:
+    def test_console_solve_builds_only_what_it_reads(self, tmp_path):
+        # the installed entry point passes argv=None: a fresh interpreter
+        # solving an n = 9 CSP builds the solve sub-parser alone and never
+        # asks for the (3,6,2) inner code, which needs n >= 18
+        path = write(tmp_path, "t.csp", "p csp 3 9 2\n1 1 2 1 3 1 0\n4 2 5 2 6 2 0\n")
+        package_root = str(Path(coversat.csp.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _CONSOLE_PROBE, path],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        lines = out.stdout.splitlines()
+        assert lines[0] == "s SATISFIABLE"
+        assert json.loads(lines[-1]) == {"exit": 10, "built": ["solve"], "requests": []}

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from coversat.cnf import Formula, clause_satisfied, evaluate, formula, hamming_distance
+from coversat.errors import ResourceCapError
 import coversat.search
 from coversat.search import (
     FastParams,
@@ -333,6 +334,38 @@ class TestApplyCodeword:
     def test_satisfied_clause_rejected(self):
         with pytest.raises(ValueError, match="unsatisfied"):
             apply_codeword((1, 0), [(1, 2)], (1,))
+
+
+class TestFastParams:
+    def test_checked_at_construction_without_a_code(self, monkeypatch):
+        # delta = 2 - 2*ceil(2/3) = 0, k < 2 and a (10,6,1) code beyond the
+        # greedy cap are all refused before any code is asked for
+        def no_code(*a, **kw):
+            raise AssertionError("inner code requested at construction")
+
+        monkeypatch.setattr(coversat.search, "get_code", no_code)
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            FastParams.for_k(3, 2)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            FastParams.for_k(1, 6)
+        for k, t in ((10, 6), (3, 12), (3, 2000)):
+            with pytest.raises(ResourceCapError, match="smaller --t"):
+                FastParams.for_k(k, t)
+        fp = FastParams.for_k(3, 6)
+        assert (fp.k, fp.t, fp.radius, fp.delta) == (3, 6, 2, 2)
+
+    def test_code_built_on_first_read_and_kept(self, monkeypatch):
+        calls = []
+        real = coversat.search.get_code
+        monkeypatch.setattr(
+            coversat.search, "get_code", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        fp = FastParams.for_k(3, 6)
+        assert calls == []
+        code = fp.code
+        assert fp.code is code and code.verified
+        assert (code.q, code.t, code.r) == (3, 6, 2)
+        assert calls == [(3, 6, 2)]
 
 
 class TestSearchballFast:

@@ -30,6 +30,7 @@ from helpers import (
     oracle_bitmap,
     rand_csp,
     rand_kcnf,
+    rand_kcsp,
     ref_all_solutions,
     ref_bitmap,
     ref_var_masks,
@@ -436,7 +437,7 @@ class TestSolveDeterministic:
         assert proc.returncode == 0, proc.stderr.decode()
 
     def test_workers_build_no_code(self, inline_pool, monkeypatch):
-        # the inner code travels with the task, so only the parent asks for it
+        # n = 14 < k*t = 18 holds no 6 disjoint 3-clauses: nobody asks for the code
         import coversat.search as search
 
         calls = []
@@ -446,7 +447,39 @@ class TestSolveDeterministic:
         res = solve_deterministic(f, SolverConfig(jobs=2))
         assert inline_pool == [2]
         assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_parent_builds_the_code_workers_receive(self, inline_pool, monkeypatch):
+        # at n = 18 = k*t the parent asks once, before any pool, and the task
+        # it hands the workers carries the built code
+        import coversat.search as search
+        import coversat.solver as solver
+
+        calls = []
+        real = search.get_code
+
+        def get_code(*a, **kw):
+            calls.append((a, list(inline_pool)))
+            return real(*a, **kw)
+
+        monkeypatch.setattr(search, "get_code", get_code)
+        f = rand_kcnf(random.Random("jobs:2:18:75"), 18, 75)
+        res = solve_deterministic(f, SolverConfig(jobs=2))
+        assert inline_pool == [2]
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 64)
+        assert calls == [((3, 6, 2), [])]
+        assert "code" in vars(solver._install_task.task.args[2])
+
+    def test_csp_boxes_build_no_code(self, monkeypatch):
+        # a d = 3 box CNF has n = 9 < k*t = 18 variables, so no box reads the code
+        import coversat.search as search
+
+        calls = []
+        monkeypatch.setattr(search, "get_code", lambda *a, **kw: calls.append(a))
+        g = rand_kcsp(random.Random("csp:315"), 3, 9, 315)
+        res = solve_csp(g)
+        assert (res.status, res.stats.boxes_tried) == ("unsat", 144)
+        assert calls == []
 
 
 class TestSolveSchoening:
