@@ -18,7 +18,7 @@ import random
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product
 from operator import eq, or_
 
@@ -96,6 +96,15 @@ class CoveringCode:
         code = object.__new__(cls)
         code.q, code.t, code.r, code.words, code.verified = q, t, r, words, False
         return code
+
+    @cached_property
+    def bit_words(self) -> tuple[Word, ...] | BlockProduct:
+        """The words with each symbol s read as s - 1, in the same order: for
+        a binary code, its codewords as 0/1 assignments. Built on first read
+        and kept on the code, so a code that the cache shares converts its
+        words once; boolean_cover sets a product's to the product of its
+        blocks' bit_words."""
+        return tuple(tuple(s - 1 for s in word) for word in self.words)
 
 
 def _check_params(q: int, t: int, r: int) -> None:
@@ -591,6 +600,7 @@ def boolean_cover(
     words = BlockProduct(block.words for block in blocks)
     code = CoveringCode._unchecked(2, n, sum(block.r for block in blocks), words)
     code.verified = True
+    code.bit_words = BlockProduct(block.bit_words for block in blocks)
     return code
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import itemgetter
 from typing import Iterable
 
 from .cnf import Formula
@@ -24,6 +25,14 @@ from .solver import solve_deterministic
 
 BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_VERIFY_MAX = 10**6
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+try:
+    from operator import call
+except ImportError:  # Python < 3.11
+
+    def call(obj, /, *args, **kwargs):
+        return obj(*args, **kwargs)
 
 Constraint = tuple[tuple[int, int], ...]
 TwoBox = tuple[tuple[int, int], ...]
@@ -95,6 +104,18 @@ class CspFormula:
                 masks[j] |= 1 << i
             literals.append(lits)
         return tuple(masks), tuple(literals)
+
+    @cached_property
+    def _constraint_getters(self) -> tuple[itemgetter, ...]:
+        """getters[i] reads constraint i's entries, in its order and as a
+        tuple, from a tuple indexed by literal (see _constraint_bitsets).
+        Kept like the bitsets; plain itemgetters, so a pickled formula
+        carries them."""
+        # itemgetter of one index returns the item itself, of a slice a tuple
+        return tuple(
+            itemgetter(*lits) if len(lits) > 1 else itemgetter(slice(lits[0], lits[0] + 1))
+            for lits in self._constraint_bitsets[1]
+        )
 
 
 def csp_formula(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> CspFormula:
@@ -246,7 +267,9 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
 
     The dropped constraints are the OR of one constraint bitset (see
     CspFormula._constraint_bitsets) per variable and value outside its
-    pair; the others are mapped, literal by literal, through a table of the
+    pair. The kept ones are a gather done in C: itertools.compress picks
+    their getters (CspFormula._constraint_getters) by the bits of the kept
+    set, and each getter reads its constraint's clause from a table of the
     box's n*d literals. The result is built with Formula._unchecked:
     CspFormula has already checked that each constraint's variables are
     distinct and lie in 1..n, and a reduced clause is those same variables
@@ -255,7 +278,8 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     if len(box) != f.num_vars:
         raise ValueError("box arity does not match formula")
     d = f.domain_size
-    masks, literals = f._constraint_bitsets
+    masks = f._constraint_bitsets[0]
+    getters = f._constraint_getters
     table = [0] * len(masks)
     dropped = 0
     for v, (lo, hi) in enumerate(box, 1):
@@ -267,10 +291,9 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
         for c in range(1, d + 1):
             if c != lo and c != hi:
                 dropped |= masks[base + c]
-    lit = table.__getitem__
-    # bit i of ~dropped, lowest first, says whether constraint i survives
-    kept = bin(((1 << len(literals)) - 1) ^ dropped)[:1:-1]
-    clauses = tuple([tuple(map(lit, lits)) for lits, bit in zip(literals, kept) if bit == "1"])
+    # byte i of kept, lowest bit first, is 1 iff constraint i survives
+    kept = bin(((1 << len(getters)) - 1) ^ dropped)[:1:-1].encode().translate(_BIT_BYTES)
+    clauses = tuple(map(call, compress(getters, kept), repeat(tuple(table))))
     return Formula._unchecked(f.num_vars, clauses)
 
 

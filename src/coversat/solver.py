@@ -295,8 +295,7 @@ def brute_force(f: Formula) -> SolveResult:
     return SolveResult("sat", witness)
 
 
-def _search_codeword(f: Formula, radius: int, fp: FastParams, word):
-    gamma = tuple(s - 1 for s in word)  # outer-code symbols 1, 2 are bits 0, 1
+def _search_codeword(f: Formula, radius: int, fp: FastParams, gamma):
     witness, search = searchball_fast(f, gamma, radius, fp, stats=SearchStats())
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: witness failed re-verification")
@@ -323,7 +322,8 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
         # once, so that pool workers receive it with the task
         fp.code
     task = partial(_search_codeword, f, cover.r, fp)
-    witness, stats = first_witness(task, cover.words, cfg.jobs)
+    # the codewords as 0/1 assignments, converted once per cached code block
+    witness, stats = first_witness(task, cover.bit_words, cfg.jobs)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)
 
 

@@ -16,6 +16,8 @@ from coversat.cnf import evaluate
 from coversat.csp import csp_evaluate, restrict_to_box, solve_csp
 from coversat.formats import parse_csp, parse_dimacs
 
+from helpers import ref_restrict_to_box
+
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 SAT_3CNF = "p cnf 4 3\n1 2 3 0\n-1 -2 4 0\n-3 -4 2 0\n"
@@ -222,7 +224,7 @@ class TestReduce:
         boxes = [tuple(tuple(p) for p in entry["box"]) for entry in manifest["boxes"]]
         for entry, box in zip(manifest["boxes"], boxes):
             reduced = parse_dimacs((outdir / entry["file"]).read_text())
-            assert reduced == restrict_to_box(g, box)
+            assert reduced == ref_restrict_to_box(g, box)
         visited = []
 
         def recording_restrict(f, box):

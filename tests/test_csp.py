@@ -1,4 +1,5 @@
 import ast
+import pickle
 import random
 import time
 from itertools import product
@@ -324,6 +325,32 @@ class TestRestrictToBox:
                 assert reduced == expected
                 assert reduced.literal_masks == expected.literal_masks
                 assert reduced.max_width == expected.max_width
+
+    def test_width_one_constraints_are_one_tuples(self):
+        # the gather reads a width-1 constraint through a slice getter: a
+        # plain itemgetter of one index would return the literal, not a clause
+        g = csp_formula(3, 3, [[(2, 1)], [(1, 2), (3, 3)], [(3, 3)], [(1, 3)], [(2, 2)]])
+        reduced = restrict_to_box(g, ((1, 2), (1, 2), (2, 3)))
+        assert reduced.clauses == ((2,), (-1, -3), (-3,), (-2,))
+        assert all(type(clause) is tuple for clause in reduced.clauses)
+        assert reduced == ref_restrict_to_box(g, ((1, 2), (1, 2), (2, 3)))
+
+    def test_built_tables_survive_pickle(self):
+        # --jobs pickles the formula with its restriction tables once they are
+        # built; the copy must restrict as the reference does
+        rng = random.Random("restrict-pickle")
+        g = rand_csp(rng, 4, 5, 40, k=4)
+        box = ((1, 2), (2, 4), (1, 3), (3, 4), (1, 4))
+        restrict_to_box(g, box)
+        assert {"_constraint_bitsets", "_constraint_getters"} <= vars(g).keys()
+        copy = pickle.loads(pickle.dumps(g))
+        assert {"_constraint_bitsets", "_constraint_getters"} <= vars(copy).keys()
+        for _ in range(20):
+            box = tuple(tuple(sorted(rng.sample(range(1, 5), 2))) for _ in range(5))
+            reduced = restrict_to_box(copy, box)
+            expected = ref_restrict_to_box(g, box)
+            assert reduced.clauses == expected.clauses
+            assert reduced.literal_masks == expected.literal_masks
 
     def test_invalid_boxes_rejected(self):
         g = csp_formula(4, 2, [[(1, 2), (2, 4)]])

@@ -1,3 +1,4 @@
+import operator
 import os
 import pickle
 import random
@@ -10,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from coversat.cnf import Formula, evaluate, formula
-from coversat.codes import _word_of, boolean_cover
+from coversat.codes import BlockProduct, _word_of, boolean_cover, get_code
 from coversat.csp import CspFormula, brute_force_csp, csp_formula, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
@@ -480,6 +481,32 @@ class TestSolveDeterministic:
         res = solve_csp(g)
         assert (res.status, res.stats.boxes_tried) == ("unsat", 144)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [9, 30])
+    def test_outer_loop_reads_bit_words(self, monkeypatch, n):
+        # the outer loop gets the codewords as 0/1 tuples in cover order,
+        # converted once per cached block: n = 9 is one block, n = 30 a lazy
+        # product of blocks of 12, 12 and 6
+        import coversat.solver as solver
+
+        seen = []
+
+        def recording(task, items, jobs):
+            seen.append(items)
+            return None, SolveStats()
+
+        monkeypatch.setattr(solver, "first_witness", recording)
+        for _ in range(2):
+            solve_deterministic(formula(n, [[1, 2, 3]]))
+        cover = boolean_cover(n, 1 / 3.1, 12)
+        assert tuple(seen[0]) == tuple(tuple(s - 1 for s in w) for w in cover.words)
+        if n <= 12:
+            assert seen[1] is seen[0] is cover.bit_words
+        else:
+            assert all(isinstance(items, BlockProduct) for items in seen)
+            blocks = [get_code(2, t, r).bit_words for t, r in ((12, 4), (12, 4), (6, 2))]
+            assert all(map(operator.is_, seen[0].blocks, blocks))
+            assert all(map(operator.is_, seen[1].blocks, blocks))
 
 
 class TestSolveSchoening:

@@ -1,0 +1,153 @@
+"""Mutation check: each mutant is one small, deliberate fault in the package.
+The script applies it to a temporary copy of src/ and tests/, runs the tests
+that claim to catch it, and reports whether they fail, as they should.
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME ...     # the named ones
+    python3 tools/mutants.py --list       # names and the tests that catch them
+
+Exit status 0 when every mutant is caught; 1 when one survives (its tests
+all pass) or no longer applies (its text is gone from the source, so the
+mutant must be rewritten). A mutant's tests also run on the unmutated copy
+first: a test that fails there proves nothing, and counts as a failure of
+the script. An unknown name exits 2. The check takes about half a minute
+(two pytest runs per mutant) and is not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str  # relative to the repo root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = {
+    "restrict-keeps-dropped": Mutant(
+        "src/coversat/csp.py",
+        "bin(((1 << len(getters)) - 1) ^ dropped)",
+        "bin(((1 << len(getters)) - 1) ^ (dropped & (dropped - 1)))",
+        (
+            "tests/test_csp.py::TestRestrictToBox::test_matches_constraint_by_constraint_reference",
+            "tests/test_csp.py::TestRestrictToBox::test_built_tables_survive_pickle",
+            "tests/test_cli.py::TestReduce::test_emits_boxes_and_manifest",
+        ),
+    ),
+    "width-one-gather-scalar": Mutant(
+        "src/coversat/csp.py",
+        "itemgetter(slice(lits[0], lits[0] + 1))",
+        "itemgetter(lits[0])",
+        ("tests/test_csp.py::TestRestrictToBox::test_width_one_constraints_are_one_tuples",),
+    ),
+    "codewords-as-symbols": Mutant(
+        "src/coversat/solver.py",
+        "first_witness(task, cover.bit_words, cfg.jobs)",
+        "first_witness(task, cover.words, cfg.jobs)",
+        ("tests/test_solver.py::TestSolveDeterministic::test_outer_loop_reads_bit_words",),
+    ),
+    "fast-no-distance-prune": Mutant(
+        "src/coversat/search.py",
+        "    if r < params.t:\n",
+        "    if False:\n",
+        (
+            "tests/test_search.py::TestSearchballFast"
+            "::test_many_disjoint_clauses_below_t_is_unreachable",
+        ),
+    ),
+    "beta-prune-off-by-one": Mutant(
+        "src/coversat/search.py",
+        "    if r < len(g):\n",
+        "    if r <= len(g):\n",
+        ("tests/test_search.py::TestBetaSearch", "tests/test_golden.py::test_golden"),
+    ),
+    "pattern-table-skips-row": Mutant(
+        "src/coversat/search.py",
+        "for i in range(1 << width)",
+        "for i in range(1, 1 << width)",
+        ("tests/test_search.py::TestSatisfyingPatterns::test_rows_match_reference",),
+    ),
+    "settle-every-radius-1-beta": Mutant(
+        "src/coversat/search.py",
+        "        if not unsat & ~masks[v - 1][u > 0]:\n            return 0\n",
+        "        if not unsat & ~masks[v - 1][u > 0]:\n            pass\n",
+        ("tests/test_search.py::TestBetaSearch",),
+    ),
+    "radius-0-child-always-leaf": Mutant(
+        "src/coversat/search.py",
+        "if r == 1 and unsat & ~masks[v - 1][new]:",
+        "if r == 1:",
+        ("tests/test_search.py::TestSearchball::test_matches_textbook_recursion",),
+    ),
+    "block-radii-max": Mutant(
+        "src/coversat/codes.py",
+        "sum(block.r for block in blocks)",
+        "max(block.r for block in blocks)",
+        ("tests/test_codes.py::TestBooleanCover",),
+    ),
+}
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def _run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
+    """True iff every test passes in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def check(name: str, mutant: Mutant) -> str:
+    """'caught', 'SURVIVED', 'NOT APPLIED' or 'TESTS FAIL UNMUTATED'."""
+    with tempfile.TemporaryDirectory(prefix="coversat-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if not _run_tests(tree, mutant.tests):
+            return "TESTS FAIL UNMUTATED"
+        target = tree / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "NOT APPLIED"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        return "SURVIVED" if _run_tests(tree, mutant.tests) else "caught"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for name, mutant in MUTANTS.items():
+            print(name, *mutant.tests, sep="\n  ")
+        return 0
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in argv or list(MUTANTS):
+        start = time.perf_counter()
+        verdict = check(name, MUTANTS[name])
+        print(f"{name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+        failed += verdict != "caught"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
