@@ -20,7 +20,6 @@ from .codes import (
     verify_cover,
 )
 from .csp import (
-    BoxCover,
     CspFormula,
     brute_force_csp,
     csp_evaluate,

@@ -163,7 +163,7 @@ def run_scaling(
         raise ValueError(f"engine must be one of {ENGINES}")
     n = n if n is not None else DEFAULT_N
     m = m if m is not None else round(DEFAULT_CLAUSE_RATIO * n)
-    fp = FastParams.for_k(k, t) if engine == "searchball_fast" else None
+    fp = FastParams(k, t) if engine == "searchball_fast" else None
     records = []
     for r in r_range:
         if r > n:

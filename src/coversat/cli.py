@@ -136,9 +136,9 @@ def _emit_result(
             "codewords_tried": result.stats.codewords_tried,
             "boxes_tried": result.stats.boxes_tried,
             "trials": result.stats.trials,
-            "recursion_nodes": result.stats.search.recursion_nodes,
-            "leaves": result.stats.search.leaves,
-            "max_depth": result.stats.search.max_depth,
+            "recursion_nodes": result.stats.recursion_nodes,
+            "leaves": result.stats.leaves,
+            "max_depth": result.stats.max_depth,
             "wall_time": result.stats.wall_time,
         }
         with open(args.stats, "w") as fh:
@@ -201,11 +201,11 @@ def _cmd_reduce(args) -> int:
 
     with open(args.input, "rb") as fh:
         g = parse_csp(fh.read())
-    cover = two_box_cover(g.domain_size, g.num_vars)
+    boxes = two_box_cover(g.domain_size, g.num_vars)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"schema": 1, "input": args.input, "domain_size": g.domain_size,
                 "num_vars": g.num_vars, "boxes": []}
-    for i, box in enumerate(cover.boxes):
+    for i, box in enumerate(boxes):
         name = f"box_{i:05d}.cnf"
         with open(os.path.join(args.outdir, name), "w", encoding="ascii") as fh:
             fh.write(write_dimacs(restrict_to_box(g, box)))
@@ -213,7 +213,7 @@ def _cmd_reduce(args) -> int:
     with open(os.path.join(args.outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(cover.boxes)} reduced formulas to {args.outdir}")
+    print(f"wrote {len(boxes)} reduced formulas to {args.outdir}")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 from .cnf import Formula
 from .codes import BlockProduct, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
-from .solver import SolveResult, SolverConfig, _first_solution, _timed, first_witness
+from .solver import SolveResult, SolverConfig, SolveStats, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
 
 BOX_CANDIDATE_MAX = 2 * 10**5
@@ -135,13 +135,6 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass
-class BoxCover:
-    """Set of 2-boxes meant to cover {1..d}^n (see verify_box_cover)."""
-
-    boxes: tuple[TwoBox, ...] | BlockProduct
-
-
 def _box_points(box: TwoBox, d: int) -> list[int]:
     """Indices (codes._index_of) of the 2^len(box) points of a box, in the
     order product(*box) lists them."""
@@ -151,7 +144,7 @@ def _box_points(box: TwoBox, d: int) -> list[int]:
     return idxs
 
 
-def verify_box_cover(cover: BoxCover, d: int, n: int) -> bool:
+def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
     """Exhaustive check that every point of {1..d}^n lies in some box:
     each box marks its 2^n points, then every point must be marked. A box
     of arity other than n, or with a pair outside 1 <= lo < hi <= d, fails
@@ -159,7 +152,7 @@ def verify_box_cover(cover: BoxCover, d: int, n: int) -> bool:
     if d**n > BOX_VERIFY_MAX:
         raise ResourceCapError(f"d^n = {d**n} exceeds box-cover verification cap")
     marked = bytearray(d**n)
-    for box in cover.boxes:
+    for box in boxes:
         if len(box) != n or not all(1 <= lo < hi <= d for lo, hi in box):
             return False
         for i in _box_points(box, d):
@@ -219,7 +212,7 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
 
     chosen = greedy_set_cover(d**length, npairs**length, 1 << length, box_points, boxes_containing)
     block = [box_pairs(box_idx) for box_idx in chosen]
-    if not verify_box_cover(BoxCover(tuple(block)), d, length):
+    if not verify_box_cover(block, d, length):
         raise CodeConstructionError(f"greedy 2-box block (d={d}, b={length}) failed verification")
     return block
 
@@ -231,7 +224,7 @@ def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
     return tuple(sorted(_greedy_box_block(d, length)))
 
 
-def two_box_cover(d: int, n: int, b: int | None = None) -> BoxCover:
+def two_box_cover(d: int, n: int, b: int | None = None) -> BlockProduct:
     """Cover {1..d}^n with 2-boxes: the product of greedy block covers of
     b coordinates each (the last block takes the remainder), in sorted order.
 
@@ -254,7 +247,7 @@ def two_box_cover(d: int, n: int, b: int | None = None) -> BoxCover:
         fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
         b = max(fits, default=1)
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
-    return BoxCover(BlockProduct(_box_block(d, t) for t in lengths))
+    return BlockProduct(_box_block(d, t) for t in lengths)
 
 
 def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
@@ -314,14 +307,16 @@ def brute_force_csp(f: CspFormula) -> SolveResult:
     return SolveResult("sat", witness)
 
 
-def _solve_box(f: CspFormula, cfg: SolverConfig, box: TwoBox):
-    """Solve F inside one 2-box: its Boolean restriction, then the decoded witness."""
+def _solve_box(f: CspFormula, cfg: SolverConfig, box: TwoBox, stats: SolveStats):
+    """Solve F inside one 2-box: its Boolean restriction, counted into stats,
+    then the decoded witness."""
     sub = solve_deterministic(restrict_to_box(f, box), cfg)
-    sub.stats.boxes_tried = 1
+    stats.merge(sub.stats)
+    stats.boxes_tried += 1
     witness = decode_box_witness(box, sub.witness) if sub.status == "sat" else None
     if witness is not None and not csp_evaluate(f, witness):
         raise AssertionError("internal error: decoded witness failed re-verification")
-    return witness, sub.stats
+    return witness
 
 
 @_timed
@@ -335,7 +330,7 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
         return brute_force_csp(f)
-    cover = two_box_cover(d, n)
     task = partial(_solve_box, f, replace(cfg, jobs=1))
-    witness, stats = first_witness(task, cover.boxes, cfg.jobs)
+    stats = SolveStats()
+    witness = first_witness(task, two_box_cover(d, n), cfg.jobs, stats)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)

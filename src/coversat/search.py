@@ -141,11 +141,6 @@ class FastParams:
             raise ValueError("searchball_fast requires a verified covering code")
         return code
 
-    @classmethod
-    def for_k(cls, k: int, t: int = 6, cache_dir: str | None = None) -> "FastParams":
-        """Params for (<=k)-CNF with the greedy inner code of radius ceil(t/k)."""
-        return cls(k, t, cache_dir)
-
 
 def _lowest(mask: int) -> int:
     """Index of the lowest set bit of a nonzero mask."""

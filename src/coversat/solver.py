@@ -62,8 +62,10 @@ class SolverConfig:
 
 
 @dataclass
-class SolveStats:
-    search: SearchStats = field(default_factory=SearchStats)
+class SolveStats(SearchStats):
+    """The one record a solve counts into: the search's nodes, leaves and
+    depth, and the codewords, boxes and walk trials tried."""
+
     codewords_tried: int = 0
     boxes_tried: int = 0
     trials: int = 0
@@ -71,7 +73,7 @@ class SolveStats:
 
     def merge(self, other: "SolveStats") -> None:
         """Add other's work counts; wall_time is set by the timed solver."""
-        self.search.merge(other.search)
+        super().merge(other)
         self.codewords_tried += other.codewords_tried
         self.boxes_tried += other.boxes_tried
 
@@ -104,7 +106,9 @@ def _install_task(task) -> None:
 
 
 def _run_installed(item):
-    return _install_task.task(item)
+    """Run the installed task on item with a fresh record; return both."""
+    stats = SolveStats()
+    return _install_task.task(item, stats), stats
 
 
 def _usable_cpus() -> int:
@@ -115,28 +119,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def first_witness(task, items, jobs: int):
-    """Run task(item) -> (witness or None, SolveStats) over items in order up
-    to the first witness; return it (or None) and the merged stats. A pool of
-    min(jobs, len(items), usable CPUs) spawned workers gets task once per
-    worker and is read in item order, so any jobs gives the jobs=1 result.
-    The usable CPUs are counted only when more than one worker could run."""
+def first_witness(task, items, jobs: int, stats: SolveStats):
+    """Run task(item, stats) -> witness or None over items in order up to the
+    first witness and return it (or None); each task counts its work into
+    stats. A pool of min(jobs, len(items), usable CPUs) spawned workers gets
+    task once per worker and runs each item on a fresh record; the records
+    are merged into stats in item order up to the first witness, so any jobs
+    gives the jobs=1 result. The usable CPUs are counted only when more than
+    one worker could run."""
     workers = min(jobs, len(items))
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers <= 1:
-        return _merge_until_witness(map(task, items))
+        for item in items:
+            witness = task(item, stats)
+            if witness is not None:
+                return witness
+        return None
     with Pool(workers, _install_task, (task,), context=get_context("spawn")) as pool:
-        return _merge_until_witness(pool.imap(_run_installed, items))
-
-
-def _merge_until_witness(results):
-    stats = SolveStats()
-    for witness, sub in results:
-        stats.merge(sub)
-        if witness is not None:
-            return witness, stats
-    return None, stats
+        for witness, sub in pool.imap(_run_installed, items):
+            stats.merge(sub)
+            if witness is not None:
+                return witness
+    return None
 
 
 def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
@@ -295,11 +300,12 @@ def brute_force(f: Formula) -> SolveResult:
     return SolveResult("sat", witness)
 
 
-def _search_codeword(f: Formula, radius: int, fp: FastParams, gamma):
-    witness, search = searchball_fast(f, gamma, radius, fp, stats=SearchStats())
+def _search_codeword(f: Formula, radius: int, fp: FastParams, gamma, stats: SolveStats):
+    stats.codewords_tried += 1
+    witness, _ = searchball_fast(f, gamma, radius, fp, stats=stats)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: witness failed re-verification")
-    return witness, SolveStats(search, codewords_tried=1)
+    return witness
 
 
 @_timed
@@ -316,14 +322,15 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
     if not all(f.clauses):
         return SolveResult("unsat", None)
     cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
-    fp = FastParams.for_k(k, cfg.t, cache_dir=cfg.cache_dir)
+    fp = FastParams(k, cfg.t, cfg.cache_dir)
     if n >= k * fp.t:
         # some node may hold t disjoint k-clauses: build the inner code here,
         # once, so that pool workers receive it with the task
         fp.code
     task = partial(_search_codeword, f, cover.r, fp)
+    stats = SolveStats()
     # the codewords as 0/1 assignments, converted once per cached code block
-    witness, stats = first_witness(task, cover.bit_words, cfg.jobs)
+    witness = first_witness(task, cover.bit_words, cfg.jobs, stats)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)
 
 
@@ -354,9 +361,7 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
         rng = random.Random(f"schoening:{cfg.seed}:{trial}")
         alpha = tuple(rng.randint(0, 1) for _ in range(f.num_vars))
         stats.trials += 1
-        witness = schoening_walk(
-            f, alpha, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats.search
-        )
+        witness = schoening_walk(f, alpha, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats)
         if witness is not None:
             if not evaluate(f, witness):
                 raise AssertionError("internal error: walk witness failed re-verification")

@@ -190,7 +190,7 @@ def test_c04_random_code_success_rate():
 def test_c05_promise_completeness():
     began = time.perf_counter()
     rng = random.Random("promise:5")
-    fps = [FastParams.for_k(3, 3), FastParams.for_k(3, 6)]
+    fps = [FastParams(3, 3), FastParams(3, 6)]
     misses = 0
     for i in range(1000):
         n = rng.randint(3, 10)
@@ -260,7 +260,7 @@ def test_c07_randomized_bound():
 
 def test_c08_distance_progress():
     rng = random.Random("c8")
-    fp = FastParams.for_k(3, 6)
+    fp = FastParams(3, 6)
     code = fp.code
     t = fp.t
     progress = t - 2 * math.ceil(t / 3)
@@ -298,12 +298,12 @@ def test_c09_two_box_cover():
     assert bound == 23
     cover = two_box_cover(3, 4, 4)
     assert verify_box_cover(cover, 3, 4) is True
-    assert len(cover.boxes) <= bound
+    assert len(cover) <= bound
     even = two_box_cover(4, 3)
-    assert len(even.boxes) == 8
+    assert len(even) == 8
     assert verify_box_cover(even, 4, 3) is True
     report(9, "2-box cover",
-           f"greedy d=3 b=4 cover of {len(cover.boxes)} boxes (bound {bound}), even d=4 n=3 = 8")
+           f"greedy d=3 b=4 cover of {len(cover)} boxes (bound {bound}), even d=4 n=3 = 8")
 
 
 def _messy_dimacs(f: Formula, rng: random.Random) -> str:

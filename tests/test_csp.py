@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from coversat.csp import (
-    BoxCover,
     CspFormula,
     brute_force_csp,
     csp_evaluate,
@@ -77,29 +76,29 @@ class TestCspEvaluate:
 
 class TestVerifyBoxCover:
     def test_box_of_wrong_arity_fails(self):
-        assert verify_box_cover(BoxCover((((1, 2),),)), 2, 2) is False
-        assert verify_box_cover(BoxCover((((1, 2), (1, 2), (1, 2)),)), 2, 2) is False
+        assert verify_box_cover((((1, 2),),), 2, 2) is False
+        assert verify_box_cover((((1, 2), (1, 2), (1, 2)),), 2, 2) is False
 
     def test_pair_outside_domain_or_order_fails(self):
         # a complete cover plus one malformed box: index marking would alias
         # an out-of-range value onto another point
-        boxes = tuple(two_box_cover(3, 2, 2).boxes)
-        assert verify_box_cover(BoxCover(boxes), 3, 2) is True
+        boxes = tuple(two_box_cover(3, 2, 2))
+        assert verify_box_cover(boxes, 3, 2) is True
         for bad in [(0, 3), (2, 4), (3, 2), (2, 2)]:
-            assert verify_box_cover(BoxCover(boxes + ((bad, (1, 2)),)), 3, 2) is False, bad
+            assert verify_box_cover(boxes + ((bad, (1, 2)),), 3, 2) is False, bad
 
     def test_cover_missing_one_point_fails(self):
-        assert verify_box_cover(BoxCover((((1, 2),),)), 3, 1) is False
+        assert verify_box_cover((((1, 2),),), 3, 1) is False
         cover = two_box_cover(3, 4, 4)
         assert verify_box_cover(cover, 3, 4) is True
-        boxes = tuple(cover.boxes)
+        boxes = tuple(cover)
         failed = 0
         for i in range(len(boxes)):
             rest = boxes[:i] + boxes[i + 1:]
             covers = all(
                 any(point_in_box(p, b) for b in rest) for p in product((1, 2, 3), repeat=4)
             )
-            assert verify_box_cover(BoxCover(rest), 3, 4) is covers, i
+            assert verify_box_cover(rest, 3, 4) is covers, i
             failed += not covers
         assert failed > 0
 
@@ -115,24 +114,24 @@ class TestVerifyBoxCover:
                 any(point_in_box(p, b) for b in boxes)
                 for p in product(range(1, d + 1), repeat=n)
             )
-            assert verify_box_cover(BoxCover(boxes), d, n) is want, (d, n, boxes)
+            assert verify_box_cover(boxes, d, n) is want, (d, n, boxes)
 
 
 class TestTwoBoxCover:
     def test_domain_two_single_box(self):
         cover = two_box_cover(2, 4)
-        assert tuple(cover.boxes) == (((1, 2), (1, 2), (1, 2), (1, 2)),)
+        assert tuple(cover) == (((1, 2), (1, 2), (1, 2), (1, 2)),)
 
     def test_even_domain_product_construction(self):
         cover = two_box_cover(4, 2)
-        assert len(cover.boxes) == 4
-        assert set(cover.boxes) == {
+        assert len(cover) == 4
+        assert set(cover) == {
             (p1, p2) for p1 in [(1, 2), (3, 4)] for p2 in [(1, 2), (3, 4)]
         }
 
     def test_odd_domain_greedy_meets_existence_bound(self):
         cover = two_box_cover(3, 4, 4)
-        assert len(cover.boxes) <= 23  # ceil(4 ln3 (3/2)^4)
+        assert len(cover) <= 23  # ceil(4 ln3 (3/2)^4)
         assert verify_box_cover(cover, 3, 4) is True
 
     def test_block_concatenation_covers(self):
@@ -143,7 +142,7 @@ class TestTwoBoxCover:
         for d, n in [(3, 3), (5, 2), (4, 3), (2, 5)]:
             cover = two_box_cover(d, n, min(5, n))
             for point in product(range(1, d + 1), repeat=n):
-                assert any(point_in_box(point, b) for b in cover.boxes)
+                assert any(point_in_box(point, b) for b in cover)
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +150,7 @@ class TestTwoBoxCover:
         with pytest.raises(ValueError):
             two_box_cover(3, 2, 9)
         with pytest.raises(ResourceCapError):
-            verify_box_cover(BoxCover(()), 10, 10)
+            verify_box_cover((), 10, 10)
 
     def test_verified_per_block_not_per_product(self, monkeypatch):
         calls = []
@@ -164,9 +163,9 @@ class TestTwoBoxCover:
         monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
         csp._box_block.cache_clear()
         try:
-            assert len(two_box_cover(3, 9, 5).boxes) == 144
+            assert len(two_box_cover(3, 9, 5)) == 144
             assert calls and all(n <= 5 for _, n in calls), calls
-            assert len(two_box_cover(4, 9).boxes) == 2**9
+            assert len(two_box_cover(4, 9)) == 2**9
             assert all(n <= 5 for _, n in calls), calls
         finally:
             csp._box_block.cache_clear()
@@ -188,13 +187,13 @@ class TestTwoBoxCover:
             covers = [two_box_cover(*shape) for shape in shapes]
             assert builds == [(3, 3), (3, 1)]
             block = csp._box_block(3, 3)
-            assert [len(c.boxes) for c in covers] == [len(block) ** 2, 2 * len(block) ** 2,
+            assert [len(c) for c in covers] == [len(block) ** 2, 2 * len(block) ** 2,
                                                       len(block) ** 3]
-            assert [len(c.boxes.blocks) for c in covers] == [2, 3, 3]
-            assert all(part is block for c in covers for part in c.boxes.blocks[:2])
-            assert covers[1].boxes.blocks[2] is csp._box_block(3, 1)
+            assert [len(c.blocks) for c in covers] == [2, 3, 3]
+            assert all(part is block for c in covers for part in c.blocks[:2])
+            assert covers[1].blocks[2] is csp._box_block(3, 1)
             again = two_box_cover(*shapes[0])
-            assert again is not covers[0] and tuple(again.boxes) == tuple(covers[0].boxes)
+            assert again is not covers[0] and tuple(again) == tuple(covers[0])
             assert verify_box_cover(again, 3, 6)
             assert builds == [(3, 3), (3, 1)]
         finally:
@@ -211,8 +210,8 @@ class TestTwoBoxCover:
         lengths = [length] * (n // length) + ([n % length] if n % length else [])
         blocks = [csp._greedy_box_block(d, t) for t in lengths]
         cover = two_box_cover(d, n, b)
-        assert tuple(cover.boxes) == ref_product_cover(blocks)
-        assert len(cover.boxes) == len(ref_product_cover(blocks))
+        assert tuple(cover) == ref_product_cover(blocks)
+        assert len(cover) == len(ref_product_cover(blocks))
 
     def test_failed_block_verification_raises(self, monkeypatch):
         greedy = csp.greedy_set_cover
@@ -223,11 +222,11 @@ class TestTwoBoxCover:
     def test_default_block_length_fits_candidate_cap(self):
         # C(7,2)^5 candidate boxes exceed the cap, so d=7 defaults to b=4
         cover = two_box_cover(7, 6)
-        assert tuple(cover.boxes) == tuple(two_box_cover(7, 6, 4).boxes)
+        assert tuple(cover) == tuple(two_box_cover(7, 6, 4))
         rng = random.Random(21)
         for _ in range(200):
             point = tuple(rng.randint(1, 7) for _ in range(6))
-            assert any(point_in_box(point, box) for box in cover.boxes)
+            assert any(point_in_box(point, box) for box in cover)
         with pytest.raises(ResourceCapError):
             two_box_cover(7, 6, 5)
 
@@ -253,7 +252,7 @@ class TestRestrictToBox:
         for _ in range(100):
             g = rand_csp(rng, 3, 5, rng.randint(1, 8))
             cover = two_box_cover(3, 5, 5)
-            boxes = tuple(cover.boxes)
+            boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             assert reduced.max_width <= g.max_width
@@ -266,7 +265,7 @@ class TestRestrictToBox:
             n = rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(1, 3 * n))
             cover = two_box_cover(d, n, min(5, n))
-            boxes = tuple(cover.boxes)
+            boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             cnf_solutions = brute_force(reduced).status == "sat"
@@ -281,7 +280,7 @@ class TestRestrictToBox:
             d, n = 3, rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(0, 2 * n))
             cover = two_box_cover(d, n, min(5, n))
-            boxes = tuple(cover.boxes)
+            boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
             res = brute_force(reduced)
@@ -297,7 +296,7 @@ class TestRestrictToBox:
         rng = random.Random(f"trusted:{d}:{n}")
         for _ in range(4):
             g = rand_csp(rng, d, n, rng.randint(1, 6 * n))
-            for box in two_box_cover(d, n).boxes:
+            for box in two_box_cover(d, n):
                 reduced = restrict_to_box(g, box)
                 expected = Formula(n, tuple(
                     tuple(v if c == box[v - 1][0] else -v for v, c in con)
@@ -480,7 +479,7 @@ class TestSolveCsp:
         assert brute_force_csp(g).status == "unsat"
         res = solve_csp(g)
         assert res.status == "unsat"
-        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4).boxes)
+        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4))
 
     def test_parallel_jobs_start_one_pool(self, monkeypatch):
         # the boxes share one pool; each box's codewords run in its worker
@@ -499,7 +498,7 @@ class TestSolveCsp:
         g = saturated_triple()
         res = solve_csp(g, SolverConfig(jobs=2))
         assert res.status == "unsat"
-        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4).boxes)
+        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4))
         assert pools == [2]
 
     def test_near_saturated_is_sat(self):
@@ -564,5 +563,5 @@ class TestSolveCsp:
         for _ in range(2):
             res = solve_csp(g)
             assert res.status == "unsat"
-            assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5).boxes) == 144
+            assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5)) == 144
         assert calls and max(calls.values()) == 1, calls

@@ -66,6 +66,6 @@ def test_two_jobs_match_one(monkeypatch, d, n, widths, t, epsilon, m):
     assert par.witness == seq.witness
     assert par.stats.boxes_tried == seq.stats.boxes_tried
     assert par.stats.codewords_tried == seq.stats.codewords_tried
-    assert par.stats.search.recursion_nodes == seq.stats.search.recursion_nodes
+    assert par.stats.recursion_nodes == seq.stats.recursion_nodes
     if par.status == "sat":
         assert csp_evaluate(g, par.witness)

@@ -61,7 +61,7 @@ def test_golden(case):
     s = res.stats
     assert (res.status, got_witness) == (status, witness)
     assert (s.codewords_tried, s.boxes_tried) == (codewords, boxes)
-    assert (s.search.recursion_nodes, s.search.leaves, s.search.max_depth) == (nodes, leaves, depth)
+    assert (s.recursion_nodes, s.leaves, s.max_depth) == (nodes, leaves, depth)
 
 
 # The randomized solver's walk, recorded before it read the unsatisfied
@@ -81,7 +81,7 @@ def test_golden_walk(case):
     res = solve_schoening(f, SolverConfig(seed=seed))
     got_witness = "".join(map(str, res.witness)) if res.witness is not None else None
     assert (res.status, got_witness) == (status, witness)
-    assert (res.stats.trials, res.stats.search.recursion_nodes) == (trials, steps)
+    assert (res.stats.trials, res.stats.recursion_nodes) == (trials, steps)
 
 
 def _digest(items) -> str:
@@ -99,7 +99,7 @@ GOLDEN_CODES = [
     (4, 4, 1, 34, "52b8ea09a344b780"),
     (5, 4, 2, 13, "342fb49377eaff2a"),
 ]
-# (d, n, b, number of boxes, digest of two_box_cover(d, n, b).boxes)
+# (d, n, b, number of boxes, digest of two_box_cover(d, n, b))
 GOLDEN_BOX_COVERS = [
     (3, 9, 5, 144, "81d246f2d4227c79"),
     (3, 7, 5, 48, "79898c760304d6ca"),
@@ -120,7 +120,7 @@ def test_golden_code(case):
 @pytest.mark.parametrize("case", GOLDEN_BOX_COVERS, ids=lambda c: "d{}-n{}-b{}".format(*c[:3]))
 def test_golden_box_cover(case):
     d, n, b, size, digest = case
-    boxes = tuple(two_box_cover(d, n, b).boxes)
+    boxes = tuple(two_box_cover(d, n, b))
     assert (len(boxes), _digest(boxes)) == (size, digest)
 
 

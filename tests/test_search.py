@@ -37,12 +37,12 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def fp6():
-    return FastParams.for_k(3, 6)
+    return FastParams(3, 6)
 
 
 @pytest.fixture(scope="module")
 def fp3():
-    return FastParams.for_k(3, 3)
+    return FastParams(3, 3)
 
 
 class TestSchoeningWalk:
@@ -345,13 +345,13 @@ class TestFastParams:
 
         monkeypatch.setattr(coversat.search, "get_code", no_code)
         with pytest.raises(ValueError, match="delta must be >= 1"):
-            FastParams.for_k(3, 2)
+            FastParams(3, 2)
         with pytest.raises(ValueError, match="k must be >= 2"):
-            FastParams.for_k(1, 6)
+            FastParams(1, 6)
         for k, t in ((10, 6), (3, 12), (3, 2000)):
             with pytest.raises(ResourceCapError, match="smaller --t"):
-                FastParams.for_k(k, t)
-        fp = FastParams.for_k(3, 6)
+                FastParams(k, t)
+        fp = FastParams(3, 6)
         assert (fp.k, fp.t, fp.radius, fp.delta) == (3, 6, 2, 2)
 
     def test_code_built_on_first_read_and_kept(self, monkeypatch):
@@ -360,7 +360,7 @@ class TestFastParams:
         monkeypatch.setattr(
             coversat.search, "get_code", lambda *a, **kw: calls.append(a) or real(*a, **kw)
         )
-        fp = FastParams.for_k(3, 6)
+        fp = FastParams(3, 6)
         assert calls == []
         code = fp.code
         assert fp.code is code and code.verified

@@ -82,7 +82,7 @@ def _csp_bitmap(g: CspFormula) -> int:
 def _result_key(res):
     s = res.stats
     return (res.status, res.witness, s.codewords_tried, s.boxes_tried,
-            s.search.recursion_nodes, s.search.leaves, s.search.max_depth)
+            s.recursion_nodes, s.leaves, s.max_depth)
 
 
 class TestBruteForce:
@@ -395,9 +395,59 @@ class TestSolveDeterministic:
             raise AssertionError("usable CPUs counted for jobs=1")
 
         monkeypatch.setattr(coversat.solver, "_usable_cpus", no_affinity)
-        task = lambda item: (item if item == 3 else None, SolveStats(codewords_tried=1))
-        witness, stats = coversat.solver.first_witness(task, [1, 2, 3, 4], 1)
+
+        def task(item, stats):
+            stats.codewords_tried += 1
+            return item if item == 3 else None
+
+        stats = SolveStats()
+        witness = coversat.solver.first_witness(task, [1, 2, 3, 4], 1, stats)
         assert (witness, stats.codewords_tried) == (3, 3)
+
+    def test_codewords_count_into_the_solve_record(self, monkeypatch):
+        # with jobs=1 every codeword's search counts into the one record
+        # that the solve returns; no record is built per codeword
+        import coversat.solver as solver
+
+        records = []
+        real = solver.searchball_fast
+
+        def recording(f, alpha, r, fp, *, stats=None):
+            records.append(stats)
+            return real(f, alpha, r, fp, stats=stats)
+
+        monkeypatch.setattr(solver, "searchball_fast", recording)
+        f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
+        res = solve_deterministic(f)
+        assert (res.status, res.stats.codewords_tried, len(records)) == ("unsat", 32, 32)
+        assert all(stats is res.stats for stats in records)
+
+    def test_csp_record_sums_the_box_records(self, monkeypatch):
+        # each box's solve returns a fresh record, which a reader of the
+        # per-box results (such as a tracer) may add up: the CSP's record
+        # is their sum, plus one box each
+        import coversat.csp as csp
+
+        boxes = []
+        real = csp.solve_deterministic
+
+        def recording(f, cfg):
+            res = real(f, cfg)
+            boxes.append(replace(res.stats))
+            return res
+
+        monkeypatch.setattr(csp, "solve_deterministic", recording)
+        statuses = set()
+        for m in (18, 30):
+            del boxes[:]
+            res = solve_csp(rand_csp(random.Random(f"jobs-csp:0:{m}"), 3, 6, m))
+            total = SolveStats(boxes_tried=len(boxes))
+            for sub in boxes:
+                assert sub.boxes_tried == 0
+                total.merge(sub)
+            assert replace(res.stats, wall_time=0.0) == total
+            statuses.add(res.status)
+        assert statuses == {"sat", "unsat"}
 
     def test_jobs_capped_by_usable_cpus(self, inline_pool, monkeypatch):
         # 500 jobs on a 32-word cover ask for as many workers as CPUs
@@ -491,9 +541,9 @@ class TestSolveDeterministic:
 
         seen = []
 
-        def recording(task, items, jobs):
+        def recording(task, items, jobs, stats):
             seen.append(items)
-            return None, SolveStats()
+            return None
 
         monkeypatch.setattr(solver, "first_witness", recording)
         for _ in range(2):
@@ -569,4 +619,4 @@ class TestDispatcherAndConfig:
         f = formula(4, [[1, 2, 3], [-1, -2, -3]])
         res = solve_deterministic(f)
         assert res.stats.wall_time > 0
-        assert res.stats.search.recursion_nodes >= 1
+        assert res.stats.recursion_nodes >= 1

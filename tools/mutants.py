@@ -10,7 +10,7 @@ Exit status 0 when every mutant is caught; 1 when one survives (its tests
 all pass) or no longer applies (its text is gone from the source, so the
 mutant must be rewritten). A mutant's tests also run on the unmutated copy
 first: a test that fails there proves nothing, and counts as a failure of
-the script. An unknown name exits 2. The check takes about half a minute
+the script. An unknown name exits 2. The check takes about a minute
 (two pytest runs per mutant) and is not part of the tier-1 suite.
 """
 
@@ -55,9 +55,38 @@ MUTANTS = {
     ),
     "codewords-as-symbols": Mutant(
         "src/coversat/solver.py",
-        "first_witness(task, cover.bit_words, cfg.jobs)",
-        "first_witness(task, cover.words, cfg.jobs)",
+        "first_witness(task, cover.bit_words, cfg.jobs, stats)",
+        "first_witness(task, cover.words, cfg.jobs, stats)",
         ("tests/test_solver.py::TestSolveDeterministic::test_outer_loop_reads_bit_words",),
+    ),
+    "pool-skips-merge": Mutant(
+        "src/coversat/solver.py",
+        "            stats.merge(sub)\n",
+        "            pass\n",
+        (
+            "tests/test_solver.py::TestSolveDeterministic::test_jobs_capped_by_cover_size",
+            "tests/test_cnf_oracle.py::test_two_jobs_match_one",
+        ),
+    ),
+    "codeword-not-counted": Mutant(
+        "src/coversat/solver.py",
+        "    stats.codewords_tried += 1\n",
+        "",
+        (
+            "tests/test_solver.py::TestSolveDeterministic"
+            "::test_codewords_count_into_the_solve_record",
+            "tests/test_golden.py::test_golden",
+        ),
+    ),
+    "worker-reuses-record": Mutant(
+        "src/coversat/solver.py",
+        "    stats = SolveStats()\n    return _install_task.task(item, stats), stats\n",
+        "    stats = vars(_install_task).setdefault('stats', SolveStats())\n"
+        "    return _install_task.task(item, stats), stats\n",
+        (
+            "tests/test_solver.py::TestSolveDeterministic::test_jobs_capped_by_cover_size",
+            "tests/test_cnf_oracle.py::test_two_jobs_match_one",
+        ),
     ),
     "fast-no-distance-prune": Mutant(
         "src/coversat/search.py",
