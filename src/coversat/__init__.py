@@ -40,7 +40,6 @@ from .formats import parse_csp, parse_dimacs, read_code, write_code, write_csp, 
 from .search import (
     FastParams,
     SearchStats,
-    WalkParams,
     apply_codeword,
     maximal_disjoint_unsat,
     schoening_walk,

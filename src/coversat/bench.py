@@ -22,7 +22,6 @@ from .cnf import Assignment, Formula, evaluate, hamming_distance
 from .search import (
     FastParams,
     SearchStats,
-    WalkParams,
     schoening_walk,
     searchball,
     searchball_fast,
@@ -112,7 +111,7 @@ def _run_one(
     began = time.perf_counter()
     if engine == "searchball":
         witness, _ = searchball(f, start, r, stats=stats)
-        if stats.leaves > f.max_width ** r:
+        if stats.leaves > max(f.max_width, 1) ** r:
             raise AssertionError("searchball leaf envelope violated")
         code_size = 0
     elif engine == "searchball_fast":
@@ -123,7 +122,7 @@ def _run_one(
         code_size = len(fp.code.words)
     elif engine == "schoening_walk":
         rng = random.Random(seed)
-        witness = schoening_walk(f, start, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats)
+        witness = schoening_walk(f, start, rng.getrandbits(64), stats=stats)
         code_size = 0
     else:
         raise ValueError(f"unknown engine {engine!r}")

@@ -224,6 +224,10 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--r expects LO:HI, got {args.r!r}") from None
     if lo < 0 or hi < lo:
         raise UsageError(f"bad radius range {args.r!r}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.m is not None and args.m < 0:
+        raise UsageError(f"--m must be >= 0, got {args.m}")
     engines = args.engine or ["searchball", "searchball_fast"]
     all_records = []
     for engine in engines:
@@ -266,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CoversatError, FileNotFoundError, ValueError) as exc:
+    except (CoversatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,9 +18,10 @@ counts and witnesses are those of the restriction-based formulation. The
 unsatisfied clauses of an assignment are read from the formula's clause
 bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
 Formula.unsat_mask ORs one mask per variable, and its lowest set bit is the
-lowest-index unsatisfied clause every engine branches on. Each node of the
-codeword recursion computes its mask once and hands it to
-maximal_disjoint_unsat.
+lowest-index unsatisfied clause every engine branches on. The codeword
+recursion shares one list assignment: a node flips a codeword's t variables
+in place, computes the child's mask from it, hands both to the child and
+flips them back; a node computes no mask of its own.
 
 The small-|G| enumeration is one flat loop over the last clause of G fed by
 lazy prefix generators, one per earlier clause. Each level reads the rows
@@ -44,7 +45,6 @@ a call.
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -85,18 +85,6 @@ class SearchStats:
         self.recursion_nodes += other.recursion_nodes
         self.leaves += other.leaves
         self.max_depth = max(self.max_depth, other.max_depth)
-
-
-@dataclass
-class WalkParams:
-    """max_steps defaults to ceil(3n) at call time; seeds are 64-bit ints."""
-
-    max_steps: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass
@@ -150,27 +138,24 @@ def _lowest(mask: int) -> int:
 def schoening_walk(
     f: Formula,
     alpha: Assignment,
-    params: WalkParams | None = None,
+    seed: int,
     stats: SearchStats | None = None,
 ) -> Optional[Assignment]:
     """Random correction walk: flip a uniformly random literal of the first
-    unsatisfied clause, up to max_steps times.
+    unsatisfied clause, up to max(1, 3n) times, drawing from
+    random.Random(seed).
 
     If B_r(alpha) contains a satisfying assignment the per-call success
     probability is at least (k-1)^-r. Steps taken are recorded in
     stats.recursion_nodes when a stats object is passed.
     """
-    params = params or WalkParams()
-    max_steps = params.max_steps
-    if max_steps is None:
-        max_steps = max(1, math.ceil(3 * f.num_vars))
     if not all(f.clauses):
         return None  # an empty clause: no flip satisfies it
-    rng = random.Random(params.rng_seed)
+    rng = random.Random(seed)
     cur = list(alpha)
     masks = f.literal_masks
     unsat = f.unsat_mask(cur)
-    for _ in range(max_steps):
+    for _ in range(max(1, 3 * f.num_vars)):
         if not unsat:
             break
         v = abs(rng.choice(f.clauses[_lowest(unsat)]))
@@ -426,7 +411,7 @@ def _leaf_children(
 
 def _beta_search(
     f: Formula,
-    alpha: Assignment,
+    alpha: Sequence[int],
     r: int,
     g: list[Clause],
     stats: SearchStats,
@@ -551,7 +536,8 @@ def searchball_fast(
         raise ValueError(
             f"formula width {f.max_width} exceeds code alphabet k={params.k}"
         )
-    witness = _fast(f, alpha, r, params, stats, 0)
+    cur = list(alpha)
+    witness = _fast(f, cur, f.unsat_mask(cur), r, params, stats, 0)
     if witness is not None and not evaluate(f, witness):
         raise AssertionError("internal error: searchball_fast witness failed re-verification")
     return witness, stats
@@ -559,26 +545,29 @@ def searchball_fast(
 
 def _fast(
     f: Formula,
-    alpha: Assignment,
+    cur: list[int],
+    unsat: int,
     r: int,
     params: FastParams,
     stats: SearchStats,
     depth: int,
 ) -> Optional[Assignment]:
+    """One node of the codeword recursion on the shared assignment cur, whose
+    mask unsat the parent computed. Codewords move cur as apply_codeword does,
+    but H is not re-checked: maximal_disjoint_unsat builds it valid."""
     stats.recursion_nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    unsat = f.unsat_mask(alpha)
     if not unsat:
         stats.leaves += 1
-        return alpha
+        return tuple(cur)
     if r <= 0:
         stats.leaves += 1
         return None
-    g = maximal_disjoint_unsat(f, alpha, params.k, unsat=unsat)
+    g = maximal_disjoint_unsat(f, cur, params.k, unsat=unsat)
     if len(g) < params.t:
         stats.leaves += 1
-        return _beta_search(f, alpha, r, g, stats)
+        return _beta_search(f, cur, r, g, stats)
     if r < params.t:
         # t variable-disjoint clauses each need a flip: any satisfying
         # assignment sits at distance >= t > r, so the promise is vacuous
@@ -587,8 +576,12 @@ def _fast(
     h = g[: params.t]
     child_r = r - params.delta
     for w in params.code.words:
-        moved = apply_codeword(alpha, h, w)
-        res = _fast(f, moved, child_r, params, stats, depth + 1)
+        flips = [abs(clause[wi - 1]) - 1 for clause, wi in zip(h, w)]
+        for i in flips:
+            cur[i] ^= 1
+        res = _fast(f, cur, f.unsat_mask(cur), child_r, params, stats, depth + 1)
+        for i in flips:
+            cur[i] ^= 1
         if res is not None:
             return res
     return None

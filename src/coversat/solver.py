@@ -24,7 +24,7 @@ from typing import Optional
 from .cnf import Formula, evaluate
 from .codes import _word_of, boolean_cover
 from .errors import ResourceCapError, UsageError
-from .search import FastParams, SearchStats, WalkParams, schoening_walk, searchball_fast
+from .search import FastParams, SearchStats, schoening_walk, searchball_fast
 
 BRUTE_MAX_TABLE_BITS = 1 << 30
 BRUTE_CHUNK_BITS = 1 << 16
@@ -361,7 +361,7 @@ def solve_schoening(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
         rng = random.Random(f"schoening:{cfg.seed}:{trial}")
         alpha = tuple(rng.randint(0, 1) for _ in range(f.num_vars))
         stats.trials += 1
-        witness = schoening_walk(f, alpha, WalkParams(rng_seed=rng.getrandbits(64)), stats=stats)
+        witness = schoening_walk(f, alpha, rng.getrandbits(64), stats=stats)
         if witness is not None:
             if not evaluate(f, witness):
                 raise AssertionError("internal error: walk witness failed re-verification")

@@ -32,7 +32,7 @@ from coversat.formats import (
     write_csp,
     write_dimacs,
 )
-from coversat.search import FastParams, WalkParams, schoening_walk, searchball, searchball_fast
+from coversat.search import FastParams, schoening_walk, searchball, searchball_fast
 from coversat.solver import brute_force, solve_deterministic
 
 from helpers import rand_csp, rand_formula, rand_kcnf, sat_in_ball
@@ -247,7 +247,7 @@ def test_c07_randomized_bound():
         for _ in range(shots):
             alpha = tuple(rng.randint(0, 1) for _ in range(n))
             total += 1
-            if schoening_walk(f, alpha, WalkParams(rng_seed=rng.getrandbits(64))) is not None:
+            if schoening_walk(f, alpha, rng.getrandbits(64)) is not None:
                 hits += 1
     rate = hits / total
     floor = 0.8 * (3 / 4) ** 10

@@ -132,6 +132,18 @@ class TestSolveCommand:
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.cnf"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        lambda d, cnf: ["solve", "--input", d],
+        lambda d, cnf: ["solve", "--input", cnf, "--stats", d],
+        lambda d, cnf: ["verifycode", d],
+        lambda d, cnf: ["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out", d],
+    ], ids=["solve-input", "solve-stats", "verifycode", "gencode-out"])
+    def test_directory_as_file_exit_1(self, tmp_path, capsys, argv):
+        # IsADirectoryError, like any OSError, is an error line, not a traceback
+        cnf = write(tmp_path, "s.cnf", SAT_3CNF)
+        assert main(argv(str(tmp_path), cnf)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cnf", "p cnf 1 1\n2 0\n")
         assert main(["solve", "--input", path]) == 1
@@ -255,6 +267,26 @@ class TestBenchCommand:
     def test_bad_range_exit_1(self):
         assert main(["bench", "--r", "5"]) == 1
         assert main(["bench", "--r", "9:2"]) == 1
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--trials", "0"], "--trials"),
+        (["--trials", "0", "--engine", "schoening_walk"], "--trials"),
+        (["--trials", "-1"], "--trials"),
+        (["--m", "-3"], "--m"),
+    ], ids=["trials-0", "trials-0-walk", "trials-negative", "m-negative"])
+    def test_bad_counts_exit_1_before_any_run(self, monkeypatch, capsys, flags, named):
+        runs = []
+        monkeypatch.setattr(coversat.bench, "run_scaling", lambda *a, **kw: runs.append(a))
+        assert main(["bench", "--r", "0:3", *flags]) == 1
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be >= ")
+
+    def test_formula_without_clauses(self, capsys):
+        # one leaf at every radius: the searchball envelope is 1, not 0 ** r
+        assert main(["bench", "--r", "0:3", "--trials", "1", "--m", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "searchball: fitted base 1.000" in out
 
 
 def _subparsers(parser):

@@ -11,7 +11,6 @@ import coversat.search
 from coversat.search import (
     FastParams,
     SearchStats,
-    WalkParams,
     _beta_search,
     _clause_rows,
     _pattern_table,
@@ -48,26 +47,29 @@ def fp3():
 class TestSchoeningWalk:
     def test_returns_satisfying_start_untouched(self):
         f = formula(2, [[1, 2]])
-        assert schoening_walk(f, (1, 0), WalkParams(rng_seed=0)) == (1, 0)
+        assert schoening_walk(f, (1, 0), 0) == (1, 0)
 
     def test_forced_flip_on_unit_clause(self):
         # the only literal of the only unsatisfied clause must be flipped
-        assert schoening_walk(formula(1, [[1]]), (0,), WalkParams(rng_seed=5)) == (1,)
+        assert schoening_walk(formula(1, [[1]]), (0,), 5) == (1,)
 
     def test_gives_up_on_unsatisfiable(self):
         f = formula(1, [[1], [-1]])
-        assert schoening_walk(f, (0,), WalkParams(rng_seed=1)) is None
+        assert schoening_walk(f, (0,), 1) is None
 
     def test_empty_clause_gives_up(self):
         # no literal to flip: the walk returns None instead of raising
         f = Formula(3, ((1, 2, 3), ()))
-        assert schoening_walk(f, (0, 0, 0), WalkParams(rng_seed=0)) is None
+        assert schoening_walk(f, (0, 0, 0), 0) is None
 
-    def test_step_budget_respected(self):
-        f = formula(4, [[1], [2], [3], [4]])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_runs_3n_steps_on_unsatisfiable(self, n):
+        # some clause is unsatisfied after every flip, so the walk spends
+        # its whole budget of max(1, 3n) steps and gives up
+        f = formula(n, [[1], [-1]] + [[v] for v in range(2, n + 1)])
         stats = SearchStats()
-        schoening_walk(f, (0, 0, 0, 0), WalkParams(max_steps=2, rng_seed=0), stats=stats)
-        assert stats.recursion_nodes == 2
+        assert schoening_walk(f, (0,) * n, 0, stats=stats) is None
+        assert stats.recursion_nodes == max(1, 3 * n)
 
     def test_success_rate_meets_promise_bound(self):
         # unique satisfying assignment all-ones at distance 2 from the start;
@@ -86,7 +88,7 @@ class TestSchoeningWalk:
         hits = 0
         trials = 4000
         for i in range(trials):
-            if schoening_walk(f, start, WalkParams(rng_seed=i)) is not None:
+            if schoening_walk(f, start, i) is not None:
                 hits += 1
         # Wilson-style slack: expect >= 0.8 * 0.25 even with sampling noise
         assert hits / trials >= 0.8 * 0.25
@@ -109,14 +111,14 @@ class TestSchoeningWalk:
                 steps += 1
             expected = tuple(cur) if evaluate(f, tuple(cur)) else None
             stats = SearchStats()
-            assert schoening_walk(f, alpha, WalkParams(rng_seed=i), stats) == expected
+            assert schoening_walk(f, alpha, i, stats) == expected
             assert stats.recursion_nodes == steps
 
     def test_walk_result_always_satisfies(self):
         rng = random.Random(8)
         for i in range(100):
             f = rand_kcnf(rng, 6, 10)
-            res = schoening_walk(f, rand_assignment(rng, 6), WalkParams(rng_seed=i))
+            res = schoening_walk(f, rand_assignment(rng, 6), i)
             if res is not None:
                 assert evaluate(f, res)
 
@@ -415,6 +417,46 @@ class TestSearchballFast:
         f = formula(4, [[1, 2, 3, 4]])
         with pytest.raises(ValueError):
             searchball_fast(f, (0, 0, 0, 0), 1, fp3)
+
+    def test_matches_tuple_per_codeword_tree(self, fp3):
+        # the in-place codeword tree gives the witnesses, nodes, leaves and
+        # depths of the recursion that builds each child with apply_codeword
+        def ref_fast(f, alpha, r, stats, depth):
+            stats.recursion_nodes += 1
+            stats.max_depth = max(stats.max_depth, depth)
+            if evaluate(f, alpha):
+                stats.leaves += 1
+                return alpha
+            if r <= 0:
+                stats.leaves += 1
+                return None
+            g = maximal_disjoint_unsat(f, alpha, fp3.k)
+            if len(g) < fp3.t:
+                stats.leaves += 1
+                return _beta_search(f, alpha, r, g, stats)
+            if r < fp3.t:
+                stats.leaves += 1
+                return None
+            for w in fp3.code.words:
+                moved = apply_codeword(alpha, g[: fp3.t], w)
+                res = ref_fast(f, moved, r - fp3.delta, stats, depth + 1)
+                if res is not None:
+                    return res
+            return None
+
+        rng = random.Random(31)
+        deep = 0
+        for _ in range(40):
+            n = rng.randint(12, 15)
+            f = rand_kcnf(rng, n, rng.randint(4 * n, 6 * n))
+            alpha = rand_assignment(rng, n)
+            r = rng.randint(5, 7)
+            expected = SearchStats()
+            want = ref_fast(f, alpha, r, expected, 0)
+            got, stats = searchball_fast(f, alpha, r, fp3)
+            assert (got, stats) == (want, expected)
+            deep += stats.max_depth >= 2
+        assert deep >= 10
 
 
 def record_searchball_calls(monkeypatch) -> list[tuple]:

@@ -121,6 +121,21 @@ MUTANTS = {
         "if r == 1:",
         ("tests/test_search.py::TestSearchball::test_matches_textbook_recursion",),
     ),
+    "walk-step-budget": Mutant(
+        "src/coversat/search.py",
+        "range(max(1, 3 * f.num_vars))",
+        "range(max(1, 3 * f.num_vars - 1))",
+        ("tests/test_search.py::TestSchoeningWalk::test_runs_3n_steps_on_unsatisfiable",),
+    ),
+    "codeword-flip-not-undone": Mutant(
+        "src/coversat/search.py",
+        "        for i in flips:\n            cur[i] ^= 1\n        if res is not None:\n",
+        "        if res is not None:\n",
+        (
+            "tests/test_search.py::TestSearchballFast::test_matches_tuple_per_codeword_tree",
+            "tests/test_golden.py::test_golden",
+        ),
+    ),
     "block-radii-max": Mutant(
         "src/coversat/codes.py",
         "sum(block.r for block in blocks)",
