@@ -4,9 +4,9 @@ A planted instance fixes a satisfying assignment, samples clauses uniformly
 among those it satisfies, and derives a start assignment at a known Hamming
 distance: exactly the promise-ball setting with a ground-truth radius.
 
-run_scaling sweeps the radius, records leaf/node counts per trial, and
-fit_scaling regresses log(mean leaves) on r to estimate the empirical
-exponential base per engine.
+run_scaling sweeps the radius, runs every engine on each trial's instance
+and records leaf/node counts, and fit_scaling regresses log(mean leaves) on
+r to estimate the empirical exponential base of one engine.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
 def _run_one(
-    engine: str, inst: PlantedInstance, t: int, fp: FastParams | None, seed: str
+    engine: str, inst: PlantedInstance, trial: int, t: int, fp: FastParams | None, seed: str
 ) -> BenchRecord:
     f, start, r = inst.formula, inst.start, inst.r
     stats = SearchStats()
@@ -120,12 +120,9 @@ def _run_one(
         if stats.leaves > envelope:
             raise AssertionError("searchball_fast leaf envelope violated")
         code_size = len(fp.code.words)
-    elif engine == "schoening_walk":
-        rng = random.Random(seed)
-        witness = schoening_walk(f, start, rng.getrandbits(64), stats=stats)
+    else:  # schoening_walk
+        witness = schoening_walk(f, start, random.Random(seed).getrandbits(64), stats=stats)
         code_size = 0
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     elapsed = time.perf_counter() - began
     return BenchRecord(
         engine=engine,
@@ -135,7 +132,7 @@ def _run_one(
         r=r,
         t=t,
         code_size=code_size,
-        trial=0,
+        trial=trial,
         leaves=stats.leaves,
         nodes=stats.recursion_nodes,
         wall_time=elapsed,
@@ -144,7 +141,7 @@ def _run_one(
 
 
 def run_scaling(
-    engine: str,
+    engines: Sequence[str],
     k: int,
     t: int,
     r_range: Sequence[int],
@@ -153,26 +150,29 @@ def run_scaling(
     n: int | None = None,
     m: int | None = None,
 ) -> list[BenchRecord]:
-    """One record per (r, trial) on fresh planted instances.
+    """One record per (r, trial, engine): every engine runs, in the given
+    order, on the one planted instance drawn for each (r, trial).
 
-    Identical seeds give identical record streams; per-trial seeds are
-    derived from (seed, r, trial) so trials are independent of ordering.
+    Every input is checked before the first draw. Identical seeds give
+    identical record streams; per-trial seeds are derived from (seed, r,
+    trial), so a trial depends neither on ordering nor on the other engines.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
+    if not set(engines) <= set(ENGINES):
+        raise ValueError(f"engines must be among {ENGINES}, got {list(engines)}")
     n = n if n is not None else DEFAULT_N
     m = m if m is not None else round(DEFAULT_CLAUSE_RATIO * n)
-    fp = FastParams(k, t) if engine == "searchball_fast" else None
+    if max(r_range, default=0) > n:
+        raise ValueError(f"radius {max(r_range)} exceeds n={n}")
+    fp = FastParams(k, t) if "searchball_fast" in engines else None
     records = []
     for r in r_range:
-        if r > n:
-            raise ValueError(f"radius {r} exceeds n={n}")
         for trial in range(trials):
             inst_seed = f"{seed}:{r}:{trial}"
             inst = gen_planted(k, n, m, seed=inst_seed, distance=r)
-            record = _run_one(engine, inst, t, fp, seed=f"walk:{inst_seed}")
-            record.trial = trial
-            records.append(record)
+            records.extend(
+                _run_one(engine, inst, trial, t, fp, seed=f"walk:{inst_seed}")
+                for engine in engines
+            )
     return records
 
 

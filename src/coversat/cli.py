@@ -48,12 +48,12 @@ def _build_parser(command: str | None = None) -> _Parser:
         solve = sub.add_parser("solve", help="solve a CNF or CSP file")
         solve.add_argument("--input", required=True)
         solve.add_argument("--mode", choices=["det", "rand", "brute"], default="det")
-        solve.add_argument("--t", type=int, default=6, help="inner code block size")
-        solve.add_argument("--epsilon", type=float, default=0.1)
-        solve.add_argument("--seed", type=int, default=0)
-        solve.add_argument("--trial-cap", type=int, default=None)
-        solve.add_argument("--jobs", type=int, default=1)
-        solve.add_argument("--cache-dir", default=None)
+        solve.add_argument("--t", type=int, default=SolverConfig.t, help="inner code block size")
+        solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+        solve.add_argument("--seed", type=int, default=SolverConfig.seed)
+        solve.add_argument("--trial-cap", type=int, default=SolverConfig.trial_cap)
+        solve.add_argument("--jobs", type=int, default=SolverConfig.jobs)
+        solve.add_argument("--cache-dir", default=SolverConfig.cache_dir)
         solve.add_argument("--stats", default=None, help="write a JSON stats report here")
 
     if command in (None, "gencode"):
@@ -80,7 +80,7 @@ def _build_parser(command: str | None = None) -> _Parser:
     if command in (None, "bench"):
         bench = sub.add_parser("bench", help="scaling experiments on planted instances")
         bench.add_argument("--k", type=int, default=3)
-        bench.add_argument("--t", type=int, default=6)
+        bench.add_argument("--t", type=int, default=SolverConfig.t)
         bench.add_argument("--r", required=True, help="radius range LO:HI (inclusive)")
         bench.add_argument("--trials", type=int, default=50)
         bench.add_argument("--seed", type=int, default=0)
@@ -200,7 +200,10 @@ def _cmd_reduce(args) -> int:
     import os
 
     with open(args.input, "rb") as fh:
-        g = parse_csp(fh.read())
+        raw = fh.read()
+    if input_kind(raw) != "csp":
+        raise UsageError("reduce takes a 'p csp' file; this input has no 'p csp' header")
+    g = parse_csp(raw)
     boxes = two_box_cover(g.domain_size, g.num_vars)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"schema": 1, "input": args.input, "domain_size": g.domain_size,
@@ -228,26 +231,25 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.m is not None and args.m < 0:
         raise UsageError(f"--m must be >= 0, got {args.m}")
-    engines = args.engine or ["searchball", "searchball_fast"]
-    all_records = []
+    engines = list(dict.fromkeys(args.engine or ["searchball", "searchball_fast"]))
+    records = bench_mod.run_scaling(
+        engines, args.k, args.t, range(lo, hi + 1), args.trials,
+        seed=args.seed, n=args.n, m=args.m,
+    )
     for engine in engines:
-        records = bench_mod.run_scaling(
-            engine, args.k, args.t, range(lo, hi + 1), args.trials,
-            seed=args.seed, n=args.n, m=args.m,
-        )
-        all_records.extend(records)
+        mine = [rec for rec in records if rec.engine == engine]
         if hi - lo >= 2 and engine != "schoening_walk":
-            fit = bench_mod.fit_scaling(records)
+            fit = bench_mod.fit_scaling(mine)
             print(
                 f"{engine}: fitted base {fit.base:.3f} "
                 f"[95% CI {fit.base_low:.3f}, {fit.base_high:.3f}] over r={lo}..{hi}"
             )
         else:
-            succ = sum(rec.outcome == "sat" for rec in records)
-            print(f"{engine}: {succ}/{len(records)} runs found a witness")
+            succ = sum(rec.outcome == "sat" for rec in mine)
+            print(f"{engine}: {succ}/{len(mine)} runs found a witness")
     if args.csv:
-        bench_mod.write_records_csv(all_records, args.csv)
-        print(f"wrote {len(all_records)} records to {args.csv}")
+        bench_mod.write_records_csv(records, args.csv)
+        print(f"wrote {len(records)} records to {args.csv}")
     return EXIT_OK
 
 

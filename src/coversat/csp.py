@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterable
 
@@ -26,13 +26,6 @@ from .solver import solve_deterministic
 BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_VERIFY_MAX = 10**6
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-try:
-    from operator import call
-except ImportError:  # Python < 3.11
-
-    def call(obj, /, *args, **kwargs):
-        return obj(*args, **kwargs)
 
 Constraint = tuple[tuple[int, int], ...]
 TwoBox = tuple[tuple[int, int], ...]
@@ -286,7 +279,8 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
                 dropped |= masks[base + c]
     # byte i of kept, lowest bit first, is 1 iff constraint i survives
     kept = bin(((1 << len(getters)) - 1) ^ dropped)[:1:-1].encode().translate(_BIT_BYTES)
-    clauses = tuple(map(call, compress(getters, kept), repeat(tuple(table))))
+    table = tuple(table)
+    clauses = tuple([g(table) for g in compress(getters, kept)])
     return Formula._unchecked(f.num_vars, clauses)
 
 

@@ -95,21 +95,21 @@ class FastParams:
     covering radius ceil(t/k): when k does not divide t the radius rounds
     up, which keeps the covering property and shrinks delta conservatively.
     delta = t - 2*ceil(t/k) is the guaranteed radius progress per level and
-    must be positive. Construction checks delta and the greedy cost cap of
-    the code without building it; the first read of code gets the verified
-    greedy code from get_code (cache_dir as there) and keeps it on the
-    instance, so a pickled copy carries it once it is built. The code is
-    read only at a node with t disjoint width-k clauses, which needs
-    n >= k*t variables.
+    must be positive, which needs k >= 3. Construction checks k, delta and
+    the greedy cost cap of the code without building it; the first read of
+    code gets the verified greedy code from get_code (cache_dir as there)
+    and keeps it on the instance, so a pickled copy carries it once it is
+    built. The code is read only at a node with t disjoint width-k clauses,
+    which needs n >= k*t variables.
     """
 
     k: int
-    t: int = 6
+    t: int
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        if self.k < 3:
+            raise ValueError(f"k must be >= 3, got {self.k}: below 3, delta <= 0 for every t")
         if self.delta < 1:
             raise ValueError(f"delta must be >= 1, got {self.delta} (t={self.t} too small)")
         check_greedy_cap(self.k, self.t, self.radius)

@@ -220,8 +220,9 @@ def test_c06_node_count_separation():
     began = time.perf_counter()
     r_range = range(4, 15)
     trials = 50
-    rec_plain = run_scaling("searchball", 3, 6, r_range, trials, seed=606)
-    rec_fast = run_scaling("searchball_fast", 3, 6, r_range, trials, seed=606)
+    records = run_scaling(["searchball", "searchball_fast"], 3, 6, r_range, trials, seed=606)
+    rec_plain = [rec for rec in records if rec.engine == "searchball"]
+    rec_fast = [rec for rec in records if rec.engine == "searchball_fast"]
     # per-run envelopes (leaves <= 3^r and <= |code|^ceil(r/2)) are hard
     # assertions inside run_scaling; reaching this point means none fired
     fit_plain = fit_scaling(rec_plain)

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+import coversat.bench
 from coversat.bench import (
+    ENGINES,
     BenchRecord,
     CSV_COLUMNS,
     fit_scaling,
@@ -50,36 +52,74 @@ class TestRunScaling:
     def test_record_stream_reproducible(self):
         from dataclasses import replace
 
-        a = run_scaling("searchball", 3, 6, range(2, 5), 3, seed=5, n=12, m=40)
-        b = run_scaling("searchball", 3, 6, range(2, 5), 3, seed=5, n=12, m=40)
+        a = run_scaling(["searchball"], 3, 6, range(2, 5), 3, seed=5, n=12, m=40)
+        b = run_scaling(["searchball"], 3, 6, range(2, 5), 3, seed=5, n=12, m=40)
         strip = [replace(rec, wall_time=0.0) for rec in a]
         assert strip == [replace(rec, wall_time=0.0) for rec in b]
 
     def test_radius_zero_single_leaf(self):
-        for engine in ("searchball", "searchball_fast"):
-            records = run_scaling(engine, 3, 6, [0], 5, seed=1, n=9, m=18)
-            assert all(rec.leaves == 1 for rec in records)
-            assert all(rec.outcome == "sat" for rec in records)
+        records = run_scaling(["searchball", "searchball_fast"], 3, 6, [0], 5, seed=1, n=9, m=18)
+        assert len(records) == 10
+        assert all(rec.leaves == 1 for rec in records)
+        assert all(rec.outcome == "sat" for rec in records)
 
     def test_walk_engine_records_steps(self):
-        records = run_scaling("schoening_walk", 3, 6, [2, 3], 4, seed=2, n=10, m=30)
+        records = run_scaling(["schoening_walk"], 3, 6, [2, 3], 4, seed=2, n=10, m=30)
         assert all(rec.leaves == 0 for rec in records)
         assert all(rec.leaves <= rec.nodes for rec in records)
 
     def test_all_records_tagged(self):
-        records = run_scaling("searchball_fast", 3, 6, [1, 2], 3, seed=0, n=9, m=36)
+        records = run_scaling(["searchball_fast"], 3, 6, [1, 2], 3, seed=0, n=9, m=36)
         assert {(rec.r, rec.trial) for rec in records} == {
             (r, t) for r in (1, 2) for t in range(3)
         }
         assert all(rec.code_size > 0 for rec in records)
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            run_scaling("magic", 3, 6, [1], 1)
+    def test_one_instance_per_trial_for_all_engines(self, monkeypatch):
+        from dataclasses import replace
 
-    def test_radius_above_n(self):
-        with pytest.raises(ValueError):
-            run_scaling("searchball", 3, 6, [10], 1, n=6, m=12)
+        drawn = []
+        real = coversat.bench.gen_planted
+
+        def recording_draw(*args, **kwargs):
+            drawn.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coversat.bench, "gen_planted", recording_draw)
+        records = run_scaling(ENGINES, 3, 6, [1, 2], 2, seed=4, n=9, m=27)
+        assert drawn == ["4:1:0", "4:1:1", "4:2:0", "4:2:1"]
+        assert [rec.engine for rec in records] == list(ENGINES) * 4
+        # each engine's records are those of a run of that engine alone
+        for engine in ENGINES:
+            alone = run_scaling([engine], 3, 6, [1, 2], 2, seed=4, n=9, m=27)
+            mine = [rec for rec in records if rec.engine == engine]
+            assert [replace(rec, wall_time=0.0) for rec in mine] == [
+                replace(rec, wall_time=0.0) for rec in alone
+            ]
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(coversat.bench, "gen_planted", lambda *a, **kw: drawn.append(a))
+        return drawn
+
+    @pytest.mark.parametrize("k, t, match", [(2, 6, "k must be >= 3"), (3, 2, "t=2 too small")],
+                             ids=["k-2", "t-2"])
+    def test_fast_params_checked_before_the_first_instance(self, draws, k, t, match):
+        with pytest.raises(ValueError, match=match):
+            run_scaling(["searchball", "searchball_fast"], k, t, [0, 1, 2], 1, n=6, m=12)
+        assert draws == []
+
+    def test_unknown_engine(self, draws):
+        with pytest.raises(ValueError, match="'magic'"):
+            run_scaling(["searchball", "magic"], 3, 6, [1], 1)
+        assert draws == []
+
+    def test_radius_above_n(self, draws):
+        # refused before the r = 2 instance is drawn
+        with pytest.raises(ValueError, match="radius 10 exceeds n=6"):
+            run_scaling(("searchball",), 3, 6, [2, 10], 1, n=6, m=12)
+        assert draws == []
 
 
 class TestFitScaling:
@@ -104,7 +144,7 @@ class TestFitScaling:
 
 class TestCsvOutput:
     def test_schema_and_order(self, tmp_path):
-        records = run_scaling("searchball", 3, 6, [1, 2], 2, seed=3, n=9, m=27)
+        records = run_scaling(["searchball"], 3, 6, [1, 2], 2, seed=3, n=9, m=27)
         path = tmp_path / "out.csv"
         write_records_csv(reversed(records), str(path))
         with open(path) as fh:

@@ -247,6 +247,14 @@ class TestReduce:
         assert solve_csp(g).status == "unsat"
         assert visited == boxes
 
+    def test_cnf_input_is_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "s.cnf", SAT_3CNF)
+        outdir = tmp_path / "red"
+        assert main(["reduce", "--input", path, "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reduce takes a 'p csp' file")
+        assert not outdir.exists()
+
 
 class TestBenchCommand:
     def test_csv_and_summary(self, tmp_path, capsys):
@@ -282,6 +290,34 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} must be >= ")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--r", "3:6", "--n", "5", "--m", "10", "--trials", "2"], "radius 6 exceeds n=5"),
+        (["--k", "2", "--r", "0:2", "--trials", "1"], "k must be >= 3"),
+        (["--k", "3", "--t", "2", "--r", "0:2", "--trials", "1"], "t=2 too small"),
+    ], ids=["radius-above-n", "k-2", "t-2"])
+    def test_bad_inputs_exit_1_before_any_trial(self, monkeypatch, capsys, flags, named):
+        runs = []
+        real = coversat.bench._run_one
+        monkeypatch.setattr(
+            coversat.bench, "_run_one", lambda *a, **kw: runs.append(a) or real(*a, **kw)
+        )
+        assert main(["bench", *flags]) == 1
+        assert runs == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_repeated_engine_runs_once(self, tmp_path, capsys):
+        csv_path = tmp_path / "b.csv"
+        rc = main(["bench", "--r", "1:2", "--trials", "2", "--n", "9", "--m", "27",
+                   "--engine", "searchball", "--engine", "searchball", "--csv", str(csv_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "searchball: 4/4 runs found a witness",
+            f"wrote 4 records to {csv_path}",
+        ]
+        assert len(csv_path.read_text().splitlines()) == 5
+
     def test_formula_without_clauses(self, capsys):
         # one leaf at every radius: the searchball envelope is 1, not 0 ** r
         assert main(["bench", "--r", "0:3", "--trials", "1", "--m", "0"]) == 0
@@ -315,20 +351,20 @@ class TestParserReuse:
     def test_engine_lists_do_not_accumulate(self, monkeypatch):
         seen = []
 
-        def recording_run(engine, *args, **kwargs):
-            seen.append(engine)
+        def recording_run(engines, *args, **kwargs):
+            seen.append(engines)
             return []
 
         monkeypatch.setattr(coversat.bench, "run_scaling", recording_run)
         assert main(["bench", "--r", "1:1", "--engine", "searchball"]) == 0
-        assert seen == ["searchball"]
+        assert seen == [["searchball"]]
         seen.clear()
         assert main(["bench", "--r", "1:1", "--engine", "schoening_walk",
                      "--engine", "searchball_fast"]) == 0
-        assert seen == ["schoening_walk", "searchball_fast"]
+        assert seen == [["schoening_walk", "searchball_fast"]]
         seen.clear()
         assert main(["bench", "--r", "1:1"]) == 0
-        assert seen == ["searchball", "searchball_fast"]
+        assert seen == [["searchball", "searchball_fast"]]
 
 
 class TestUsage:

@@ -340,7 +340,7 @@ class TestApplyCodeword:
 
 class TestFastParams:
     def test_checked_at_construction_without_a_code(self, monkeypatch):
-        # delta = 2 - 2*ceil(2/3) = 0, k < 2 and a (10,6,1) code beyond the
+        # delta = 2 - 2*ceil(2/3) = 0, k < 3 and a (10,6,1) code beyond the
         # greedy cap are all refused before any code is asked for
         def no_code(*a, **kw):
             raise AssertionError("inner code requested at construction")
@@ -348,8 +348,12 @@ class TestFastParams:
         monkeypatch.setattr(coversat.search, "get_code", no_code)
         with pytest.raises(ValueError, match="delta must be >= 1"):
             FastParams(3, 2)
-        with pytest.raises(ValueError, match="k must be >= 2"):
+        with pytest.raises(ValueError, match="k must be >= 3"):
             FastParams(1, 6)
+        for t in range(1, 9):
+            # delta = t - 2*ceil(t/2) <= 0: the message blames k, not t
+            with pytest.raises(ValueError, match="k must be >= 3, got 2"):
+                FastParams(2, t)
         for k, t in ((10, 6), (3, 12), (3, 2000)):
             with pytest.raises(ResourceCapError, match="smaller --t"):
                 FastParams(k, t)
