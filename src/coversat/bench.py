@@ -176,6 +176,11 @@ def run_scaling(
     return records
 
 
+class ConstantSeriesError(ValueError):
+    """Every radius has the same mean leaves: the growth base is exactly 1
+    and a regression gives no interval for it."""
+
+
 @dataclass
 class ScalingFit:
     """exp(slope) of the least-squares line through (r, log mean leaves),
@@ -189,6 +194,9 @@ class ScalingFit:
 
 
 def fit_scaling(records: Iterable[BenchRecord]) -> ScalingFit:
+    """Fit one engine's records, which need at least 3 distinct radii.
+    Raises ConstantSeriesError when every radius has the same mean leaves,
+    as when each run is a single codeword-tree leaf (every r below t)."""
     from scipy import stats as sps
 
     records = list(records)
@@ -201,8 +209,13 @@ def fit_scaling(records: Iterable[BenchRecord]) -> ScalingFit:
     if len(by_r) < 3:
         raise ValueError("need at least 3 distinct radii for a fit")
     xs = sorted(by_r)
-    ys = [math.log(sum(by_r[r]) / len(by_r[r])) for r in xs]
-    fit = sps.linregress(xs, ys)
+    means = [sum(by_r[r]) / len(by_r[r]) for r in xs]
+    if len(set(means)) == 1:
+        raise ConstantSeriesError(
+            f"mean leaves of {engine} are {means[0]:g} at every radius {xs[0]}..{xs[-1]}: "
+            "the base is 1 and has no interval"
+        )
+    fit = sps.linregress(xs, [math.log(mean) for mean in means])
     tq = sps.t.ppf(0.975, len(xs) - 2)
     return ScalingFit(
         engine=engine,

@@ -239,7 +239,12 @@ def _cmd_bench(args) -> int:
     for engine in engines:
         mine = [rec for rec in records if rec.engine == engine]
         if hi - lo >= 2 and engine != "schoening_walk":
-            fit = bench_mod.fit_scaling(mine)
+            try:
+                fit = bench_mod.fit_scaling(mine)
+            except bench_mod.ConstantSeriesError:
+                print(f"{engine}: fitted base 1.000, no interval: mean leaves equal at "
+                      f"every r={lo}..{hi}")
+                continue
             print(
                 f"{engine}: fitted base {fit.base:.3f} "
                 f"[95% CI {fit.base_low:.3f}, {fit.base_high:.3f}] over r={lo}..{hi}"

@@ -63,13 +63,22 @@ class Formula:
             raise ValueError(f"literal {u} exceeds num_vars={self.num_vars}")
 
     @classmethod
-    def _unchecked(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
+    def _unchecked(
+        cls,
+        num_vars: int,
+        clauses: tuple[Clause, ...],
+        literal_masks: tuple[tuple[int, int], ...] | None = None,
+    ) -> Formula:
         """A formula whose clauses the caller has already validated: int
         literals over pairwise distinct variables in 1..num_vars. Skips
-        ``__post_init__``; equal to ``Formula(num_vars, clauses)``."""
+        ``__post_init__``; equal to ``Formula(num_vars, clauses)``. A caller
+        that holds the clauses' ``literal_masks`` may pass them, and they
+        are stored as if computed."""
         f = object.__new__(cls)
         object.__setattr__(f, "num_vars", num_vars)
         object.__setattr__(f, "clauses", clauses)
+        if literal_masks is not None:
+            object.__setattr__(f, "literal_masks", literal_masks)
         return f
 
     @cached_property

@@ -110,6 +110,20 @@ class CspFormula:
             for lits in self._constraint_bitsets[1]
         )
 
+    @cached_property
+    def _constraint_rows(self) -> tuple[str, ...]:
+        """rows[i] is constraint i as a string of n*d '0'/'1' characters,
+        indexed by literal (see _constraint_bitsets), with '1' at each
+        literal it holds. Kept like the bitsets; restrict_to_box reads a
+        box's literal masks from the rows of its kept constraints."""
+        rows = []
+        for lits in self._constraint_bitsets[1]:
+            row = bytearray(b"0" * (self.num_vars * self.domain_size))
+            for j in lits:
+                row[j] = ord("1")
+            rows.append(row.decode())
+        return tuple(rows)
+
 
 def csp_formula(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> CspFormula:
     return CspFormula(d, n, tuple(tuple(c) for c in constraints))
@@ -256,17 +270,21 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     pair. The kept ones are a gather done in C: itertools.compress picks
     their getters (CspFormula._constraint_getters) by the bits of the kept
     set, and each getter reads its constraint's clause from a table of the
-    box's n*d literals. The result is built with Formula._unchecked:
-    CspFormula has already checked that each constraint's variables are
-    distinct and lie in 1..n, and a reduced clause is those same variables
-    with signs.
+    box's n*d literals. The result's literal_masks are read from the kept
+    constraints' rows (CspFormula._constraint_rows), joined last first: the
+    characters of literal j, every n*d-th from j, are then the binary digits
+    of the mask of the clauses holding it, the last clause's most
+    significant. The result is built with Formula._unchecked: CspFormula
+    has already checked that each constraint's variables are distinct and
+    lie in 1..n, and a reduced clause is those same variables with signs.
     """
     if len(box) != f.num_vars:
         raise ValueError("box arity does not match formula")
     d = f.domain_size
     masks = f._constraint_bitsets[0]
     getters = f._constraint_getters
-    table = [0] * len(masks)
+    width = len(masks)
+    table = [0] * width
     dropped = 0
     for v, (lo, hi) in enumerate(box, 1):
         if not (1 <= lo < hi <= d):
@@ -281,7 +299,13 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     kept = bin(((1 << len(getters)) - 1) ^ dropped)[:1:-1].encode().translate(_BIT_BYTES)
     table = tuple(table)
     clauses = tuple([g(table) for g in compress(getters, kept)])
-    return Formula._unchecked(f.num_vars, clauses)
+    rows = "".join(reversed([*compress(f._constraint_rows, kept)]))
+    # (x_v != hi) is -y_v and (x_v != lo) is y_v: the (neg, pos) masks of v
+    literal_masks = tuple(
+        (int(rows[base + hi :: width] or "0", 2), int(rows[base + lo :: width] or "0", 2))
+        for base, (lo, hi) in zip(range(-1, width - 1, d), box)
+    )
+    return Formula._unchecked(f.num_vars, clauses, literal_masks)
 
 
 def decode_box_witness(box: TwoBox, bits: tuple[int, ...]) -> tuple[int, ...]:
@@ -301,10 +325,11 @@ def brute_force_csp(f: CspFormula) -> SolveResult:
     return SolveResult("sat", witness)
 
 
-def _solve_box(f: CspFormula, cfg: SolverConfig, box: TwoBox, stats: SolveStats):
+def _solve_box(f: CspFormula, cfg: SolverConfig, plans: dict, box: TwoBox, stats: SolveStats):
     """Solve F inside one 2-box: its Boolean restriction, counted into stats,
-    then the decoded witness."""
-    sub = solve_deterministic(restrict_to_box(f, box), cfg)
+    then the decoded witness. plans holds the solve plan of each box width
+    (see solve_deterministic), shared by the boxes of one solve_csp call."""
+    sub = solve_deterministic(restrict_to_box(f, box), cfg, plans)
     stats.merge(sub.stats)
     stats.boxes_tried += 1
     witness = decode_box_witness(box, sub.witness) if sub.status == "sat" else None
@@ -324,7 +349,9 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
         return brute_force_csp(f)
-    task = partial(_solve_box, f, replace(cfg, jobs=1))
+    # every box has n variables and one cfg, so a plan per width serves them
+    # all; a pool worker fills its own copy of the empty dict
+    task = partial(_solve_box, f, replace(cfg, jobs=1), {})
     stats = SolveStats()
     witness = first_witness(task, two_box_cover(d, n), cfg.jobs, stats)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)

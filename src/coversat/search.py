@@ -14,33 +14,23 @@ of alpha, find any satisfying assignment (not necessarily inside the ball).
 
 Branching overlays forced values on the assignment: a variable forced to a
 value behaves exactly like the restricted formula F^[v:=bit], and node
-counts and witnesses are those of the restriction-based formulation. The
-unsatisfied clauses of an assignment are read from the formula's clause
-bitmasks (Formula.literal_masks, one mask per literal, bit i for clause i):
-Formula.unsat_mask ORs one mask per variable, and its lowest set bit is the
-lowest-index unsatisfied clause every engine branches on. The codeword
-recursion shares one list assignment: a node flips a codeword's t variables
-in place, computes the child's mask from it, hands both to the child and
-flips them back; a node computes no mask of its own.
+counts and witnesses are those of the restriction-based formulation.
 
-The small-|G| enumeration is one flat loop over the last clause of G fed by
-lazy prefix generators, one per earlier clause. Each level reads the rows
-of its clause within the budget, with their flips, from a table per (width,
-sign pattern, budget cap), and ORs the clause's row masks, built once per
-enumeration, into the mask of the clauses beta satisfies. A beta that
-satisfies F is the witness. One whose subsearch cannot find a witness is
-counted in place with the nodes that subsearch would count: no budget
-left, a lowest unsatisfied clause with no free variable, or radius 1 with
-every free literal of that clause missing some unsatisfied clause (each
-child is then a leaf one AND settles). Any other beta goes to searchball,
-as a (variable, bit) dict with its mask as the root's: it has radius >= 2,
-or radius 1 and some free literal in every unsatisfied clause.
-
-Inside searchball a node walks the literals of its lowest unsatisfied
-clause in place, and hands each child the mask it computes from its own
-assignment with the child's literal set; a radius-0 child that some clause
-unsatisfied at the parent lacks is settled with one AND, without a mask or
-a call.
+Invariants the engines share:
+- The unsatisfied clauses of an assignment are one bitmask, read from
+  Formula.literal_masks (one mask per literal, bit i for clause i); its
+  lowest set bit is the lowest-index unsatisfied clause every engine
+  branches on. A CSP box formula carries its masks from restrict_to_box,
+  so no engine builds them for a box.
+- The codeword recursion shares one list assignment: a node flips a
+  codeword's t variables in place, computes the child's mask, hands both
+  to the child and flips them back.
+- The small-|G| enumeration (_beta_search) gives searchball only the
+  betas that may yield a witness. Every other beta, including one of
+  radius 1 whose free literals each leave some unsatisfied clause, is
+  counted in place with exactly the nodes searchball would count.
+- Inside searchball a radius-0 child that some clause unsatisfied at the
+  parent lacks is a leaf settled with one AND, without a mask or a call.
 """
 
 from __future__ import annotations
@@ -390,25 +380,6 @@ def _prefixes(
             yield left - flips, satisfied | row_masks[i], bits + row
 
 
-def _leaf_children(
-    clause: Clause, forced: set[int], masks: tuple[tuple[int, int], ...], unsat: int
-) -> int:
-    """The number of free literals of `clause`, the lowest clause in
-    `unsat`, when every one of them leaves some clause of `unsat`
-    unsatisfied, and 0 when one does not. At radius 1 each free literal is
-    a radius-0 child of searchball's root, and such a child is a leaf with
-    no witness."""
-    free = 0
-    for u in clause:
-        v = abs(u)
-        if v in forced:
-            continue
-        if not unsat & ~masks[v - 1][u > 0]:
-            return 0
-        free += 1
-    return free
-
-
 def _beta_search(
     f: Formula,
     alpha: Sequence[int],
@@ -434,21 +405,18 @@ def _beta_search(
     later clause (each is falsified by alpha), so no row over budget is
     visited. The clauses beta satisfies are the OR of a mask fixed for the
     whole enumeration (alpha outside vbl(G)) and one row mask per clause of
-    G (its local pattern, from _clause_rows); one pass over the variables
-    outside vbl(G) builds that fixed mask and the mask of the clauses those
-    variables touch.
+    G (from _clause_rows).
 
-    A beta that satisfies F is the witness. A beta whose subsearch cannot
-    find a witness is settled in place with the nodes that subsearch would
-    count. One with no budget left, or one that fixes every variable of its
-    lowest unsatisfied clause (a clause with no variable outside vbl(G)),
-    is one node, the root searchball would stop at. One with one flip left
-    whose every free literal in that clause misses some unsatisfied clause
-    (_leaf_children) is the root plus one leaf per free literal, each a
-    radius-0 child that one AND settles. Every other beta, of radius >= 2
-    or of radius 1 with some free literal in every unsatisfied clause, goes
-    to searchball, and only then, or for the witness, is beta built as a
-    (variable, bit) dict.
+    Each beta counts exactly the nodes searchball would count around it,
+    and only a beta that may yield a witness reaches searchball:
+    - a beta that satisfies F is the witness, one node;
+    - a beta with no budget left, or whose lowest unsatisfied clause has no
+      variable outside vbl(G), is one node, a root searchball stops at;
+    - a beta with one flip left where every free literal of that clause
+      misses some unsatisfied clause is its root plus one leaf per free
+      literal: each child is a radius-0 leaf that one AND shows unsatisfied;
+    - every other beta goes to searchball as a (variable, bit) dict, with
+      its unsat mask as the root's, counting into a fresh SearchStats.
     Only recursion_nodes reach stats, once, at the end: leaves and max_depth
     stay those of the codeword recursion.
     """
@@ -474,8 +442,7 @@ def _beta_search(
         prefixes = _prefixes(prefixes, *tables[j], last - j)
     # an empty G leaves one beta, the empty assignment
     width, falsifying, last_masks = tables[-1] if g else (0, 0, [0])
-    settled = 0  # betas counted in place, one node each
-    inner = SearchStats()
+    nodes = 0  # the nodes of every beta so far, settled or searched
     for left, satisfied, bits in prefixes:
         if g:
             rows = _pattern_table(width, falsifying, left if left < width else width)
@@ -484,27 +451,36 @@ def _beta_search(
         for i, flips, row in rows:
             unsat = full ^ (satisfied | last_masks[i])
             if not unsat:
-                settled += 1
-                res = override(alpha, dict(zip(g_vars, bits + row)))
-            elif flips == left or unsat & -unsat & inside:
-                # no budget left, or beta fixes its whole lowest unsatisfied
-                # clause: searchball would stop at its root
-                settled += 1
+                stats.recursion_nodes += nodes + 1
+                return override(alpha, dict(zip(g_vars, bits + row)))
+            if flips == left:
+                nodes += 1
                 continue
-            elif left - flips == 1 and (
-                free := _leaf_children(f.clauses[_lowest(unsat)], in_g, masks, unsat)
-            ):
-                # radius 1 and each child a leaf one AND settles: searchball
-                # would count its root and those leaves, and find no witness
-                settled += 1 + free
+            low = unsat & -unsat
+            if low & inside:
+                nodes += 1
                 continue
-            else:
-                beta = dict(zip(g_vars, bits + row))
-                res, _ = searchball(f, alpha, left - flips, forced=beta, stats=inner, unsat=unsat)
+            if left - flips == 1:
+                free = 0
+                for u in f.clauses[low.bit_length() - 1]:
+                    v = abs(u)
+                    if v in in_g:
+                        continue
+                    if not unsat & ~masks[v - 1][u > 0]:
+                        free = 0  # this child may find a witness
+                        break
+                    free += 1
+                if free:
+                    nodes += 1 + free
+                    continue
+            inner = SearchStats()
+            beta = dict(zip(g_vars, bits + row))
+            res, _ = searchball(f, alpha, left - flips, forced=beta, stats=inner, unsat=unsat)
+            nodes += inner.recursion_nodes
             if res is not None:
-                stats.recursion_nodes += inner.recursion_nodes + settled
+                stats.recursion_nodes += nodes
                 return res
-    stats.recursion_nodes += inner.recursion_nodes + settled
+    stats.recursion_nodes += nodes
     return None
 
 

@@ -22,7 +22,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .cnf import Formula, evaluate
-from .codes import _word_of, boolean_cover
+from .codes import CoveringCode, _word_of, boolean_cover
 from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, schoening_walk, searchball_fast
 
@@ -308,12 +308,31 @@ def _search_codeword(f: Formula, radius: int, fp: FastParams, gamma, stats: Solv
     return witness
 
 
+def _plan(n: int, k: int, cfg: SolverConfig) -> tuple[CoveringCode, FastParams]:
+    """The outer cover and the FastParams of a width-k formula over n
+    variables. The inner code is built here when some node may hold t
+    disjoint k-clauses (n >= k*t), once, so that pool workers receive it
+    with the task."""
+    cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
+    fp = FastParams(k, cfg.t, cfg.cache_dir)
+    if n >= k * fp.t:
+        fp.code
+    return cover, fp
+
+
 @_timed
-def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
+def solve_deterministic(
+    f: Formula,
+    cfg: SolverConfig | None = None,
+    plans: dict[int, tuple[CoveringCode, FastParams]] | None = None,
+) -> SolveResult:
     """Covering-code outer loop around searchball_fast; never 'unknown'.
 
     Formulas of width <= 2 go straight to the exhaustive oracle (a dedicated
-    2-SAT algorithm is out of scope here).
+    2-SAT algorithm is out of scope here). plans, when given, maps a width k
+    to the (outer cover, FastParams) plan of that width and is filled on
+    first use of each width; it serves formulas of one n under one cfg, as
+    the boxes of one CSP are.
     """
     cfg = cfg or SolverConfig()
     n, k = f.num_vars, f.max_width
@@ -321,12 +340,11 @@ def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveRes
         return brute_force(f)
     if not all(f.clauses):
         return SolveResult("unsat", None)
-    cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
-    fp = FastParams(k, cfg.t, cfg.cache_dir)
-    if n >= k * fp.t:
-        # some node may hold t disjoint k-clauses: build the inner code here,
-        # once, so that pool workers receive it with the task
-        fp.code
+    plans = {} if plans is None else plans
+    plan = plans.get(k)
+    if plan is None:
+        plan = plans[k] = _plan(n, k, cfg)
+    cover, fp = plan
     task = partial(_search_codeword, f, cover.r, fp)
     stats = SolveStats()
     # the codewords as 0/1 assignments, converted once per cached code block

@@ -8,6 +8,7 @@ from coversat.bench import (
     ENGINES,
     BenchRecord,
     CSV_COLUMNS,
+    ConstantSeriesError,
     fit_scaling,
     gen_planted,
     run_scaling,
@@ -140,6 +141,17 @@ class TestFitScaling:
         ]
         with pytest.raises(ValueError):
             fit_scaling(records)
+
+    def test_constant_series_refused(self):
+        # `bench --r 2:6 --trials 5`: below t = 6 every searchball_fast run is
+        # one codeword-tree leaf, so log(mean leaves) is flat and a
+        # regression's interval would be nan
+        records = run_scaling(["searchball_fast"], 3, 6, range(2, 7), 5)
+        assert {rec.leaves for rec in records} == {1}
+        with pytest.raises(ConstantSeriesError, match="mean leaves of searchball_fast are 1 "
+                           "at every radius 2..6"):
+            fit_scaling(records)
+        assert issubclass(ConstantSeriesError, ValueError)
 
 
 class TestCsvOutput:

@@ -324,6 +324,14 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "searchball: fitted base 1.000" in out
 
+    def test_constant_series_prints_no_interval(self, capsys):
+        # every run below t is one leaf: the summary says so instead of
+        # printing a nan interval
+        assert main(["bench", "--r", "2:6", "--trials", "5", "--engine", "searchball_fast"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "searchball_fast: fitted base 1.000, no interval: mean leaves equal at every r=2..6",
+        ]
+
 
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -2,6 +2,7 @@ import ast
 import pickle
 import random
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -341,15 +342,47 @@ class TestRestrictToBox:
         g = rand_csp(rng, 4, 5, 40, k=4)
         box = ((1, 2), (2, 4), (1, 3), (3, 4), (1, 4))
         restrict_to_box(g, box)
-        assert {"_constraint_bitsets", "_constraint_getters"} <= vars(g).keys()
+        tables = {"_constraint_bitsets", "_constraint_getters", "_constraint_rows"}
+        assert tables <= vars(g).keys()
         copy = pickle.loads(pickle.dumps(g))
-        assert {"_constraint_bitsets", "_constraint_getters"} <= vars(copy).keys()
+        assert tables <= vars(copy).keys()
         for _ in range(20):
             box = tuple(tuple(sorted(rng.sample(range(1, 5), 2))) for _ in range(5))
             reduced = restrict_to_box(copy, box)
             expected = ref_restrict_to_box(g, box)
             assert reduced.clauses == expected.clauses
             assert reduced.literal_masks == expected.literal_masks
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_box_masks_match_masks_from_scratch(self, d):
+        # the masks read from the kept constraints' rows equal those a
+        # Formula computes from the box's clauses, for widths 1..4, every box
+        # of the cover, and a box that drops every constraint
+        rng = random.Random(f"box-masks:{d}")
+        widths = set()
+        for _ in range(8):
+            n = rng.randint(1, 5)
+            g = rand_csp(rng, d, n, rng.randint(0, 10 * n), k=4)
+            widths.update(len(con) for con in g.constraints)
+            for box in two_box_cover(d, n):
+                reduced = restrict_to_box(g, box)
+                expected = Formula(n, reduced.clauses).literal_masks
+                assert reduced.literal_masks == expected
+        assert widths == {1, 2, 3, 4}
+        # x1 = 3 in every constraint: the box ((1, 2),) keeps none
+        g = csp_formula(d + 1, 2, [[(1, 3)], [(1, 3), (2, 1)], [(2, 2), (1, 3)]])
+        reduced = restrict_to_box(g, ((1, 2), (1, 2)))
+        assert reduced.clauses == ()
+        assert reduced.literal_masks == Formula(2, ()).literal_masks == ((0, 0), (0, 0))
+
+    def test_box_masks_survive_pickle(self):
+        # the masks are stored with the box formula, so a pickled copy (as
+        # --jobs sends one) carries them instead of rebuilding them
+        g = rand_csp(random.Random("box-masks-pickle"), 3, 6, 40)
+        reduced = restrict_to_box(g, ((1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3)))
+        assert "literal_masks" in vars(reduced)
+        copy = pickle.loads(pickle.dumps(reduced))
+        assert vars(copy)["literal_masks"] == Formula(6, reduced.clauses).literal_masks
 
     def test_invalid_boxes_rejected(self):
         g = csp_formula(4, 2, [[(1, 2), (2, 4)]])
@@ -565,3 +598,46 @@ class TestSolveCsp:
             assert res.status == "unsat"
             assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5)) == 144
         assert calls and max(calls.values()) == 1, calls
+
+    def test_one_plan_per_box_width(self, monkeypatch):
+        # a solve builds the outer cover and the FastParams once per box
+        # width of at least 3 and shares them among that width's boxes; the
+        # next solve builds its own
+        covers, params, widths = [], [], []
+        cover, fast_params = solver.boolean_cover, solver.FastParams
+        solve_box = csp.solve_deterministic
+
+        def counting_cover(n, rho, b, **kwargs):
+            covers.append(n)
+            return cover(n, rho, b, **kwargs)
+
+        def counting_params(k, *args):
+            params.append(k)
+            return fast_params(k, *args)
+
+        def recording_solve(f, cfg, plans):
+            widths.append(f.max_width)
+            return solve_box(f, cfg, plans)
+
+        monkeypatch.setattr(solver, "boolean_cover", counting_cover)
+        monkeypatch.setattr(solver, "FastParams", counting_params)
+        monkeypatch.setattr(csp, "solve_deterministic", recording_solve)
+        for m, status in ((20, "sat"), (40, "unsat"), (40, "unsat")):
+            del covers[:], params[:], widths[:]
+            res = solve_csp(rand_csp(random.Random(f"plan-widths:{m}"), 3, 7, m, k=4))
+            assert res.status == status
+            assert len(widths) == res.stats.boxes_tried
+            planned = list(dict.fromkeys(k for k in widths if k >= 3))
+            assert sorted(planned) == [3, 4]
+            assert params == planned
+            assert covers == [7, 7]
+            assert len(widths) > 2 * len(planned)
+
+    def test_plans_keep_jobs_two_on_the_jobs_one_record(self, monkeypatch):
+        # each worker fills its own plans; the merged record is unchanged
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        for m in (20, 40):
+            g = rand_csp(random.Random(f"plan-widths:{m}"), 3, 7, m, k=4)
+            one, two = solve_csp(g), solve_csp(g, SolverConfig(jobs=2))
+            assert (two.status, two.witness) == (one.status, one.witness)
+            assert replace(two.stats, wall_time=0.0) == replace(one.stats, wall_time=0.0)

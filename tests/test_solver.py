@@ -431,8 +431,8 @@ class TestSolveDeterministic:
         boxes = []
         real = csp.solve_deterministic
 
-        def recording(f, cfg):
-            res = real(f, cfg)
+        def recording(f, cfg, plans):
+            res = real(f, cfg, plans)
             boxes.append(replace(res.stats))
             return res
 

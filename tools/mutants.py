@@ -53,6 +53,18 @@ MUTANTS = {
         "itemgetter(lits[0])",
         ("tests/test_csp.py::TestRestrictToBox::test_width_one_constraints_are_one_tuples",),
     ),
+    "box-masks-lo-hi-swapped": Mutant(
+        "src/coversat/csp.py",
+        '(int(rows[base + hi :: width] or "0", 2), int(rows[base + lo :: width] or "0", 2))',
+        '(int(rows[base + lo :: width] or "0", 2), int(rows[base + hi :: width] or "0", 2))',
+        ("tests/test_csp.py::TestRestrictToBox::test_box_masks_match_masks_from_scratch",),
+    ),
+    "plan-keyed-on-n": Mutant(
+        "src/coversat/solver.py",
+        "    plan = plans.get(k)\n    if plan is None:\n        plan = plans[k] = ",
+        "    plan = plans.get(n)\n    if plan is None:\n        plan = plans[n] = ",
+        ("tests/test_csp.py::TestSolveCsp::test_one_plan_per_box_width",),
+    ),
     "codewords-as-symbols": Mutant(
         "src/coversat/solver.py",
         "first_witness(task, cover.bit_words, cfg.jobs, stats)",
@@ -111,8 +123,9 @@ MUTANTS = {
     ),
     "settle-every-radius-1-beta": Mutant(
         "src/coversat/search.py",
-        "        if not unsat & ~masks[v - 1][u > 0]:\n            return 0\n",
-        "        if not unsat & ~masks[v - 1][u > 0]:\n            pass\n",
+        "                        free = 0  # this child may find a witness\n"
+        "                        break\n",
+        "                        pass\n",
         ("tests/test_search.py::TestBetaSearch",),
     ),
     "radius-0-child-always-leaf": Mutant(
