@@ -324,15 +324,14 @@ def _plan(n: int, k: int, cfg: SolverConfig) -> tuple[CoveringCode, FastParams]:
 def solve_deterministic(
     f: Formula,
     cfg: SolverConfig | None = None,
-    plans: dict[int, tuple[CoveringCode, FastParams]] | None = None,
+    plans: dict[tuple[int, int], tuple[CoveringCode, FastParams]] | None = None,
 ) -> SolveResult:
     """Covering-code outer loop around searchball_fast; never 'unknown'.
 
     Formulas of width <= 2 go straight to the exhaustive oracle (a dedicated
-    2-SAT algorithm is out of scope here). plans, when given, maps a width k
-    to the (outer cover, FastParams) plan of that width and is filled on
-    first use of each width; it serves formulas of one n under one cfg, as
-    the boxes of one CSP are.
+    2-SAT algorithm is out of scope here). plans, when given, maps (n, k)
+    to the (outer cover, FastParams) plan of formulas of n variables and
+    width k under cfg, and is filled on first use of each (n, k).
     """
     cfg = cfg or SolverConfig()
     n, k = f.num_vars, f.max_width
@@ -341,9 +340,9 @@ def solve_deterministic(
     if not all(f.clauses):
         return SolveResult("unsat", None)
     plans = {} if plans is None else plans
-    plan = plans.get(k)
+    plan = plans.get((n, k))
     if plan is None:
-        plan = plans[k] = _plan(n, k, cfg)
+        plan = plans[n, k] = _plan(n, k, cfg)
     cover, fp = plan
     task = partial(_search_codeword, f, cover.r, fp)
     stats = SolveStats()

@@ -297,6 +297,19 @@ class TestSolveDeterministic:
         assert res.status == "sat"
         assert evaluate(f, res.witness)
 
+    def test_shared_plans_serve_every_n(self):
+        # one plans dict across formulas of different n and width gives
+        # each solve the record of a solve without plans
+        rng = random.Random("shared-plans")
+        plans = {}
+        for n, k in ((6, 3), (9, 3), (6, 4), (9, 3), (12, 4)):
+            for m in (2 * n, 6 * n):
+                f = rand_kcnf(rng, n, m, k=k)
+                alone, shared = solve_deterministic(f), solve_deterministic(f, plans=plans)
+                assert (shared.status, shared.witness) == (alone.status, alone.witness)
+                assert replace(shared.stats, wall_time=0.0) == replace(alone.stats, wall_time=0.0)
+        assert len(plans) == 4
+
     def test_agrees_with_oracle_on_random_corpus(self):
         rng = random.Random(404)
         sat = unsat = 0

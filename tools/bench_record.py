@@ -1,11 +1,11 @@
 """Record before-and-after benchmark numbers of two commits in one JSON file.
 
-    python3 tools/bench_record.py --base REV --out BENCH_<N>.json [--pairs P]
+    python3 tools/bench_record.py --base REV --out BENCH_<N>.json
 
 REV and HEAD are exported with `git archive` into a temporary directory,
 and perfbench/run.py runs in each export, unchanged, as a subprocess, on
-every workload of BENCHMARK.json at seed SEED for SECONDS: P pairs (default
-10), one run of each side per pair, the base first in even pairs and HEAD
+every workload of BENCHMARK.json at seed SEED for SECONDS: PAIRS pairs,
+one run of each side per pair, the base first in even pairs and HEAD
 first in odd ones, so that both sides see the same stretches of host load.
 Then each side runs each workload once more with `--trace 1`. The script
 reads the reports run.py writes under each export's perfbench/out/.
@@ -36,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 SECONDS = 30
+# ten pairs, the fewest that the nine-tenths gain rule below can judge
+PAIRS = 10
 # the direction of each end-to-end metric, as BENCHMARK.json states it
 BETTER = {"instances_per_s": "higher", "solve_s_p50": "lower", "setup_s": "lower",
           "peak_rss_mb": "lower"}
@@ -75,9 +77,7 @@ def run_once(tree: Path, workload: str, trace: bool) -> dict:
 
 
 def _quartiles(values: list[float]) -> list[float]:
-    """[first quartile, third quartile]; a single value is both."""
-    if len(values) < 2:
-        return [values[0], values[0]]
+    """[first quartile, third quartile]."""
     q1, _, q3 = statistics.quantiles(values, n=4)
     return [q1, q3]
 
@@ -109,24 +109,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the commit HEAD is compared against")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     record = {"script": "tools/bench_record.py", "seed": SEED, "seconds": SECONDS,
-              "pairs": args.pairs, "workloads": {}}
+              "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "head")}
         for side, rev in (("base", args.base), ("head", "HEAD")):
             record[side] = {"rev": rev, "commit": export(rev, trees[side])}
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 runs = {side: run_once(trees[side], workload, False) for side in order}
                 pairs.append((runs["base"], runs["head"]))
-                print(f"{workload} pair {i + 1}/{args.pairs}: instances_per_s "
+                print(f"{workload} pair {i + 1}/{PAIRS}: instances_per_s "
                       f"{runs['base']['metrics']['instances_per_s']:.3f} -> "
                       f"{runs['head']['metrics']['instances_per_s']:.3f}", file=sys.stderr)
             runs = [run for pair in pairs for run in pair]

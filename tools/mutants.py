@@ -59,11 +59,17 @@ MUTANTS = {
         '(int(rows[base + lo :: width] or "0", 2), int(rows[base + hi :: width] or "0", 2))',
         ("tests/test_csp.py::TestRestrictToBox::test_box_masks_match_masks_from_scratch",),
     ),
-    "plan-keyed-on-n": Mutant(
+    "plan-key-drops-k": Mutant(
         "src/coversat/solver.py",
-        "    plan = plans.get(k)\n    if plan is None:\n        plan = plans[k] = ",
+        "    plan = plans.get((n, k))\n    if plan is None:\n        plan = plans[n, k] = ",
         "    plan = plans.get(n)\n    if plan is None:\n        plan = plans[n] = ",
         ("tests/test_csp.py::TestSolveCsp::test_one_plan_per_box_width",),
+    ),
+    "plan-key-drops-n": Mutant(
+        "src/coversat/solver.py",
+        "    plan = plans.get((n, k))\n    if plan is None:\n        plan = plans[n, k] = ",
+        "    plan = plans.get(k)\n    if plan is None:\n        plan = plans[k] = ",
+        ("tests/test_solver.py::TestSolveDeterministic::test_shared_plans_serve_every_n",),
     ),
     "codewords-as-symbols": Mutant(
         "src/coversat/solver.py",
