@@ -26,8 +26,10 @@ from .errors import CodeConstructionError, ResourceCapError
 
 Word = tuple[int, ...]
 
-# greedy_code's cost (see check_greedy_cap); on a 2-core VM the slowest builds
-# measured inside the cap take about 6.5 s, (9,6,1), and 8 s at r = 0, (2,20,0)
+# greedy_code's cost (see check_greedy_cap), which also bounds a build's memory:
+# on a 2-core VM the slowest admitted build, (9,6,1), takes about 6.5 s, and
+# the largest tracemalloc peak, (2,20,1)'s, is about 19 MB; a radius-0 code
+# holds only its t one-digit blocks
 GREEDY_MAX_UPDATES = 3 * 10**7
 VERIFY_MAX_SPACE = 10**7
 
@@ -58,8 +60,8 @@ class BlockProduct:
 class CoveringCode:
     """A set of distinct words claimed to cover {1..q}^t at radius r.
 
-    ``verified`` is set by verify_cover (or by boolean_cover for a product
-    of verified blocks, whose words are a BlockProduct) and is excluded from
+    ``verified`` is set by verify_cover, or for words that are a BlockProduct
+    by boolean_cover or a radius-0 greedy_code, and is excluded from
     equality, and words compare by value, so that file round-trips compare
     equal.
     """
@@ -195,16 +197,14 @@ def _ball_layers(idx: int, q: int, t: int, r: int) -> list[list[int]]:
 def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
     """ball(idx): the indices of all words within distance <= r of idx.
 
-    At r = 0 the ball is [idx], and no table is built. For q = 2 it is idx
-    XOR each mask of _xor_masks. Otherwise a word splits into its first
-    t - t//2 digits and its last t//2; a word within distance r of idx is at
-    some distance s from idx's first half and within r - s of its second.
-    So ball(idx) is one comprehension over two tables built once by
-    _ball_layers: for every first half, its layers by exact distance, scaled
-    by q^(t//2); for every second half, its neighbours within each distance.
+    For q = 2 it is idx XOR each mask of _xor_masks. Otherwise a word splits
+    into its first t - t//2 digits and its last t//2; a word within distance
+    r of idx is at some distance s from idx's first half and within r - s of
+    its second. So ball(idx) is one comprehension over two tables built once
+    by _ball_layers: for every first half, its layers by exact distance,
+    scaled by q^(t//2); for every second half, its neighbours within each
+    distance.
     """
-    if r == 0:
-        return lambda idx: [idx]
     if q == 2:
         masks = _xor_masks(t, r)
 
@@ -511,10 +511,9 @@ def _bitsliced_pays(q: int, t: int, r: int, volume: int) -> bool:
     r * t * (q-1) * (q^t / 64 + 64): at every r >= 2 inside the cap, and at
     r = 1 only for small spaces, for example (2,11,1) but not (2,12,1).
     Below 512 gain updates the set cover takes some tens of microseconds,
-    less than the masks and counters the bit-sliced build sets up, and at
-    r = 0 every word is a pick.
+    less than the masks and counters the bit-sliced build sets up.
     """
-    if r == 0 or q**t * volume < 512:
+    if q**t * volume < 512:
         return False
     return r * t * (q - 1) * (q**t // 64 + 64) <= 8 * volume**2
 
@@ -523,12 +522,13 @@ def check_greedy_cap(q: int, t: int, r: int) -> None:
     """Raise ResourceCapError when greedy_code(q, t, r) costs more than
     GREEDY_MAX_UPDATES gain updates; builds nothing.
 
-    The cost is the set cover's, which bounds both builds: q^t * |ball|
-    gain updates plus argmax scans that stay within about three times the
-    updates (see greedy_set_cover). At r = 0 every point is a pick, so
-    each point is charged at least the 1 + t(q-1) updates of a radius-1
-    ball. As q^t alone bounds the cost from below, a long word is refused
-    before its ball volume is computed, which takes minutes at t = 10^5.
+    For r >= 1 the cost is the set cover's, which bounds both builds:
+    q^t * |ball| gain updates plus argmax scans that stay within about
+    three times the updates (see greedy_set_cover). A radius-0 code is
+    built at once, but it is all q^t words, and each is charged the
+    1 + t(q-1) of a radius-1 ball: that bounds what writing the code and
+    re-verifying it on reload cost. As q^t alone bounds the cost from
+    below, a long word is refused before its ball volume is computed.
     """
     _check_params(q, t, r)
     # as q >= 2, the test on t alone keeps q^t small
@@ -549,14 +549,21 @@ def greedy_code(q: int, t: int, r: int) -> CoveringCode:
     """Greedy set cover over {1..q}^t with radius-r balls as the sets.
 
     Ties break toward the lexicographically smallest center: each pick is
-    the lowest-index word of largest gain, as in greedy_set_cover. Two
-    builds make exactly these picks, and _bitsliced_pays chooses between
-    them before anything is built: greedy_set_cover over ball index lists,
-    or _greedy_bitsliced over bitsets of all q^t words. check_greedy_cap
-    refuses a build beyond the cap first. The result is exhaustively
-    verified before it is returned.
+    the lowest-index word of largest gain, as in greedy_set_cover. At r = 0
+    every word is a pick, in index order, so the code is the product of t
+    one-digit blocks: it covers by construction and holds only its blocks.
+    For r >= 1 two builds make exactly these picks, and _bitsliced_pays
+    chooses between them: greedy_set_cover over ball index lists, or
+    _greedy_bitsliced over bitsets of all q^t words; the result is
+    exhaustively verified before it is returned. check_greedy_cap refuses a
+    code beyond the cap before anything is built.
     """
     check_greedy_cap(q, t, r)
+    if r == 0:
+        digits = tuple((s,) for s in range(1, q + 1))
+        code = CoveringCode._unchecked(q, t, 0, BlockProduct([digits] * t))
+        code.verified = True
+        return code
     space, volume = q**t, ball_volume(q, t, r)
     if _bitsliced_pays(q, t, r, volume):
         centers = _greedy_bitsliced(q, t, r)

@@ -82,47 +82,34 @@ class CspFormula:
         return max((len(c) for c in self.constraints), default=0)
 
     @cached_property
-    def _constraint_bitsets(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(masks, literals), with a literal (x_v != c) indexed (v-1)*d + c-1:
-        masks[j] has bit i set iff constraint i holds literal j, and
-        literals[i] lists constraint i's literal indices. Built on first use
-        and stored on the instance (restrict_to_box reads them for every
-        box); no part of equality or hashing."""
-        d = self.domain_size
-        masks = [0] * (self.num_vars * d)
-        literals = []
-        for i, constraint in enumerate(self.constraints):
-            lits = tuple((v - 1) * d + c - 1 for v, c in constraint)
-            for j in lits:
-                masks[j] |= 1 << i
-            literals.append(lits)
-        return tuple(masks), tuple(literals)
-
-    @cached_property
-    def _constraint_getters(self) -> tuple[itemgetter, ...]:
-        """getters[i] reads constraint i's entries, in its order and as a
-        tuple, from a tuple indexed by literal (see _constraint_bitsets).
-        Kept like the bitsets; plain itemgetters, so a pickled formula
-        carries them."""
-        # itemgetter of one index returns the item itself, of a slice a tuple
-        return tuple(
-            itemgetter(*lits) if len(lits) > 1 else itemgetter(slice(lits[0], lits[0] + 1))
-            for lits in self._constraint_bitsets[1]
-        )
-
-    @cached_property
-    def _constraint_rows(self) -> tuple[str, ...]:
-        """rows[i] is constraint i as a string of n*d '0'/'1' characters,
-        indexed by literal (see _constraint_bitsets), with '1' at each
-        literal it holds. Kept like the bitsets; restrict_to_box reads a
-        box's literal masks from the rows of its kept constraints."""
-        rows = []
-        for lits in self._constraint_bitsets[1]:
-            row = bytearray(b"0" * (self.num_vars * self.domain_size))
+    def _restriction(self) -> tuple[tuple[int, ...], tuple[itemgetter, ...], tuple[str, ...]]:
+        """(masks, getters, rows): which constraint holds which literal, a
+        literal (x_v != c) indexed (v-1)*d + c-1. rows[i] is constraint i as
+        n*d '0'/'1' characters, '1' at each literal it holds; getters[i]
+        reads constraint i's entries, in its order and as a tuple, from a
+        tuple indexed by literal; masks[j] has bit i set iff constraint i
+        holds literal j. Built in one pass over the constraints on first use
+        and stored on the instance (restrict_to_box reads it for every box);
+        plain ints, itemgetters and strings, so a pickled formula carries it.
+        No part of equality or hashing."""
+        d, width = self.domain_size, self.num_vars * self.domain_size
+        getters, rows = [], []
+        for constraint in self.constraints:
+            lits = [(v - 1) * d + c - 1 for v, c in constraint]
+            # itemgetter of one index returns the item itself, of a slice a tuple
+            getters.append(
+                itemgetter(*lits) if len(lits) > 1 else itemgetter(slice(lits[0], lits[0] + 1))
+            )
+            row = bytearray(b"0" * width)
             for j in lits:
                 row[j] = ord("1")
             rows.append(row.decode())
-        return tuple(rows)
+        # joined last first, the characters of literal j (every width-th from
+        # j) are the binary digits of its mask, the last constraint's most
+        # significant
+        joined = "".join(reversed(rows))
+        masks = tuple(int(joined[j::width] or "0", 2) for j in range(width))
+        return masks, tuple(getters), tuple(rows)
 
 
 def csp_formula(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> CspFormula:
@@ -265,15 +252,15 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     drops its whole constraint; c equal to the smaller value maps to y_v,
     to the larger value maps to -y_v.
 
-    The dropped constraints are the OR of one constraint bitset (see
-    CspFormula._constraint_bitsets) per variable and value outside its
-    pair. The kept ones are a gather done in C: itertools.compress picks
-    their getters (CspFormula._constraint_getters) by the bits of the kept
-    set, and each getter reads its constraint's clause from a table of the
-    box's n*d literals. The result's literal_masks are read from the kept
-    constraints' rows (CspFormula._constraint_rows), joined last first: the
-    characters of literal j, every n*d-th from j, are then the binary digits
-    of the mask of the clauses holding it, the last clause's most
+    Everything below reads the formula's one table, CspFormula._restriction.
+    The dropped constraints are the OR of one literal's constraint mask per
+    variable and value outside its pair. The kept ones are a gather done in
+    C: itertools.compress picks their getters by the bits of the kept set,
+    and each getter reads its constraint's clause from a table of the box's
+    n*d literals. The result's literal_masks are read from the kept
+    constraints' rows, joined last first, as the table's masks are from all
+    rows: the characters of literal j, every n*d-th from j, are the binary
+    digits of the mask of the clauses holding it, the last clause's most
     significant. The result is built with Formula._unchecked: CspFormula
     has already checked that each constraint's variables are distinct and
     lie in 1..n, and a reduced clause is those same variables with signs.
@@ -281,8 +268,7 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     if len(box) != f.num_vars:
         raise ValueError("box arity does not match formula")
     d = f.domain_size
-    masks = f._constraint_bitsets[0]
-    getters = f._constraint_getters
+    masks, getters, constraint_rows = f._restriction
     width = len(masks)
     table = [0] * width
     dropped = 0
@@ -299,7 +285,7 @@ def restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
     kept = bin(((1 << len(getters)) - 1) ^ dropped)[:1:-1].encode().translate(_BIT_BYTES)
     table = tuple(table)
     clauses = tuple([g(table) for g in compress(getters, kept)])
-    rows = "".join(reversed([*compress(f._constraint_rows, kept)]))
+    rows = "".join(reversed([*compress(constraint_rows, kept)]))
     # (x_v != hi) is -y_v and (x_v != lo) is y_v: the (neg, pos) masks of v
     literal_masks = tuple(
         (int(rows[base + hi :: width] or "0", 2), int(rows[base + lo :: width] or "0", 2))

@@ -304,6 +304,19 @@ class TestGreedyCode:
         code = greedy_code(2, 1, 0)
         assert code.words == ((1,), (2,))
 
+    def test_radius_zero_is_a_product_of_its_digits(self):
+        # the largest radius-0 code the cap admits holds only its 20 blocks
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = greedy_code(2, 20, 0)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20, (elapsed, peak)
+        assert (len(code), code.verified) == (2**20, True)
+
     def test_one_center_suffices_at_t1_r1(self):
         assert len(greedy_code(3, 1, 1).words) == 1
 
@@ -334,7 +347,8 @@ class TestGreedyCode:
         [(10, 6, 1), (3, 12, 4), (3, 10, 4), (2, 16, 5)]
         # past t = 369 the costs overflow a float; at t = 10^5 they take minutes
         + [(3, t, -(-t // 3)) for t in (370, 2000, 10**5)]
-        # at r = 0 every point is a pick: 2^23 words, minutes and gigabytes
+        # at r = 0 the code is all 2^23 words, each written and re-verified on
+        # reload
         + [(2, 23, 0)],
     )
     def test_cap_refuses_slow_builds_at_once(self, params):

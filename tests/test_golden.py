@@ -24,6 +24,7 @@ import pytest
 
 from coversat.codes import greedy_code
 from coversat.csp import _greedy_box_block, solve_csp, two_box_cover
+from coversat.formats import write_code
 from coversat.solver import SolverConfig, solve_deterministic, solve_schoening
 
 from helpers import rand_csp, rand_kcnf, rand_kcsp
@@ -144,3 +145,14 @@ def test_golden_build(case):
     kind, params, size, digest = case
     built = greedy_code(*params).words if kind == "code" else _greedy_box_block(*params)
     assert (len(built), hashlib.sha256(repr(built).encode()).hexdigest()) == (size, digest)
+
+
+# The sha256 of a radius-0 code's file, recorded while greedy_code still
+# built it by set cover, one word per pick: the product must write the same
+# words in the same order.
+GOLDEN_RADIUS_ZERO_FILE = "932a43aadc91987bbd1414e1ed85ceb0789d280f4b0795e056de673dd2bffd19"
+
+
+def test_golden_radius_zero_file():
+    text = write_code(greedy_code(3, 5, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RADIUS_ZERO_FILE

@@ -19,8 +19,14 @@ tenths of the pairs and its median beats the base median by more than the
 distance between the base quartiles. `counts_identical` says whether every
 untraced run of both sides read the same per-instance work counts (nodes,
 leaves, depth, codewords, boxes): a change that keeps its behaviour keeps
-it true. Ten pairs of the two BENCHMARK.json workloads take about 30
-minutes. Not part of the tier-1 suite.
+it true.
+
+The workloads that perfbench defines but BENCHMARK.json does not gate,
+UNGATED, run apart: each side runs each once untraced and once traced, and
+the record keeps those runs under `ungated` with their own
+`counts_identical` (all four runs agree) and no pairs and no gain rule.
+Ten pairs of the two BENCHMARK.json workloads take about 30 minutes, the
+ungated runs some minutes more. Not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ SEED = 1
 SECONDS = 30
 # ten pairs, the fewest that the nine-tenths gain rule below can judge
 PAIRS = 10
+# perfbench/workloads.py's workloads that BENCHMARK.json leaves out
+UNGATED = ("cnf-unsat", "cnf-sat-deep")
 # the direction of each end-to-end metric, as BENCHMARK.json states it
 BETTER = {"instances_per_s": "higher", "solve_s_p50": "lower", "setup_s": "lower",
           "peak_rss_mb": "lower"}
@@ -112,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     record = {"script": "tools/bench_record.py", "seed": SEED, "seconds": SECONDS,
-              "pairs": PAIRS, "workloads": {}}
+              "pairs": PAIRS, "workloads": {}, "ungated": {}}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "head")}
         for side, rev in (("base", args.base), ("head", "HEAD")):
@@ -139,6 +147,19 @@ def main(argv: list[str] | None = None) -> int:
                 "traced": {side: run_once(trees[side], workload, True)["metrics"]
                            for side in ("base", "head")},
             }
+        for workload in UNGATED:
+            runs = {(side, trace): run_once(trees[side], workload, trace)
+                    for side in ("base", "head") for trace in (False, True)}
+            first = runs["base", False]["counts"]
+            record["ungated"][workload] = {
+                "counts_identical": all(run["counts"] == first for run in runs.values()),
+                **{side: {**{k: v for k, v in runs[side, False].items() if k != "counts"},
+                          "traced": runs[side, True]["metrics"]}
+                   for side in ("base", "head")},
+            }
+            print(f"{workload}: instances_per_s "
+                  f"{runs['base', False]['metrics']['instances_per_s']:.3f} -> "
+                  f"{runs['head', False]['metrics']['instances_per_s']:.3f}", file=sys.stderr)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

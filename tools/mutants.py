@@ -53,6 +53,12 @@ MUTANTS = {
         "itemgetter(lits[0])",
         ("tests/test_csp.py::TestRestrictToBox::test_width_one_constraints_are_one_tuples",),
     ),
+    "table-masks-joined-first-to-last": Mutant(
+        "src/coversat/csp.py",
+        'joined = "".join(reversed(rows))',
+        'joined = "".join(rows)',
+        ("tests/test_csp.py::TestRestrictToBox::test_matches_constraint_by_constraint_reference",),
+    ),
     "box-masks-lo-hi-swapped": Mutant(
         "src/coversat/csp.py",
         '(int(rows[base + hi :: width] or "0", 2), int(rows[base + lo :: width] or "0", 2))',
@@ -153,6 +159,15 @@ MUTANTS = {
         (
             "tests/test_search.py::TestSearchballFast::test_matches_tuple_per_codeword_tree",
             "tests/test_golden.py::test_golden",
+        ),
+    ),
+    "radius-0-product-one-block-short": Mutant(
+        "src/coversat/codes.py",
+        "BlockProduct([digits] * t)",
+        "BlockProduct([digits] * (t - 1))",
+        (
+            "tests/test_codes.py::TestGreedyCode::test_radius_zero_needs_every_word",
+            "tests/test_golden.py::test_golden_radius_zero_file",
         ),
     ),
     "block-radii-max": Mutant(
