@@ -4,6 +4,8 @@ Words are tuples of symbols in 1..q, length t. A code has covering radius r
 when every word of {1..q}^t lies within Hamming distance r of some codeword.
 Internally words map to integers via the mixed-radix index
 ``sum((sym_i - 1) * q^(t-1-i))``, so numeric order equals lexicographic order.
+csp and the solver's oracle read it through _product_indices (a product of
+digit choices) and _periodic_mask (the bitset of a repeating digit pattern).
 A set of words is then also a q^t-bit int, bit i for word i: greedy_code
 counts the gains of all words at once on such bitsets when that is
 estimated to pay (_bitsliced_pays), with the same picks as the set cover
@@ -19,7 +21,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, product
 from operator import eq, or_
 
 from .errors import CodeConstructionError, ResourceCapError
@@ -163,16 +165,28 @@ def _word_of(idx: int, q: int, t: int) -> Word:
     return tuple(digits)
 
 
-def _xor_masks(t: int, r: int) -> list[int]:
-    """All t-bit masks of popcount <= r (binary ball as XOR deltas)."""
-    masks = [0]
-    for s in range(1, r + 1):
-        for positions in combinations(range(t), s):
-            m = 0
-            for p in positions:
-                m |= 1 << (t - 1 - p)
-            masks.append(m)
-    return masks
+def _product_indices(q: int, digits: Iterable[Iterable[int]]) -> list[int]:
+    """The indices of the words whose i-th digit (0-based, so symbol - 1) is
+    one of digits[i], in the order itertools.product(*digits) lists them:
+    ``(c - 1,)`` fixes a digit to symbol c and ``range(q)`` leaves it free."""
+    idxs = [0]
+    for choices in digits:
+        idxs = [i * q + c for i in idxs for c in choices]
+    return idxs
+
+
+def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
+    """The period-bit pattern repeated over total_bits, a multiple of period.
+    Doubling by shift-or keeps the big-int work linear in total_bits; the
+    result is cut to total_bits only when the doubling overshot, which it
+    never does when total_bits / period is a power of two."""
+    mask = pattern
+    while period < total_bits:
+        mask |= mask << period
+        period *= 2
+    if mask.bit_length() > total_bits:
+        mask &= (1 << total_bits) - 1
+    return mask
 
 
 def _ball_layers(idx: int, q: int, t: int, r: int) -> list[list[int]]:
@@ -197,7 +211,7 @@ def _ball_layers(idx: int, q: int, t: int, r: int) -> list[list[int]]:
 def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
     """ball(idx): the indices of all words within distance <= r of idx.
 
-    For q = 2 it is idx XOR each mask of _xor_masks. Otherwise a word splits
+    For q = 2 it is idx XOR each index of ball(0). Otherwise a word splits
     into its first t - t//2 digits and its last t//2; a word within distance
     r of idx is at some distance s from idx's first half and within r - s of
     its second. So ball(idx) is one comprehension over two tables built once
@@ -206,7 +220,7 @@ def _ball_of(q: int, t: int, r: int) -> Callable[[int], list[int]]:
     distance.
     """
     if q == 2:
-        masks = _xor_masks(t, r)
+        masks = list(chain.from_iterable(_ball_layers(0, 2, t, r)))
 
         def ball(idx: int) -> list[int]:
             return [idx ^ m for m in masks]
@@ -236,7 +250,8 @@ def verify_cover(code: CoveringCode) -> bool:
     s the spread of layer s-1 along that digit (_spread). The cost is
     O(r * t * log q) operations on q^t-bit ints, with no loop over points,
     so any code inside VERIFY_MAX_SPACE is checked in about a second.
-    The check shares no code with greedy_code's gain counters.
+    The check shares no code with the build that it checks, so it keeps
+    its own doubling loop for ``zero`` rather than _periodic_mask's.
     """
     q, t, r = code.q, code.t, code.r
     space = q**t
@@ -381,11 +396,7 @@ def _rotations(q: int, t: int) -> list[list[tuple[int, int, int, int]]]:
     for _ in range(t):
         rots = []
         for a in range(1, q):
-            low, span = (1 << (q - a) * w) - 1, q * w
-            while span < space:
-                low |= low << span
-                span *= 2
-            low &= full
+            low = _periodic_mask((1 << (q - a) * w) - 1, q * w, space)
             rots.append((a * w, low, (q - a) * w, full ^ low))
         out.append(rots)
         w *= q
@@ -619,7 +630,9 @@ def get_code(
 ) -> CoveringCode:
     """greedy_code(q, t, r), reusing an in-memory and optional on-disk cache
     keyed by (q, t, r). Disk entries are re-verified on load and rebuilt if
-    stale."""
+    stale. A radius-0 code, a product built in microseconds, is never cached."""
+    if r == 0:
+        return greedy_code(q, t, 0)
     key = (q, t, r)
     path = None
     if cache_dir is not None:

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cnf import Formula
-from .codes import BlockProduct, _word_of, greedy_set_cover
+from .codes import BlockProduct, _product_indices, _word_of, greedy_set_cover
 from .errors import CodeConstructionError, ResourceCapError
 from .solver import SolveResult, SolverConfig, SolveStats, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
@@ -129,15 +129,6 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
     return True
 
 
-def _box_points(box: TwoBox, d: int) -> list[int]:
-    """Indices (codes._index_of) of the 2^len(box) points of a box, in the
-    order product(*box) lists them."""
-    idxs = [0]
-    for lo, hi in box:
-        idxs = [i * d + v for i in idxs for v in (lo - 1, hi - 1)]
-    return idxs
-
-
 def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
     """Exhaustive check that every point of {1..d}^n lies in some box:
     each box marks its 2^n points, then every point must be marked. A box
@@ -149,7 +140,7 @@ def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
     for box in boxes:
         if len(box) != n or not all(1 <= lo < hi <= d for lo, hi in box):
             return False
-        for i in _box_points(box, d):
+        for i in _product_indices(d, [(lo - 1, hi - 1) for lo, hi in box]):
             marked[i] = 1
     return 0 not in marked
 
@@ -178,16 +169,12 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
         return tuple(pairs[i - 1] for i in _word_of(box_idx, npairs, length))
 
     def box_points(box_idx: int) -> list[int]:
-        return _box_points(box_pairs(box_idx), d)
+        return _product_indices(d, [(lo - 1, hi - 1) for lo, hi in box_pairs(box_idx)])
 
     def containing(point_idx: int, width: int) -> list[int]:
-        # the boxes over width coordinates holding the point, one coordinate
-        # at a time, in the order product() would list them
-        idxs = [0]
-        for v in _word_of(point_idx, d, width):
-            ids = pair_ids_with_value[v]
-            idxs = [i * npairs + c for i in idxs for c in ids]
-        return idxs
+        # the boxes over width coordinates holding the point
+        ids = [pair_ids_with_value[v] for v in _word_of(point_idx, d, width)]
+        return _product_indices(npairs, ids)
 
     # a point's first length - length//2 coordinates and its last length//2
     # are held by independent halves of a box: tables of both, built once

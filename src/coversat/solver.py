@@ -22,7 +22,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .cnf import Formula, evaluate
-from .codes import CoveringCode, _word_of, boolean_cover
+from .codes import CoveringCode, _periodic_mask, _product_indices, _word_of, boolean_cover
 from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, schoening_walk, searchball_fast
 
@@ -144,20 +144,6 @@ def first_witness(task, items, jobs: int, stats: SolveStats):
     return None
 
 
-def _periodic_mask(pattern: int, period: int, total_bits: int) -> int:
-    """The period-bit pattern repeated over total_bits, a multiple of period.
-    Doubling by shift-or keeps the big-int work linear in total_bits; the
-    result is cut to total_bits only when the doubling overshot, which it
-    never does when total_bits / period is a power of two."""
-    mask = pattern
-    while period < total_bits:
-        mask |= mask << period
-        period *= 2
-    if mask.bit_length() > total_bits:
-        mask &= (1 << total_bits) - 1
-    return mask
-
-
 @lru_cache(maxsize=1)
 def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """masks[v-1][c-1] has bit i set iff assignment index i gives variable
@@ -192,14 +178,8 @@ def _top_indices(d: int, top: int, key: tuple[tuple[int, int], ...]) -> tuple[in
     kept results take at most about 3.2 MB. A 3-CNF at n = 24 has 576
     keys of up to 3 pairs, so they all stay cached."""
     fixed = dict(key)
-    indices = [0]
-    for v in range(1, top + 1):
-        c = fixed.get(v)
-        if c is None:
-            indices = [i * d + b for i in indices for b in range(d)]
-        else:
-            indices = [i * d + c - 1 for i in indices]
-    return tuple(indices)
+    digits = [(fixed[v] - 1,) if v in fixed else range(d) for v in range(1, top + 1)]
+    return tuple(_product_indices(d, digits))
 
 
 def _chunks(

@@ -16,6 +16,9 @@ from coversat.codes import (
     _ball_of,
     _bitsliced_pays,
     _ceil_fraction,
+    _index_of,
+    _periodic_mask,
+    _product_indices,
     _word_of,
     ball_volume,
     boolean_cover,
@@ -243,6 +246,29 @@ class TestRandomCode:
         assert time.perf_counter() - start < 1.0
 
 
+class TestIndexHelpers:
+    def test_product_indices_match_product_order(self):
+        rng = random.Random(11)
+        for q in range(2, 8):
+            assert _product_indices(q, []) == [0]
+            for _ in range(20):
+                digits = [
+                    rng.sample(range(q), rng.choice([1, rng.randint(1, q)]))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                expected = [_index_of(tuple(c + 1 for c in combo), q) for combo in product(*digits)]
+                assert _product_indices(q, digits) == expected, (q, digits)
+
+    def test_periodic_mask_matches_string_built_mask(self):
+        # the doubling overshoots total_bits when the repeat count is not a power of two
+        rng = random.Random(12)
+        for period in range(1, 7):
+            for repeats in range(1, 13):
+                pattern = rng.getrandbits(period)
+                naive = int(format(pattern, f"0{period}b") * repeats, 2)
+                assert _periodic_mask(pattern, period, period * repeats) == naive, (period, repeats)
+
+
 class TestBallOf:
     def test_matches_reference(self):
         rng = random.Random(5)
@@ -261,10 +287,6 @@ class TestBallOf:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_radius_zero_is_the_center(self, q):
-        # built with no digit offsets; a radius-0 code still takes every word
-        for t in range(1, 4):
-            ball_of = _ball_of(q, t, 0)
-            assert all(ball_of(i) == [i] for i in range(q**t))
         assert greedy_code(q, 1, 0).words == tuple((d,) for d in range(1, q + 1))
 
 
@@ -546,6 +568,16 @@ class TestGetCodeCache:
         _memory_cache.clear()
         b = get_code(3, 3, 1, cache_dir=tmp_path)
         assert a == b and b.verified is True
+
+    def test_radius_zero_is_never_cached(self, tmp_path):
+        from coversat.codes import _memory_cache
+
+        start = time.perf_counter()
+        code = get_code(2, 20, 0, cache_dir=tmp_path)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, elapsed
+        assert (len(code), code.verified) == (2**20, True)
+        assert list(tmp_path.iterdir()) == [] and (2, 20, 0) not in _memory_cache
 
     def test_corrupt_cache_rebuilt(self, tmp_path):
         from coversat.codes import _memory_cache

@@ -170,6 +170,18 @@ MUTANTS = {
             "tests/test_golden.py::test_golden_radius_zero_file",
         ),
     ),
+    "product-indices-loops-swapped": Mutant(
+        "src/coversat/codes.py",
+        "idxs = [i * q + c for i in idxs for c in choices]",
+        "idxs = [i * q + c for c in choices for i in idxs]",
+        ("tests/test_codes.py::TestIndexHelpers::test_product_indices_match_product_order",),
+    ),
+    "periodic-mask-not-truncated": Mutant(
+        "src/coversat/codes.py",
+        "    if mask.bit_length() > total_bits:\n        mask &= (1 << total_bits) - 1\n",
+        "",
+        ("tests/test_codes.py::TestIndexHelpers::test_periodic_mask_matches_string_built_mask",),
+    ),
     "block-radii-max": Mutant(
         "src/coversat/codes.py",
         "sum(block.r for block in blocks)",
