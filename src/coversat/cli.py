@@ -7,6 +7,7 @@ Exit codes follow SAT-solver convention: 10 sat, 20 unsat, 30 unknown,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -65,7 +66,9 @@ def _build_parser(command: str | None = None) -> _Parser:
         gencode.add_argument(
             "--size", type=int, default=None, help="random method: words to sample"
         )
-        gencode.add_argument("--seed", type=int, default=0)
+        gencode.add_argument(
+            "--seed", type=int, default=None, help="random method: sampling seed (default 0)"
+        )
         gencode.add_argument("--out", default=None, help="output file (default: stdout)")
 
     if command in (None, "verifycode"):
@@ -133,13 +136,7 @@ def _emit_result(
             "k": k,
             "seed": args.seed,
             "witness": list(result.witness) if result.witness is not None else None,
-            "codewords_tried": result.stats.codewords_tried,
-            "boxes_tried": result.stats.boxes_tried,
-            "trials": result.stats.trials,
-            "recursion_nodes": result.stats.recursion_nodes,
-            "leaves": result.stats.leaves,
-            "max_depth": result.stats.max_depth,
-            "wall_time": result.stats.wall_time,
+            **dataclasses.asdict(result.stats),
         }
         with open(args.stats, "w") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
@@ -173,7 +170,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gencode(args) -> int:
     if args.method == "random":
-        code = random_code(args.q, args.t, args.radius, args.size, args.seed)
+        code = random_code(args.q, args.t, args.radius, args.size, args.seed or 0)
+    elif args.size is not None or args.seed is not None:
+        raise UsageError("--size and --seed apply to --method random only")
     else:
         code = get_code(args.q, args.t, args.radius)
     text = write_code(code)

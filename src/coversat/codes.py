@@ -42,11 +42,17 @@ class BlockProduct:
 
     def __init__(self, blocks: Iterable[tuple]) -> None:
         self.blocks = tuple(blocks)
-        if math.prod(map(len, self.blocks)) > sys.maxsize:
-            raise ResourceCapError("product cover too large for len() to count its items")
+        # block by block: a refusal stops at the first partial product past
+        # the cap, so no product grows with the number of blocks
+        size = 1
+        for block in self.blocks:
+            size *= len(block)
+            if size > sys.maxsize:
+                raise ResourceCapError("product cover too large for len() to count its items")
+        self._len = size
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.blocks))
+        return self._len
 
     def __iter__(self) -> Iterator[tuple]:
         return (tuple(chain.from_iterable(combo)) for combo in product(*self.blocks))

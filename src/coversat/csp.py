@@ -298,11 +298,10 @@ def brute_force_csp(f: CspFormula) -> SolveResult:
     return SolveResult("sat", witness)
 
 
-def _solve_box(f: CspFormula, cfg: SolverConfig, plans: dict, box: TwoBox, stats: SolveStats):
+def _solve_box(f: CspFormula, cfg: SolverConfig, box: TwoBox, stats: SolveStats):
     """Solve F inside one 2-box: its Boolean restriction, counted into stats,
-    then the decoded witness. plans holds the solve plans (see
-    solve_deterministic) shared by the boxes of one solve_csp call."""
-    sub = solve_deterministic(restrict_to_box(f, box), cfg, plans)
+    then the decoded witness."""
+    sub = solve_deterministic(restrict_to_box(f, box), cfg)
     stats.merge(sub.stats)
     stats.boxes_tried += 1
     witness = decode_box_witness(box, sub.witness) if sub.status == "sat" else None
@@ -322,9 +321,7 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
         return brute_force_csp(f)
-    # the boxes share one plan per width; a pool worker fills its own copy
-    # of the empty dict
-    task = partial(_solve_box, f, replace(cfg, jobs=1), {})
+    task = partial(_solve_box, f, replace(cfg, jobs=1))
     stats = SolveStats()
     witness = first_witness(task, two_box_cover(d, n), cfg.jobs, stats)
     return SolveResult("unsat" if witness is None else "sat", witness, stats)

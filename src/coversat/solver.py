@@ -288,30 +288,29 @@ def _search_codeword(f: Formula, radius: int, fp: FastParams, gamma, stats: Solv
     return witness
 
 
-def _plan(n: int, k: int, cfg: SolverConfig) -> tuple[CoveringCode, FastParams]:
+@lru_cache(maxsize=32)
+def _plan(
+    n: int, k: int, t: int, epsilon: float, cache_dir: str | None
+) -> tuple[CoveringCode, FastParams]:
     """The outer cover and the FastParams of a width-k formula over n
-    variables. The inner code is built here when some node may hold t
-    disjoint k-clauses (n >= k*t), once, so that pool workers receive it
-    with the task."""
-    cover = boolean_cover(n, 1.0 / (k + cfg.epsilon), OUTER_BLOCK_LEN, cache_dir=cfg.cache_dir)
-    fp = FastParams(k, cfg.t, cfg.cache_dir)
+    variables, built once per set of arguments. The 32 kept results hold
+    little of their own: the cover's blocks and the inner code are
+    get_code's cached codes. The inner code is built here when some node
+    may hold t disjoint k-clauses (n >= k*t), once, so that pool workers
+    receive it with the task."""
+    cover = boolean_cover(n, 1.0 / (k + epsilon), OUTER_BLOCK_LEN, cache_dir=cache_dir)
+    fp = FastParams(k, t, cache_dir)
     if n >= k * fp.t:
         fp.code
     return cover, fp
 
 
 @_timed
-def solve_deterministic(
-    f: Formula,
-    cfg: SolverConfig | None = None,
-    plans: dict[tuple[int, int], tuple[CoveringCode, FastParams]] | None = None,
-) -> SolveResult:
+def solve_deterministic(f: Formula, cfg: SolverConfig | None = None) -> SolveResult:
     """Covering-code outer loop around searchball_fast; never 'unknown'.
 
     Formulas of width <= 2 go straight to the exhaustive oracle (a dedicated
-    2-SAT algorithm is out of scope here). plans, when given, maps (n, k)
-    to the (outer cover, FastParams) plan of formulas of n variables and
-    width k under cfg, and is filled on first use of each (n, k).
+    2-SAT algorithm is out of scope here).
     """
     cfg = cfg or SolverConfig()
     n, k = f.num_vars, f.max_width
@@ -319,11 +318,7 @@ def solve_deterministic(
         return brute_force(f)
     if not all(f.clauses):
         return SolveResult("unsat", None)
-    plans = {} if plans is None else plans
-    plan = plans.get((n, k))
-    if plan is None:
-        plan = plans[n, k] = _plan(n, k, cfg)
-    cover, fp = plan
+    cover, fp = _plan(n, k, cfg.t, cfg.epsilon, cfg.cache_dir)
     task = partial(_search_codeword, f, cover.r, fp)
     stats = SolveStats()
     # the codewords as 0/1 assignments, converted once per cached code block
@@ -333,13 +328,14 @@ def solve_deterministic(
 
 def default_trial_cap(f: Formula) -> int:
     """ceil(20 * (2(k-1)/k)^n): about e^-20 failure odds on satisfiable
-    inputs, hard-capped at 10^8."""
+    inputs, hard-capped at 10^8. The power is formed only when its log is
+    within the cap's, as a float power overflows from n = 2468 (k = 3)."""
     k = max(f.max_width, 3)
     n = f.num_vars
-    bound = 20.0 * (2.0 * (k - 1) / k) ** n
-    if bound > RANDOM_TRIAL_HARD_CAP:
+    growth = 2.0 * (k - 1) / k
+    if n * math.log(growth) > math.log(RANDOM_TRIAL_HARD_CAP / 20):
         return RANDOM_TRIAL_HARD_CAP
-    return max(1, math.ceil(bound))
+    return min(RANDOM_TRIAL_HARD_CAP, max(1, math.ceil(20.0 * growth**n)))
 
 
 @_timed

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -12,9 +13,10 @@ import pytest
 import coversat.bench
 import coversat.csp
 from coversat.cli import _build_parser, main
+from coversat.codes import boolean_cover, random_code
 from coversat.cnf import evaluate
 from coversat.csp import csp_evaluate, restrict_to_box, solve_csp
-from coversat.formats import parse_csp, parse_dimacs
+from coversat.formats import parse_csp, parse_dimacs, write_code
 
 from helpers import ref_restrict_to_box
 
@@ -121,6 +123,51 @@ class TestSolveCommand:
         assert isinstance(report["witness"], list)
         assert report["codewords_tried"] >= 1
 
+    def test_stats_report_holds_the_solve_record(self, tmp_path):
+        stats = tmp_path / "stats.json"
+        csp = write(tmp_path, "u.csp", UNSAT_CSP)
+        assert main(["solve", "--input", csp, "--stats", str(stats)]) == 20
+        report = json.loads(stats.read_text())
+        record = solve_csp(parse_csp(UNSAT_CSP)).stats
+        fields = [field.name for field in dataclasses.fields(record)]
+        assert list(report)[-len(fields):] == fields
+        assert {name: report[name] for name in fields if name != "wall_time"} == {
+            name: getattr(record, name) for name in fields if name != "wall_time"
+        }
+
+    def test_cache_dir_outer_blocks_reload(self, tmp_path, monkeypatch):
+        # the first solve writes the outer block; with the codes and the
+        # plans forgotten, the second loads it and builds no code
+        import coversat.codes as codes
+        import coversat.solver as solver
+
+        cache = tmp_path / "codes"
+        cnf = write(tmp_path, "u.cnf", "p cnf 9 8\n" + "".join(
+            f"{s1} {s2} {s3} 0\n" for s1 in (1, -1) for s2 in (2, -2) for s3 in (3, -3)
+        ))
+        def no_build(*args):
+            raise AssertionError("a cached code was built again")
+
+        monkeypatch.setattr(codes, "_memory_cache", {})
+        solver._plan.cache_clear()
+        reports = []
+        try:
+            for run in range(2):
+                if run:
+                    codes._memory_cache.clear()
+                    solver._plan.cache_clear()
+                    monkeypatch.setattr(codes, "greedy_code", no_build)
+                stats = tmp_path / f"stats{run}.json"
+                argv = ["solve", "--input", cnf, "--cache-dir", str(cache), "--stats", str(stats)]
+                assert main(argv) == 20
+                reports.append({**json.loads(stats.read_text()), "wall_time": 0})
+                # 9 variables at radius fraction 1/3.1: one block of radius 3
+                assert os.listdir(cache) == ["greedy_q2_t9_r3.code"]
+        finally:
+            solver._plan.cache_clear()
+        assert reports[0] == reports[1]
+        assert reports[0]["codewords_tried"] == len(boolean_cover(9, 1 / 3.1, 12))
+
     def test_stats_file_is_canonical_json(self, tmp_path):
         # one write of the indented report and a newline, as json.dump wrote it
         for name, text in (("s.cnf", SAT_3CNF), ("u.csp", UNSAT_CSP)):
@@ -198,6 +245,22 @@ class TestGencodeVerifycode:
         assert main(["gencode", "--q", "2", "--t", "4", "--radius", "2",
                      "--method", "random", "--size", "4", "--seed", "3", "--out", out]) == 0
         assert main(["verifycode", out]) == 0
+
+    def test_greedy_refuses_random_options(self, capsys):
+        # --size and --seed mean nothing to the greedy code: refused, not ignored
+        base = ["gencode", "--q", "2", "--t", "3", "--radius", "1"]
+        for extra in (["--size", "3"], ["--seed", "4"], ["--method", "greedy", "--size", "3"]):
+            assert main(base + extra) == 1
+            assert "--method random" in capsys.readouterr().err
+        assert main(base) == 0
+
+    def test_random_seed_defaults_to_zero(self, capsys):
+        base = ["gencode", "--q", "2", "--t", "4", "--radius", "1", "--method", "random"]
+        outs = []
+        for extra in ([], ["--seed", "0"]):
+            assert main(base + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == write_code(random_code(2, 4, 1))
 
     def test_stdout_output(self, capsys):
         assert main(["gencode", "--q", "2", "--t", "1", "--radius", "0"]) == 0

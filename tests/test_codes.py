@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coversat.cnf import hamming_distance
 from coversat.codes import (
     VERIFY_MAX_SPACE,
+    BlockProduct,
     CoveringCode,
     _ball_of,
     _bitsliced_pays,
@@ -522,6 +523,24 @@ class TestBooleanCover:
         assert 16**16 > sys.maxsize
         with pytest.raises(ResourceCapError):
             boolean_cover(16 * 12, 1 / 3.1, 12)
+
+    def test_long_product_refused_in_linear_time(self):
+        # 10^6 blocks: the size stops growing at the first product past the cap
+        block = ((1,), (2,))
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            BlockProduct([block] * 10**6)
+        assert time.perf_counter() - start < 0.5
+
+    def test_len_counts_the_product(self):
+        rng = random.Random("product-len")
+        for _ in range(50):
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 6))]
+            blocks = [tuple((i,) for i in range(size)) for size in sizes]
+            cover = BlockProduct(blocks)
+            assert len(cover) == math.prod(sizes) == len(tuple(cover))
+        widest = BlockProduct([tuple((i,) for i in range(2))] * 62)
+        assert len(widest) == 2**62 <= sys.maxsize
 
     def test_unverified_block_rejected(self, monkeypatch):
         import coversat.codes as codes

@@ -592,16 +592,21 @@ class TestSolveCsp:
 
         monkeypatch.setattr(codes, "verify_cover", counting_verify)
         g = rand_csp(random.Random("verify-once:120:1"), 3, 9, 120)
-        for _ in range(2):
-            res = solve_csp(g)
-            assert res.status == "unsat"
-            assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5)) == 144
+        # a plan kept from another test would hold codes of the real cache
+        solver._plan.cache_clear()
+        try:
+            for _ in range(2):
+                res = solve_csp(g)
+                assert res.status == "unsat"
+                assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5)) == 144
+        finally:
+            solver._plan.cache_clear()
         assert calls and max(calls.values()) == 1, calls
 
     def test_one_plan_per_box_width(self, monkeypatch):
-        # a solve builds the outer cover and the FastParams once per box
-        # width of at least 3 and shares them among that width's boxes; the
-        # next solve builds its own
+        # the first solve builds the outer cover and the FastParams once per
+        # box width of at least 3 and shares them among that width's boxes;
+        # a later solve with the same settings builds none
         covers, params, widths = [], [], []
         cover, fast_params = solver.boolean_cover, solver.FastParams
         solve_box = csp.solve_deterministic
@@ -614,26 +619,33 @@ class TestSolveCsp:
             params.append(k)
             return fast_params(k, *args)
 
-        def recording_solve(f, cfg, plans):
+        def recording_solve(f, cfg):
             widths.append(f.max_width)
-            return solve_box(f, cfg, plans)
+            return solve_box(f, cfg)
 
         monkeypatch.setattr(solver, "boolean_cover", counting_cover)
         monkeypatch.setattr(solver, "FastParams", counting_params)
         monkeypatch.setattr(csp, "solve_deterministic", recording_solve)
-        for m, status in ((20, "sat"), (40, "unsat"), (40, "unsat")):
-            del covers[:], params[:], widths[:]
-            res = solve_csp(rand_csp(random.Random(f"plan-widths:{m}"), 3, 7, m, k=4))
-            assert res.status == status
-            assert len(widths) == res.stats.boxes_tried
-            planned = list(dict.fromkeys(k for k in widths if k >= 3))
-            assert sorted(planned) == [3, 4]
-            assert params == planned
-            assert covers == [7, 7]
-            assert len(widths) > 2 * len(planned)
+        solver._plan.cache_clear()
+        try:
+            for i, (m, status) in enumerate(((20, "sat"), (40, "unsat"), (40, "unsat"))):
+                del covers[:], params[:], widths[:]
+                res = solve_csp(rand_csp(random.Random(f"plan-widths:{m}"), 3, 7, m, k=4))
+                assert res.status == status
+                assert len(widths) == res.stats.boxes_tried
+                planned = list(dict.fromkeys(k for k in widths if k >= 3))
+                assert sorted(planned) == [3, 4]
+                assert len(widths) > 2 * len(planned)
+                if i == 0:
+                    assert params == planned
+                    assert covers == [7, 7]
+                else:
+                    assert params == covers == []
+        finally:
+            solver._plan.cache_clear()
 
     def test_plans_keep_jobs_two_on_the_jobs_one_record(self, monkeypatch):
-        # each worker fills its own plans; the merged record is unchanged
+        # each worker keeps its own plans; the merged record is unchanged
         monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
         for m in (20, 40):
             g = rand_csp(random.Random(f"plan-widths:{m}"), 3, 7, m, k=4)

@@ -1,3 +1,4 @@
+import math
 import operator
 import os
 import pickle
@@ -16,7 +17,10 @@ from coversat.csp import CspFormula, brute_force_csp, csp_formula, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
+    OUTER_BLOCK_LEN,
+    RANDOM_TRIAL_HARD_CAP,
     _cnf_constraints,
+    _plan,
     _top_indices,
     _value_masks,
     SolveStats,
@@ -298,17 +302,32 @@ class TestSolveDeterministic:
         assert evaluate(f, res.witness)
 
     def test_shared_plans_serve_every_n(self):
-        # one plans dict across formulas of different n and width gives
-        # each solve the record of a solve without plans
+        # solves of several n, widths and epsilons in one process each get
+        # the record of a solve with no plan kept, and an unsat solve tries
+        # every word of the cover that its own epsilon gives
         rng = random.Random("shared-plans")
-        plans = {}
-        for n, k in ((6, 3), (9, 3), (6, 4), (9, 3), (12, 4)):
-            for m in (2 * n, 6 * n):
-                f = rand_kcnf(rng, n, m, k=k)
-                alone, shared = solve_deterministic(f), solve_deterministic(f, plans=plans)
-                assert (shared.status, shared.witness) == (alone.status, alone.witness)
-                assert replace(shared.stats, wall_time=0.0) == replace(alone.stats, wall_time=0.0)
-        assert len(plans) == 4
+        cases = [
+            (rand_kcnf(rng, n, m * n, k=k), SolverConfig(epsilon=epsilon))
+            for n, k in ((6, 3), (9, 3), (12, 3), (9, 4), (12, 4))
+            for m in (2, 6)
+            for epsilon in (0.1, 1.5)
+        ]
+        kept = [solve_deterministic(f, cfg) for f, cfg in cases]
+        unsat = 0
+        for (f, cfg), shared in zip(cases, kept):
+            _plan.cache_clear()
+            alone = solve_deterministic(f, cfg)
+            assert (shared.status, shared.witness) == (alone.status, alone.witness)
+            assert replace(shared.stats, wall_time=0.0) == replace(alone.stats, wall_time=0.0)
+            if shared.status == "unsat":
+                unsat += 1
+                rho = 1 / (f.max_width + cfg.epsilon)
+                cover = boolean_cover(f.num_vars, rho, OUTER_BLOCK_LEN)
+                assert shared.stats.codewords_tried == len(cover)
+        assert unsat >= 4
+        # the epsilons give covers of different sizes, so the count above
+        # tells them apart
+        assert len(boolean_cover(9, 1 / 3.1, 12)) != len(boolean_cover(9, 1 / 4.5, 12))
 
     def test_agrees_with_oracle_on_random_corpus(self):
         rng = random.Random(404)
@@ -444,8 +463,8 @@ class TestSolveDeterministic:
         boxes = []
         real = csp.solve_deterministic
 
-        def recording(f, cfg, plans):
-            res = real(f, cfg, plans)
+        def recording(f, cfg):
+            res = real(f, cfg)
             boxes.append(replace(res.stats))
             return res
 
@@ -528,7 +547,11 @@ class TestSolveDeterministic:
 
         monkeypatch.setattr(search, "get_code", get_code)
         f = rand_kcnf(random.Random("jobs:2:18:75"), 18, 75)
-        res = solve_deterministic(f, SolverConfig(jobs=2))
+        _plan.cache_clear()
+        try:
+            res = solve_deterministic(f, SolverConfig(jobs=2))
+        finally:
+            _plan.cache_clear()
         assert inline_pool == [2]
         assert (res.status, res.stats.codewords_tried) == ("unsat", 64)
         assert calls == [((3, 6, 2), [])]
@@ -559,6 +582,9 @@ class TestSolveDeterministic:
             return None
 
         monkeypatch.setattr(solver, "first_witness", recording)
+        # a plan kept from before another test cleared the code cache holds
+        # blocks that the cache no longer has
+        _plan.cache_clear()
         for _ in range(2):
             solve_deterministic(formula(n, [[1, 2, 3]]))
         cover = boolean_cover(n, 1 / 3.1, 12)
@@ -602,6 +628,20 @@ class TestSolveSchoening:
     def test_default_cap_formula(self):
         f = formula(10, [[1, 2, 3]])
         assert default_trial_cap(f) == 356  # ceil(20 * (4/3)^10)
+
+    def test_default_cap_below_the_hard_cap_is_exact(self):
+        for k in (3, 4, 5):
+            clause = list(range(1, k + 1))
+            for n in range(k, 90):
+                bound = 20 * (2 * (k - 1) / k) ** n
+                cap = RANDOM_TRIAL_HARD_CAP if bound > RANDOM_TRIAL_HARD_CAP else math.ceil(bound)
+                assert default_trial_cap(formula(n, [clause])) == cap, (k, n)
+
+    def test_default_cap_of_long_inputs_is_the_hard_cap(self):
+        # (4/3)^n overflows a float from n = 2468, (3/2)^n from n = 1751
+        for n, k in ((2468, 3), (5000, 3), (1751, 4), (10**6, 4)):
+            f = formula(n, [list(range(1, k + 1))])
+            assert default_trial_cap(f) == RANDOM_TRIAL_HARD_CAP == 10**8
 
     def test_width_two_routes_to_brute(self):
         res = solve_schoening(formula(2, [[1], [-1]]))

@@ -65,16 +65,16 @@ MUTANTS = {
         '(int(rows[base + lo :: width] or "0", 2), int(rows[base + hi :: width] or "0", 2))',
         ("tests/test_csp.py::TestRestrictToBox::test_box_masks_match_masks_from_scratch",),
     ),
-    "plan-key-drops-k": Mutant(
+    "plan-not-memoized": Mutant(
         "src/coversat/solver.py",
-        "    plan = plans.get((n, k))\n    if plan is None:\n        plan = plans[n, k] = ",
-        "    plan = plans.get(n)\n    if plan is None:\n        plan = plans[n] = ",
+        "@lru_cache(maxsize=32)\ndef _plan(",
+        "def _plan(",
         ("tests/test_csp.py::TestSolveCsp::test_one_plan_per_box_width",),
     ),
-    "plan-key-drops-n": Mutant(
+    "plan-drops-epsilon": Mutant(
         "src/coversat/solver.py",
-        "    plan = plans.get((n, k))\n    if plan is None:\n        plan = plans[n, k] = ",
-        "    plan = plans.get(k)\n    if plan is None:\n        plan = plans[k] = ",
+        "_plan(n, k, cfg.t, cfg.epsilon, cfg.cache_dir)",
+        "_plan(n, k, cfg.t, SolverConfig.epsilon, cfg.cache_dir)",
         ("tests/test_solver.py::TestSolveDeterministic::test_shared_plans_serve_every_n",),
     ),
     "codewords-as-symbols": Mutant(
