@@ -159,6 +159,12 @@ def run_scaling(
     """
     if not set(engines) <= set(ENGINES):
         raise ValueError(f"engines must be among {ENGINES}, got {list(engines)}")
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    if m is not None and m < 0:
+        raise ValueError(f"--m must be >= 0, got {m}")
+    if min(r_range, default=0) < 0:
+        raise ValueError(f"bad radius range: radius {min(r_range)} is negative")
     n = n if n is not None else DEFAULT_N
     m = m if m is not None else round(DEFAULT_CLAUSE_RATIO * n)
     if max(r_range, default=0) > n:

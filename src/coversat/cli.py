@@ -224,12 +224,8 @@ def _cmd_bench(args) -> int:
         lo, hi = (int(x) for x in args.r.split(":"))
     except ValueError:
         raise UsageError(f"--r expects LO:HI, got {args.r!r}") from None
-    if lo < 0 or hi < lo:
+    if hi < lo:
         raise UsageError(f"bad radius range {args.r!r}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.m is not None and args.m < 0:
-        raise UsageError(f"--m must be >= 0, got {args.m}")
     engines = list(dict.fromkeys(args.engine or ["searchball", "searchball_fast"]))
     records = bench_mod.run_scaling(
         engines, args.k, args.t, range(lo, hi + 1), args.trials,

@@ -20,11 +20,11 @@ import random
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, product
 from operator import eq, or_
 
-from .errors import CodeConstructionError, ResourceCapError
+from .errors import CodeConstructionError, ParseError, ResourceCapError
 
 Word = tuple[int, ...]
 
@@ -628,53 +628,42 @@ def boolean_cover(
     return code
 
 
-_memory_cache: dict[tuple[int, int, int], CoveringCode] = {}
-
-
 def get_code(
     q: int, t: int, r: int, *, cache_dir: str | os.PathLike | None = None
 ) -> CoveringCode:
-    """greedy_code(q, t, r), reusing an in-memory and optional on-disk cache
-    keyed by (q, t, r). Disk entries are re-verified on load and rebuilt if
-    stale. A radius-0 code, a product built in microseconds, is never cached."""
+    """greedy_code(q, t, r), built or loaded once per (q, t, r, cache_dir)
+    and kept in memory, where a dir given as a path or as its str is one
+    entry; a cache_dir also keeps it on disk. A radius-0 code, a product
+    built in microseconds, is never cached.
+
+    The memo keeps the 32 most recent codes. The solvers' codes take a few
+    KB each with their bit_words (tracemalloc): an outer (2,12,4) block about
+    5 KB, an inner (3,6,2) code about 4 KB. The largest the greedy cap
+    admits, (2,20,1), takes about 27 MB, so 32 entries take at most about
+    0.9 GB, and only when that code is asked for under 32 cache dirs."""
     if r == 0:
         return greedy_code(q, t, 0)
-    key = (q, t, r)
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"greedy_q{q}_t{t}_r{r}.code")
-    code = _memory_cache.get(key)
-    if code is not None:
-        if path is not None and not os.path.exists(path):
-            _write_code_file(code, cache_dir, path)
-        return code
-    if path is not None:
-        if os.path.exists(path):
-            from .errors import ParseError
-            from .formats import read_code  # local import; formats imports this module
+    return _load_code(q, t, r, None if cache_dir is None else os.fspath(cache_dir))
 
-            try:
-                with open(path, "rb") as fh:
-                    cached = read_code(fh.read())
-            except (ParseError, OSError):
-                cached = None  # stale or corrupt cache entry: rebuild
-            if (
-                cached is not None
-                and (cached.q, cached.t, cached.r) == (q, t, r)
-                and verify_cover(cached)
-            ):
-                _memory_cache[key] = cached
-                return cached
+
+@lru_cache(maxsize=32)
+def _load_code(q: int, t: int, r: int, cache_dir: str | None) -> CoveringCode:
+    """greedy_code(q, t, r), or with a cache_dir its file there: re-verified
+    on load, and rebuilt and rewritten when missing, stale or corrupt."""
+    if cache_dir is None:
+        return greedy_code(q, t, r)
+    from .formats import read_code, write_code  # local import; formats imports this module
+
+    path = os.path.join(cache_dir, f"greedy_q{q}_t{t}_r{r}.code")
+    try:
+        with open(path, "rb") as fh:
+            cached = read_code(fh.read())
+    except (ParseError, OSError):
+        cached = None  # missing, stale or corrupt cache entry: rebuild
+    if cached is not None and (cached.q, cached.t, cached.r) == (q, t, r) and verify_cover(cached):
+        return cached
     code = greedy_code(q, t, r)
-    _memory_cache[key] = code
-    if path is not None:
-        _write_code_file(code, cache_dir, path)
-    return code
-
-
-def _write_code_file(code: CoveringCode, cache_dir, path: str) -> None:
-    from .formats import write_code
-
     os.makedirs(cache_dir, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(write_code(code))
+    return code

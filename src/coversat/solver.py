@@ -59,6 +59,8 @@ class SolverConfig:
             raise UsageError("trial_cap must be >= 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        if self.cache_dir == "":
+            raise UsageError("cache_dir must name a directory, got ''")
 
 
 @dataclass

@@ -116,6 +116,18 @@ class TestRunScaling:
             run_scaling(["searchball", "magic"], 3, 6, [1], 1)
         assert draws == []
 
+    @pytest.mark.parametrize("r_range, trials, m, match", [
+        ([0, 1], 0, 12, "--trials must be >= 1, got 0"),
+        ([0, 1], 1, -5, "--m must be >= 0, got -5"),
+        ([2, -1], 1, 12, "radius -1 is negative"),
+    ], ids=["trials-0", "m-negative", "negative-radius-after-valid"])
+    def test_counts_and_radii_checked_before_the_first_instance(
+        self, draws, r_range, trials, m, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_scaling(("searchball",), 3, 6, r_range, trials, n=6, m=m)
+        assert draws == []
+
     def test_radius_above_n(self, draws):
         # refused before the r = 2 instance is drawn
         with pytest.raises(ValueError, match="radius 10 exceeds n=6"):

@@ -148,13 +148,16 @@ class TestSolveCommand:
         def no_build(*args):
             raise AssertionError("a cached code was built again")
 
-        monkeypatch.setattr(codes, "_memory_cache", {})
+        # codes are memoized per cache dir: the cover without one is built
+        # here, before greedy_code is patched
+        cover_size = len(boolean_cover(9, 1 / 3.1, 12))
+        codes._load_code.cache_clear()
         solver._plan.cache_clear()
         reports = []
         try:
             for run in range(2):
                 if run:
-                    codes._memory_cache.clear()
+                    codes._load_code.cache_clear()
                     solver._plan.cache_clear()
                     monkeypatch.setattr(codes, "greedy_code", no_build)
                 stats = tmp_path / f"stats{run}.json"
@@ -166,7 +169,7 @@ class TestSolveCommand:
         finally:
             solver._plan.cache_clear()
         assert reports[0] == reports[1]
-        assert reports[0]["codewords_tried"] == len(boolean_cover(9, 1 / 3.1, 12))
+        assert reports[0]["codewords_tried"] == cover_size
 
     def test_stats_file_is_canonical_json(self, tmp_path):
         # one write of the indented report and a newline, as json.dump wrote it
@@ -224,6 +227,17 @@ class TestSolveCommand:
         for epsilon in ("nan", "inf"):
             assert main(["solve", "--input", path, "--epsilon", epsilon]) == 1
             assert "epsilon" in capsys.readouterr().err
+
+    def test_empty_cache_dir_exit_1_before_any_build(self, tmp_path, monkeypatch, capsys):
+        import coversat.codes as codes
+
+        builds = []
+        monkeypatch.setattr(codes, "greedy_code", lambda *a: builds.append(a))
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, "s.cnf", SAT_3CNF)
+        assert main(["solve", "--input", path, "--cache-dir", ""]) == 1
+        assert "cache_dir" in capsys.readouterr().err
+        assert builds == [] and os.listdir(tmp_path) == ["s.cnf"]
 
     def test_underscore_in_header_exit_1(self, tmp_path, capsys):
         # int() reads "1_0" as 10; DIMACS has no digit separators
@@ -347,7 +361,7 @@ class TestBenchCommand:
     ], ids=["trials-0", "trials-0-walk", "trials-negative", "m-negative"])
     def test_bad_counts_exit_1_before_any_run(self, monkeypatch, capsys, flags, named):
         runs = []
-        monkeypatch.setattr(coversat.bench, "run_scaling", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(coversat.bench, "gen_planted", lambda *a, **kw: runs.append(a))
         assert main(["bench", "--r", "0:3", *flags]) == 1
         assert runs == []
         err = capsys.readouterr().err

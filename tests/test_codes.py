@@ -18,6 +18,7 @@ from coversat.codes import (
     _bitsliced_pays,
     _ceil_fraction,
     _index_of,
+    _load_code,
     _periodic_mask,
     _product_indices,
     _word_of,
@@ -580,28 +581,35 @@ class TestBooleanCover:
 
 class TestGetCodeCache:
     def test_disk_round_trip(self, tmp_path):
-        from coversat.codes import _memory_cache
-
         a = get_code(3, 3, 1, cache_dir=tmp_path)
         assert (tmp_path / "greedy_q3_t3_r1.code").exists()
-        _memory_cache.clear()
+        _load_code.cache_clear()
         b = get_code(3, 3, 1, cache_dir=tmp_path)
         assert a == b and b.verified is True
 
-    def test_radius_zero_is_never_cached(self, tmp_path):
-        from coversat.codes import _memory_cache
+    def test_one_entry_per_dir_whatever_its_type(self, tmp_path, monkeypatch):
+        import coversat.codes as codes
 
+        _load_code.cache_clear()
+        builds = []
+        build = codes.greedy_code
+        monkeypatch.setattr(codes, "greedy_code", lambda *a: builds.append(a) or build(*a))
+        a = get_code(3, 3, 1, cache_dir=tmp_path)
+        b = get_code(3, 3, 1, cache_dir=str(tmp_path))
+        assert a is b and builds == [(3, 3, 1)]
+        assert [p.name for p in tmp_path.iterdir()] == ["greedy_q3_t3_r1.code"]
+
+    def test_radius_zero_is_never_cached(self, tmp_path):
+        memo = _load_code.cache_info()
         start = time.perf_counter()
         code = get_code(2, 20, 0, cache_dir=tmp_path)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1, elapsed
         assert (len(code), code.verified) == (2**20, True)
-        assert list(tmp_path.iterdir()) == [] and (2, 20, 0) not in _memory_cache
+        assert list(tmp_path.iterdir()) == [] and _load_code.cache_info() == memo
 
     def test_corrupt_cache_rebuilt(self, tmp_path):
-        from coversat.codes import _memory_cache
-
-        _memory_cache.clear()
+        _load_code.cache_clear()
         path = tmp_path / "greedy_q2_t2_r1.code"
         path.write_text("garbage\n")
         code = get_code(2, 2, 1, cache_dir=tmp_path)

@@ -581,7 +581,7 @@ class TestSolveCsp:
     def test_each_code_verified_once_across_boxes(self, monkeypatch):
         import coversat.codes as codes
 
-        monkeypatch.setattr(codes, "_memory_cache", {})
+        codes._load_code.cache_clear()
         calls: dict[tuple[int, int, int], int] = {}
         verify = codes.verify_cover
 

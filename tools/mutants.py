@@ -188,6 +188,12 @@ MUTANTS = {
         "max(block.r for block in blocks)",
         ("tests/test_codes.py::TestBooleanCover",),
     ),
+    "code-memo-key-unnormalized": Mutant(
+        "src/coversat/codes.py",
+        "None if cache_dir is None else os.fspath(cache_dir)",
+        "cache_dir",
+        ("tests/test_codes.py::TestGetCodeCache::test_one_entry_per_dir_whatever_its_type",),
+    ),
 }
 
 
