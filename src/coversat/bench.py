@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .cnf import Assignment, Formula, evaluate, hamming_distance
+from .cnf import Assignment, Formula, evaluate
 from .search import (
     FastParams,
     SearchStats,
@@ -41,23 +41,16 @@ class PlantedInstance:
     r: int
 
 
-def gen_planted(
-    k: int,
-    n: int,
-    m: int,
-    seed: int | str = 0,
-    distance: int | None = None,
-) -> PlantedInstance:
+def gen_planted(k: int, n: int, m: int, seed: int | str = 0, *, distance: int) -> PlantedInstance:
     """Sample a planted (<=k)-CNF promise instance.
 
     Clauses are width-k over distinct variables, rejection-sampled until
     satisfied by the planted assignment (uniform over such clauses). The
-    start assignment flips a random `distance`-subset of variables; when
-    distance is None each variable flips with probability 1/2.
+    start assignment flips a random `distance`-subset of variables.
     """
     if k < 1 or n < k:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    if distance is not None and not 0 <= distance <= n:
+    if not 0 <= distance <= n:
         raise ValueError(f"distance must lie in 0..{n}")
     rng = random.Random(f"plant:{seed}")
     planted = tuple(rng.randint(0, 1) for _ in range(n))
@@ -70,15 +63,10 @@ def gen_planted(
                 break
         clauses.append(clause)
     f = Formula(n, tuple(clauses))
-    if distance is None:
-        flip_set = [v for v in range(1, n + 1) if rng.randint(0, 1)]
-    else:
-        flip_set = rng.sample(range(1, n + 1), distance)
     start = list(planted)
-    for v in flip_set:
+    for v in rng.sample(range(1, n + 1), distance):
         start[v - 1] = 1 - start[v - 1]
-    start = tuple(start)
-    inst = PlantedInstance(f, planted, start, hamming_distance(start, planted))
+    inst = PlantedInstance(f, planted, tuple(start), distance)
     if not evaluate(f, planted):
         raise AssertionError("internal error: planted assignment does not satisfy the formula")
     return inst

@@ -10,6 +10,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import re
 import sys
 
 from . import bench as bench_mod
@@ -85,6 +87,8 @@ def _build_parser(command: str | None = None) -> _Parser:
         bench.add_argument("--k", type=int, default=3)
         bench.add_argument("--t", type=int, default=SolverConfig.t)
         bench.add_argument("--r", required=True, help="radius range LO:HI (inclusive)")
+        # argparse reads "-1:3" as an option; let it pass as a value, as "-1" does
+        bench._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$")
         bench.add_argument("--trials", type=int, default=50)
         bench.add_argument("--seed", type=int, default=0)
         bench.add_argument("--n", type=int, default=None)
@@ -109,6 +113,14 @@ def _config_from(args) -> SolverConfig:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
+
+
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path whose directory cannot take a new file, before
+    any work, with one access call. The file is written only once the work
+    is done, so a failed solve leaves no stats file."""
+    if path and not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write {path}: its directory is missing or not writable")
 
 
 def _emit_result(
@@ -144,6 +156,7 @@ def _emit_result(
 
 
 def _cmd_solve(args) -> int:
+    _check_writable(args.stats)
     with open(args.input, "rb") as fh:
         raw = fh.read()
     kind = input_kind(raw)
@@ -169,6 +182,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gencode(args) -> int:
+    _check_writable(args.out)
     if args.method == "random":
         code = random_code(args.q, args.t, args.radius, args.size, args.seed or 0)
     elif args.size is not None or args.seed is not None:
@@ -196,8 +210,6 @@ def _cmd_verifycode(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    import os
-
     with open(args.input, "rb") as fh:
         raw = fh.read()
     if input_kind(raw) != "csp":
@@ -220,6 +232,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_writable(args.csv)
     try:
         lo, hi = (int(x) for x in args.r.split(":"))
     except ValueError:

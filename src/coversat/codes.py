@@ -312,10 +312,10 @@ def _spread(x: int, q: int, w: int, zero: int) -> int:
 
 
 def random_code(
-    q: int, t: int, r: int, target_size: int | None = None, seed: int = 0, retries: int = 10
+    q: int, t: int, r: int, target_size: int | None = None, seed: int = 0
 ) -> CoveringCode:
     """Sample target_size words i.i.d. uniform and verify; retry with derived
-    seeds up to `retries` attempts, then fail.
+    seeds up to 10 attempts, then fail.
 
     target_size defaults to code_size_bound(q, t, r), computed only once the
     q^t verification cap has passed (the bound is a float of q^t).
@@ -329,7 +329,7 @@ def random_code(
         raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
     if target_size is None:
         target_size = code_size_bound(q, t, r)
-    for attempt in range(retries):
+    for attempt in range(10):
         rng = random.Random(f"randcode:{seed}:{attempt}")
         words = {tuple(rng.randint(1, q) for _ in range(t)) for _ in range(target_size)}
         code = CoveringCode._unchecked(q, t, r, tuple(sorted(words)))
@@ -337,7 +337,7 @@ def random_code(
             return code
     raise CodeConstructionError(
         f"no covering code of size {target_size} found for (q={q}, t={t}, r={r}) "
-        f"after {retries} attempts (seed {seed}); raise target_size"
+        f"after 10 attempts (seed {seed}); raise target_size"
     )
 
 
@@ -598,22 +598,24 @@ def _ceil_fraction(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
-def boolean_cover(
-    n: int, rho: float, b: int, *, cache_dir: str | os.PathLike | None = None
-) -> CoveringCode:
-    """Covering code for {0,1}^n: the product of greedy blocks of length b.
+OUTER_BLOCK_LEN = 12
 
-    Each full block is a greedy code of radius ceil(rho*b); a shorter final
+
+def boolean_cover(
+    n: int, rho: float, *, cache_dir: str | os.PathLike | None = None
+) -> CoveringCode:
+    """Covering code for {0,1}^n: the product of greedy blocks of OUTER_BLOCK_LEN bits.
+
+    Each full block is a greedy code of radius ceil(rho*12); a shorter final
     block covers the residual coordinates at the same radius fraction. The
     returned radius is the realized per-block sum, which may exceed rho*n
-    slightly when blocks round up. A lone block (0 < n <= b) is returned as is.
+    slightly when blocks round up. A lone block (0 < n <= 12) is returned as is.
     Blocks are verified once, where get_code builds or loads them; covering
     holds blockwise, so the product is verified without another check.
     """
     if not 0 < rho <= 0.5:
         raise ValueError("rho must lie in (0, 1/2]")
-    if not 1 <= b <= 20:
-        raise ValueError("block length must lie in 1..20")
+    b = OUTER_BLOCK_LEN
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
     blocks = [get_code(2, t, _ceil_fraction(rho * t), cache_dir=cache_dir) for t in lengths]
     for block in blocks:

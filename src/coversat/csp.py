@@ -205,28 +205,23 @@ def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
     return tuple(sorted(_greedy_box_block(d, length)))
 
 
-def two_box_cover(d: int, n: int, b: int | None = None) -> BlockProduct:
+def two_box_cover(d: int, n: int) -> BlockProduct:
     """Cover {1..d}^n with 2-boxes: the product of greedy block covers of
     b coordinates each (the last block takes the remainder), in sorted order.
 
     Each block is exhaustively verified on its d^b points where it is built;
-    covering holds blockwise, so the product needs no further check. b
-    defaults to the largest length <= min(5, n) whose C(d,2)^b candidate
-    boxes fit BOX_CANDIDATE_MAX. Even d always uses blocks of length 1, on
-    which greedy picks the pairs {2j-1, 2j}: they tile the domain, so the
-    cover is their product, exactly (d/2)^n boxes.
+    covering holds blockwise, so the product needs no further check. b is
+    the largest length <= min(5, n) whose C(d,2)^b candidate boxes fit
+    BOX_CANDIDATE_MAX. Even d always uses blocks of length 1, on which
+    greedy picks the pairs {2j-1, 2j}: they tile the domain, so the cover
+    is their product, exactly (d/2)^n boxes.
     """
     if d < 2:
         raise ValueError("domain size must be >= 2 for a 2-box cover")
     if n < 1:
         raise ValueError("need at least one variable")
-    if b is not None and not 1 <= b <= 5:
-        raise ValueError("box block length must lie in 1..5")
-    if d % 2 == 0:
-        b = 1
-    elif b is None:
-        fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
-        b = max(fits, default=1)
+    fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
+    b = 1 if d % 2 == 0 else max(fits, default=1)
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
     return BlockProduct(_box_block(d, t) for t in lengths)
 

@@ -419,6 +419,7 @@ def _beta_search(
       its unsat mask as the root's, counting into a fresh SearchStats.
     Only recursion_nodes reach stats, once, at the end: leaves and max_depth
     stay those of the codeword recursion.
+    _fast also hands over nodes with |G| >= t > r, which count nothing here.
     """
     if r < len(g):
         return None  # each clause of G needs a flip of its own
@@ -541,14 +542,9 @@ def _fast(
         stats.leaves += 1
         return None
     g = maximal_disjoint_unsat(f, cur, params.k, unsat=unsat)
-    if len(g) < params.t:
+    if len(g) < params.t or r < params.t:
         stats.leaves += 1
         return _beta_search(f, cur, r, g, stats)
-    if r < params.t:
-        # t variable-disjoint clauses each need a flip: any satisfying
-        # assignment sits at distance >= t > r, so the promise is vacuous
-        stats.leaves += 1
-        return None
     h = g[: params.t]
     child_r = r - params.delta
     for w in params.code.words:

@@ -28,7 +28,6 @@ from .search import FastParams, SearchStats, schoening_walk, searchball_fast
 
 BRUTE_MAX_TABLE_BITS = 1 << 30
 BRUTE_CHUNK_BITS = 1 << 16
-OUTER_BLOCK_LEN = 12
 RANDOM_TRIAL_HARD_CAP = 10**8
 
 
@@ -38,7 +37,7 @@ class SolverConfig:
 
     The paper's parameters are t, the inner-code length, and epsilon: the
     outer cover has radius fraction 1/(a+1) = 1/(k+epsilon) for a = k-1+epsilon
-    and blocks of OUTER_BLOCK_LEN variables, and a CSP's 2-box cover follows
+    and blocks of codes.OUTER_BLOCK_LEN variables, and a CSP's 2-box cover follows
     from d and n. The inner code is built only when n >= k*t, as only then can
     a node hold t disjoint k-clauses. cache_dir persists the covering codes
     across runs. jobs > 1 spreads the codewords (CNF) or the boxes (CSP) over
@@ -300,7 +299,7 @@ def _plan(
     get_code's cached codes. The inner code is built here when some node
     may hold t disjoint k-clauses (n >= k*t), once, so that pool workers
     receive it with the task."""
-    cover = boolean_cover(n, 1.0 / (k + epsilon), OUTER_BLOCK_LEN, cache_dir=cache_dir)
+    cover = boolean_cover(n, 1.0 / (k + epsilon), cache_dir=cache_dir)
     fp = FastParams(k, t, cache_dir)
     if n >= k * fp.t:
         fp.code

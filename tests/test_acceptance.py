@@ -178,7 +178,7 @@ def test_c04_random_code_success_rate():
     successes = 0
     for seed in range(100):
         try:
-            code = random_code(3, 6, 2, 81, seed=seed, retries=10)
+            code = random_code(3, 6, 2, 81, seed=seed)
             assert code.verified
             successes += 1
         except CodeConstructionError:
@@ -242,7 +242,7 @@ def test_c07_randomized_bound():
     n, formulas, shots = 10, 200, 500
     hits = total = 0
     for i in range(formulas):
-        inst = gen_planted(3, n, round(4.26 * n), seed=f"c7:{i}")
+        inst = gen_planted(3, n, round(4.26 * n), seed=f"c7:{i}", distance=0)
         f = inst.formula
         rng = random.Random(f"c7-trials:{i}")
         for _ in range(shots):
@@ -297,7 +297,7 @@ def test_c08_distance_progress():
 def test_c09_two_box_cover():
     bound = math.ceil(4 * math.log(3) * 1.5**4)
     assert bound == 23
-    cover = two_box_cover(3, 4, 4)
+    cover = two_box_cover(3, 4)
     assert verify_box_cover(cover, 3, 4) is True
     assert len(cover) <= bound
     even = two_box_cover(4, 3)

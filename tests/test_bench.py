@@ -20,7 +20,7 @@ from coversat.cnf import evaluate, hamming_distance
 class TestGenPlanted:
     def test_planted_always_satisfies(self):
         for seed in range(40):
-            inst = gen_planted(3, 12, 48, seed=seed)
+            inst = gen_planted(3, 12, 48, seed=seed, distance=0)
             assert evaluate(inst.formula, inst.planted)
             assert all(len(c) == 3 for c in inst.formula.clauses)
             assert len(inst.formula.clauses) == 48
@@ -40,11 +40,11 @@ class TestGenPlanted:
         assert inst.r == 8
 
     def test_reproducible(self):
-        assert gen_planted(3, 9, 27, seed=7) == gen_planted(3, 9, 27, seed=7)
+        assert gen_planted(3, 9, 27, seed=7, distance=4) == gen_planted(3, 9, 27, seed=7, distance=4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gen_planted(3, 2, 5)
+            gen_planted(3, 2, 5, distance=0)
         with pytest.raises(ValueError):
             gen_planted(3, 5, 5, distance=9)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import coversat.bench
+import coversat.cli
 import coversat.csp
 from coversat.cli import _build_parser, main
 from coversat.codes import boolean_cover, random_code
@@ -150,7 +151,7 @@ class TestSolveCommand:
 
         # codes are memoized per cache dir: the cover without one is built
         # here, before greedy_code is patched
-        cover_size = len(boolean_cover(9, 1 / 3.1, 12))
+        cover_size = len(boolean_cover(9, 1 / 3.1))
         codes._load_code.cache_clear()
         solver._plan.cache_clear()
         reports = []
@@ -193,6 +194,27 @@ class TestSolveCommand:
         cnf = write(tmp_path, "s.cnf", SAT_3CNF)
         assert main(argv(str(tmp_path), cnf)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, module, work", [
+        (["solve", "--input", "s.cnf", "--stats"], coversat.cli, "solve_deterministic"),
+        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli, "get_code"),
+        (["bench", "--r", "1:3", "--trials", "1", "--csv"], coversat.bench, "gen_planted"),
+    ], ids=["solve-stats", "gencode-out", "bench-csv"])
+    def test_unwritable_output_exit_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, module, work
+    ):
+        # a missing directory is refused before the solve, build or draw, not
+        # when the result is written
+        calls = []
+        monkeypatch.setattr(module, work, lambda *a, **kw: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "s.cnf", SAT_3CNF)
+        out = tmp_path / "missing" / "out"
+        assert main([*argv, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert os.listdir(tmp_path) == ["s.cnf"]
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cnf", "p cnf 1 1\n2 0\n")
@@ -352,6 +374,17 @@ class TestBenchCommand:
     def test_bad_range_exit_1(self):
         assert main(["bench", "--r", "5"]) == 1
         assert main(["bench", "--r", "9:2"]) == 1
+
+    @pytest.mark.parametrize("spelling", [["--r", "-1:3"], ["--r=-1:3"]], ids=["space", "equals"])
+    def test_negative_range_exit_1_before_any_draw(self, monkeypatch, capsys, spelling):
+        # argparse would take "-1:3" after a space for an option
+        runs = []
+        monkeypatch.setattr(coversat.bench, "gen_planted", lambda *a, **kw: runs.append(a))
+        assert main(["bench", *spelling, "--trials", "1"]) == 1
+        assert runs == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad radius range: radius -1 is negative\n"
 
     @pytest.mark.parametrize("flags, named", [
         (["--trials", "0"], "--trials"),

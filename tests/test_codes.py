@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coversat.cnf import hamming_distance
 from coversat.codes import (
+    OUTER_BLOCK_LEN,
     VERIFY_MAX_SPACE,
     BlockProduct,
     CoveringCode,
@@ -230,7 +231,7 @@ class TestRandomCode:
 
     def test_impossible_target_fails(self):
         with pytest.raises(CodeConstructionError):
-            random_code(3, 6, 0, 1, seed=0, retries=3)
+            random_code(3, 6, 0, 1, seed=0)
 
     def test_deterministic_for_seed(self):
         assert random_code(3, 4, 2, 10, seed=42) == random_code(3, 4, 2, 10, seed=42)
@@ -454,31 +455,32 @@ class TestGreedyCode:
 
 class TestBooleanCover:
     def test_single_block_when_n_equals_b(self):
-        cover = boolean_cover(4, 0.5, 4)
-        assert cover == greedy_code(2, 4, 2)
+        assert OUTER_BLOCK_LEN == 12
+        assert boolean_cover(12, 1 / 3.1) == greedy_code(2, 12, 4)
+        assert boolean_cover(4, 0.5) == greedy_code(2, 4, 2)
 
     def test_two_block_example_covers_radius_two(self):
-        cover = boolean_cover(4, 0.5, 2)
-        assert len(cover.words) == 4
+        # blocks of 12 and 1 bits, each of radius 1 at rho = 1/12
+        cover = boolean_cover(13, 1 / 12)
+        assert len(cover.words) == len(greedy_code(2, 12, 1).words)
         assert cover.r == 2
-        for point in product((1, 2), repeat=4):
-            assert any(hamming_distance(point, w) <= 2 for w in cover.words)
+        assert ref_verify_cover(2, 13, 2, cover.words)
 
     def test_size_is_block_size_power(self):
-        block = greedy_code(2, 3, 1)
-        cover = boolean_cover(9, 1 / 3, 3)
+        block = greedy_code(2, 12, 4)
+        cover = boolean_cover(36, 1 / 3.1)
         assert len(cover.words) == len(block.words) ** 3
-        assert cover.r == 3
+        assert cover.r == 12
 
     def test_residual_block(self):
-        cover = boolean_cover(5, 0.5, 3)
-        block, tail = greedy_code(2, 3, 2), greedy_code(2, 2, 1)
+        cover = boolean_cover(14, 1 / 3.1)
+        block, tail = greedy_code(2, 12, 4), greedy_code(2, 2, 1)
         assert len(cover.words) == len(block.words) * len(tail.words)
         assert cover.r == block.r + tail.r
         assert verify_cover(cover) is True
 
     def test_zero_vars(self):
-        cover = boolean_cover(0, 0.5, 4)
+        cover = boolean_cover(0, 0.5)
         assert tuple(cover.words) == ((),)
         assert (cover.q, cover.t, cover.r, cover.verified) == (2, 0, 0, True)
 
@@ -488,15 +490,15 @@ class TestBooleanCover:
         rho = 1 / 3.1
         lengths = [12] * (n // 12) + ([n % 12] if n % 12 else [])
         blocks = [get_code(2, t, _ceil_fraction(rho * t)).words for t in lengths]
-        cover = boolean_cover(n, rho, 12)
+        cover = boolean_cover(n, rho)
         assert tuple(cover.words) == ref_product_cover(blocks)
         assert len(cover.words) == len(cover) == math.prod(map(len, blocks))
 
-    @pytest.mark.parametrize("n,b", [(4, 2), (5, 3), (9, 3), (13, 12), (17, 4), (25, 12)])
-    def test_product_equals_validated_code(self, n, b):
+    @pytest.mark.parametrize("n", [4, 13, 17, 24, 25, 30])
+    def test_product_equals_validated_code(self, n):
         # the unchecked product code lists what the validating constructor
         # would make of its words
-        cover = boolean_cover(n, 1 / 3.1, b)
+        cover = boolean_cover(n, 1 / 3.1)
         checked = CoveringCode(2, n, cover.r, tuple(cover.words))
         assert (cover.q, cover.t, cover.r) == (checked.q, checked.t, checked.r)
         assert tuple(cover.words) == checked.words
@@ -504,11 +506,11 @@ class TestBooleanCover:
 
     def test_outer_cover_beyond_old_cap_is_lazy(self):
         # 16^6 words: refused by the old word-count cap, now held as its blocks
-        block = boolean_cover(12, 1 / 3.1, 12)
+        block = boolean_cover(12, 1 / 3.1)
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            cover = boolean_cover(72, 1 / 3.1, 12)
+            cover = boolean_cover(72, 1 / 3.1)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -523,7 +525,7 @@ class TestBooleanCover:
         # 16^16 words: more than len() can report
         assert 16**16 > sys.maxsize
         with pytest.raises(ResourceCapError):
-            boolean_cover(16 * 12, 1 / 3.1, 12)
+            boolean_cover(16 * 12, 1 / 3.1)
 
     def test_long_product_refused_in_linear_time(self):
         # 10^6 blocks: the size stops growing at the first product past the cap
@@ -549,11 +551,11 @@ class TestBooleanCover:
         unverified = CoveringCode(2, 2, 1, ((1, 1), (2, 2)))
         monkeypatch.setattr(codes, "get_code", lambda *args, **kwargs: unverified)
         with pytest.raises(CodeConstructionError):
-            boolean_cover(4, 0.5, 2)
+            boolean_cover(4, 0.5)
 
     def test_product_beyond_verification_cap_spot_check(self):
         # 2^24 words exceed VERIFY_MAX_SPACE, so only sampling can check it
-        cover = boolean_cover(24, 1 / 3.1, 12)
+        cover = boolean_cover(24, 1 / 3.1)
         block = greedy_code(2, 12, 4)
         assert (cover.t, cover.r) == (24, 8)
         assert len(cover.words) == len(block.words) ** 2
@@ -565,18 +567,16 @@ class TestBooleanCover:
             assert any(hamming_distance(point, w) <= cover.r for w in words), point
 
     def test_product_cover_equals_its_file_round_trip(self):
-        cover = boolean_cover(13, 1 / 3.1, 12)
+        cover = boolean_cover(13, 1 / 3.1)
         back = read_code(write_code(cover))
         assert back == cover and cover == back
-        assert back != boolean_cover(14, 1 / 3.1, 12)
+        assert back != boolean_cover(14, 1 / 3.1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            boolean_cover(4, 0.0, 2)
+            boolean_cover(4, 0.0)
         with pytest.raises(ValueError):
-            boolean_cover(4, 0.6, 2)
-        with pytest.raises(ValueError):
-            boolean_cover(4, 0.5, 25)
+            boolean_cover(4, 0.6)
 
 
 class TestGetCodeCache:

@@ -22,7 +22,7 @@ from coversat.csp import (
 import coversat.csp as csp
 import coversat.solver as solver
 from coversat.cnf import Formula
-from coversat.codes import _word_of
+from coversat.codes import BlockProduct, _word_of
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
@@ -83,14 +83,14 @@ class TestVerifyBoxCover:
     def test_pair_outside_domain_or_order_fails(self):
         # a complete cover plus one malformed box: index marking would alias
         # an out-of-range value onto another point
-        boxes = tuple(two_box_cover(3, 2, 2))
+        boxes = tuple(two_box_cover(3, 2))
         assert verify_box_cover(boxes, 3, 2) is True
         for bad in [(0, 3), (2, 4), (3, 2), (2, 2)]:
             assert verify_box_cover(boxes + ((bad, (1, 2)),), 3, 2) is False, bad
 
     def test_cover_missing_one_point_fails(self):
         assert verify_box_cover((((1, 2),),), 3, 1) is False
-        cover = two_box_cover(3, 4, 4)
+        cover = two_box_cover(3, 4)
         assert verify_box_cover(cover, 3, 4) is True
         boxes = tuple(cover)
         failed = 0
@@ -131,25 +131,24 @@ class TestTwoBoxCover:
         }
 
     def test_odd_domain_greedy_meets_existence_bound(self):
-        cover = two_box_cover(3, 4, 4)
+        cover = two_box_cover(3, 4)
         assert len(cover) <= 23  # ceil(4 ln3 (3/2)^4)
         assert verify_box_cover(cover, 3, 4) is True
 
     def test_block_concatenation_covers(self):
-        cover = two_box_cover(3, 5, 3)  # blocks of 3 + residual 2
-        assert verify_box_cover(cover, 3, 5) is True
+        cover = two_box_cover(3, 7)  # blocks of 5 + residual 2
+        assert [len(block[0]) for block in cover.blocks] == [5, 2]
+        assert verify_box_cover(cover, 3, 7) is True
 
     def test_every_point_in_some_box(self):
         for d, n in [(3, 3), (5, 2), (4, 3), (2, 5)]:
-            cover = two_box_cover(d, n, min(5, n))
+            cover = two_box_cover(d, n)
             for point in product(range(1, d + 1), repeat=n):
                 assert any(point_in_box(point, b) for b in cover)
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError):
             two_box_cover(1, 3)
-        with pytest.raises(ValueError):
-            two_box_cover(3, 2, 9)
         with pytest.raises(ResourceCapError):
             verify_box_cover((), 10, 10)
 
@@ -164,7 +163,7 @@ class TestTwoBoxCover:
         monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
         csp._box_block.cache_clear()
         try:
-            assert len(two_box_cover(3, 9, 5)) == 144
+            assert len(two_box_cover(3, 9)) == 144
             assert calls and all(n <= 5 for _, n in calls), calls
             assert len(two_box_cover(4, 9)) == 2**9
             assert all(n <= 5 for _, n in calls), calls
@@ -184,10 +183,10 @@ class TestTwoBoxCover:
         monkeypatch.setattr(csp, "_greedy_box_block", recording_greedy)
         csp._box_block.cache_clear()
         try:
-            shapes = [(3, 6, 3), (3, 7, 3), (3, 9, 3)]
+            shapes = [(3, 10), (3, 11), (3, 15)]
             covers = [two_box_cover(*shape) for shape in shapes]
-            assert builds == [(3, 3), (3, 1)]
-            block = csp._box_block(3, 3)
+            assert builds == [(3, 5), (3, 1)]
+            block = csp._box_block(3, 5)
             assert [len(c) for c in covers] == [len(block) ** 2, 2 * len(block) ** 2,
                                                       len(block) ** 3]
             assert [len(c.blocks) for c in covers] == [2, 3, 3]
@@ -195,8 +194,8 @@ class TestTwoBoxCover:
             assert covers[1].blocks[2] is csp._box_block(3, 1)
             again = two_box_cover(*shapes[0])
             assert again is not covers[0] and tuple(again) == tuple(covers[0])
-            assert verify_box_cover(again, 3, 6)
-            assert builds == [(3, 3), (3, 1)]
+            assert verify_box_cover(again, 3, 10)
+            assert builds == [(3, 5), (3, 1)]
         finally:
             csp._box_block.cache_clear()
 
@@ -206,13 +205,19 @@ class TestTwoBoxCover:
     ])
     def test_matches_materialized_reference(self, d, n, b):
         # the boxes, in order, of the sorted product of the greedy blocks (in
-        # pick order) that the cover was once built as; even d takes b = 1
+        # pick order) that covers were once built as: at block length b (even
+        # d takes b = 1), the product of the memoized blocks lists them, and
+        # so does two_box_cover(d, n) at the block length it derives
+        def reference(lengths):
+            return ref_product_cover([csp._greedy_box_block(d, t) for t in lengths])
+
         length = 1 if d % 2 == 0 else b
-        lengths = [length] * (n // length) + ([n % length] if n % length else [])
-        blocks = [csp._greedy_box_block(d, t) for t in lengths]
-        cover = two_box_cover(d, n, b)
-        assert tuple(cover) == ref_product_cover(blocks)
-        assert len(cover) == len(ref_product_cover(blocks))
+        at_b = [length] * (n // length) + ([n % length] if n % length else [])
+        assert tuple(BlockProduct(csp._box_block(d, t) for t in at_b)) == reference(at_b)
+        cover = two_box_cover(d, n)
+        want = reference([len(block[0]) for block in cover.blocks])
+        assert tuple(cover) == want
+        assert len(cover) == len(want)
 
     def test_failed_block_verification_raises(self, monkeypatch):
         greedy = csp.greedy_set_cover
@@ -221,15 +226,15 @@ class TestTwoBoxCover:
             csp._greedy_box_block(3, 3)
 
     def test_default_block_length_fits_candidate_cap(self):
-        # C(7,2)^5 candidate boxes exceed the cap, so d=7 defaults to b=4
+        # C(7,2)^5 candidate boxes exceed the cap, so d=7 takes b=4
         cover = two_box_cover(7, 6)
-        assert tuple(cover) == tuple(two_box_cover(7, 6, 4))
+        assert [len(block[0]) for block in cover.blocks] == [4, 2]
         rng = random.Random(21)
         for _ in range(200):
             point = tuple(rng.randint(1, 7) for _ in range(6))
             assert any(point_in_box(point, box) for box in cover)
         with pytest.raises(ResourceCapError):
-            two_box_cover(7, 6, 5)
+            csp._box_block(7, 5)
 
 
 class TestRestrictToBox:
@@ -252,7 +257,7 @@ class TestRestrictToBox:
         rng = random.Random(15)
         for _ in range(100):
             g = rand_csp(rng, 3, 5, rng.randint(1, 8))
-            cover = two_box_cover(3, 5, 5)
+            cover = two_box_cover(3, 5)
             boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
@@ -265,7 +270,7 @@ class TestRestrictToBox:
             d = rng.choice([3, 4])
             n = rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(1, 3 * n))
-            cover = two_box_cover(d, n, min(5, n))
+            cover = two_box_cover(d, n)
             boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
@@ -280,7 +285,7 @@ class TestRestrictToBox:
         for _ in range(60):
             d, n = 3, rng.randint(2, 5)
             g = rand_csp(rng, d, n, rng.randint(0, 2 * n))
-            cover = two_box_cover(d, n, min(5, n))
+            cover = two_box_cover(d, n)
             boxes = tuple(cover)
             box = boxes[rng.randrange(len(boxes))]
             reduced = restrict_to_box(g, box)
@@ -511,7 +516,7 @@ class TestSolveCsp:
         assert brute_force_csp(g).status == "unsat"
         res = solve_csp(g)
         assert res.status == "unsat"
-        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4))
+        assert res.stats.boxes_tried == len(two_box_cover(3, 4))
 
     def test_parallel_jobs_start_one_pool(self, monkeypatch):
         # the boxes share one pool; each box's codewords run in its worker
@@ -530,7 +535,7 @@ class TestSolveCsp:
         g = saturated_triple()
         res = solve_csp(g, SolverConfig(jobs=2))
         assert res.status == "unsat"
-        assert res.stats.boxes_tried == len(two_box_cover(3, 4, 4))
+        assert res.stats.boxes_tried == len(two_box_cover(3, 4))
         assert pools == [2]
 
     def test_near_saturated_is_sat(self):
@@ -598,7 +603,7 @@ class TestSolveCsp:
             for _ in range(2):
                 res = solve_csp(g)
                 assert res.status == "unsat"
-                assert res.stats.boxes_tried == len(two_box_cover(3, 9, 5)) == 144
+                assert res.stats.boxes_tried == len(two_box_cover(3, 9)) == 144
         finally:
             solver._plan.cache_clear()
         assert calls and max(calls.values()) == 1, calls
@@ -611,9 +616,9 @@ class TestSolveCsp:
         cover, fast_params = solver.boolean_cover, solver.FastParams
         solve_box = csp.solve_deterministic
 
-        def counting_cover(n, rho, b, **kwargs):
+        def counting_cover(n, rho, **kwargs):
             covers.append(n)
-            return cover(n, rho, b, **kwargs)
+            return cover(n, rho, **kwargs)
 
         def counting_params(k, *args):
             params.append(k)

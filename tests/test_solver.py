@@ -17,7 +17,6 @@ from coversat.csp import CspFormula, brute_force_csp, csp_formula, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
-    OUTER_BLOCK_LEN,
     RANDOM_TRIAL_HARD_CAP,
     _cnf_constraints,
     _plan,
@@ -322,12 +321,12 @@ class TestSolveDeterministic:
             if shared.status == "unsat":
                 unsat += 1
                 rho = 1 / (f.max_width + cfg.epsilon)
-                cover = boolean_cover(f.num_vars, rho, OUTER_BLOCK_LEN)
+                cover = boolean_cover(f.num_vars, rho)
                 assert shared.stats.codewords_tried == len(cover)
         assert unsat >= 4
         # the epsilons give covers of different sizes, so the count above
         # tells them apart
-        assert len(boolean_cover(9, 1 / 3.1, 12)) != len(boolean_cover(9, 1 / 4.5, 12))
+        assert len(boolean_cover(9, 1 / 3.1)) != len(boolean_cover(9, 1 / 4.5))
 
     def test_agrees_with_oracle_on_random_corpus(self):
         rng = random.Random(404)
@@ -353,7 +352,7 @@ class TestSolveDeterministic:
         for _ in range(40):
             n = rng.randint(13, 18)
             f = rand_kcnf(rng, n, rng.randint(round(3.6 * n), round(4.8 * n)), k=3)
-            assert len(boolean_cover(n, 1 / 3.1, 12).words.blocks) == 2
+            assert len(boolean_cover(n, 1 / 3.1).words.blocks) == 2
             res = solve_deterministic(f)
             assert res.status == brute_force(f).status, f
             if res.status == "sat":
@@ -375,7 +374,7 @@ class TestSolveDeterministic:
         for _ in range(30):
             f = rand_kcnf(rng, 8, rng.randint(1, 40), k=3)
             res = solve_deterministic(f, cfg)
-            cover = boolean_cover(8, 1.0 / (2 + cfg.epsilon + 1), min(12, 8))
+            cover = boolean_cover(8, 1.0 / (2 + cfg.epsilon + 1))
             assert res.stats.codewords_tried <= len(cover.words)
 
     def test_status_independent_of_seed(self):
@@ -413,7 +412,7 @@ class TestSolveDeterministic:
         # n=3 at rho=1/3.1 has a 2-word outer cover; 64 jobs ask for 2 workers
         f = formula(3, [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)])
         cfg = SolverConfig()
-        assert len(boolean_cover(3, 1 / 3.1, 12).words) == 2
+        assert len(boolean_cover(3, 1 / 3.1).words) == 2
         par = solve_deterministic(f, replace(cfg, jobs=64))
         assert inline_pool == [2]
         assert _result_key(par) == _result_key(solve_deterministic(f, cfg))
@@ -587,7 +586,7 @@ class TestSolveDeterministic:
         _plan.cache_clear()
         for _ in range(2):
             solve_deterministic(formula(n, [[1, 2, 3]]))
-        cover = boolean_cover(n, 1 / 3.1, 12)
+        cover = boolean_cover(n, 1 / 3.1)
         assert tuple(seen[0]) == tuple(tuple(s - 1 for s in w) for w in cover.words)
         if n <= 12:
             assert seen[1] is seen[0] is cover.bit_words

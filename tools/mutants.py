@@ -114,8 +114,8 @@ MUTANTS = {
     ),
     "fast-no-distance-prune": Mutant(
         "src/coversat/search.py",
-        "    if r < params.t:\n",
-        "    if False:\n",
+        "    if len(g) < params.t or r < params.t:\n",
+        "    if len(g) < params.t:\n",
         (
             "tests/test_search.py::TestSearchballFast"
             "::test_many_disjoint_clauses_below_t_is_unreachable",
