@@ -7,7 +7,6 @@ Exit codes follow SAT-solver convention: 10 sat, 20 unsat, 30 unknown,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -43,9 +42,11 @@ def _build_parser(command: str | None = None) -> _Parser:
     """The argument parser, built once per process and command: parse_args
     leaves it unchanged and gives every call a fresh namespace. A command
     of _COMMANDS gets only its own sub-parser; None gets all five, for the
-    top-level help and the messages of a missing or unknown command."""
+    top-level help and the messages of a missing or unknown command. The
+    parser keeps its sub-parsers by name in `commands`."""
     p = _Parser(prog="coversat", description="Covering-code k-SAT and CSP solver")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     if command in (None, "solve"):
         solve = sub.add_parser("solve", help="solve a CNF or CSP file")
@@ -116,10 +117,15 @@ def _config_from(args) -> SolverConfig:
 
 
 def _check_writable(path: str | None) -> None:
-    """Refuse an output path whose directory cannot take a new file, before
-    any work, with one access call. The file is written only once the work
-    is done, so a failed solve leaves no stats file."""
-    if path and not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+    """Refuse, before any work, an output path that is a directory or whose
+    directory cannot take a new file: one stat and one access call. The file
+    is written only once the work is done, so a failed solve leaves no stats
+    file."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
         raise UsageError(f"cannot write {path}: its directory is missing or not writable")
 
 
@@ -148,7 +154,7 @@ def _emit_result(
             "k": k,
             "seed": args.seed,
             "witness": list(result.witness) if result.witness is not None else None,
-            **dataclasses.asdict(result.stats),
+            **vars(result.stats),
         }
         with open(args.stats, "w") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
@@ -280,8 +286,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if command is None:  # top-level help, or the message of a missing or unknown command
+            args = _build_parser().parse_args(argv)
+            command = args.command
+        else:  # one pass of the command's own sub-parser
+            args = _build_parser(command).commands[command].parse_args(argv[1:])
+        return _COMMANDS[command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import or_
 from typing import Iterable, Mapping
 
@@ -140,7 +140,7 @@ def evaluate(f: Formula, alpha: Assignment) -> bool:
     """True iff every clause contains a literal satisfied by alpha."""
     if len(alpha) != f.num_vars:
         raise ValueError(f"assignment has {len(alpha)} values, formula has {f.num_vars} variables")
-    return all(clause_satisfied(c, alpha) for c in f.clauses)
+    return all(map(clause_satisfied, f.clauses, repeat(alpha)))
 
 
 def hamming_distance(alpha: Assignment, beta: Assignment) -> int:

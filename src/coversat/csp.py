@@ -124,7 +124,10 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
         if not 1 <= value <= f.domain_size:
             raise ValueError(f"value {value} outside domain 1..{f.domain_size}")
     for constraint in f.constraints:
-        if all(alpha[v - 1] == c for v, c in constraint):
+        for v, c in constraint:
+            if alpha[v - 1] != c:
+                break
+        else:
             return False
     return True
 

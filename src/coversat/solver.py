@@ -167,10 +167,30 @@ def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=1)
+def _literal_slots(d: int, n: int, top: int) -> dict:
+    """Each literal over variables 1..n, as _chunks reads it, to its
+    _value_masks slot over the low variables top+1..n, or to None for a
+    variable of 1..top. A literal is a pair (v, c) or, for d = 2, also a
+    CNF literal: +v is the pair (v, 1) and -v is (v, 2). One table is kept,
+    as one mask table is."""
+    masks = _value_masks(d, n - top)
+    slots: dict = {}
+    for v in range(1, n + 1):
+        row = masks[v - top - 1] if v > top else (None,) * d
+        for c, mask in enumerate(row, 1):
+            slots[v, c] = mask
+        if d == 2:
+            slots[v], slots[-v] = row
+    return slots
+
+
 @lru_cache(maxsize=1024)
-def _top_indices(d: int, top: int, key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def _top_indices(d: int, top: int, key: tuple) -> tuple[int, ...]:
     """Indices, in {1..d}^top order, of the assignments to variables 1..top
     that give the variable of every (variable, value) pair of key its value.
+    Key holds literals as _chunks reads them, each mapped to its pair here:
+    a pair as it is, a CNF literal +v as (v, 1) and -v as (v, 2).
 
     Memoized per (d, top, key). The oracle's keys are never empty, so a
     result holds at most d^(top-1) indices: for every (d, n) that _chunks
@@ -178,14 +198,12 @@ def _top_indices(d: int, top: int, key: tuple[tuple[int, int], ...]) -> tuple[in
     with its ints takes at most about 3 KB (d = 5, n = 10), so the 1024
     kept results take at most about 3.2 MB. A 3-CNF at n = 24 has 576
     keys of up to 3 pairs, so they all stay cached."""
-    fixed = dict(key)
+    fixed = dict(u if isinstance(u, tuple) else (abs(u), 1 if u > 0 else 2) for u in key)
     digits = [(fixed[v] - 1,) if v in fixed else range(d) for v in range(1, top + 1)]
     return tuple(_product_indices(d, digits))
 
 
-def _chunks(
-    d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]
-) -> tuple[int, Iterator[int]]:
+def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Iterator[int]]:
     """The solution bitmap of the constraints over all d^n assignments, cut
     into chunks of width = d^low bits: chunk j is the bitmap over the low
     variables n-low+1..n under the j-th assignment, in lexicographic order,
@@ -193,16 +211,19 @@ def _chunks(
     fits BRUTE_CHUNK_BITS. Returns (width, chunks), the chunks computed
     lazily in order.
 
-    A constraint is a disjunction of pairs (v, c) over distinct variables,
-    each meaning x_v != c. Its low pairs are ORed into one chunk mask, each
-    read as it is from the _value_masks slot of the pair, and constraints
-    with the same top pairs are ANDed into one group: a top assignment that
-    gives each of those pairs' variables its value c falsifies the top
-    pairs, and its chunk is the AND of the constraints without top pairs
-    (base) and of every group it falsifies. A constraint's mask starts as
-    its first low pair's slot and a group as its first constraint's mask,
-    so neither starts with a copy of a chunk-wide int. The top assignments
-    of a group come from _top_indices.
+    A constraint is a disjunction of literals over distinct variables, read
+    as the caller writes them: a pair (v, c) means x_v != c, and for d = 2 a
+    CNF literal +v means x_v != 1 and -v means x_v != 2, so assignment index
+    i gives variable v the bit (i >> (n-v)) & 1. The table of _literal_slots
+    maps each low literal to its _value_masks slot, and a constraint's low
+    literals are ORed into one chunk mask. Constraints with the same top
+    literals are ANDed into one group: a top assignment that gives each of
+    those literals' variables its value c falsifies them, and its chunk is
+    the AND of the constraints without top literals (base) and of every
+    group it falsifies. The top assignments of a group come from
+    _top_indices, which reads its literals as pairs once per key. A
+    constraint's mask starts as its first low slot and a group as its first
+    constraint's mask, so neither starts with a copy of a chunk-wide int.
 
     Inputs with n*d*d^n > BRUTE_MAX_TABLE_BITS, the size a full table of
     d^n-bit masks would take, are refused before any mask is built (a CNF
@@ -221,22 +242,23 @@ def _chunks(
     while d**low > BRUTE_CHUNK_BITS:
         low -= 1
     top = n - low
-    masks = _value_masks(d, low)
+    slots = _literal_slots(d, n, top)
     full = (1 << d**low) - 1
     base = full
-    groups: dict[tuple[tuple[int, int], ...], int] = {}
+    groups: dict[tuple, int] = {}
     for constraint in constraints:
-        top_pairs = []
+        top_literals = []
         cmask = 0
-        for v, c in constraint:
-            if v <= top:
-                top_pairs.append((v, c))
+        for literal in constraint:
+            mask = slots[literal]
+            if mask is None:
+                top_literals.append(literal)
             elif cmask:
-                cmask |= masks[v - top - 1][c - 1]
+                cmask |= mask
             else:
-                cmask = masks[v - top - 1][c - 1]
-        if top_pairs:
-            key = tuple(sorted(top_pairs))
+                cmask = mask
+        if top_literals:
+            key = tuple(sorted(top_literals))
             gmask = groups.get(key)
             groups[key] = cmask if gmask is None else gmask & cmask
         else:
@@ -249,9 +271,7 @@ def _chunks(
     return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)
 
 
-def _first_solution(
-    d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]
-) -> tuple[int, ...] | None:
+def _first_solution(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, ...] | None:
     """The lexicographically first assignment (values 1..d) that meets every
     constraint, or None; no chunk after the first nonzero one is built."""
     width, chunks = _chunks(d, n, constraints)
@@ -261,18 +281,12 @@ def _first_solution(
     return None
 
 
-def _cnf_constraints(f: Formula) -> Iterator[Iterator[tuple[int, int]]]:
-    """F as the d = 2 case: literal +v is x_v != 1 and -v is x_v != 2, so
-    assignment index i gives variable v the bit (i >> (n-v)) & 1."""
-    return (((u, 1) if u > 0 else (-u, 2) for u in clause) for clause in f.clauses)
-
-
 @_timed
 def brute_force(f: Formula) -> SolveResult:
     """Exhaustive oracle: first satisfying assignment in lexicographic
     order, or unsat. Limited to n <= 24 (see _chunks); stops at the first
     chunk of 2^16 assignments that holds a solution."""
-    values = _first_solution(2, f.num_vars, _cnf_constraints(f))
+    values = _first_solution(2, f.num_vars, f.clauses)
     if values is None:
         return SolveResult("unsat", None)
     witness = tuple(c - 1 for c in values)

@@ -324,9 +324,11 @@ def ref_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]])
     return int("".join(reversed(slices)), 2)
 
 
-def oracle_bitmap(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> int:
+def oracle_bitmap(d: int, n: int, constraints: Iterable[Iterable]) -> int:
     """The brute oracle's bitmap over all d^n assignments: every chunk of
-    coversat.solver._chunks, chunk j shifted by j times the chunk width."""
+    coversat.solver._chunks, chunk j shifted by j times the chunk width. The
+    constraints are written as _chunks reads them: (v, c) pairs, or for
+    d = 2 the signed literals of a CNF."""
     width, chunks = coversat.solver._chunks(d, n, constraints)
     bitmap = 0
     for j, chunk in enumerate(chunks):

@@ -216,6 +216,28 @@ class TestSolveCommand:
         assert captured.err.startswith(f"error: cannot write {out}")
         assert os.listdir(tmp_path) == ["s.cnf"]
 
+    @pytest.mark.parametrize("argv, module, work", [
+        (["solve", "--input", "s.cnf", "--stats"], coversat.cli, "solve_deterministic"),
+        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli, "get_code"),
+        (["bench", "--r", "1:3", "--trials", "1", "--csv"], coversat.bench, "gen_planted"),
+    ], ids=["solve-stats", "gencode-out", "bench-csv"])
+    def test_directory_output_exit_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, module, work
+    ):
+        # an output path that is an existing directory passes the directory
+        # check; it is refused before any work, not when the result is written
+        calls = []
+        monkeypatch.setattr(module, work, lambda *a, **kw: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "s.cnf", SAT_3CNF)
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert main([*argv, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err == f"error: cannot write {out}: it is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "s.cnf"] and os.listdir(out) == []
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cnf", "p cnf 1 1\n2 0\n")
         assert main(["solve", "--input", path]) == 1

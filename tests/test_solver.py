@@ -18,7 +18,7 @@ from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
     RANDOM_TRIAL_HARD_CAP,
-    _cnf_constraints,
+    _literal_slots,
     _plan,
     _top_indices,
     _value_masks,
@@ -74,8 +74,8 @@ def inline_pool(monkeypatch):
 
 
 def _cnf_bitmap(f: Formula) -> int:
-    """The brute oracle's bitmap of a CNF, read through the solver's d = 2 translation."""
-    return oracle_bitmap(2, f.num_vars, _cnf_constraints(f))
+    """The brute oracle's bitmap of a CNF, its clauses passed as they are written."""
+    return oracle_bitmap(2, f.num_vars, f.clauses)
 
 
 def _csp_bitmap(g: CspFormula) -> int:
@@ -178,19 +178,29 @@ class TestChunkedOracle:
     @pytest.mark.parametrize("n", range(15, 23))
     @pytest.mark.parametrize("status", ["sat", "unsat"])
     def test_cnf_matches_full_table(self, n, status):
-        # near the threshold a sat draw has few solutions, in scattered chunks
-        rng = random.Random(f"chunked:{n}:{status}")
+        # near the threshold a sat draw has few solutions, in scattered
+        # chunks; at n = 18 and 22 a second draw also has two clauses on the
+        # top variables alone, which random 3-CNFs rarely hold: groups whose
+        # constraints have no low literal
         m = 4 * n if status == "sat" else 6 * n
-        while True:
-            f = rand_kcnf(rng, n, m)
-            ref = ref_bitmap(2, n, _cnf_pairs(f))
-            if bool(ref) == (status == "sat"):
-                break
-        assert _cnf_bitmap(f) == ref
-        res = brute_force(f)
-        assert res.status == status
-        first = _first_of(ref, 2, n)
-        assert res.witness == (None if first is None else tuple(c - 1 for c in first))
+        top = n - (BRUTE_CHUNK_BITS.bit_length() - 1)
+        draws = [(f"chunked:{n}:{status}", 0)]
+        if n in (18, 22):
+            draws.append((f"chunked-top:{n}:{status}", 2))
+        for seed, top_only in draws:
+            rng = random.Random(seed)
+            while True:
+                f = rand_kcnf(rng, n, m)
+                if top_only:
+                    f = Formula(n, f.clauses + rand_kcnf(rng, top, top_only, k=min(3, top)).clauses)
+                ref = ref_bitmap(2, n, _cnf_pairs(f))
+                if bool(ref) == (status == "sat"):
+                    break
+            assert _cnf_bitmap(f) == ref
+            res = brute_force(f)
+            assert res.status == status
+            first = _first_of(ref, 2, n)
+            assert res.witness == (None if first is None else tuple(c - 1 for c in first))
 
     @pytest.mark.parametrize("d, n", [(3, n) for n in range(9, 14)] + [(5, n) for n in range(6, 9)])
     def test_csp_matches_full_table(self, d, n):
@@ -227,19 +237,26 @@ class TestChunkedOracle:
         assert brute_force_csp(stuck).status == "unsat"
 
     def test_twenty_four_vars_holds_chunk_table(self):
-        # the oracle's one cached table is the 2^16-bit one of the low 16
-        # variables, not the 24 x 2^24-bit full table
+        # the oracle's one cached mask table is the 2^16-bit one of the low
+        # 16 variables, not the 24 x 2^24-bit full table, and its literal
+        # table holds those same masks
         _value_masks.cache_clear()
+        _literal_slots.cache_clear()
         try:
             res = brute_force(formula(24, [[-1], [2, 24], [-24]]))
             before = _value_masks.cache_info()
             table = _value_masks(2, 16)
             after = _value_masks.cache_info()
+            slots = _literal_slots(2, 24, 8)
         finally:
             _value_masks.cache_clear()
+            _literal_slots.cache_clear()
         assert res.witness == (0, 1) + (0,) * 22
         assert (before.currsize, after.hits, after.misses) == (1, before.hits + 1, before.misses)
         assert all(mask.bit_length() <= BRUTE_CHUNK_BITS for row in table for mask in row)
+        for v, row in enumerate(table, start=9):
+            assert slots[v] is slots[v, 1] is row[0] and slots[-v] is slots[v, 2] is row[1]
+        assert all(slots[u] is None for v in range(1, 9) for u in (v, -v, (v, 1), (v, 2)))
 
     def test_top_indices_match_enumeration(self):
         # every key of up to 3 pairs on distinct top variables, against the

@@ -77,6 +77,21 @@ MUTANTS = {
         "_plan(n, k, cfg.t, SolverConfig.epsilon, cfg.cache_dir)",
         ("tests/test_solver.py::TestSolveDeterministic::test_shared_plans_serve_every_n",),
     ),
+    "oracle-cnf-sign-swapped": Mutant(
+        "src/coversat/solver.py",
+        "            slots[v], slots[-v] = row\n",
+        "            slots[-v], slots[v] = row\n",
+        (
+            "tests/test_solver.py::TestBruteForce::test_bitmap_matches_naive_enumeration",
+            "tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",
+        ),
+    ),
+    "oracle-group-key-drops-top-literals": Mutant(
+        "src/coversat/solver.py",
+        "            key = tuple(sorted(top_literals))\n",
+        "            key = tuple(sorted(top_literals))[:1]\n",
+        ("tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",),
+    ),
     "codewords-as-symbols": Mutant(
         "src/coversat/solver.py",
         "first_witness(task, cover.bit_words, cfg.jobs, stats)",
