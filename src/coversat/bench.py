@@ -222,7 +222,8 @@ def fit_scaling(records: Iterable[BenchRecord]) -> ScalingFit:
 
 def write_records_csv(records: Iterable[BenchRecord], path: str) -> None:
     """Fixed column order, one header row; records sorted by
-    (engine, r, trial) so parallel runs canonicalize."""
+    (engine, r, trial), so each engine's rows are contiguous, by radius and
+    then trial, where run_scaling interleaves the engines per (r, trial)."""
     rows = sorted(records, key=lambda rec: (rec.engine, rec.r, rec.trial))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -120,11 +120,6 @@ class FastParams:
         return code
 
 
-def _lowest(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
 def schoening_walk(
     f: Formula,
     alpha: Assignment,
@@ -148,7 +143,7 @@ def schoening_walk(
     for _ in range(max(1, 3 * f.num_vars)):
         if not unsat:
             break
-        v = abs(rng.choice(f.clauses[_lowest(unsat)]))
+        v = abs(rng.choice(f.clauses[(unsat & -unsat).bit_length() - 1]))
         cur[v - 1] = 1 - cur[v - 1]
         # the flip satisfies every clause holding the new literal; a clause
         # holding the old one stays satisfied only through another literal
@@ -408,13 +403,16 @@ def _beta_search(
     G (from _clause_rows).
 
     Each beta counts exactly the nodes searchball would count around it,
-    and only a beta that may yield a witness reaches searchball:
+    and only a beta that may yield a witness reaches searchball. Besides the
+    witness, two settles count a beta in place:
     - a beta that satisfies F is the witness, one node;
-    - a beta with no budget left, or whose lowest unsatisfied clause has no
-      variable outside vbl(G), is one node, a root searchball stops at;
-    - a beta with one flip left where every free literal of that clause
-      misses some unsatisfied clause is its root plus one leaf per free
-      literal: each child is a radius-0 leaf that one AND shows unsatisfied;
+    - a beta with no budget left is one node, a root searchball stops at;
+    - one scan of the lowest unsatisfied clause counts its free literals
+      (variables outside vbl(G)). With none, the beta is a dead root, one
+      node. With one flip left and each free literal missing some
+      unsatisfied clause, it is its root plus one leaf per free literal:
+      each child is a radius-0 leaf that one AND shows unsatisfied. The
+      scan stops at a free literal that meets every unsatisfied clause;
     - every other beta goes to searchball as a (variable, bit) dict, with
       its unsat mask as the root's, counting into a fresh SearchStats.
     Only recursion_nodes reach stats, once, at the end: leaves and max_depth
@@ -426,16 +424,14 @@ def _beta_search(
     masks = f.literal_masks
     g_vars = [abs(u) for clause in g for u in clause]
     in_g = set(g_vars)
-    outside = touched = 0
+    outside = 0
     for v, (neg, pos) in enumerate(masks, 1):
         if v not in in_g:
             if alpha[v - 1]:
                 outside |= pos
             else:
                 outside |= neg
-            touched |= neg | pos
     full = (1 << len(f.clauses)) - 1
-    inside = full ^ touched
     tables = [_clause_rows(clause, masks) for clause in g]
     prefixes = ((r, outside, ()),)
     last = len(tables) - 1
@@ -457,26 +453,22 @@ def _beta_search(
             if flips == left:
                 nodes += 1
                 continue
-            low = unsat & -unsat
-            if low & inside:
-                nodes += 1
-                continue
-            if left - flips == 1:
-                free = 0
-                for u in f.clauses[low.bit_length() - 1]:
-                    v = abs(u)
-                    if v in in_g:
-                        continue
-                    if not unsat & ~masks[v - 1][u > 0]:
-                        free = 0  # this child may find a witness
-                        break
-                    free += 1
-                if free:
+            budget = left - flips
+            free = 0
+            for u in f.clauses[(unsat & -unsat).bit_length() - 1]:
+                v = abs(u)
+                if v in in_g:
+                    continue
+                if budget == 1 and not unsat & ~masks[v - 1][u > 0]:
+                    break  # this child may find a witness
+                free += 1
+            else:
+                if budget == 1 or not free:
                     nodes += 1 + free
                     continue
             inner = SearchStats()
             beta = dict(zip(g_vars, bits + row))
-            res, _ = searchball(f, alpha, left - flips, forced=beta, stats=inner, unsat=unsat)
+            res, _ = searchball(f, alpha, budget, forced=beta, stats=inner, unsat=unsat)
             nodes += inner.recursion_nodes
             if res is not None:
                 stats.recursion_nodes += nodes

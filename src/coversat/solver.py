@@ -13,7 +13,7 @@ import math
 import os
 import random
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce, wraps
 from multiprocessing import get_context
@@ -271,9 +271,14 @@ def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Itera
     return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)
 
 
-def _first_solution(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, ...] | None:
+def _first_solution(d: int, n: int, constraints: Sequence[Iterable]) -> tuple[int, ...] | None:
     """The lexicographically first assignment (values 1..d) that meets every
-    constraint, or None; no chunk after the first nonzero one is built."""
+    constraint, or None; no chunk after the first nonzero one is built. For
+    d = 1 no table is built: the one assignment gives every variable 1 and
+    falsifies every literal x_v != 1, so it meets the constraints only when
+    there are none."""
+    if d == 1:
+        return None if constraints else (1,) * n
     width, chunks = _chunks(d, n, constraints)
     for j, chunk in enumerate(chunks):
         if chunk:

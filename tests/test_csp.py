@@ -454,6 +454,17 @@ class TestBruteForceCsp:
         with pytest.raises(ResourceCapError):
             brute_force_csp(csp_formula(10, 8, []))
 
+    def test_domain_one_builds_no_table(self):
+        # the one assignment is all ones and falsifies every constraint, so
+        # neither route builds an n-entry mask or slot table to say so
+        n = 10**5
+        before = solver._value_masks.cache_info(), solver._literal_slots.cache_info()
+        empty, one = csp_formula(1, n, []), csp_formula(1, n, [[(n, 1)]])
+        for solve in (brute_force_csp, solve_csp):
+            assert solve(empty).witness == (1,) * n
+            assert solve(one).status == "unsat"
+        assert (solver._value_masks.cache_info(), solver._literal_slots.cache_info()) == before
+
     def test_cap_bounds_mask_bits(self, monkeypatch):
         # the cap n*d*d^n <= 2^30 is checked before any mask table is built:
         # both inputs are inside d^n <= 10^7, and a full table for (3162, 2)

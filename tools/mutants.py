@@ -150,10 +150,15 @@ MUTANTS = {
     ),
     "settle-every-radius-1-beta": Mutant(
         "src/coversat/search.py",
-        "                        free = 0  # this child may find a witness\n"
-        "                        break\n",
-        "                        pass\n",
+        "                    break  # this child may find a witness\n",
+        "                    pass\n",
         ("tests/test_search.py::TestBetaSearch",),
+    ),
+    "dead-root-settled-only-at-radius-1": Mutant(
+        "src/coversat/search.py",
+        "if budget == 1 or not free:",
+        "if budget == 1:",
+        ("tests/test_search.py::TestBetaSearch::test_matches_enumeration_without_prune",),
     ),
     "radius-0-child-always-leaf": Mutant(
         "src/coversat/search.py",
