@@ -4,8 +4,8 @@ Words are tuples of symbols in 1..q, length t. A code has covering radius r
 when every word of {1..q}^t lies within Hamming distance r of some codeword.
 Internally words map to integers via the mixed-radix index
 ``sum((sym_i - 1) * q^(t-1-i))``, so numeric order equals lexicographic order.
-csp and the solver's oracle read it through _product_indices (a product of
-digit choices) and _periodic_mask (the bitset of a repeating digit pattern).
+csp reads it through _product_indices (a product of digit choices) and the
+solver's oracle through _periodic_mask (a repeating digit pattern's bitset).
 A set of words is then also a q^t-bit int, bit i for word i: greedy_code
 counts the gains of all words at once on such bitsets when that is
 estimated to pay (_bitsliced_pays), with the same picks as the set cover
@@ -318,9 +318,10 @@ def random_code(
     seeds up to 10 attempts, then fail.
 
     target_size defaults to code_size_bound(q, t, r), computed only once the
-    q^t verification cap has passed (the bound is a float of q^t).
-    Duplicates among the samples are collapsed, so the returned code may hold
-    fewer than target_size distinct words.
+    q^t verification cap has passed (the bound is a float of q^t). The
+    target_size * t symbols an attempt draws are held to the same cap before
+    the first draw. Duplicates among the samples are collapsed, so the
+    returned code may hold fewer than target_size distinct words.
     """
     _check_params(q, t, r)
     if target_size is not None and target_size < 1:
@@ -329,6 +330,8 @@ def random_code(
         raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
     if target_size is None:
         target_size = code_size_bound(q, t, r)
+    if target_size * t > VERIFY_MAX_SPACE:
+        raise ResourceCapError(f"{target_size * t} symbols to draw exceed {VERIFY_MAX_SPACE}")
     for attempt in range(10):
         rng = random.Random(f"randcode:{seed}:{attempt}")
         words = {tuple(rng.randint(1, q) for _ in range(t)) for _ in range(target_size)}

@@ -22,7 +22,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .cnf import Formula, evaluate
-from .codes import CoveringCode, _periodic_mask, _product_indices, _word_of, boolean_cover
+from .codes import CoveringCode, _periodic_mask, _word_of, boolean_cover
 from .errors import ResourceCapError, UsageError
 from .search import FastParams, SearchStats, schoening_walk, searchball_fast
 
@@ -145,15 +145,15 @@ def first_witness(task, items, jobs: int, stats: SolveStats):
     return None
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """masks[v-1][c-1] has bit i set iff assignment index i gives variable
     v a value other than c: the mask of the pair (v, c) of a constraint, so
     the oracle ORs it in as it is. Index i enumerates {1..d}^n
     lexicographically (variable 1 most significant). For d = 2 slot 0 is
     x_v = 2 and slot 1 its complement; for d = 1 the one slot is 0. The
-    oracle asks only for chunk-sized tables, d^n <= BRUTE_CHUNK_BITS, and
-    one table is kept."""
+    oracle asks for its low and its top variables' tables, both with
+    d^n <= BRUTE_CHUNK_BITS, and two tables are kept."""
     total_bits = d**n
     full = (1 << total_bits) - 1
     table = []
@@ -169,38 +169,32 @@ def _value_masks(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1)
 def _literal_slots(d: int, n: int, top: int) -> dict:
-    """Each literal over variables 1..n, as _chunks reads it, to its
-    _value_masks slot over the low variables top+1..n, or to None for a
-    variable of 1..top. A literal is a pair (v, c) or, for d = 2, also a
-    CNF literal: +v is the pair (v, 1) and -v is (v, 2). One table is kept,
-    as one mask table is."""
-    masks = _value_masks(d, n - top)
+    """Each literal over variables 1..n, as _chunks reads it, to its pair
+    (low mask, top mask): (its _value_masks(d, n - top) slot, 0) for a
+    variable of top+1..n, (0, its _value_masks(d, top) slot) for one of
+    1..top. A literal is a pair (v, c) or, for d = 2, also a CNF literal:
+    +v is (v, 1) and -v is (v, 2). One table is kept, as two mask tables are."""
+    rows = [[(0, mask) for mask in row] for row in _value_masks(d, top)]
+    rows += [[(mask, 0) for mask in row] for row in _value_masks(d, n - top)]
     slots: dict = {}
-    for v in range(1, n + 1):
-        row = masks[v - top - 1] if v > top else (None,) * d
-        for c, mask in enumerate(row, 1):
-            slots[v, c] = mask
+    for v, row in enumerate(rows, 1):
+        for c, pair in enumerate(row, 1):
+            slots[v, c] = pair
         if d == 2:
             slots[v], slots[-v] = row
     return slots
 
 
 @lru_cache(maxsize=1024)
-def _top_indices(d: int, top: int, key: tuple) -> tuple[int, ...]:
-    """Indices, in {1..d}^top order, of the assignments to variables 1..top
-    that give the variable of every (variable, value) pair of key its value.
-    Key holds literals as _chunks reads them, each mapped to its pair here:
-    a pair as it is, a CNF literal +v as (v, 1) and -v as (v, 2).
-
-    Memoized per (d, top, key). The oracle's keys are never empty, so a
-    result holds at most d^(top-1) indices: for every (d, n) that _chunks
-    admits that is at most 128 (a CNF at n = 24, top = 8), and a result
-    with its ints takes at most about 3 KB (d = 5, n = 10), so the 1024
-    kept results take at most about 3.2 MB. A 3-CNF at n = 24 has 576
-    keys of up to 3 pairs, so they all stay cached."""
-    fixed = dict(u if isinstance(u, tuple) else (abs(u), 1 if u > 0 else 2) for u in key)
-    digits = [(fixed[v] - 1,) if v in fixed else range(d) for v in range(1, top + 1)]
-    return tuple(_product_indices(d, digits))
+def _top_indices(key: int) -> tuple[int, ...]:
+    """The positions of key's set bits, lowest first: for a group's mask of
+    the top assignments that falsify its top literals, the chunks it enters.
+    Memoized per key: for every (d, n) that _chunks admits a key has at most
+    2304 bits (d = 48, top = 2) and 128 set bits (a CNF at n = 24, top = 8),
+    and a key with its result takes at most about 3.3 KB (d = 5, n = 10), so
+    the 1024 kept take at most about 3.4 MB. A 3-CNF at n = 24 has 576
+    keys, so they all stay cached."""
+    return tuple(i for i, bit in enumerate(bin(key)[:1:-1]) if bit == "1")
 
 
 def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Iterator[int]]:
@@ -215,13 +209,13 @@ def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Itera
     as the caller writes them: a pair (v, c) means x_v != c, and for d = 2 a
     CNF literal +v means x_v != 1 and -v means x_v != 2, so assignment index
     i gives variable v the bit (i >> (n-v)) & 1. The table of _literal_slots
-    maps each low literal to its _value_masks slot, and a constraint's low
-    literals are ORed into one chunk mask. Constraints with the same top
-    literals are ANDed into one group: a top assignment that gives each of
-    those literals' variables its value c falsifies them, and its chunk is
-    the AND of the constraints without top literals (base) and of every
-    group it falsifies. The top assignments of a group come from
-    _top_indices, which reads its literals as pairs once per key. A
+    maps each literal to a (low mask, top mask) pair. A constraint's low
+    masks are ORed into one chunk mask and its top masks into the top
+    assignments that satisfy it; the rest, those that falsify its top
+    literals, key the group it is ANDed into (over distinct variables, key
+    and top literals determine each other). A chunk is the AND of the
+    constraints without top literals (base) and of every group whose key
+    holds its index, listed by _top_indices once per key. A
     constraint's mask starts as its first low slot and a group as its first
     constraint's mask, so neither starts with a copy of a chunk-wide int.
 
@@ -229,9 +223,9 @@ def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Itera
     d^n-bit masks would take, are refused before any mask is built (a CNF
     up to n = 24, d = 3 up to n = 15); as d^n >= 2^n for d >= 2, n above
     the cap's bit length is refused without computing d^n. Within the cap
-    the oracle holds the table of low * d masks of at most BRUTE_CHUNK_BITS
-    bits, base, one mask per group (at most (d+1)^top of them) and the
-    chunk at hand.
+    the oracle holds the low * d masks of at most BRUTE_CHUNK_BITS bits and
+    top * d of at most 2304, base, one mask per group (at most (d+1)^top of
+    them) and the chunk at hand.
     """
     if (d > 1 and n > BRUTE_MAX_TABLE_BITS.bit_length()) or n * d * d**n > BRUTE_MAX_TABLE_BITS:
         raise ResourceCapError(
@@ -243,29 +237,28 @@ def _chunks(d: int, n: int, constraints: Iterable[Iterable]) -> tuple[int, Itera
         low -= 1
     top = n - low
     slots = _literal_slots(d, n, top)
-    full = (1 << d**low) - 1
-    base = full
-    groups: dict[tuple, int] = {}
+    base = (1 << d**low) - 1
+    top_full = (1 << d**top) - 1
+    groups: dict[int, int] = {}
     for constraint in constraints:
-        top_literals = []
-        cmask = 0
+        cmask = satisfied = 0
         for literal in constraint:
-            mask = slots[literal]
-            if mask is None:
-                top_literals.append(literal)
+            low_mask, top_mask = slots[literal]
+            if top_mask:
+                satisfied |= top_mask
             elif cmask:
-                cmask |= mask
+                cmask |= low_mask
             else:
-                cmask = mask
-        if top_literals:
-            key = tuple(sorted(top_literals))
+                cmask = low_mask
+        if satisfied:
+            key = top_full ^ satisfied
             gmask = groups.get(key)
             groups[key] = cmask if gmask is None else gmask & cmask
         else:
             base &= cmask
     falsified: list[list[int]] = [[] for _ in range(d**top)]
     for key, gmask in groups.items():
-        for j in _top_indices(d, top, key):
+        for j in _top_indices(key):
             falsified[j].append(gmask)
     # once a chunk is 0, each further AND is constant time
     return d**low, (reduce(and_, gmasks, base) for gmasks in falsified)

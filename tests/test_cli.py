@@ -12,6 +12,7 @@ import pytest
 
 import coversat.bench
 import coversat.cli
+import coversat.codes
 import coversat.csp
 from coversat.cli import _build_parser, main
 from coversat.codes import boolean_cover, random_code
@@ -344,6 +345,20 @@ class TestGencodeVerifycode:
                      "--method", "random"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "too large to verify" in capsys.readouterr().err
+
+    def test_random_draws_beyond_cap_exit_2(self, capsys, monkeypatch):
+        # an attempt draws size * t symbols: past 10^7 the code is refused
+        # before its first draw, at the default size and at a given one
+        def no_draws(*args):
+            raise AssertionError("random code sampled past the draw cap")
+
+        monkeypatch.setattr(coversat.codes.random, "Random", no_draws)
+        for args, draws in (
+            (["--q", "2", "--t", "23", "--radius", "1"], 5814540 * 23),
+            (["--q", "2", "--t", "4", "--radius", "1", "--size", "100000000"], 4 * 10**8),
+        ):
+            assert main(["gencode", *args, "--method", "random"]) == 2
+            assert f"{draws} symbols to draw exceed 10000000" in capsys.readouterr().err
 
 
 class TestReduce:

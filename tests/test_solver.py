@@ -237,57 +237,74 @@ class TestChunkedOracle:
         assert brute_force_csp(stuck).status == "unsat"
 
     def test_twenty_four_vars_holds_chunk_table(self):
-        # the oracle's one cached mask table is the 2^16-bit one of the low
-        # 16 variables, not the 24 x 2^24-bit full table, and its literal
-        # table holds those same masks
+        # the oracle's two cached mask tables are the 2^16-bit one of the low
+        # 16 variables and the 2^8-bit one of the top 8, not the 24 x
+        # 2^24-bit full table, and its literal table pairs those same masks
         _value_masks.cache_clear()
         _literal_slots.cache_clear()
         try:
             res = brute_force(formula(24, [[-1], [2, 24], [-24]]))
             before = _value_masks.cache_info()
-            table = _value_masks(2, 16)
+            low, top = _value_masks(2, 16), _value_masks(2, 8)
             after = _value_masks.cache_info()
             slots = _literal_slots(2, 24, 8)
         finally:
             _value_masks.cache_clear()
             _literal_slots.cache_clear()
         assert res.witness == (0, 1) + (0,) * 22
-        assert (before.currsize, after.hits, after.misses) == (1, before.hits + 1, before.misses)
-        assert all(mask.bit_length() <= BRUTE_CHUNK_BITS for row in table for mask in row)
-        for v, row in enumerate(table, start=9):
-            assert slots[v] is slots[v, 1] is row[0] and slots[-v] is slots[v, 2] is row[1]
-        assert all(slots[u] is None for v in range(1, 9) for u in (v, -v, (v, 1), (v, 2)))
+        assert (before.currsize, after.hits, after.misses) == (2, before.hits + 2, before.misses)
+        assert (len(low), len(top)) == (16, 8)
+        assert all(mask.bit_length() <= BRUTE_CHUNK_BITS for row in low for mask in row)
+        assert all(mask.bit_length() <= 2**8 for row in top for mask in row)
+        for v in range(1, 25):
+            assert slots[v] is slots[v, 1] and slots[-v] is slots[v, 2]
+            (pos_low, pos_top), (neg_low, neg_top) = slots[v], slots[-v]
+            if v > 8:
+                row = low[v - 9]
+                assert pos_low is row[0] and neg_low is row[1] and pos_top == neg_top == 0
+            else:
+                row = top[v - 1]
+                assert pos_top is row[0] and neg_top is row[1] and pos_low == neg_low == 0
 
     def test_top_indices_match_enumeration(self):
-        # every key of up to 3 pairs on distinct top variables, against the
-        # top assignments enumerated one by one; a second pass only hits
+        # the falsifying mask of every key of up to 3 pairs on distinct top
+        # variables, built from the top table, lists the top assignments
+        # enumerated one by one; a second pass only hits
         _top_indices.cache_clear()
         try:
             cases = []
             for d in (2, 3):
                 for top in range(4):
+                    masks = _value_masks(d, top)
+                    full = (1 << d**top) - 1
                     for size in range(min(top, 3) + 1):
                         for variables in combinations(range(1, top + 1), size):
                             for values in product(range(1, d + 1), repeat=size):
-                                cases.append((d, top, tuple(zip(variables, values))))
-            for d, top, key in cases:
+                                key = tuple(zip(variables, values))
+                                mask = full
+                                for v, c in key:
+                                    mask &= full ^ masks[v - 1][c - 1]
+                                cases.append((d, top, key, mask))
+            for d, top, key, mask in cases:
                 expected = tuple(
                     j
                     for j, word in enumerate(product(range(1, d + 1), repeat=top))
                     if all(word[v - 1] == c for v, c in key)
                 )
-                assert _top_indices(d, top, key) == expected, (d, top, key)
+                assert _top_indices(mask) == expected, (d, top, key)
             info = _top_indices.cache_info()
-            assert (info.misses, info.currsize, info.maxsize) == (len(cases), len(cases), 1024)
-            for case in cases:
-                _top_indices(*case)
+            distinct = len({mask for *_, mask in cases})
+            assert (info.misses, info.currsize, info.maxsize) == (distinct, distinct, 1024)
+            for *_, mask in cases:
+                _top_indices(mask)
             assert _top_indices.cache_info().hits == info.hits + len(cases)
             # the memo keeps at most maxsize keys
-            for c in range(1, 1101):
-                assert _top_indices(1100, 1, ((1, c),)) == (c - 1,)
+            for i in range(1100):
+                assert _top_indices(1 << i) == (i,)
             assert _top_indices.cache_info().currsize == 1024
         finally:
             _top_indices.cache_clear()
+            _value_masks.cache_clear()
 
 
 class TestSolveDeterministic:

@@ -88,9 +88,21 @@ MUTANTS = {
     ),
     "oracle-group-key-drops-top-literals": Mutant(
         "src/coversat/solver.py",
-        "            key = tuple(sorted(top_literals))\n",
-        "            key = tuple(sorted(top_literals))[:1]\n",
-        ("tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",),
+        "satisfied |= top_mask",
+        "satisfied = top_mask",
+        (
+            "tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",
+            "tests/test_solver.py::TestChunkedOracle::test_csp_matches_full_table",
+        ),
+    ),
+    "oracle-top-key-not-complemented": Mutant(
+        "src/coversat/solver.py",
+        "key = top_full ^ satisfied",
+        "key = satisfied",
+        (
+            "tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",
+            "tests/test_solver.py::TestChunkedOracle::test_csp_matches_full_table",
+        ),
     ),
     "codewords-as-symbols": Mutant(
         "src/coversat/solver.py",
