@@ -238,8 +238,8 @@ class TestChunkedOracle:
 
     def test_twenty_four_vars_holds_chunk_table(self):
         # the oracle's two cached mask tables are the 2^16-bit one of the low
-        # 16 variables and the 2^8-bit one of the top 8, not the 24 x
-        # 2^24-bit full table, and its literal table pairs those same masks
+        # 16 variables and the 2^8-bit one of the top 8, not the full table
+        # of 2^24-bit masks, and its literal table pairs those same masks
         _value_masks.cache_clear()
         _literal_slots.cache_clear()
         try:
