@@ -5,8 +5,6 @@ from .cnf import (
     Clause,
     Formula,
     evaluate,
-    formula,
-    hamming_distance,
 )
 from .codes import (
     CoveringCode,
@@ -23,7 +21,6 @@ from .csp import (
     CspFormula,
     brute_force_csp,
     csp_evaluate,
-    csp_formula,
     restrict_to_box,
     solve_csp,
     two_box_cover,

@@ -1,4 +1,4 @@
-"""Immutable CNF data model: formulas, assignments, evaluation, Hamming geometry.
+"""Immutable CNF data model: formulas, assignments, evaluation, overrides.
 
 Literals use the DIMACS convention: the integer ``v`` (v >= 1) is the positive
 literal of variable ``v`` and ``-v`` its negation. A clause is a tuple of
@@ -117,14 +117,6 @@ class Formula:
         satisfied = reduce(or_, map(tuple.__getitem__, self.literal_masks, alpha), 0)
         return ((1 << len(self.clauses)) - 1) ^ satisfied
 
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-
-def formula(num_vars: int, clauses: Iterable[Iterable[int]]) -> Formula:
-    """Convenience constructor from nested iterables of signed ints."""
-    return Formula(num_vars, tuple(clauses))
-
 
 def clause_satisfied(clause: Clause, alpha: Assignment) -> bool:
     for u in clause:
@@ -141,13 +133,6 @@ def evaluate(f: Formula, alpha: Assignment) -> bool:
     if len(alpha) != f.num_vars:
         raise ValueError(f"assignment has {len(alpha)} values, formula has {f.num_vars} variables")
     return all(map(clause_satisfied, f.clauses, repeat(alpha)))
-
-
-def hamming_distance(alpha: Assignment, beta: Assignment) -> int:
-    """Number of variables where the two assignments differ."""
-    if len(alpha) != len(beta):
-        raise ValueError(f"assignments over different variable sets ({len(alpha)} vs {len(beta)})")
-    return sum(a != b for a, b in zip(alpha, beta))
 
 
 def override(alpha: Assignment, beta: PartialAssignment) -> Assignment:

@@ -320,8 +320,10 @@ def random_code(
     target_size defaults to code_size_bound(q, t, r), computed only once the
     q^t verification cap has passed (the bound is a float of q^t). The
     target_size * t symbols an attempt draws are held to the same cap before
-    the first draw. Duplicates among the samples are collapsed, so the
-    returned code may hold fewer than target_size distinct words.
+    the first draw, and a target_size whose balls hold fewer than q^t words
+    in all (the sphere bound) is refused then too. Duplicates among the
+    samples are collapsed, so the returned code may hold fewer than
+    target_size distinct words.
     """
     _check_params(q, t, r)
     if target_size is not None and target_size < 1:
@@ -330,6 +332,11 @@ def random_code(
         raise ResourceCapError(f"q^t = {q**t} too large to verify a random code")
     if target_size is None:
         target_size = code_size_bound(q, t, r)
+    reach = target_size * ball_volume(q, t, r)
+    if reach < q**t:
+        raise CodeConstructionError(
+            f"{target_size} words reach at most {reach} of the {q**t} words within radius {r}"
+        )
     if target_size * t > VERIFY_MAX_SPACE:
         raise ResourceCapError(f"{target_size * t} symbols to draw exceed {VERIFY_MAX_SPACE}")
     for attempt in range(10):

@@ -112,10 +112,6 @@ class CspFormula:
         return masks, tuple(getters), tuple(rows)
 
 
-def csp_formula(d: int, n: int, constraints: Iterable[Iterable[tuple[int, int]]]) -> CspFormula:
-    return CspFormula(d, n, tuple(tuple(c) for c in constraints))
-
-
 def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
     """True iff every constraint has a literal (x_v != c) with alpha[v] != c."""
     if len(alpha) != f.num_vars:

@@ -3,8 +3,8 @@
 The reference implementations here stay deliberately naive (explicit
 enumeration, no bit tricks) so they remain independent of the code paths
 they are used to check. The CNF operations first_unsatisfied_clause,
-assign_literal, restrict and flip are plain clause-by-clause definitions
-that only the tests use.
+assign_literal, restrict and flip are plain clause-by-clause definitions,
+and hamming_distance a plain count, that only the tests use.
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ def flip(alpha: Assignment, variable: int) -> Assignment:
     """alpha with one variable's value toggled."""
     i = variable - 1
     return alpha[:i] + (1 - alpha[i],) + alpha[i + 1:]
+
+
+def hamming_distance(alpha: Assignment, beta: Assignment) -> int:
+    """Number of variables where the two assignments differ."""
+    if len(alpha) != len(beta):
+        raise ValueError(f"assignments over different variable sets ({len(alpha)} vs {len(beta)})")
+    return sum(a != b for a, b in zip(alpha, beta))
 
 
 def rand_formula(rng: random.Random, n: int, m: int, max_width: int = 3) -> Formula:

@@ -13,7 +13,7 @@ import pytest
 
 from coversat.bench import fit_scaling, gen_planted, run_scaling
 from coversat.cli import main as cli_main
-from coversat.cnf import Formula, evaluate, formula
+from coversat.cnf import Formula, evaluate
 from coversat.codes import CoveringCode, greedy_code, random_code, verify_cover
 from coversat.csp import (
     CspFormula,
@@ -35,7 +35,7 @@ from coversat.formats import (
 from coversat.search import FastParams, schoening_walk, searchball, searchball_fast
 from coversat.solver import brute_force, solve_deterministic
 
-from helpers import rand_csp, rand_formula, rand_kcnf, sat_in_ball
+from helpers import hamming_distance, rand_csp, rand_formula, rand_kcnf, sat_in_ball
 
 
 def report(criterion: int, label: str, detail: str) -> None:
@@ -265,7 +265,6 @@ def test_c08_distance_progress():
     code = fp.code
     t = fp.t
     progress = t - 2 * math.ceil(t / 3)
-    from coversat.cnf import hamming_distance
     from coversat.search import apply_codeword
 
     violations = 0

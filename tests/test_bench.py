@@ -14,7 +14,9 @@ from coversat.bench import (
     run_scaling,
     write_records_csv,
 )
-from coversat.cnf import evaluate, hamming_distance
+from coversat.cnf import evaluate
+
+from helpers import hamming_distance
 
 
 class TestGenPlanted:
@@ -153,6 +155,8 @@ class TestFitScaling:
         ]
         with pytest.raises(ValueError):
             fit_scaling(records)
+        with pytest.raises(ValueError, match="no records"):
+            fit_scaling([])
 
     def test_constant_series_refused(self):
         # `bench --r 2:6 --trials 5`: below t = 6 every searchball_fast run is

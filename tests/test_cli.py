@@ -360,6 +360,16 @@ class TestGencodeVerifycode:
             assert main(["gencode", *args, "--method", "random"]) == 2
             assert f"{draws} symbols to draw exceed 10000000" in capsys.readouterr().err
 
+    def test_random_below_sphere_bound_exit_1(self, capsys, monkeypatch):
+        # 10 radius-1 balls hold at most 110 of the 2^10 words: no code that small covers
+        def no_draws(*args):
+            raise AssertionError("random code sampled below the sphere bound")
+
+        monkeypatch.setattr(coversat.codes.random, "Random", no_draws)
+        assert main(["gencode", "--q", "2", "--t", "10", "--radius", "1",
+                     "--method", "random", "--size", "10"]) == 1
+        assert "at most 110 of the 1024 words" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_emits_boxes_and_manifest(self, tmp_path, capsys, monkeypatch):

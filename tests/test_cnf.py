@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from coversat.cnf import Formula, evaluate, formula, hamming_distance
+from coversat.cnf import Formula, evaluate
 
 from helpers import (
     assign_literal,
     first_unsatisfied_clause,
     flip,
+    hamming_distance,
     rand_assignment,
     rand_formula,
     ref_evaluate,
@@ -18,16 +19,16 @@ from helpers import (
 
 class TestEvaluate:
     def test_single_positive_literal(self):
-        assert evaluate(formula(1, [[1]]), (1,)) is True
-        assert evaluate(formula(1, [[1]]), (0,)) is False
+        assert evaluate(Formula(1, [[1]]), (1,)) is True
+        assert evaluate(Formula(1, [[1]]), (0,)) is False
 
     def test_contradictory_units_never_satisfied(self):
-        f = formula(1, [[1], [-1]])
+        f = Formula(1, [[1], [-1]])
         assert evaluate(f, (0,)) is False
         assert evaluate(f, (1,)) is False
 
     def test_three_var_example(self):
-        f = formula(3, [[1, 2, 3], [-1, -2, -3]])
+        f = Formula(3, [[1, 2, 3], [-1, -2, -3]])
         assert evaluate(f, (1, 0, 0)) is True
 
     def test_empty_clause_is_unsatisfiable(self):
@@ -35,7 +36,7 @@ class TestEvaluate:
         assert evaluate(f, (1, 1)) is False
 
     def test_empty_formula_is_satisfied(self):
-        assert evaluate(formula(3, []), (0, 1, 0)) is True
+        assert evaluate(Formula(3, []), (0, 1, 0)) is True
 
     def test_matches_reference_on_random_instances(self):
         rng = random.Random(101)
@@ -47,7 +48,7 @@ class TestEvaluate:
 
     def test_wrong_assignment_length_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(formula(2, [[1]]), (1,))
+            evaluate(Formula(2, [[1]]), (1,))
 
 
 class TestHammingDistance:
@@ -77,14 +78,14 @@ class TestHammingDistance:
 
 class TestAssignLiteral:
     def test_clause_satisfied_and_removed(self):
-        assert assign_literal(formula(2, [[1, 2]]), 1) == formula(2, [])
+        assert assign_literal(Formula(2, [[1, 2]]), 1) == Formula(2, [])
 
     def test_literal_truncation(self):
-        assert assign_literal(formula(2, [[1, 2]]), -1) == formula(2, [[2]])
+        assert assign_literal(Formula(2, [[1, 2]]), -1) == Formula(2, [[2]])
 
     def test_both_rules_clause_wise(self):
-        f = formula(3, [[1, 2], [-1, 3], [2, 3]])
-        assert assign_literal(f, 1) == formula(3, [[3], [2, 3]])
+        f = Formula(3, [[1, 2], [-1, 3], [2, 3]])
+        assert assign_literal(f, 1) == Formula(3, [[3], [2, 3]])
 
     def test_assigned_variable_vanishes_num_vars_stays(self):
         rng = random.Random(5)
@@ -111,17 +112,17 @@ class TestAssignLiteral:
 
 class TestRestrict:
     def test_empty_restriction_is_identity(self):
-        f = formula(3, [[1, 2], [-3]])
+        f = Formula(3, [[1, 2], [-3]])
         assert restrict(f, {}) == f
 
     def test_truncation_only(self):
-        assert restrict(formula(3, [[1, 2, 3]]), {1: 0, 2: 0}) == formula(3, [[3]])
+        assert restrict(Formula(3, [[1, 2, 3]]), {1: 0, 2: 0}) == Formula(3, [[3]])
 
     def test_satisfy_and_truncate(self):
-        assert restrict(formula(3, [[1, 2], [-2, 3]]), {2: 1}) == formula(3, [[3]])
+        assert restrict(Formula(3, [[1, 2], [-2, 3]]), {2: 1}) == Formula(3, [[3]])
 
     def test_restriction_may_create_empty_clause(self):
-        g = restrict(formula(2, [[1, 2]]), {1: 0, 2: 0})
+        g = restrict(Formula(2, [[1, 2]]), {1: 0, 2: 0})
         assert g.clauses == ((),)
 
     def test_order_independence_and_fold_equivalence(self):
@@ -141,18 +142,18 @@ class TestRestrict:
 
     def test_out_of_range_variable_rejected(self):
         with pytest.raises(ValueError):
-            restrict(formula(2, [[1]]), {3: 0})
+            restrict(Formula(2, [[1]]), {3: 0})
 
 
 class TestFirstUnsatisfiedClause:
     def test_none_when_satisfied(self):
-        assert first_unsatisfied_clause(formula(1, [[1]]), (1,)) is None
+        assert first_unsatisfied_clause(Formula(1, [[1]]), (1,)) is None
 
     def test_lowest_index_wins(self):
-        assert first_unsatisfied_clause(formula(2, [[1], [2]]), (0, 0)) == 0
+        assert first_unsatisfied_clause(Formula(2, [[1], [2]]), (0, 0)) == 0
 
     def test_skips_satisfied_prefix(self):
-        f = formula(3, [[1, 2], [-3]])
+        f = Formula(3, [[1, 2], [-3]])
         assert first_unsatisfied_clause(f, (1, 0, 1)) == 1
 
     def test_agrees_with_evaluate(self):
@@ -164,12 +165,12 @@ class TestFirstUnsatisfiedClause:
             idx = first_unsatisfied_clause(f, a)
             assert (idx is None) == evaluate(f, a)
             if idx is not None:
-                assert all(evaluate(formula(n, [f.clauses[j]]), a) for j in range(idx))
+                assert all(evaluate(Formula(n, [f.clauses[j]]), a) for j in range(idx))
 
 
 class TestClauseMasks:
     def test_literal_masks_by_hand(self):
-        f = formula(3, [[1, -2], [2], [-1, 3]])
+        f = Formula(3, [[1, -2], [2], [-1, 3]])
         assert f.literal_masks == ((0b100, 0b001), (0b001, 0b010), (0b000, 0b100))
 
     def test_unsat_mask_agrees_with_scan(self):
@@ -181,7 +182,7 @@ class TestClauseMasks:
             clauses = list(rand_formula(rng, used, rng.randint(0, 10)).clauses)
             if rng.random() < 0.3:
                 clauses.insert(rng.randint(0, len(clauses)), ())
-            f = formula(n, clauses)
+            f = Formula(n, clauses)
             a = rand_assignment(rng, n)
             mask = f.unsat_mask(a)
             idx = first_unsatisfied_clause(f, a)
@@ -191,57 +192,57 @@ class TestClauseMasks:
             else:
                 assert (mask & -mask).bit_length() - 1 == idx
             assert mask == sum(1 << i for i, c in enumerate(f.clauses)
-                               if not evaluate(formula(n, [c]), a))
+                               if not evaluate(Formula(n, [c]), a))
 
     def test_wrong_assignment_length_rejected(self):
         with pytest.raises(ValueError):
-            formula(2, [[1]]).unsat_mask((0,))
+            Formula(2, [[1]]).unsat_mask((0,))
 
     def test_cached_masks_leave_equality_and_hash_alone(self):
-        f = formula(3, [[1, -2], [3]])
+        f = Formula(3, [[1, -2], [3]])
         assert f.literal_masks and f.max_width == 2  # fills the caches
-        fresh = formula(3, [[1, -2], [3]])
+        fresh = Formula(3, [[1, -2], [3]])
         assert f == fresh and hash(f) == hash(fresh)
-        assert f != formula(3, [[1, -2], [-3]])
+        assert f != Formula(3, [[1, -2], [-3]])
 
     def test_pickle_round_trip(self):
-        f = formula(4, [[1, -2, 3], [-4], []])
+        f = Formula(4, [[1, -2, 3], [-4], []])
         mask = f.unsat_mask((0, 1, 0, 1))
         g = pickle.loads(pickle.dumps(f))
         assert g == f and hash(g) == hash(f)
         assert g.literal_masks == f.literal_masks
         assert g.unsat_mask((0, 1, 0, 1)) == mask
-        assert pickle.loads(pickle.dumps(formula(2, [[1, 2]]))).unsat_mask((0, 0)) == 1
+        assert pickle.loads(pickle.dumps(Formula(2, [[1, 2]]))).unsat_mask((0, 0)) == 1
 
 
 class TestConstructionInvariants:
     def test_duplicate_variable_in_clause_rejected(self):
         with pytest.raises(ValueError):
-            formula(2, [[1, -1]])
+            Formula(2, [[1, -1]])
         with pytest.raises(ValueError):
-            formula(2, [[2, 2]])
+            Formula(2, [[2, 2]])
 
     def test_literal_zero_rejected(self):
         with pytest.raises(ValueError):
-            formula(2, [[1, 0]])
+            Formula(2, [[1, 0]])
 
     def test_variable_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            formula(2, [[3]])
+            Formula(2, [[3]])
 
     def test_error_messages_name_the_first_fault(self):
         with pytest.raises(ValueError, match="literal 0 is not allowed"):
-            formula(3, [[1, 0, 1]])
+            Formula(3, [[1, 0, 1]])
         with pytest.raises(ValueError, match=r"variable 1 occurs twice in clause \(1, -1, 0\)"):
-            formula(3, [[1, -1, 0]])
+            Formula(3, [[1, -1, 0]])
         with pytest.raises(ValueError, match="literal -3 exceeds num_vars=2"):
-            formula(2, [[1], [-3, 4]])
+            Formula(2, [[1], [-3, 4]])
         with pytest.raises(ValueError, match="num_vars must be >= 0"):
-            formula(-1, [])
+            Formula(-1, [])
 
     def test_max_width(self):
-        assert formula(3, [[1], [1, 2, 3]]).max_width == 3
-        assert formula(3, []).max_width == 0
+        assert Formula(3, [[1], [1, 2, 3]]).max_width == 3
+        assert Formula(3, []).max_width == 0
 
     def test_formula_is_hashable_even_from_lists(self):
         f = Formula(2, ([1, 2], [-1]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coversat.cnf import hamming_distance
+import coversat.codes
 from coversat.codes import (
     OUTER_BLOCK_LEN,
     VERIFY_MAX_SPACE,
@@ -36,7 +36,13 @@ from coversat.codes import (
 from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.formats import read_code, write_code
 
-from helpers import ref_ball_of, ref_greedy_set_cover, ref_product_cover, ref_verify_cover
+from helpers import (
+    hamming_distance,
+    ref_ball_of,
+    ref_greedy_set_cover,
+    ref_product_cover,
+    ref_verify_cover,
+)
 
 
 def brute_ball_count(q: int, t: int, r: int) -> int:
@@ -75,6 +81,8 @@ class TestVolumes:
             ball_volume(2, 3, 4)
         with pytest.raises(ValueError):
             shell_volume(2, 3, -1)
+        with pytest.raises(ValueError, match="word length"):
+            ball_volume(2, -1, 0)
 
     def test_ball_symmetry_metamorphic(self):
         rng = random.Random(77)
@@ -104,6 +112,18 @@ class TestCodeSizeBound:
     def test_full_radius_bound_at_least_one(self):
         for q, t in [(2, 3), (3, 5), (4, 2)]:
             assert code_size_bound(q, t, t) >= 1
+
+
+class TestCoveringCode:
+    def test_construction_validation(self):
+        for q, t, r, words, message in (
+            (1, 2, 0, (), "alphabet size"),
+            (2, 2, 3, (), "invalid length/radius"),
+            (2, 2, 1, ((1,),), "has length 1, expected 2"),
+            (2, 2, 1, ((1, 3),), "symbol 3 outside"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                CoveringCode(q, t, r, words)
 
 
 class TestVerifyCover:
@@ -232,6 +252,22 @@ class TestRandomCode:
     def test_impossible_target_fails(self):
         with pytest.raises(CodeConstructionError):
             random_code(3, 6, 0, 1, seed=0)
+        # above the sphere bound (4 * 5 >= 2^4), but no seeded draw of 4 words covers
+        with pytest.raises(CodeConstructionError, match="after 10 attempts"):
+            random_code(2, 4, 1, 4, seed=0)
+
+    def test_target_size_checked(self):
+        with pytest.raises(ValueError, match="target_size must be >= 1"):
+            random_code(2, 4, 1, target_size=0)
+
+    def test_size_below_sphere_bound_refused(self, monkeypatch):
+        # 10 radius-1 balls hold at most 110 of the 2^10 words: refused before any draw
+        def no_draws(*args):
+            raise AssertionError("random code sampled below the sphere bound")
+
+        monkeypatch.setattr(coversat.codes.random, "Random", no_draws)
+        with pytest.raises(CodeConstructionError, match="at most 110 of the 1024 words"):
+            random_code(2, 10, 1, 10)
 
     def test_deterministic_for_seed(self):
         assert random_code(3, 4, 2, 10, seed=42) == random_code(3, 4, 2, 10, seed=42)

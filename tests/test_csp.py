@@ -12,7 +12,6 @@ from coversat.csp import (
     CspFormula,
     brute_force_csp,
     csp_evaluate,
-    csp_formula,
     decode_box_witness,
     restrict_to_box,
     solve_csp,
@@ -49,22 +48,30 @@ def saturated_triple(d: int = 3, n: int = 4) -> CspFormula:
 
 class TestCspEvaluate:
     def test_no_constraints(self):
-        assert csp_evaluate(csp_formula(3, 2, []), (1, 3)) is True
+        assert csp_evaluate(CspFormula(3, 2, []), (1, 3)) is True
 
     def test_single_forbidden_value(self):
-        g = csp_formula(2, 1, [[(1, 1)]])
+        g = CspFormula(2, 1, [[(1, 1)]])
         assert csp_evaluate(g, (1,)) is False
         assert csp_evaluate(g, (2,)) is True
 
     def test_second_literal_saves_constraint(self):
-        g = csp_formula(3, 2, [[(1, 1), (2, 2)]])
+        g = CspFormula(3, 2, [[(1, 1), (2, 2)]])
         assert csp_evaluate(g, (1, 1)) is True
 
     def test_value_out_of_domain(self):
         with pytest.raises(ValueError):
-            csp_evaluate(csp_formula(2, 1, []), (3,))
+            csp_evaluate(CspFormula(2, 1, []), (3,))
+
+    def test_assignment_length_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            csp_evaluate(CspFormula(2, 2, []), (1,))
 
     def test_construction_validation(self):
+        with pytest.raises(ValueError, match="domain size"):
+            CspFormula(0, 2, ())
+        with pytest.raises(ValueError, match="num_vars"):
+            CspFormula(3, -1, ())
         with pytest.raises(ValueError):
             CspFormula(3, 2, (((1, 4),),))
         with pytest.raises(ValueError):
@@ -149,6 +156,8 @@ class TestTwoBoxCover:
     def test_caps_and_validation(self):
         with pytest.raises(ValueError):
             two_box_cover(1, 3)
+        with pytest.raises(ValueError, match="at least one variable"):
+            two_box_cover(3, 0)
         with pytest.raises(ResourceCapError):
             verify_box_cover((), 10, 10)
 
@@ -239,17 +248,17 @@ class TestTwoBoxCover:
 
 class TestRestrictToBox:
     def test_vacuous_literal_drops_constraint(self):
-        g = csp_formula(5, 1, [[(1, 5)]])
+        g = CspFormula(5, 1, [[(1, 5)]])
         reduced = restrict_to_box(g, ((1, 2),))
         assert reduced.clauses == ()
 
     def test_smaller_value_maps_to_positive_literal(self):
-        g = csp_formula(3, 1, [[(1, 1)]])
+        g = CspFormula(3, 1, [[(1, 1)]])
         reduced = restrict_to_box(g, ((1, 2),))
         assert reduced.clauses == ((1,),)
 
     def test_larger_value_maps_to_negative_literal(self):
-        g = csp_formula(3, 1, [[(1, 2)]])
+        g = CspFormula(3, 1, [[(1, 2)]])
         reduced = restrict_to_box(g, ((1, 2),))
         assert reduced.clauses == ((-1,),)
 
@@ -334,7 +343,7 @@ class TestRestrictToBox:
     def test_width_one_constraints_are_one_tuples(self):
         # the gather reads a width-1 constraint through a slice getter: a
         # plain itemgetter of one index would return the literal, not a clause
-        g = csp_formula(3, 3, [[(2, 1)], [(1, 2), (3, 3)], [(3, 3)], [(1, 3)], [(2, 2)]])
+        g = CspFormula(3, 3, [[(2, 1)], [(1, 2), (3, 3)], [(3, 3)], [(1, 3)], [(2, 2)]])
         reduced = restrict_to_box(g, ((1, 2), (1, 2), (2, 3)))
         assert reduced.clauses == ((2,), (-1, -3), (-3,), (-2,))
         assert all(type(clause) is tuple for clause in reduced.clauses)
@@ -374,7 +383,7 @@ class TestRestrictToBox:
                 assert reduced.literal_masks == expected
         assert widths == {1, 2, 3, 4}
         # x1 = 3 in every constraint: the box ((1, 2),) keeps none
-        g = csp_formula(d + 1, 2, [[(1, 3)], [(1, 3), (2, 1)], [(2, 2), (1, 3)]])
+        g = CspFormula(d + 1, 2, [[(1, 3)], [(1, 3), (2, 1)], [(2, 2), (1, 3)]])
         reduced = restrict_to_box(g, ((1, 2), (1, 2)))
         assert reduced.clauses == ()
         assert reduced.literal_masks == Formula(2, ()).literal_masks == ((0, 0), (0, 0))
@@ -389,7 +398,7 @@ class TestRestrictToBox:
         assert vars(copy)["literal_masks"] == Formula(6, reduced.clauses).literal_masks
 
     def test_invalid_boxes_rejected(self):
-        g = csp_formula(4, 2, [[(1, 2), (2, 4)]])
+        g = CspFormula(4, 2, [[(1, 2), (2, 4)]])
         bad = (((1, 2),), ((1, 2), (2, 2)), ((1, 2), (3, 2)), ((0, 1), (1, 2)), ((1, 5), (1, 2)))
         for box in bad:
             for restrict in (restrict_to_box, ref_restrict_to_box):
@@ -428,12 +437,12 @@ class TestRestrictToBox:
 
 class TestBruteForceCsp:
     def test_empty_formula(self):
-        res = brute_force_csp(csp_formula(3, 2, []))
+        res = brute_force_csp(CspFormula(3, 2, []))
         assert res.status == "sat"
         assert res.witness == (1, 1)
 
     def test_width_one_contradiction(self):
-        res = brute_force_csp(csp_formula(2, 1, [[(1, 1)], [(1, 2)]]))
+        res = brute_force_csp(CspFormula(2, 1, [[(1, 1)], [(1, 2)]]))
         assert res.status == "unsat"
 
     def test_bitmap_matches_naive_enumeration(self):
@@ -452,14 +461,14 @@ class TestBruteForceCsp:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            brute_force_csp(csp_formula(10, 8, []))
+            brute_force_csp(CspFormula(10, 8, []))
 
     def test_domain_one_builds_no_table(self):
         # the one assignment is all ones and falsifies every constraint, so
         # neither route builds an n-entry mask or slot table to say so
         n = 10**5
         before = solver._value_masks.cache_info(), solver._literal_slots.cache_info()
-        empty, one = csp_formula(1, n, []), csp_formula(1, n, [[(n, 1)]])
+        empty, one = CspFormula(1, n, []), CspFormula(1, n, [[(n, 1)]])
         for solve in (brute_force_csp, solve_csp):
             assert solve(empty).witness == (1,) * n
             assert solve(one).status == "unsat"
@@ -476,7 +485,7 @@ class TestBruteForceCsp:
         for d in (3162, 1000):
             start = time.perf_counter()
             with pytest.raises(ResourceCapError):
-                brute_force_csp(csp_formula(d, 2, [[(1, 1), (2, 1)]]))
+                brute_force_csp(CspFormula(d, 2, [[(1, 1), (2, 1)]]))
             assert time.perf_counter() - start < 1.0
 
     def test_digit_masks_match_division_reference(self):
@@ -494,7 +503,7 @@ class TestBruteForceCsp:
         # each variable may take only its one unforbidden value
         rng = random.Random(19)
         allowed = tuple(rng.randint(1, 3) for _ in range(14))
-        g = csp_formula(
+        g = CspFormula(
             3, 14, [[(v, c)] for v in range(1, 15) for c in range(1, 4) if c != allowed[v - 1]]
         )
         try:
@@ -507,7 +516,7 @@ class TestBruteForceCsp:
         # refused under the old d^n <= 10^7 cap; 2*24*2^24 bits fit 2^30
         rng = random.Random(24)
         planted = tuple(rng.randint(1, 2) for _ in range(24))
-        g = csp_formula(2, 24, [[(v, 3 - c)] for v, c in enumerate(planted, start=1)])
+        g = CspFormula(2, 24, [[(v, 3 - c)] for v, c in enumerate(planted, start=1)])
         try:
             res = brute_force_csp(g)
         finally:
@@ -517,7 +526,7 @@ class TestBruteForceCsp:
 
 class TestSolveCsp:
     def test_no_constraints_decodes_first_box(self):
-        g = csp_formula(3, 3, [])
+        g = CspFormula(3, 3, [])
         res = solve_csp(g)
         assert res.status == "sat"
         assert csp_evaluate(g, res.witness)
@@ -585,14 +594,14 @@ class TestSolveCsp:
             assert solve_csp(g).status == brute_force_csp(g).status
 
     def test_width_two_routes_to_brute(self):
-        g = csp_formula(3, 2, [[(1, 1), (2, 1)]])
+        g = CspFormula(3, 2, [[(1, 1), (2, 1)]])
         res = solve_csp(g)
         assert res.status == "sat"
         assert res.stats.boxes_tried == 0
 
     def test_domain_one(self):
-        assert solve_csp(csp_formula(1, 2, [])).status == "sat"
-        assert solve_csp(csp_formula(1, 1, [[(1, 1)]])).status == "unsat"
+        assert solve_csp(CspFormula(1, 2, [])).status == "sat"
+        assert solve_csp(CspFormula(1, 1, [[(1, 1)]])).status == "unsat"
 
     def test_each_code_verified_once_across_boxes(self, monkeypatch):
         import coversat.codes as codes

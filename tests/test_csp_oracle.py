@@ -1,8 +1,9 @@
 """Deterministic CSP solves checked against the exhaustive d-ary oracle on
 shapes the other CSP tests leave out: width-4 constraints, d = 4 and d = 5
-beyond n = 3, mixed widths 1-4, inner-code lengths t = 3 and 5, and outer
-radius slack epsilon = 0.05 and 1.0. Every draw is seeded; a verdict must
-equal brute_force_csp's and a witness must satisfy the formula."""
+beyond n = 3, mixed widths 1-4, inner-code lengths t = 3 and 5, outer
+radius slack epsilon = 0.05 and 1.0, and d^n > 2^16, where the oracle
+groups constraints by their top variables. Every draw is seeded; a verdict
+must equal brute_force_csp's and a witness must satisfy the formula."""
 
 import random
 
@@ -32,6 +33,8 @@ CASES = [
     (4, 5, (3, 4), 3, 0.05, (300, 800, 1500)),
     # n = 9 >= k*t: the boxes read the (3, 3, 1) inner code
     (3, 9, (3,), 3, 1.0, (150, 330)),
+    # 3^12 > 2^16: the oracle splits on two top variables and groups by them
+    (3, 12, (3,), 6, 0.1, (250, 330, 400)),
 ]
 
 

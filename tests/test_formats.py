@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from coversat.cnf import Formula, formula
+from coversat.cnf import Formula
 from coversat.codes import CoveringCode
 from coversat.csp import CspFormula
 from coversat.errors import ParseError, ParseWarning
@@ -22,7 +22,7 @@ from helpers import rand_csp, rand_formula
 
 class TestParseDimacs:
     def test_minimal(self):
-        assert parse_dimacs("p cnf 1 1\n1 0\n") == formula(1, [[1]])
+        assert parse_dimacs("p cnf 1 1\n1 0\n") == Formula(1, [[1]])
 
     def test_comments_and_widths(self):
         f = parse_dimacs("c comment\np cnf 3 2\n1 -2 3 0\n-1 2 0\n")
@@ -35,10 +35,10 @@ class TestParseDimacs:
         assert err.value.line == 2
 
     def test_crlf_and_bytes(self):
-        assert parse_dimacs(b"p cnf 2 1\r\n1 2 0\r\n") == formula(2, [[1, 2]])
+        assert parse_dimacs(b"p cnf 2 1\r\n1 2 0\r\n") == Formula(2, [[1, 2]])
 
     def test_clause_spanning_lines(self):
-        assert parse_dimacs("p cnf 3 1\n1 2\n3 0\n") == formula(3, [[1, 2, 3]])
+        assert parse_dimacs("p cnf 3 1\n1 2\n3 0\n") == Formula(3, [[1, 2, 3]])
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -61,11 +61,11 @@ class TestParseDimacs:
         assert len(f.clauses) == 1
 
     def test_duplicate_literals_deduplicated(self):
-        assert parse_dimacs("p cnf 2 1\n1 1 2 0\n") == formula(2, [[1, 2]])
+        assert parse_dimacs("p cnf 2 1\n1 1 2 0\n") == Formula(2, [[1, 2]])
 
     def test_tautological_clause_dropped(self):
         f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
-        assert f == formula(2, [[2]])
+        assert f == Formula(2, [[2]])
 
     def test_empty_clause_accepted(self):
         f = parse_dimacs("p cnf 2 1\n0\n")
@@ -129,6 +129,10 @@ class TestCodeFiles:
     def test_symbol_out_of_alphabet(self):
         with pytest.raises(ParseError):
             read_code("3 2 1 1\n4 1\n")
+
+    def test_length_zero_code_not_written(self):
+        with pytest.raises(ValueError, match="length-0"):
+            write_code(CoveringCode(2, 0, 0, ((),)))
 
     def test_word_length_mismatch(self):
         with pytest.raises(ParseError, match="length"):
@@ -223,11 +227,11 @@ def test_integer_tokens_are_sign_and_ascii_digits(kind, text, line, token):
 
 
 def test_signs_and_leading_zeros_accepted():
-    assert parse_dimacs("p cnf 02 +1\n+1 -02 -0\n") == formula(2, [[1, -2]])
+    assert parse_dimacs("p cnf 02 +1\n+1 -02 -0\n") == Formula(2, [[1, -2]])
 
 
 def test_non_ascii_whitespace_separates_tokens():
-    assert parse_dimacs("p cnf 2 1\n1\u00a02 0\n") == formula(2, [[1, 2]])
+    assert parse_dimacs("p cnf 2 1\n1\u00a02 0\n") == Formula(2, [[1, 2]])
 
 
 def test_token_beyond_int_digit_limit_is_parse_error():

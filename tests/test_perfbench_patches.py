@@ -12,7 +12,7 @@ import pytest
 
 import coversat.search
 from coversat.cli import main
-from coversat.cnf import formula, override
+from coversat.cnf import Formula, override
 from coversat.csp import solve_csp
 from coversat.solver import SolverConfig, solve_deterministic
 
@@ -136,5 +136,5 @@ def test_solvers_called_through_cli_attribute(monkeypatch, tmp_path, name):
 def test_brute_force_called_through_solver_attribute(monkeypatch):
     # solve_deterministic sends width <= 2 to the oracle
     calls = _count_calls(monkeypatch, "coversat.solver.brute_force")
-    assert solve_deterministic(formula(3, [[1, 2], [-1, 3], [-2, -3]])).status == "sat"
+    assert solve_deterministic(Formula(3, [[1, 2], [-1, 3], [-2, -3]])).status == "sat"
     assert calls

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from coversat.cnf import Formula, clause_satisfied, evaluate, formula, hamming_distance
+from coversat.cnf import Formula, clause_satisfied, evaluate
 from coversat.errors import ResourceCapError
 import coversat.search
 from coversat.search import (
@@ -23,6 +23,7 @@ from coversat.search import (
 
 from helpers import (
     first_unsatisfied_clause,
+    hamming_distance,
     rand_assignment,
     rand_formula,
     rand_kcnf,
@@ -46,15 +47,15 @@ def fp3():
 
 class TestSchoeningWalk:
     def test_returns_satisfying_start_untouched(self):
-        f = formula(2, [[1, 2]])
+        f = Formula(2, [[1, 2]])
         assert schoening_walk(f, (1, 0), 0) == (1, 0)
 
     def test_forced_flip_on_unit_clause(self):
         # the only literal of the only unsatisfied clause must be flipped
-        assert schoening_walk(formula(1, [[1]]), (0,), 5) == (1,)
+        assert schoening_walk(Formula(1, [[1]]), (0,), 5) == (1,)
 
     def test_gives_up_on_unsatisfiable(self):
-        f = formula(1, [[1], [-1]])
+        f = Formula(1, [[1], [-1]])
         assert schoening_walk(f, (0,), 1) is None
 
     def test_empty_clause_gives_up(self):
@@ -66,7 +67,7 @@ class TestSchoeningWalk:
     def test_runs_3n_steps_on_unsatisfiable(self, n):
         # some clause is unsatisfied after every flip, so the walk spends
         # its whole budget of max(1, 3n) steps and gives up
-        f = formula(n, [[1], [-1]] + [[v] for v in range(2, n + 1)])
+        f = Formula(n, [[1], [-1]] + [[v] for v in range(2, n + 1)])
         stats = SearchStats()
         assert schoening_walk(f, (0,) * n, 0, stats=stats) is None
         assert stats.recursion_nodes == max(1, 3 * n)
@@ -82,7 +83,7 @@ class TestSchoeningWalk:
                         clauses.append(
                             [v if bit == 0 else -v for v, bit in zip((1, 2, 3), (a, b, c))]
                         )
-        f = formula(3, clauses)
+        f = Formula(3, clauses)
         assert evaluate(f, (1, 1, 1))
         start = (1, 0, 0)
         hits = 0
@@ -125,17 +126,21 @@ class TestSchoeningWalk:
 
 class TestSearchball:
     def test_satisfied_immediately(self):
-        f = formula(2, [[1, 2]])
+        f = Formula(2, [[1, 2]])
         w, stats = searchball(f, (1, 0), 0)
         assert w == (1, 0)
         assert stats.recursion_nodes == 1
 
     def test_radius_zero_fails(self):
-        w, _ = searchball(formula(1, [[1]]), (0,), 0)
+        w, _ = searchball(Formula(1, [[1]]), (0,), 0)
         assert w is None
 
+    def test_assignment_length_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            searchball(Formula(3, [[1, 2, 3]]), (0, 0), 1)
+
     def test_radius_one_example(self):
-        f = formula(3, [[1, 2, 3], [-1], [-2]])
+        f = Formula(3, [[1, 2, 3], [-1], [-2]])
         w, _ = searchball(f, (0, 0, 0), 1)
         assert w == (0, 0, 1)
 
@@ -245,7 +250,7 @@ class TestSearchball:
         assert descended > 50
 
     def test_forced_variable_range_checked(self):
-        f = formula(3, [[1, 2, 3]])
+        f = Formula(3, [[1, 2, 3]])
         for v in (0, 4, -1):
             with pytest.raises(ValueError, match=f"forced variable {v} out of range"):
                 searchball(f, (0, 0, 0), 1, forced={1: 1, v: 0})
@@ -258,16 +263,16 @@ class TestSearchball:
 
 class TestMaximalDisjointUnsat:
     def test_satisfied_formula_empty(self):
-        f = formula(3, [[1, 2, 3]])
+        f = Formula(3, [[1, 2, 3]])
         assert maximal_disjoint_unsat(f, (1, 0, 0), 3) == []
 
     def test_greedy_scan_order(self):
-        f = formula(8, [[1, 2, 3], [3, 4, 5], [6, 7, 8]])
+        f = Formula(8, [[1, 2, 3], [3, 4, 5], [6, 7, 8]])
         g = maximal_disjoint_unsat(f, (0,) * 8, 3)
         assert g == [(1, 2, 3), (6, 7, 8)]
 
     def test_only_width_exactly_k(self):
-        f = formula(4, [[1, 2], [3], [-4]])
+        f = Formula(4, [[1, 2], [3], [-4]])
         assert maximal_disjoint_unsat(f, (0, 0, 0, 1), 3) == []
 
     def test_maximality_at_variable_level(self):
@@ -280,7 +285,7 @@ class TestMaximalDisjointUnsat:
             chosen_vars = {abs(u) for c in g for u in c}
             assert len(chosen_vars) == 3 * len(g)  # pairwise variable-disjoint
             for clause in f.clauses:
-                if len(clause) == 3 and not evaluate(formula(n, [clause]), alpha):
+                if len(clause) == 3 and not evaluate(Formula(n, [clause]), alpha):
                     assert any(abs(u) in chosen_vars for u in clause)
 
 
@@ -292,7 +297,7 @@ class TestMaximalDisjointUnsat:
             alpha = rand_assignment(rng, n)
             used, expected = set(), []
             for clause in f.clauses:
-                if evaluate(formula(n, [clause]), alpha) or used & {abs(u) for u in clause}:
+                if evaluate(Formula(n, [clause]), alpha) or used & {abs(u) for u in clause}:
                     continue
                 expected.append(clause)
                 used |= {abs(u) for u in clause}
@@ -324,6 +329,10 @@ class TestApplyCodeword:
             w = tuple(rng.randint(1, 3) for _ in range(4))
             moved = apply_codeword(alpha, h, w)
             assert hamming_distance(alpha, moved) == 4
+
+    def test_codeword_length_must_match_h(self):
+        with pytest.raises(ValueError, match=r"\|H\| = 2 but \|w\| = 1"):
+            apply_codeword((0, 0, 0, 0), [(1, 2), (3, 4)], (1,))
 
     def test_symbol_exceeding_clause_width(self):
         with pytest.raises(ValueError, match="width"):
@@ -376,14 +385,14 @@ class TestFastParams:
 
 class TestSearchballFast:
     def test_satisfied_immediately(self, fp6):
-        f = formula(2, [[1, -2]])
+        f = Formula(2, [[1, -2]])
         w, stats = searchball_fast(f, (1, 1), 5, fp6)
         assert w == (1, 1)
         assert stats.recursion_nodes == 1
 
     def test_many_disjoint_clauses_below_t_is_unreachable(self, fp3):
         # 3 variable-disjoint unsatisfied clauses force distance >= 3 > r = 2
-        f = formula(9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        f = Formula(9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         w, stats = searchball_fast(f, (0,) * 9, 2, fp3)
         assert w is None
         assert stats.recursion_nodes == 1  # pruned at the root
@@ -418,9 +427,13 @@ class TestSearchballFast:
             assert stats.leaves <= stats.recursion_nodes
 
     def test_width_above_code_alphabet_rejected(self, fp3):
-        f = formula(4, [[1, 2, 3, 4]])
+        f = Formula(4, [[1, 2, 3, 4]])
         with pytest.raises(ValueError):
             searchball_fast(f, (0, 0, 0, 0), 1, fp3)
+
+    def test_assignment_length_checked(self, fp3):
+        with pytest.raises(ValueError, match="length"):
+            searchball_fast(Formula(3, [[1, 2, 3]]), (0, 0), 1, fp3)
 
     def test_matches_tuple_per_codeword_tree(self, fp3):
         # the in-place codeword tree gives the witnesses, nodes, leaves and
@@ -522,7 +535,7 @@ class TestBetaSearch:
         # every beta satisfying (x1 v x2 v x3) falsifies a unit clause over
         # vbl(G), which searchball could not branch on
         calls = record_searchball_calls(monkeypatch)
-        f = formula(3, [[1, 2, 3], [-1], [-2], [-3]])
+        f = Formula(3, [[1, 2, 3], [-1], [-2], [-3]])
         g = maximal_disjoint_unsat(f, (0, 0, 0), 3)
         assert g == [(1, 2, 3)]
         stats = SearchStats()
@@ -537,7 +550,7 @@ class TestBetaSearch:
         # with one flip left: x5 misses (-3 v 4), but x4 is in both, so the
         # subsearch starts and its child x4 = 1 is the witness
         calls = record_searchball_calls(monkeypatch)
-        f = formula(5, [[1, 2, 3], [-3, 5, 4], [-3, 4]])
+        f = Formula(5, [[1, 2, 3], [-3, 5, 4], [-3, 4]])
         alpha = (0,) * 5
         g = maximal_disjoint_unsat(f, alpha, 3)
         assert g == [(1, 2, 3)]
@@ -553,7 +566,7 @@ class TestBetaSearch:
         # with one flip left: x2 and x3 each miss (-1 v 4), so both children
         # are leaves one AND settles
         calls = record_searchball_calls(monkeypatch)
-        f = formula(4, [[1], [-1, 2, 3], [-1, 4]])
+        f = Formula(4, [[1], [-1, 2, 3], [-1, 4]])
         alpha = (0,) * 4
         g = maximal_disjoint_unsat(f, alpha, 1)
         assert g == [(1,)]
@@ -631,7 +644,7 @@ class TestBetaSearch:
 
     def test_leaves_no_reference_cycle(self):
         # its state is freed on return, not left to the cycle collector
-        f = formula(6, [[1, 2, 3], [-1, 4], [-2, 5], [4, 5, 6], [-6]])
+        f = Formula(6, [[1, 2, 3], [-1, 4], [-2, 5], [4, 5, 6], [-6]])
         alpha = (0,) * 6
         g = maximal_disjoint_unsat(f, alpha, 3)
         gc.collect()
@@ -659,7 +672,7 @@ class TestRestrictionBranchingDrop:
             restricted = restrict(f, beta)
             for clause in restricted.clauses:
                 merged = tuple(beta.get(v, alpha[v - 1]) for v in range(1, n + 1))
-                if not evaluate(formula(n, [clause]), merged):
+                if not evaluate(Formula(n, [clause]), merged):
                     assert len(clause) <= 2
 
     def test_shrunken_width_gives_k_minus_1_leaf_envelope(self):
@@ -741,7 +754,7 @@ class TestSatisfyingPatterns:
         # enumeration clamps its caps to the width, so every budget that
         # admits all rows shares one entry
         _pattern_table.cache_clear()
-        f = formula(6, [[1, -2, 3, -4, 5, -6], [1, 2]])
+        f = Formula(6, [[1, -2, 3, -4, 5, -6], [1, 2]])
         alpha = (0, 1, 0, 1, 0, 1)
         g = maximal_disjoint_unsat(f, alpha, 6)
         assert _clause_rows(g[0], f.literal_masks)[:2] == (6, 0b010101)

@@ -11,9 +11,9 @@ from itertools import combinations, product
 
 import pytest
 
-from coversat.cnf import Formula, evaluate, formula
+from coversat.cnf import Formula, evaluate
 from coversat.codes import BlockProduct, _word_of, boolean_cover, get_code
-from coversat.csp import CspFormula, brute_force_csp, csp_formula, solve_csp
+from coversat.csp import CspFormula, brute_force_csp, solve_csp
 from coversat.errors import ResourceCapError, UsageError
 from coversat.solver import (
     BRUTE_CHUNK_BITS,
@@ -90,12 +90,12 @@ def _result_key(res):
 
 class TestBruteForce:
     def test_unit_clause(self):
-        res = brute_force(formula(1, [[1]]))
+        res = brute_force(Formula(1, [[1]]))
         assert res.status == "sat"
         assert res.witness == (1,)
 
     def test_contradiction(self):
-        assert brute_force(formula(1, [[1], [-1]])).status == "unsat"
+        assert brute_force(Formula(1, [[1], [-1]])).status == "unsat"
 
     def test_bitmap_matches_naive_enumeration(self):
         rng = random.Random(17)
@@ -112,7 +112,7 @@ class TestBruteForce:
             assert got == expected
 
     def test_first_witness_is_lexicographic(self):
-        f = formula(3, [[1, 2, 3], [-1, -2, -3]])
+        f = Formula(3, [[1, 2, 3], [-1, -2, -3]])
         res = brute_force(f)
         assert res.witness == ref_all_solutions(f)[0] == (0, 0, 1)
 
@@ -121,8 +121,8 @@ class TestBruteForce:
             brute_force(Formula(30, ()))
 
     def test_zero_vars(self):
-        assert brute_force(formula(0, [])).status == "sat"
-        assert brute_force(formula(0, [])).witness == ()
+        assert brute_force(Formula(0, [])).status == "sat"
+        assert brute_force(Formula(0, [])).witness == ()
 
     def test_var_masks_match_division_reference(self):
         # entry [v-1][c-1] is x_v != c: entry [v-1][0], x_v != 1, is x_v = 2,
@@ -139,7 +139,7 @@ class TestBruteForce:
         planted = tuple(rng.randint(0, 1) for _ in range(24))
         units = [[v if bit else -v] for v, bit in enumerate(planted, start=1)]
         try:
-            res = brute_force(formula(24, units))
+            res = brute_force(Formula(24, units))
         finally:
             _value_masks.cache_clear()
         assert (res.status, res.witness) == ("sat", planted)
@@ -151,7 +151,7 @@ class TestBruteForce:
         for _ in range(100):
             n = rng.randint(1, 7)
             f = rand_kcnf(rng, n, rng.randint(0, 12), k=rng.randint(1, min(3, n)))
-            g = csp_formula(2, n, [[(abs(u), 1 if u > 0 else 2) for u in c] for c in f.clauses])
+            g = CspFormula(2, n, [[(abs(u), 1 if u > 0 else 2) for u in c] for c in f.clauses])
             assert _cnf_bitmap(f) == _csp_bitmap(g)
             res, res_csp = brute_force(f), brute_force_csp(g)
             assert res.status == res_csp.status
@@ -222,17 +222,17 @@ class TestChunkedOracle:
         assert brute_force(f).status == "unsat"
 
     def test_zero_vars(self):
-        assert _cnf_bitmap(formula(0, [])) == ref_bitmap(2, 0, []) == 1
-        assert _csp_bitmap(csp_formula(4, 0, [])) == 1
-        assert brute_force_csp(csp_formula(4, 0, [])).witness == ()
+        assert _cnf_bitmap(Formula(0, [])) == ref_bitmap(2, 0, []) == 1
+        assert _csp_bitmap(CspFormula(4, 0, [])) == 1
+        assert brute_force_csp(CspFormula(4, 0, [])).witness == ()
 
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_domain_one(self, n):
         # the one assignment is all ones, and x_v != 1 never holds
-        free = csp_formula(1, n, [])
+        free = CspFormula(1, n, [])
         assert _csp_bitmap(free) == ref_bitmap(1, n, []) == 1
         assert brute_force_csp(free).witness == (1,) * n
-        stuck = csp_formula(1, n, [[(n, 1)]])
+        stuck = CspFormula(1, n, [[(n, 1)]])
         assert _csp_bitmap(stuck) == ref_bitmap(1, n, stuck.constraints) == 0
         assert brute_force_csp(stuck).status == "unsat"
 
@@ -243,7 +243,7 @@ class TestChunkedOracle:
         _value_masks.cache_clear()
         _literal_slots.cache_clear()
         try:
-            res = brute_force(formula(24, [[-1], [2, 24], [-24]]))
+            res = brute_force(Formula(24, [[-1], [2, 24], [-24]]))
             before = _value_masks.cache_info()
             low, top = _value_masks(2, 16), _value_masks(2, 8)
             after = _value_masks.cache_info()
@@ -307,20 +307,66 @@ class TestChunkedOracle:
             _value_masks.cache_clear()
 
 
+# per witness producer, a patch that makes the step before its re-check hand
+# back a witness that falsifies the input, and the call that reaches it
+BAD_WITNESS_PATCHES = {
+    "_search_codeword": (
+        "solver.searchball_fast = lambda f, alpha, r, fp, stats=None: ((0,) * f.num_vars, stats)",
+        "solver.solve_deterministic(CNF)",
+    ),
+    "searchball": (
+        "search._searchball = lambda f, cur, *rest: (0, 0, 0)",
+        "search.searchball(CNF, (0, 0, 0), 1)",
+    ),
+    "searchball_fast": (
+        "search._fast = lambda f, cur, *rest: (0, 0, 0)",
+        "search.searchball_fast(CNF, (0, 0, 0), 1, FastParams(3, 3))",
+    ),
+    "schoening_walk": (
+        "Formula.unsat_mask = lambda self, alpha: 0",
+        "search.schoening_walk(CNF, (0, 0, 0), 0)",
+    ),
+    "solve_schoening": (
+        "solver.schoening_walk = lambda f, alpha, seed, stats=None: (0, 0, 0)",
+        "solver.solve_schoening(CNF)",
+    ),
+    "brute_force": (
+        "solver._first_solution = lambda d, n, constraints: (1, 1, 1)",
+        "solver.brute_force(CNF)",
+    ),
+    "brute_force_csp": (
+        "csp._first_solution = lambda d, n, constraints: (1, 1, 1)",
+        "csp.brute_force_csp(CSP)",
+    ),
+    "csp._solve_box": (
+        "csp.decode_box_witness = lambda box, bits: (1, 1, 1)",
+        "csp.solve_csp(CSP)",
+    ),
+    "cli_cnf": (
+        "cli.solve_deterministic = lambda f, cfg: SolveResult('sat', (0, 0, 0))",
+        "cli.main(['solve', '--input', CNF_PATH])",
+    ),
+    "cli_csp": (
+        "cli.solve_csp = lambda g, cfg: SolveResult('sat', (1, 1, 1))",
+        "cli.main(['solve', '--input', CSP_PATH])",
+    ),
+}
+
+
 class TestSolveDeterministic:
     def test_no_clauses_sat(self):
-        res = solve_deterministic(formula(5, []))
+        res = solve_deterministic(Formula(5, []))
         assert res.status == "sat"
         assert res.witness == (0, 0, 0, 0, 0)
 
     def test_first_codeword_wins_when_trivially_sat(self):
-        res = solve_deterministic(formula(3, [[-1, -2, -3]]))
+        res = solve_deterministic(Formula(3, [[-1, -2, -3]]))
         assert res.status == "sat"
         assert res.stats.codewords_tried == 1
         assert res.witness == (0, 0, 0)  # the lexicographically first codeword
 
     def test_contradiction_unsat(self):
-        assert solve_deterministic(formula(1, [[1], [-1]])).status == "unsat"
+        assert solve_deterministic(Formula(1, [[1], [-1]])).status == "unsat"
 
     def test_empty_clause_short_circuits(self):
         f = Formula(6, ((), (1, 2, 3)))
@@ -329,7 +375,7 @@ class TestSolveDeterministic:
         assert res.stats.codewords_tried == 0
 
     def test_width_two_routes_to_brute(self):
-        f = formula(3, [[1, 2], [-1, 3]])
+        f = Formula(3, [[1, 2], [-1, 3]])
         res = solve_deterministic(f)
         assert res.status == "sat"
         assert evaluate(f, res.witness)
@@ -398,7 +444,7 @@ class TestSolveDeterministic:
 
     def test_uncountable_outer_cover_refused(self):
         # 16 blocks of 16 words: 2^64 codewords, more than len() can report
-        f = formula(192, [[1, 2, 3]])
+        f = Formula(192, [[1, 2, 3]])
         with pytest.raises(ResourceCapError):
             solve_deterministic(f)
 
@@ -444,7 +490,7 @@ class TestSolveDeterministic:
 
     def test_jobs_capped_by_cover_size(self, inline_pool):
         # n=3 at rho=1/3.1 has a 2-word outer cover; 64 jobs ask for 2 workers
-        f = formula(3, [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)])
+        f = Formula(3, [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)])
         cfg = SolverConfig()
         assert len(boolean_cover(3, 1 / 3.1).words) == 2
         par = solve_deterministic(f, replace(cfg, jobs=64))
@@ -525,30 +571,47 @@ class TestSolveDeterministic:
         assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
 
     def test_zero_vars(self):
-        assert solve_deterministic(formula(0, [])).status == "sat"
+        assert solve_deterministic(Formula(0, [])).status == "sat"
 
-    def test_bad_witness_raises_under_optimize(self):
-        # python -O strips assert statements; the witness re-check must survive it
+    @pytest.mark.parametrize("producer", BAD_WITNESS_PATCHES)
+    def test_bad_witness_raises_under_optimize(self, producer, tmp_path):
+        # python -O strips assert statements; every witness re-check must survive it
+        patch, call = BAD_WITNESS_PATCHES[producer]
         script = textwrap.dedent(
             """
+            import sys
+
+            import coversat.cli as cli
+            import coversat.csp as csp
+            import coversat.search as search
             import coversat.solver as solver
-            from coversat.cnf import formula
+            from coversat.cnf import Formula
+            from coversat.csp import CspFormula
+            from coversat.search import FastParams
+            from coversat.solver import SolveResult
 
             assert False, "assert statements must be stripped under -O"
-            solver.searchball_fast = lambda f, alpha, r, fp, stats=None: ((0,) * f.num_vars, stats)
+            CNF = Formula(3, [[1, 2, 3]])  # falsified by (0, 0, 0)
+            CSP = CspFormula(3, 3, [[(1, 1), (2, 1), (3, 1)]])  # falsified by (1, 1, 1)
+            CNF_PATH, CSP_PATH = sys.argv[1:]
+            {patch}
             try:
-                solver.solve_deterministic(formula(3, [[1, 2, 3]]))
-            except AssertionError:
-                raise SystemExit(0)
+                {call}
+            except AssertionError as exc:
+                raise SystemExit(0 if str(exc).startswith("internal error") else 1)
             raise SystemExit(1)
             """
-        )
+        ).format(patch=patch, call=call)
         import coversat
 
+        cnf_path, csp_path = tmp_path / "in.cnf", tmp_path / "in.csp"
+        cnf_path.write_text("p cnf 3 1\n1 2 3 0\n")
+        csp_path.write_text("p csp 3 3 1\n1 1 2 1 3 1 0\n")
         src = os.path.dirname(os.path.dirname(coversat.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
+            [sys.executable, "-O", "-c", script, str(cnf_path), str(csp_path)],
+            env=env, capture_output=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
 
@@ -619,7 +682,7 @@ class TestSolveDeterministic:
         # blocks that the cache no longer has
         _plan.cache_clear()
         for _ in range(2):
-            solve_deterministic(formula(n, [[1, 2, 3]]))
+            solve_deterministic(Formula(n, [[1, 2, 3]]))
         cover = boolean_cover(n, 1 / 3.1)
         assert tuple(seen[0]) == tuple(tuple(s - 1 for s in w) for w in cover.words)
         if n <= 12:
@@ -633,20 +696,20 @@ class TestSolveDeterministic:
 
 class TestSolveSchoening:
     def test_finds_satisfying_quickly(self):
-        f = formula(4, [[1, 2, 3], [-1, 2, 4], [2, 3, 4]])
+        f = Formula(4, [[1, 2, 3], [-1, 2, 4], [2, 3, 4]])
         res = solve_schoening(f, SolverConfig(seed=1))
         assert res.status == "sat"
         assert evaluate(f, res.witness)
 
     def test_unsat_reports_unknown_never_unsat(self):
-        f = formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
+        f = Formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
         assert brute_force(f).status == "unsat"
         res = solve_schoening(f, SolverConfig(seed=0, trial_cap=50))
         assert res.status == "unknown"
         assert res.witness is None
 
     def test_trial_cap_respected(self):
-        f = formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
+        f = Formula(3, [[s1 * 1, s2 * 2, s3 * 3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
         res = solve_schoening(f, SolverConfig(trial_cap=7))
         assert res.stats.trials == 7
 
@@ -659,7 +722,7 @@ class TestSolveSchoening:
         assert a.stats.trials == b.stats.trials
 
     def test_default_cap_formula(self):
-        f = formula(10, [[1, 2, 3]])
+        f = Formula(10, [[1, 2, 3]])
         assert default_trial_cap(f) == 356  # ceil(20 * (4/3)^10)
 
     def test_default_cap_below_the_hard_cap_is_exact(self):
@@ -668,16 +731,16 @@ class TestSolveSchoening:
             for n in range(k, 90):
                 bound = 20 * (2 * (k - 1) / k) ** n
                 cap = RANDOM_TRIAL_HARD_CAP if bound > RANDOM_TRIAL_HARD_CAP else math.ceil(bound)
-                assert default_trial_cap(formula(n, [clause])) == cap, (k, n)
+                assert default_trial_cap(Formula(n, [clause])) == cap, (k, n)
 
     def test_default_cap_of_long_inputs_is_the_hard_cap(self):
         # (4/3)^n overflows a float from n = 2468, (3/2)^n from n = 1751
         for n, k in ((2468, 3), (5000, 3), (1751, 4), (10**6, 4)):
-            f = formula(n, [list(range(1, k + 1))])
+            f = Formula(n, [list(range(1, k + 1))])
             assert default_trial_cap(f) == RANDOM_TRIAL_HARD_CAP == 10**8
 
     def test_width_two_routes_to_brute(self):
-        res = solve_schoening(formula(2, [[1], [-1]]))
+        res = solve_schoening(Formula(2, [[1], [-1]]))
         assert res.status == "unsat"  # brute route may prove unsat
 
     def test_empty_clause_is_unsat_without_trials(self):
@@ -687,7 +750,7 @@ class TestSolveSchoening:
 
 class TestDispatcherAndConfig:
     def test_modes(self):
-        f = formula(3, [[1, 2, 3]])
+        f = Formula(3, [[1, 2, 3]])
         assert brute_force(f).status == "sat"
         assert solve_deterministic(f, SolverConfig()).status == "sat"
         assert solve_schoening(f, SolverConfig()).status == "sat"
@@ -702,7 +765,7 @@ class TestDispatcherAndConfig:
             SolverConfig(jobs=0)
 
     def test_stats_populated(self):
-        f = formula(4, [[1, 2, 3], [-1, -2, -3]])
+        f = Formula(4, [[1, 2, 3], [-1, -2, -3]])
         res = solve_deterministic(f)
         assert res.stats.wall_time > 0
         assert res.stats.recursion_nodes >= 1

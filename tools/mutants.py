@@ -36,6 +36,12 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the repo root
 
 
+# the det-vs-oracle CSP case with d^n > 2^16, so that _chunks groups by top variables
+_CSP_ORACLE_TWO_TOP = (
+    "tests/test_csp_oracle.py::test_verdicts_and_witnesses_match_oracle"
+    "[3-12-widths8-6-0.1-counts8]"
+)
+
 MUTANTS = {
     "restrict-keeps-dropped": Mutant(
         "src/coversat/csp.py",
@@ -93,6 +99,7 @@ MUTANTS = {
         (
             "tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",
             "tests/test_solver.py::TestChunkedOracle::test_csp_matches_full_table",
+            _CSP_ORACLE_TWO_TOP,
         ),
     ),
     "oracle-top-key-not-complemented": Mutant(
@@ -102,6 +109,7 @@ MUTANTS = {
         (
             "tests/test_solver.py::TestChunkedOracle::test_cnf_matches_full_table",
             "tests/test_solver.py::TestChunkedOracle::test_csp_matches_full_table",
+            _CSP_ORACLE_TWO_TOP,
         ),
     ),
     "codewords-as-symbols": Mutant(
@@ -219,6 +227,15 @@ MUTANTS = {
         "sum(block.r for block in blocks)",
         "max(block.r for block in blocks)",
         ("tests/test_codes.py::TestBooleanCover",),
+    ),
+    "random-code-below-sphere-bound-drawn": Mutant(
+        "src/coversat/codes.py",
+        "    if reach < q**t:\n",
+        "    if reach < 0:\n",
+        (
+            "tests/test_codes.py::TestRandomCode::test_size_below_sphere_bound_refused",
+            "tests/test_cli.py::TestGencodeVerifycode::test_random_below_sphere_bound_exit_1",
+        ),
     ),
     "code-memo-key-unnormalized": Mutant(
         "src/coversat/codes.py",
