@@ -25,7 +25,29 @@ from .solver import solve_deterministic
 
 BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_VERIFY_MAX = 10**6
+# characters of the restriction table's rows, m * n * d (csp-d3's are 8,505)
+RESTRICTION_MAX_CHARS = 10**7
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+# 2-box blocks of {1..d}^b for b = 1, 2, ..., found by the seeded local search
+# of tools/search_box_blocks.py (seed 1 for each; 0, 6, 18, 35, 352 and 1007
+# moves for b = 1..6). A box is one digit per coordinate, the index of its
+# pair in combinations(range(1, d + 1), 2): for d = 3, 0 is (1, 2), 1 is
+# (1, 3) and 2 is (2, 3). Each block holds the all-(1, 2) box, so the
+# product cover visits it first. The d = 3 sizes are 2, 3, 5, 8, 12 and 18,
+# where greedy builds 2, 3, 6, 9 and 16 boxes for b = 1..5 and the volume
+# bound ceil((3/2)^b) is 2, 3, 4, 6, 8 and 12.
+SEARCHED_BOX_BLOCKS = {
+    3: (
+        "0 2",
+        "00 12 21",
+        "000 021 112 201 220",
+        "0000 0121 0202 1012 1210 2020 2101 2222",
+        "00000 01110 02122 02201 10011 11101 11222 12210 20102 20221 21012 22020",
+        "000000 002212 011110 012021 020122 021201 100221 101102 110012 112200 121020 "
+        "122111 201011 202120 210101 211222 220210 222002",
+    ),
+}
 
 Constraint = tuple[tuple[int, int], ...]
 TwoBox = tuple[tuple[int, int], ...]
@@ -91,8 +113,14 @@ class CspFormula:
         holds literal j. Built in one pass over the constraints on first use
         and stored on the instance (restrict_to_box reads it for every box);
         plain ints, itemgetters and strings, so a pickled formula carries it.
-        No part of equality or hashing."""
+        No part of equality or hashing. Refused with ResourceCapError, before
+        any row is built, when m*n*d exceeds RESTRICTION_MAX_CHARS."""
         d, width = self.domain_size, self.num_vars * self.domain_size
+        if len(self.constraints) * width > RESTRICTION_MAX_CHARS:
+            raise ResourceCapError(
+                f"m*n*d = {len(self.constraints) * width} restriction table characters exceed "
+                f"the cap {RESTRICTION_MAX_CHARS}"
+            )
         getters, rows = [], []
         for constraint in self.constraints:
             lits = [(v - 1) * d + c - 1 for v, c in constraint]
@@ -199,28 +227,46 @@ def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
 
 @lru_cache(maxsize=16)
 def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
-    """The greedy block of _greedy_box_block, sorted, built once per (d, length).
-    It has at most d^length boxes (every pick covers a new point)."""
-    return tuple(sorted(_greedy_box_block(d, length)))
+    """The block of length coordinates, sorted, built once per (d, length):
+    the searched block of SEARCHED_BOX_BLOCKS, exhaustively verified here,
+    or else the greedy block of _greedy_box_block. Either has at most
+    d^length boxes."""
+    searched = SEARCHED_BOX_BLOCKS.get(d, ())
+    if length > len(searched):
+        return tuple(sorted(_greedy_box_block(d, length)))
+    pairs = list(combinations(range(1, d + 1), 2))
+    block = tuple(sorted(tuple(pairs[int(i)] for i in box) for box in searched[length - 1].split()))
+    if not verify_box_cover(block, d, length):
+        raise CodeConstructionError(f"searched 2-box block (d={d}, b={length}) failed verification")
+    return block
 
 
 def two_box_cover(d: int, n: int) -> BlockProduct:
-    """Cover {1..d}^n with 2-boxes: the product of greedy block covers of
-    b coordinates each (the last block takes the remainder), in sorted order.
+    """Cover {1..d}^n with 2-boxes: the product of block covers of b
+    coordinates each (the last block takes the remainder), in sorted order.
 
-    Each block is exhaustively verified on its d^b points where it is built;
-    covering holds blockwise, so the product needs no further check. b is
-    the largest length <= min(5, n) whose C(d,2)^b candidate boxes fit
-    BOX_CANDIDATE_MAX. Even d always uses blocks of length 1, on which
-    greedy picks the pairs {2j-1, 2j}: they tile the domain, so the cover
-    is their product, exactly (d/2)^n boxes.
+    Each block is exhaustively verified on its d^b points where it is built
+    or loaded; covering holds blockwise, so the product needs no further
+    check. A d with searched blocks (SEARCHED_BOX_BLOCKS: d = 3, b <= 6)
+    takes b = min(6, n): no other split of n <= 24 into lengths 1..6 has
+    fewer boxes. Other odd d take greedy blocks, b the largest length
+    <= min(5, n) whose C(d,2)^b candidate boxes fit BOX_CANDIDATE_MAX. Even
+    d always uses blocks of length 1, on which greedy picks the pairs
+    {2j-1, 2j}: they tile the domain, so the cover is their product,
+    exactly (d/2)^n boxes.
     """
     if d < 2:
         raise ValueError("domain size must be >= 2 for a 2-box cover")
     if n < 1:
         raise ValueError("need at least one variable")
-    fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
-    b = 1 if d % 2 == 0 else max(fits, default=1)
+    searched = len(SEARCHED_BOX_BLOCKS.get(d, ()))
+    if d % 2 == 0:
+        b = 1
+    elif searched:
+        b = min(searched, n)
+    else:
+        fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
+        b = max(fits, default=1)
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
     return BlockProduct(_box_block(d, t) for t in lengths)
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -256,6 +257,27 @@ class TestSolveCommand:
             start = time.perf_counter()
             assert main(["solve", "--input", path]) == 2
             assert time.perf_counter() - start < 1.0
+
+    def test_restriction_table_beyond_cap_exit_2(self, tmp_path, capsys):
+        # d = 600, n = 7, m = 30,000: a 584 KB input inside every other cap,
+        # whose table would hold m*n*d = 1.26e8 characters; csp-d3's shape,
+        # d = 3, n = 9, m = 315, holds 8,505 and solves
+        rng = random.Random("restriction-cap")
+        lines = ["p csp 600 7 30000"]
+        for _ in range(30000):
+            lines.append(" ".join(f"{v} {rng.randint(1, 600)}" for v in rng.sample(range(1, 8), 3))
+                         + " 0")
+        path = write(tmp_path, "wide.csp", "\n".join(lines) + "\n")
+        start = time.perf_counter()
+        assert main(["solve", "--input", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "126000000" in capsys.readouterr().err
+        lines = ["p csp 3 9 315"]
+        for _ in range(315):
+            lines.append(" ".join(f"{v} {rng.randint(1, 3)}" for v in rng.sample(range(1, 10), 3))
+                         + " 0")
+        path = write(tmp_path, "d3.csp", "\n".join(lines) + "\n")
+        assert main(["solve", "--input", path]) in (10, 20)
 
     def test_inner_code_beyond_greedy_cap_exit_2(self, tmp_path, capsys):
         # t=12 asks for the (3,12,4) inner code: 5.3e9 gain updates; at

@@ -1,15 +1,17 @@
 import ast
+import importlib.util
 import pickle
 import random
 import time
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 from coversat.csp import (
     CspFormula,
+    TwoBox,
     brute_force_csp,
     csp_evaluate,
     decode_box_witness,
@@ -29,6 +31,7 @@ from helpers import (
     oracle_bitmap,
     point_in_box,
     rand_csp,
+    rand_kcsp,
     ref_csp_solutions,
     ref_digit_masks,
     ref_product_cover,
@@ -125,6 +128,12 @@ class TestVerifyBoxCover:
             assert verify_box_cover(boxes, d, n) is want, (d, n, boxes)
 
 
+def listed_boxes(d: int, text: str) -> list[TwoBox]:
+    """The boxes of a SEARCHED_BOX_BLOCKS string, in the order it lists them."""
+    pairs = list(combinations(range(1, d + 1), 2))
+    return [tuple(pairs[int(i)] for i in box) for box in text.split()]
+
+
 class TestTwoBoxCover:
     def test_domain_two_single_box(self):
         cover = two_box_cover(2, 4)
@@ -143,8 +152,8 @@ class TestTwoBoxCover:
         assert verify_box_cover(cover, 3, 4) is True
 
     def test_block_concatenation_covers(self):
-        cover = two_box_cover(3, 7)  # blocks of 5 + residual 2
-        assert [len(block[0]) for block in cover.blocks] == [5, 2]
+        cover = two_box_cover(3, 7)  # blocks of 6 + residual 1
+        assert [len(block[0]) for block in cover.blocks] == [6, 1]
         assert verify_box_cover(cover, 3, 7) is True
 
     def test_every_point_in_some_box(self):
@@ -172,30 +181,30 @@ class TestTwoBoxCover:
         monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
         csp._box_block.cache_clear()
         try:
-            assert len(two_box_cover(3, 9)) == 144
-            assert calls and all(n <= 5 for _, n in calls), calls
+            assert len(two_box_cover(3, 9)) == 90
+            assert calls and all(n <= 6 for _, n in calls), calls
             assert len(two_box_cover(4, 9)) == 2**9
-            assert all(n <= 5 for _, n in calls), calls
+            assert all(n <= 6 for _, n in calls), calls
         finally:
             csp._box_block.cache_clear()
 
     def test_covers_hold_only_blocks_built_once(self, monkeypatch):
-        # three shapes in turn: each block is built once per (d, length),
-        # and a cover holds its blocks, not its boxes
+        # three shapes in turn: each block is built (and so verified) once
+        # per (d, length), and a cover holds its blocks, not its boxes
         builds = []
-        greedy = csp._greedy_box_block
+        verify = csp.verify_box_cover
 
-        def recording_greedy(d, length):
-            builds.append((d, length))
-            return greedy(d, length)
+        def recording_verify(cover, d, n):
+            builds.append((d, n))
+            return verify(cover, d, n)
 
-        monkeypatch.setattr(csp, "_greedy_box_block", recording_greedy)
+        monkeypatch.setattr(csp, "verify_box_cover", recording_verify)
         csp._box_block.cache_clear()
         try:
-            shapes = [(3, 10), (3, 11), (3, 15)]
+            shapes = [(3, 12), (3, 13), (3, 18)]
             covers = [two_box_cover(*shape) for shape in shapes]
-            assert builds == [(3, 5), (3, 1)]
-            block = csp._box_block(3, 5)
+            assert builds == [(3, 6), (3, 1)]
+            block = csp._box_block(3, 6)
             assert [len(c) for c in covers] == [len(block) ** 2, 2 * len(block) ** 2,
                                                       len(block) ** 3]
             assert [len(c.blocks) for c in covers] == [2, 3, 3]
@@ -203,8 +212,8 @@ class TestTwoBoxCover:
             assert covers[1].blocks[2] is csp._box_block(3, 1)
             again = two_box_cover(*shapes[0])
             assert again is not covers[0] and tuple(again) == tuple(covers[0])
-            assert verify_box_cover(again, 3, 10)
-            assert builds == [(3, 5), (3, 1)]
+            assert verify_box_cover(again, 3, 12)
+            assert builds == [(3, 6), (3, 1)]
         finally:
             csp._box_block.cache_clear()
 
@@ -213,12 +222,20 @@ class TestTwoBoxCover:
         (5, 5, 2), (5, 4, 4), (4, 5, None), (6, 3, 2), (2, 6, 3),
     ])
     def test_matches_materialized_reference(self, d, n, b):
-        # the boxes, in order, of the sorted product of the greedy blocks (in
-        # pick order) that covers were once built as: at block length b (even
-        # d takes b = 1), the product of the memoized blocks lists them, and
-        # so does two_box_cover(d, n) at the block length it derives
+        # the boxes, in order, of the sorted product of the blocks that covers
+        # were once built as: the greedy blocks in pick order, or for d = 3
+        # the searched blocks as SEARCHED_BOX_BLOCKS lists them. At block
+        # length b (even d takes b = 1), the product of the memoized blocks
+        # lists them, and so does two_box_cover(d, n) at the length it derives
+        searched = csp.SEARCHED_BOX_BLOCKS.get(d, ())
+
+        def block(t):
+            if t > len(searched):
+                return csp._greedy_box_block(d, t)
+            return listed_boxes(d, searched[t - 1])
+
         def reference(lengths):
-            return ref_product_cover([csp._greedy_box_block(d, t) for t in lengths])
+            return ref_product_cover([block(t) for t in lengths])
 
         length = 1 if d % 2 == 0 else b
         at_b = [length] * (n // length) + ([n % length] if n % length else [])
@@ -244,6 +261,76 @@ class TestTwoBoxCover:
             assert any(point_in_box(point, box) for box in cover)
         with pytest.raises(ResourceCapError):
             csp._box_block(7, 5)
+
+
+def _load_block_search():
+    """tools/search_box_blocks.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "search_box_blocks.py"
+    spec = importlib.util.spec_from_file_location("search_box_blocks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (b, boxes, seed, moves) of each searched d = 3 block, as csp.py records them
+SEARCHED_D3 = [(1, 2, 1, 0), (2, 3, 1, 6), (3, 5, 1, 18), (4, 8, 1, 35), (5, 12, 1, 352),
+               (6, 18, 1, 1007)]
+
+
+class TestSearchedBoxBlocks:
+    def test_cover_sizes_and_no_better_split(self):
+        # blocks of 6 and the remainder: 18^(n//6) times the remainder's block,
+        # and no split of n into lengths 1..6 has fewer boxes
+        sizes = [size for _, size, _, _ in SEARCHED_D3]
+        assert [len(two_box_cover(3, n)) for n in range(1, 7)] == [2, 3, 5, 8, 12, 18]
+        fewest = [1]
+        for n in range(1, 25):
+            fewest.append(min(sizes[t - 1] * fewest[n - t] for t in range(1, min(6, n) + 1)))
+            rest = sizes[n % 6 - 1] if n % 6 else 1
+            assert len(two_box_cover(3, n)) == 18 ** (n // 6) * rest == fewest[n], n
+
+    def test_covers_verified_and_visit_all_one_two_box_first(self):
+        for n in range(1, 13):
+            cover = two_box_cover(3, n)
+            assert verify_box_cover(cover, 3, n) is True, n
+            assert next(iter(cover)) == ((1, 2),) * n
+        for length, size, _, _ in SEARCHED_D3:
+            block = csp._box_block(3, length)
+            assert len(set(block)) == len(block) == size
+
+    def test_block_failing_verification_on_load_raises(self, monkeypatch):
+        blocks = csp.SEARCHED_BOX_BLOCKS[3]
+        short = " ".join(blocks[3].split()[:-1])
+        assert not all(any(point_in_box(p, box) for box in listed_boxes(3, short))
+                       for p in product((1, 2, 3), repeat=4))
+        monkeypatch.setitem(csp.SEARCHED_BOX_BLOCKS, 3, blocks[:3] + (short,) + blocks[4:])
+        csp._box_block.cache_clear()
+        try:
+            with pytest.raises(CodeConstructionError, match="searched 2-box block"):
+                two_box_cover(3, 4)
+        finally:
+            csp._box_block.cache_clear()
+
+    def test_search_tool_reproduces_shipped_blocks(self):
+        # the recorded seed and moves give each block exactly, and one move
+        # fewer gives no cover
+        tool = _load_block_search()
+        for length, size, seed, moves in SEARCHED_D3:
+            found, used = tool.search(3, length, size, seed, moves)
+            assert used == moves and found is not None, length
+            block = tool.normalize(found, 3)
+            assert tuple(block) == csp._box_block(3, length)
+            assert tool.block_text(block, 3) == csp.SEARCHED_BOX_BLOCKS[3][length - 1]
+            if moves:
+                assert tool.search(3, length, size, seed, moves - 1) == (None, moves - 1)
+
+    def test_search_tool_prints_block_or_exits_1(self, capsys):
+        tool = _load_block_search()
+        assert tool.main(["--d", "3", "--length", "3", "--size", "5", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "# b=3: 5 boxes, seed 1, 18 moves\n'000 021 112 201 220'\n"
+        assert tool.main(["--d", "3", "--length", "3", "--size", "4", "--moves", "50"]) == 1
+        assert capsys.readouterr().err == "no cover of 4 boxes after 50 moves\n"
 
 
 class TestRestrictToBox:
@@ -365,6 +452,18 @@ class TestRestrictToBox:
             expected = ref_restrict_to_box(g, box)
             assert reduced.clauses == expected.clauses
             assert reduced.literal_masks == expected.literal_masks
+
+    def test_table_over_cap_refused_before_it_is_built(self, monkeypatch):
+        # csp-d3's shape, n = 9 and d = 3 with m = 315, is 8,505 characters
+        box = ((1, 2),) * 9
+        g = rand_kcsp(random.Random("restriction-cap"), 3, 9, 315)
+        monkeypatch.setattr(csp, "RESTRICTION_MAX_CHARS", 8505)
+        restrict_to_box(g, box)
+        monkeypatch.setattr(csp, "RESTRICTION_MAX_CHARS", 8504)
+        again = replace(g)
+        with pytest.raises(ResourceCapError, match="8505"):
+            restrict_to_box(again, box)
+        assert "_restriction" not in vars(again)
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_box_masks_match_masks_from_scratch(self, d):
@@ -623,7 +722,7 @@ class TestSolveCsp:
             for _ in range(2):
                 res = solve_csp(g)
                 assert res.status == "unsat"
-                assert res.stats.boxes_tried == len(two_box_cover(3, 9)) == 144
+                assert res.stats.boxes_tried == len(two_box_cover(3, 9)) == 90
         finally:
             solver._plan.cache_clear()
         assert calls and max(calls.values()) == 1, calls

@@ -10,11 +10,13 @@ and nodes are spent. The n=14 and n=18 cases span two outer blocks, so a
 sat case that needs more codewords than the tail block holds pins the
 product order; t=3 makes the codeword recursion fire (max_depth > 0).
 The two "kcsp" cases are d=3, n=9 CSPs of width-3 constraints, the shape of
-the csp-d3 benchmark: their 144 boxes are the product of 2-box blocks of 16
-and 9 boxes, the unsat case runs all of them, and the sat case needs 31, so
-both cross from one box of the first block to the next. They were recorded
+the csp-d3 benchmark: their 90 boxes are the product of the searched 2-box
+blocks of 18 and 5 boxes, the unsat case runs all of them, and the sat case
+needs 17, so both cross from one box of the first block to the next. The
+three CSP cases were first recorded over greedy blocks (144 boxes at n=9),
 before the small-|G| enumeration read its rows from pattern tables and
-before restrict_to_box read constraint bitsets.
+before restrict_to_box read constraint bitsets, and re-recorded when the
+d=3 covers became products of the searched blocks.
 """
 
 import hashlib
@@ -40,9 +42,9 @@ GOLDEN = [
     ("cnf", 18, 60, 0, 6, "unsat", None, 64, 0, 55198, 64, 0),
     ("cnf", 14, 60, 0, 3, "sat", "10100010111000", 2, 0, 900, 32, 3),
     ("cnf", 14, 60, 2, 3, "unsat", None, 32, 0, 12087, 407, 3),
-    ("csp", 6, 30, 3, 6, "sat", "131212", 42, 11, 297, 42, 0),
-    ("kcsp", 9, 315, 0, 6, "unsat", None, 1152, 144, 39175, 1152, 0),
-    ("kcsp", 9, 198, 11, 6, "sat", "122311322", 244, 31, 7900, 244, 0),
+    ("csp", 6, 30, 3, 6, "sat", "131212", 33, 9, 240, 33, 0),
+    ("kcsp", 9, 315, 0, 6, "unsat", None, 720, 90, 24740, 720, 0),
+    ("kcsp", 9, 198, 11, 6, "sat", "132133123", 131, 17, 4467, 131, 0),
 ]
 
 
@@ -91,7 +93,8 @@ def _digest(items) -> str:
 
 # Covers recorded before the Boolean and 2-box greedy constructions shared one
 # set-cover routine and before 2-box covers were verified per block: the words
-# and boxes, in order, must stay the same.
+# and boxes, in order, must stay the same. The d=3 box rows were re-recorded
+# when d=3 blocks became the searched ones of csp.SEARCHED_BOX_BLOCKS.
 # (q, t, r, number of words, digest of greedy_code(q, t, r).words)
 GOLDEN_CODES = [
     (2, 9, 3, 8, "f82c9866327abfc2"),
@@ -103,9 +106,11 @@ GOLDEN_CODES = [
 # (d, n, b, number of boxes, digest of the product of b-coordinate blocks:
 # two_box_cover(d, n) where b is the length it derives, as for every even d)
 GOLDEN_BOX_COVERS = [
-    (3, 9, 5, 144, "81d246f2d4227c79"),
-    (3, 7, 5, 48, "79898c760304d6ca"),
-    (3, 5, 3, 18, "f6899e5d54c584e9"),
+    (3, 9, 5, 96, "902994f71803b948"),
+    (3, 7, 5, 36, "bc0e66e8e38f10fe"),
+    (3, 5, 3, 15, "d5356aa8a0db67ce"),
+    (3, 9, 6, 90, "f6d3a16b869a73d3"),
+    (3, 13, 6, 648, "4a2a4729fa04ac68"),
     (5, 4, 4, 59, "6e7acfc925a1a31f"),
     (4, 5, 5, 32, "2c543ac2813423ae"),
     (2, 5, 5, 1, "b48f118a94608cff"),

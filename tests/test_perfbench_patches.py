@@ -91,7 +91,7 @@ def test_subsearches_pass_stats_and_root_mask_by_keyword(monkeypatch):
     # one call per beta the enumeration cannot settle in place: not a witness,
     # budget left, a free variable in its lowest unsatisfied clause, and at
     # radius 1 some free literal in every unsatisfied clause
-    assert len(calls) == 26
+    assert len(calls) == 25
 
 
 def test_disjoint_sets_get_the_node_mask_through_module_attribute(monkeypatch):

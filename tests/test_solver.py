@@ -661,7 +661,7 @@ class TestSolveDeterministic:
         monkeypatch.setattr(search, "get_code", lambda *a, **kw: calls.append(a))
         g = rand_kcsp(random.Random("csp:315"), 3, 9, 315)
         res = solve_csp(g)
-        assert (res.status, res.stats.boxes_tried) == ("unsat", 144)
+        assert (res.status, res.stats.boxes_tried) == ("unsat", 90)
         assert calls == []
 
     @pytest.mark.parametrize("n", [9, 30])

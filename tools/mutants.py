@@ -1,6 +1,7 @@
 """Mutation check: each mutant is one small, deliberate fault in the package.
-The script applies it to a temporary copy of src/ and tests/, runs the tests
-that claim to catch it, and reports whether they fail, as they should.
+The script applies it to a temporary copy of src/, tests/ and tools/, runs
+the tests that claim to catch it, and reports whether they fail, as they
+should.
 
     python3 tools/mutants.py              # every mutant
     python3 tools/mutants.py NAME ...     # the named ones
@@ -70,6 +71,26 @@ MUTANTS = {
         '(int(rows[base + hi :: width] or "0", 2), int(rows[base + lo :: width] or "0", 2))',
         '(int(rows[base + lo :: width] or "0", 2), int(rows[base + hi :: width] or "0", 2))',
         ("tests/test_csp.py::TestRestrictToBox::test_box_masks_match_masks_from_scratch",),
+    ),
+    "searched-block-unverified": Mutant(
+        "src/coversat/csp.py",
+        "    if not verify_box_cover(block, d, length):\n"
+        '        raise CodeConstructionError(f"searched',
+        "    if False:\n"
+        '        raise CodeConstructionError(f"searched',
+        (
+            "tests/test_csp.py::TestSearchedBoxBlocks"
+            "::test_block_failing_verification_on_load_raises",
+        ),
+    ),
+    "searched-block-drops-a-box": Mutant(
+        "src/coversat/csp.py",
+        ' 222002",',
+        '",',
+        (
+            "tests/test_csp.py::TestSearchedBoxBlocks::test_cover_sizes_and_no_better_split",
+            "tests/test_csp.py::TestSearchedBoxBlocks::test_search_tool_reproduces_shipped_blocks",
+        ),
     ),
     "plan-not-memoized": Mutant(
         "src/coversat/solver.py",
@@ -248,7 +269,7 @@ MUTANTS = {
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "tools"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
 
 
