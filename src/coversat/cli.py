@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import bench as bench_mod
-from .codes import get_code, random_code, verify_cover
+from .codes import greedy_code, random_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
 from .errors import CoversatError, ResourceCapError, UsageError
 from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
@@ -194,7 +194,7 @@ def _cmd_gencode(args) -> int:
     elif args.size is not None or args.seed is not None:
         raise UsageError("--size and --seed apply to --method random only")
     else:
-        code = get_code(args.q, args.t, args.radius)
+        code = greedy_code(args.q, args.t, args.radius)
     text = write_code(code)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -30,7 +30,7 @@ RESTRICTION_MAX_CHARS = 10**7
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 # 2-box blocks of {1..d}^b for b = 1, 2, ..., found by the seeded local search
-# of tools/search_box_blocks.py (seed 1 for each; 0, 6, 18, 35, 352 and 1007
+# of tools/search_covers.py (seed 1 for each; 0, 6, 18, 35, 352 and 1007
 # moves for b = 1..6). A box is one digit per coordinate, the index of its
 # pair in combinations(range(1, d + 1), 2): for d = 3, 0 is (1, 2), 1 is
 # (1, 3) and 2 is (2, 3). Each block holds the all-(1, 2) box, so the
@@ -361,6 +361,9 @@ def solve_csp(f: CspFormula, cfg: SolverConfig | None = None) -> SolveResult:
     d, n = f.domain_size, f.num_vars
     if d == 1 or f.max_width <= 2 or n == 0:
         return brute_force_csp(f)
+    # the restriction table is built here, before any pool starts: --jobs
+    # workers receive it with the pickled formula, and its cap refuses first
+    f._restriction
     task = partial(_solve_box, f, replace(cfg, jobs=1))
     stats = SolveStats()
     witness = first_witness(task, two_box_cover(d, n), cfg.jobs, stats)

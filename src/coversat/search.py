@@ -87,8 +87,9 @@ class FastParams:
     delta = t - 2*ceil(t/k) is the guaranteed radius progress per level and
     must be positive, which needs k >= 3. Construction checks k, delta and
     the greedy cost cap of the code without building it; the first read of
-    code gets the verified greedy code from get_code (cache_dir as there)
-    and keeps it on the instance, so a pickled copy carries it once it is
+    code gets the verified code from get_code (the searched code of
+    codes.SEARCHED_CODES where it holds one, else the greedy code, with
+    cache_dir as there) and keeps it on the instance, so a pickled copy carries it once it is
     built. The code is read only at a node with t disjoint width-k clauses,
     which needs n >= k*t variables.
     """

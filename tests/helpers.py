@@ -5,14 +5,19 @@ enumeration, no bit tricks) so they remain independent of the code paths
 they are used to check. The CNF operations first_unsatisfied_clause,
 assign_literal, restrict and flip are plain clause-by-clause definitions,
 and hamming_distance a plain count, that only the tests use.
+load_search_tool loads tools/search_covers.py, which is not a package
+module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from collections.abc import Callable, Iterable
 from itertools import combinations, product
+from pathlib import Path
+from types import ModuleType
 
 import coversat.search
 import coversat.solver
@@ -463,3 +468,12 @@ def ref_restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:
 def point_in_box(point: tuple[int, ...], box: TwoBox) -> bool:
     """True iff each coordinate of point is one of its pair's two values."""
     return all(p == lo or p == hi for p, (lo, hi) in zip(point, box))
+
+
+def load_search_tool() -> ModuleType:
+    """tools/search_covers.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "search_covers.py"
+    spec = importlib.util.spec_from_file_location("search_covers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

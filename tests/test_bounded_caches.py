@@ -167,4 +167,6 @@ def test_importing_the_cli_builds_nothing():
     assert "coversat.solver._value_masks" in caches, caches
     assert "coversat.cli._build_parser" in caches, caches
     assert "coversat.codes._load_code" in caches, caches
+    # nor parses a searched code: those are read at their first use
+    assert "coversat.codes._searched_code" in caches, caches
     assert all(size == 0 for size in caches.values()), caches

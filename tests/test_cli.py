@@ -140,12 +140,14 @@ class TestSolveCommand:
 
     def test_cache_dir_outer_blocks_reload(self, tmp_path, monkeypatch):
         # the first solve writes the outer block; with the codes and the
-        # plans forgotten, the second loads it and builds no code
+        # plans forgotten, the second loads it and builds no code. n = 10
+        # runs one block of radius 4, a shape with no searched code, which
+        # never touches the cache dir
         import coversat.codes as codes
         import coversat.solver as solver
 
         cache = tmp_path / "codes"
-        cnf = write(tmp_path, "u.cnf", "p cnf 9 8\n" + "".join(
+        cnf = write(tmp_path, "u.cnf", "p cnf 10 8\n" + "".join(
             f"{s1} {s2} {s3} 0\n" for s1 in (1, -1) for s2 in (2, -2) for s3 in (3, -3)
         ))
         def no_build(*args):
@@ -153,7 +155,7 @@ class TestSolveCommand:
 
         # codes are memoized per cache dir: the cover without one is built
         # here, before greedy_code is patched
-        cover_size = len(boolean_cover(9, 1 / 3.1))
+        cover_size = len(boolean_cover(10, 1 / 3.1))
         codes._load_code.cache_clear()
         solver._plan.cache_clear()
         reports = []
@@ -167,8 +169,8 @@ class TestSolveCommand:
                 argv = ["solve", "--input", cnf, "--cache-dir", str(cache), "--stats", str(stats)]
                 assert main(argv) == 20
                 reports.append({**json.loads(stats.read_text()), "wall_time": 0})
-                # 9 variables at radius fraction 1/3.1: one block of radius 3
-                assert os.listdir(cache) == ["greedy_q2_t9_r3.code"]
+                # 10 variables at radius fraction 1/3.1: one block of radius 4
+                assert os.listdir(cache) == ["greedy_q2_t10_r4.code"]
         finally:
             solver._plan.cache_clear()
         assert reports[0] == reports[1]
@@ -199,7 +201,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv, module, work", [
         (["solve", "--input", "s.cnf", "--stats"], coversat.cli, "solve_deterministic"),
-        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli, "get_code"),
+        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli,
+         "greedy_code"),
         (["bench", "--r", "1:3", "--trials", "1", "--csv"], coversat.bench, "gen_planted"),
     ], ids=["solve-stats", "gencode-out", "bench-csv"])
     def test_unwritable_output_exit_1_before_any_work(
@@ -220,7 +223,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv, module, work", [
         (["solve", "--input", "s.cnf", "--stats"], coversat.cli, "solve_deterministic"),
-        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli, "get_code"),
+        (["gencode", "--q", "2", "--t", "3", "--radius", "1", "--out"], coversat.cli,
+         "greedy_code"),
         (["bench", "--r", "1:3", "--trials", "1", "--csv"], coversat.bench, "gen_planted"),
     ], ids=["solve-stats", "gencode-out", "bench-csv"])
     def test_directory_output_exit_1_before_any_work(
@@ -258,10 +262,13 @@ class TestSolveCommand:
             assert main(["solve", "--input", path]) == 2
             assert time.perf_counter() - start < 1.0
 
-    def test_restriction_table_beyond_cap_exit_2(self, tmp_path, capsys):
+    def test_restriction_table_beyond_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # d = 600, n = 7, m = 30,000: a 584 KB input inside every other cap,
         # whose table would hold m*n*d = 1.26e8 characters; csp-d3's shape,
-        # d = 3, n = 9, m = 315, holds 8,505 and solves
+        # d = 3, n = 9, m = 315, holds 8,505 and solves. With --jobs 2 the
+        # cap refuses before any pool starts
+        import coversat.solver as solver
+
         rng = random.Random("restriction-cap")
         lines = ["p csp 600 7 30000"]
         for _ in range(30000):
@@ -271,6 +278,14 @@ class TestSolveCommand:
         start = time.perf_counter()
         assert main(["solve", "--input", path]) == 2
         assert time.perf_counter() - start < 1.0
+        assert "126000000" in capsys.readouterr().err
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(solver, "Pool", no_pool)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        assert main(["solve", "--input", path, "--jobs", "2"]) == 2
         assert "126000000" in capsys.readouterr().err
         lines = ["p csp 3 9 315"]
         for _ in range(315):

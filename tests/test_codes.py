@@ -15,6 +15,7 @@ from coversat.codes import (
     VERIFY_MAX_SPACE,
     BlockProduct,
     CoveringCode,
+    SEARCHED_CODES,
     _ball_of,
     _bitsliced_pays,
     _ceil_fraction,
@@ -22,6 +23,7 @@ from coversat.codes import (
     _load_code,
     _periodic_mask,
     _product_indices,
+    _searched_code,
     _word_of,
     ball_volume,
     boolean_cover,
@@ -38,6 +40,7 @@ from coversat.formats import read_code, write_code
 
 from helpers import (
     hamming_distance,
+    load_search_tool,
     ref_ball_of,
     ref_greedy_set_cover,
     ref_product_cover,
@@ -492,8 +495,8 @@ class TestGreedyCode:
 class TestBooleanCover:
     def test_single_block_when_n_equals_b(self):
         assert OUTER_BLOCK_LEN == 12
-        assert boolean_cover(12, 1 / 3.1) == greedy_code(2, 12, 4)
-        assert boolean_cover(4, 0.5) == greedy_code(2, 4, 2)
+        assert boolean_cover(12, 1 / 3.1) is get_code(2, 12, 4)
+        assert boolean_cover(4, 0.5) is get_code(2, 4, 2)
 
     def test_two_block_example_covers_radius_two(self):
         # blocks of 12 and 1 bits, each of radius 1 at rho = 1/12
@@ -503,14 +506,14 @@ class TestBooleanCover:
         assert ref_verify_cover(2, 13, 2, cover.words)
 
     def test_size_is_block_size_power(self):
-        block = greedy_code(2, 12, 4)
+        block = get_code(2, 12, 4)
         cover = boolean_cover(36, 1 / 3.1)
         assert len(cover.words) == len(block.words) ** 3
         assert cover.r == 12
 
     def test_residual_block(self):
         cover = boolean_cover(14, 1 / 3.1)
-        block, tail = greedy_code(2, 12, 4), greedy_code(2, 2, 1)
+        block, tail = get_code(2, 12, 4), get_code(2, 2, 1)
         assert len(cover.words) == len(block.words) * len(tail.words)
         assert cover.r == block.r + tail.r
         assert verify_cover(cover) is True
@@ -541,7 +544,7 @@ class TestBooleanCover:
         assert cover.verified is True
 
     def test_outer_cover_beyond_old_cap_is_lazy(self):
-        # 16^6 words: refused by the old word-count cap, now held as its blocks
+        # 13^6 words: refused by the old word-count cap, now held as its blocks
         block = boolean_cover(12, 1 / 3.1)
         tracemalloc.start()
         try:
@@ -552,16 +555,16 @@ class TestBooleanCover:
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
-        assert len(cover.words) == len(block.words) ** 6 == 16**6
+        assert len(cover.words) == len(block.words) ** 6 == 13**6
         assert (cover.t, cover.r, cover.verified) == (72, 6 * block.r, True)
         first = next(iter(cover.words))
         assert first == block.words[0] * 6
 
     def test_uncountable_product_refused(self):
-        # 16^16 words: more than len() can report
-        assert 16**16 > sys.maxsize
+        # 13^18 words: more than len() can report
+        assert len(get_code(2, 12, 4)) ** 18 > sys.maxsize
         with pytest.raises(ResourceCapError):
-            boolean_cover(16 * 12, 1 / 3.1)
+            boolean_cover(18 * 12, 1 / 3.1)
 
     def test_long_product_refused_in_linear_time(self):
         # 10^6 blocks: the size stops growing at the first product past the cap
@@ -592,7 +595,7 @@ class TestBooleanCover:
     def test_product_beyond_verification_cap_spot_check(self):
         # 2^24 words exceed VERIFY_MAX_SPACE, so only sampling can check it
         cover = boolean_cover(24, 1 / 3.1)
-        block = greedy_code(2, 12, 4)
+        block = get_code(2, 12, 4)
         assert (cover.t, cover.r) == (24, 8)
         assert len(cover.words) == len(block.words) ** 2
         assert cover.verified is True
@@ -613,6 +616,88 @@ class TestBooleanCover:
             boolean_cover(4, 0.0)
         with pytest.raises(ValueError):
             boolean_cover(4, 0.6)
+
+
+# (q, t, r), words, seed and moves of each code of SEARCHED_CODES, as codes.py
+# records them. The search at the shapes of SLOW_SEARCHES takes over a second,
+# so tier-1 reruns the search at every other shape only.
+SEARCHED_CODE_RUNS = [
+    ((2, 5, 1), 7, 1, 15),
+    ((2, 7, 2), 7, 1, 20),
+    ((2, 8, 2), 12, 1, 155),
+    ((2, 9, 3), 7, 1, 1058),
+    ((2, 10, 3), 12, 1, 918),
+    ((2, 11, 4), 7, 7, 586),
+    ((2, 12, 3), 31, 2, 13515),
+    ((2, 12, 4), 13, 1, 2951),
+    ((3, 6, 2), 17, 1, 3999),
+    ((4, 6, 2), 64, 3, 14302),
+    ((5, 6, 2), 167, 1, 19304),
+]
+SLOW_SEARCHES = {(2, 12, 3), (2, 12, 4), (4, 6, 2), (5, 6, 2)}
+
+
+def _shipped_words(text: str) -> list[tuple[int, ...]]:
+    """The words of a SEARCHED_CODES string, in the order it lists them."""
+    return [tuple(int(digit) + 1 for digit in word) for word in text.split()]
+
+
+class TestSearchedCodes:
+    def test_runs_recorded_for_every_shipped_shape(self):
+        assert [shape for shape, *_ in SEARCHED_CODE_RUNS] == list(SEARCHED_CODES)
+
+    @pytest.mark.parametrize("run", SEARCHED_CODE_RUNS, ids=lambda c: "q{}-t{}-r{}".format(*c[0]))
+    def test_verified_smaller_than_greedy_all_ones_first(self, run):
+        shape, size, _, _ = run
+        q, t, r = shape
+        code = get_code(q, t, r)
+        assert code is _searched_code(q, t, r) and code.verified is True
+        assert ref_verify_cover(q, t, r, code.words)
+        assert len(code) == len(_shipped_words(SEARCHED_CODES[shape])) == size
+        assert size < len(greedy_code(q, t, r))
+        assert code.words[0] == (1,) * t
+
+    def test_word_dropped_from_shipped_code_raises_on_load(self, monkeypatch):
+        # (2,9,3) has 7 words, the fewest possible: any 6 of them leave a gap
+        short = " ".join(SEARCHED_CODES[2, 9, 3].split()[:-1])
+        assert not ref_verify_cover(2, 9, 3, _shipped_words(short))
+        monkeypatch.setitem(SEARCHED_CODES, (2, 9, 3), short)
+        _searched_code.cache_clear()
+        try:
+            with pytest.raises(CodeConstructionError, match="searched code"):
+                boolean_cover(9, 1 / 3.1)
+        finally:
+            _searched_code.cache_clear()
+
+    def test_cache_dir_never_touched(self, tmp_path):
+        cache = tmp_path / "codes"
+        code = get_code(2, 12, 4, cache_dir=cache)
+        assert code is get_code(2, 12, 4) is boolean_cover(12, 1 / 3.1, cache_dir=cache)
+        assert not cache.exists()
+
+    def test_search_tool_reproduces_shipped_codes(self):
+        # the recorded seed and moves give each code exactly, and one move
+        # fewer gives no code
+        tool = load_search_tool()
+        for shape, size, seed, moves in SEARCHED_CODE_RUNS:
+            if shape in SLOW_SEARCHES:
+                continue
+            q, t, r = shape
+            found, used = tool.search_code(q, t, r, size, seed, moves)
+            assert used == moves and found is not None, shape
+            words = tool.normalize_code(found, q)
+            assert tuple(words) == get_code(q, t, r).words
+            assert tool.code_text(words) == SEARCHED_CODES[shape]
+            assert tool.search_code(q, t, r, size, seed, moves - 1) == (None, moves - 1)
+
+    def test_search_tool_prints_code_or_exits_1(self, capsys):
+        tool = load_search_tool()
+        argv = ["code", "--q", "2", "--t", "5", "--r", "1", "--seed", "1"]
+        assert tool.main([*argv, "--size", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"# (2,5,1): 7 words, seed 1, 15 moves\n{SEARCHED_CODES[2, 5, 1]!r}\n"
+        assert tool.main([*argv, "--size", "6", "--moves", "50"]) == 1
+        assert capsys.readouterr().err == "no cover of 6 words after 50 moves\n"
 
 
 class TestGetCodeCache:

@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import pickle
 import random
 import time
@@ -28,6 +27,7 @@ from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
 from helpers import (
+    load_search_tool,
     oracle_bitmap,
     point_in_box,
     rand_csp,
@@ -263,15 +263,6 @@ class TestTwoBoxCover:
             csp._box_block(7, 5)
 
 
-def _load_block_search():
-    """tools/search_box_blocks.py as a module."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "search_box_blocks.py"
-    spec = importlib.util.spec_from_file_location("search_box_blocks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # (b, boxes, seed, moves) of each searched d = 3 block, as csp.py records them
 SEARCHED_D3 = [(1, 2, 1, 0), (2, 3, 1, 6), (3, 5, 1, 18), (4, 8, 1, 35), (5, 12, 1, 352),
                (6, 18, 1, 1007)]
@@ -314,22 +305,22 @@ class TestSearchedBoxBlocks:
     def test_search_tool_reproduces_shipped_blocks(self):
         # the recorded seed and moves give each block exactly, and one move
         # fewer gives no cover
-        tool = _load_block_search()
+        tool = load_search_tool()
         for length, size, seed, moves in SEARCHED_D3:
-            found, used = tool.search(3, length, size, seed, moves)
+            found, used = tool.search_box_block(3, length, size, seed, moves)
             assert used == moves and found is not None, length
             block = tool.normalize(found, 3)
             assert tuple(block) == csp._box_block(3, length)
             assert tool.block_text(block, 3) == csp.SEARCHED_BOX_BLOCKS[3][length - 1]
             if moves:
-                assert tool.search(3, length, size, seed, moves - 1) == (None, moves - 1)
+                assert tool.search_box_block(3, length, size, seed, moves - 1) == (None, moves - 1)
 
     def test_search_tool_prints_block_or_exits_1(self, capsys):
-        tool = _load_block_search()
-        assert tool.main(["--d", "3", "--length", "3", "--size", "5", "--seed", "1"]) == 0
+        tool = load_search_tool()
+        assert tool.main(["box", "--d", "3", "--length", "3", "--size", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out == "# b=3: 5 boxes, seed 1, 18 moves\n'000 021 112 201 220'\n"
-        assert tool.main(["--d", "3", "--length", "3", "--size", "4", "--moves", "50"]) == 1
+        assert tool.main(["box", "--d", "3", "--length", "3", "--size", "4", "--moves", "50"]) == 1
         assert capsys.readouterr().err == "no cover of 4 boxes after 50 moves\n"
 
 
@@ -638,24 +629,27 @@ class TestSolveCsp:
         assert res.stats.boxes_tried == len(two_box_cover(3, 4))
 
     def test_parallel_jobs_start_one_pool(self, monkeypatch):
-        # the boxes share one pool; each box's codewords run in its worker
+        # the boxes share one pool; each box's codewords run in its worker.
+        # The restriction table is built before the pool starts, so the
+        # workers receive it with the pickled formula
         import coversat.solver as solver
 
+        g = saturated_triple()
         pools = []
         real = solver.Pool
 
         def counting(processes, *args, **kwargs):
-            pools.append(processes)
+            pools.append((processes, "_restriction" in vars(g)))
             return real(processes, *args, **kwargs)
 
         monkeypatch.setattr(solver, "Pool", counting)
         # two usable CPUs keep the pool under test on a 1-CPU host too
         monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-        g = saturated_triple()
         res = solve_csp(g, SolverConfig(jobs=2))
         assert res.status == "unsat"
         assert res.stats.boxes_tried == len(two_box_cover(3, 4))
-        assert pools == [2]
+        assert pools == [(2, True)]
+        assert "_restriction" in vars(g)
 
     def test_near_saturated_is_sat(self):
         full = saturated_triple()
@@ -706,6 +700,7 @@ class TestSolveCsp:
         import coversat.codes as codes
 
         codes._load_code.cache_clear()
+        codes._searched_code.cache_clear()
         calls: dict[tuple[int, int, int], int] = {}
         verify = codes.verify_cover
 

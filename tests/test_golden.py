@@ -17,6 +17,15 @@ three CSP cases were first recorded over greedy blocks (144 boxes at n=9),
 before the small-|G| enumeration read its rows from pattern tables and
 before restrict_to_box read constraint bitsets, and re-recorded when the
 d=3 covers became products of the searched blocks.
+
+Every row that runs a shape of codes.SEARCHED_CODES was re-recorded when
+get_code began to return those searched codes in place of greedy ones:
+the n=9 CNFs and each box of the kcsp cases run the 7-word (2,9,3) code
+(greedy: 8 words), n=14 and n=18 the 13-word (2,12,4) block (greedy: 16)
+times the (2,2,1) or (2,6,2) tail. The other shapes these rows use, the
+tails, the t=3 inner code (3,3,1) and the csp case's (2,6,2) block, have
+no searched code and are built as before, so the csp row and the t=3 sat
+row, which needs only the first codewords of the product, did not change.
 """
 
 import hashlib
@@ -34,17 +43,17 @@ from helpers import rand_csp, rand_kcnf, rand_kcsp
 # kind, n, m, seed, t, status, witness, codewords_tried, boxes_tried,
 # recursion_nodes, leaves, max_depth
 GOLDEN = [
-    ("cnf", 9, 30, 1, 6, "sat", "111000001", 3, 0, 69, 3, 0),
-    ("cnf", 9, 45, 0, 6, "unsat", None, 8, 0, 250, 8, 0),
-    ("cnf", 14, 50, 3, 6, "sat", "01010100011111", 5, 0, 957, 5, 0),
-    ("cnf", 14, 70, 1, 6, "unsat", None, 32, 0, 8861, 32, 0),
-    ("cnf", 18, 80, 2, 6, "sat", "101111000100100001", 11, 0, 9179, 11, 0),
-    ("cnf", 18, 60, 0, 6, "unsat", None, 64, 0, 55198, 64, 0),
+    ("cnf", 9, 30, 1, 6, "sat", "111000011", 3, 0, 48, 3, 0),
+    ("cnf", 9, 45, 0, 6, "unsat", None, 7, 0, 212, 7, 0),
+    ("cnf", 14, 50, 3, 6, "sat", "01100111011011", 3, 0, 764, 3, 0),
+    ("cnf", 14, 70, 1, 6, "unsat", None, 26, 0, 6631, 26, 0),
+    ("cnf", 18, 80, 2, 6, "sat", "101111000100100001", 11, 0, 11697, 11, 0),
+    ("cnf", 18, 60, 0, 6, "unsat", None, 52, 0, 41751, 52, 0),
     ("cnf", 14, 60, 0, 3, "sat", "10100010111000", 2, 0, 900, 32, 3),
-    ("cnf", 14, 60, 2, 3, "unsat", None, 32, 0, 12087, 407, 3),
+    ("cnf", 14, 60, 2, 3, "unsat", None, 26, 0, 12504, 456, 3),
     ("csp", 6, 30, 3, 6, "sat", "131212", 33, 9, 240, 33, 0),
-    ("kcsp", 9, 315, 0, 6, "unsat", None, 720, 90, 24740, 720, 0),
-    ("kcsp", 9, 198, 11, 6, "sat", "132133123", 131, 17, 4467, 131, 0),
+    ("kcsp", 9, 315, 0, 6, "unsat", None, 630, 90, 21765, 630, 0),
+    ("kcsp", 9, 198, 11, 6, "sat", "132133123", 114, 17, 3820, 114, 0),
 ]
 
 

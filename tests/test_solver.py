@@ -443,8 +443,8 @@ class TestSolveDeterministic:
         assert sat >= 10 and unsat >= 5, (sat, unsat)
 
     def test_uncountable_outer_cover_refused(self):
-        # 16 blocks of 16 words: 2^64 codewords, more than len() can report
-        f = Formula(192, [[1, 2, 3]])
+        # 18 blocks of 13 words: 13^18 > 2^66 codewords, more than len() can report
+        f = Formula(216, [[1, 2, 3]])
         with pytest.raises(ResourceCapError):
             solve_deterministic(f)
 
@@ -530,7 +530,7 @@ class TestSolveDeterministic:
         monkeypatch.setattr(solver, "searchball_fast", recording)
         f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
         res = solve_deterministic(f)
-        assert (res.status, res.stats.codewords_tried, len(records)) == ("unsat", 32, 32)
+        assert (res.status, res.stats.codewords_tried, len(records)) == ("unsat", 26, 26)
         assert all(stats is res.stats for stats in records)
 
     def test_csp_record_sums_the_box_records(self, monkeypatch):
@@ -561,14 +561,14 @@ class TestSolveDeterministic:
         assert statuses == {"sat", "unsat"}
 
     def test_jobs_capped_by_usable_cpus(self, inline_pool, monkeypatch):
-        # 500 jobs on a 32-word cover ask for as many workers as CPUs
+        # 500 jobs on a 26-word cover ask for as many workers as CPUs
         import coversat.solver
 
         monkeypatch.setattr(coversat.solver, "_usable_cpus", lambda: 3)
         f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
         res = solve_deterministic(f, SolverConfig(jobs=500))
         assert inline_pool == [3]
-        assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 26)
 
     def test_zero_vars(self):
         assert solve_deterministic(Formula(0, [])).status == "sat"
@@ -625,7 +625,7 @@ class TestSolveDeterministic:
         f = rand_kcnf(random.Random("jobs:1:70"), 14, 70)
         res = solve_deterministic(f, SolverConfig(jobs=2))
         assert inline_pool == [2]
-        assert (res.status, res.stats.codewords_tried) == ("unsat", 32)
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 26)
         assert len(calls) == 0
 
     def test_parent_builds_the_code_workers_receive(self, inline_pool, monkeypatch):
@@ -649,7 +649,7 @@ class TestSolveDeterministic:
         finally:
             _plan.cache_clear()
         assert inline_pool == [2]
-        assert (res.status, res.stats.codewords_tried) == ("unsat", 64)
+        assert (res.status, res.stats.codewords_tried) == ("unsat", 52)
         assert calls == [((3, 6, 2), [])]
         assert "code" in vars(solver._install_task.task.args[2])
 

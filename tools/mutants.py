@@ -92,6 +92,15 @@ MUTANTS = {
             "tests/test_csp.py::TestSearchedBoxBlocks::test_search_tool_reproduces_shipped_blocks",
         ),
     ),
+    "restriction-table-built-in-workers": Mutant(
+        "src/coversat/csp.py",
+        "    f._restriction\n",
+        "",
+        (
+            "tests/test_csp.py::TestSolveCsp::test_parallel_jobs_start_one_pool",
+            "tests/test_cli.py::TestSolveCommand::test_restriction_table_beyond_cap_exit_2",
+        ),
+    ),
     "plan-not-memoized": Mutant(
         "src/coversat/solver.py",
         "@lru_cache(maxsize=32)\ndef _plan(",
@@ -256,6 +265,27 @@ MUTANTS = {
         (
             "tests/test_codes.py::TestRandomCode::test_size_below_sphere_bound_refused",
             "tests/test_cli.py::TestGencodeVerifycode::test_random_below_sphere_bound_exit_1",
+        ),
+    ),
+    "searched-code-unverified": Mutant(
+        "src/coversat/codes.py",
+        "    if not verify_cover(code):\n"
+        '        raise CodeConstructionError(f"searched code',
+        "    if False:\n"
+        '        raise CodeConstructionError(f"searched code',
+        (
+            "tests/test_codes.py::TestSearchedCodes"
+            "::test_word_dropped_from_shipped_code_raises_on_load",
+        ),
+    ),
+    "searched-code-drops-a-word": Mutant(
+        "src/coversat/codes.py",
+        ' 110100100",',
+        '",',
+        (
+            "tests/test_codes.py::TestSearchedCodes"
+            "::test_verified_smaller_than_greedy_all_ones_first",
+            "tests/test_codes.py::TestSearchedCodes::test_search_tool_reproduces_shipped_codes",
         ),
     ),
     "code-memo-key-unnormalized": Mutant(
