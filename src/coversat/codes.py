@@ -10,6 +10,8 @@ A set of words is then also a q^t-bit int, bit i for word i: greedy_code
 counts the gains of all words at once on such bitsets when that is
 estimated to pay (_bitsliced_pays), with the same picks as the set cover
 over ball lists, and verify_cover dilates the codewords' bitset to radius r.
+get_code returns the codes of SEARCHED_CODES, found offline and verified on
+first use, in place of greedy ones.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ SEARCHED_CODES = {
     # seed 1, 155 moves; greedy 16
     (2, 8, 2): "00000000 00001110 00101100 00110011 01001001 01111111 10001001 10010101 11010100 "
     "11100111 11110010 11111010",
+    # seed 2, 3256 moves; greedy 24
+    (2, 9, 2): "000000000 000011100 001011001 001100111 010001001 010110111 011101110 011110010 "
+    "100101111 100110011 101010100 101101010 110000100 110111010 111000001 111011101",
     # seed 1, 1058 moves; greedy 8
     (2, 9, 3): "000000000 010111111 011100111 011111101 100000001 101011010 110100100",
     # seed 1, 918 moves; greedy 13

@@ -25,7 +25,8 @@ class ResourceCapError(CoversatError):
 
 class CodeConstructionError(CoversatError):
     """A constructed cover failed its check: a random code exhausted its
-    retry budget, or a greedy code or 2-box block did not cover its space."""
+    retry budget, or a greedy or shipped code or 2-box block did not cover
+    its space."""
 
 
 class UsageError(CoversatError):

@@ -625,6 +625,7 @@ SEARCHED_CODE_RUNS = [
     ((2, 5, 1), 7, 1, 15),
     ((2, 7, 2), 7, 1, 20),
     ((2, 8, 2), 12, 1, 155),
+    ((2, 9, 2), 16, 2, 3256),
     ((2, 9, 3), 7, 1, 1058),
     ((2, 10, 3), 12, 1, 918),
     ((2, 11, 4), 7, 7, 586),

@@ -165,13 +165,6 @@ def code_text(words: list[Word]) -> str:
     return " ".join("".join(str(s - 1) for s in word) for word in words)
 
 
-def _print_literal(comment: str, text: str) -> None:
-    print(f"# {comment}")
-    # one string literal per line of at most 80 characters, joined by Python
-    lines = textwrap.wrap(text, 80)
-    print(*[repr(line + " ") for line in lines[:-1]], repr(lines[-1]), sep="\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     kinds = parser.add_subparsers(dest="kind", required=True)
@@ -213,7 +206,10 @@ def main(argv: list[str] | None = None) -> int:
             raise AssertionError("internal error: the normalized code failed verification")
         comment = f"({args.q},{args.t},{args.r}): {len(words)} words"
         text = code_text(words)
-    _print_literal(f"{comment}, seed {args.seed}, {moves} moves", text)
+    print(f"# {comment}, seed {args.seed}, {moves} moves")
+    # one string literal per line of at most 80 characters, joined by Python
+    lines = textwrap.wrap(text, 80)
+    print(*[repr(line + " ") for line in lines[:-1]], repr(lines[-1]), sep="\n")
     return 0
 
 
