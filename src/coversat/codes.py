@@ -37,71 +37,26 @@ Word = tuple[int, ...]
 GREEDY_MAX_UPDATES = 3 * 10**7
 VERIFY_MAX_SPACE = 10**7
 
-# (q, t, r) codes that get_code returns in place of greedy_code: the shapes
-# of the default solver (t = 6, epsilon = 0.1, k = 3..5), the outer blocks
-# (2, t, ceil(t/(k + epsilon))) and the inner codes (k, 6, 2), wherever the
-# seeded local search of tools/search_covers.py found a code smaller than
-# greedy's. A word is one digit per coordinate, its symbol minus 1; the
-# all-ones word is a codeword and sorts first, so a product cover visits
-# the all-zero assignment first. Each code is parsed and exhaustively
-# verified at its first use in a process (_searched_code).
+# (q, t, r) codes that get_code returns in place of greedy_code, each found
+# by the seeded local search of tools/search_covers.py and smaller than
+# greedy's: the (2,9,3) outer cover of every 9-variable 3-CNF, a d = 3 CSP
+# box among them, and the (2,12,4) block and (2,11,4) tail of a 3-CNF outer
+# cover (epsilon = 0.1). The shapes read only by 4- and 5-CNFs and the inner
+# codes stay greedy until a workload measures them. A word is one digit per
+# coordinate, its symbol minus 1; the all-ones word is a codeword and sorts
+# first, so a product cover visits the all-zero assignment first. Each code
+# is parsed and exhaustively verified at its first use in a process
+# (_searched_code).
 SEARCHED_CODES = {
-    # seed 1, 15 moves; greedy 8
-    (2, 5, 1): "00000 00111 01011 01111 10001 10010 11100",
-    # seed 1, 20 moves; greedy 8
-    (2, 7, 2): "0000000 0001011 0010011 1100111 1111100 1111101 1111110",
-    # seed 1, 155 moves; greedy 16
-    (2, 8, 2): "00000000 00001110 00101100 00110011 01001001 01111111 10001001 10010101 11010100 "
-    "11100111 11110010 11111010",
-    # seed 2, 3256 moves; greedy 24
-    (2, 9, 2): "000000000 000011100 001011001 001100111 010001001 010110111 011101110 011110010 "
-    "100101111 100110011 101010100 101101010 110000100 110111010 111000001 111011101",
     # seed 1, 1058 moves; greedy 8
     (2, 9, 3): "000000000 010111111 011100111 011111101 100000001 101011010 110100100",
-    # seed 1, 918 moves; greedy 13
-    (2, 10, 3): "0000000000 0010010111 0011110010 0100111011 0111001001 1000100111 1010010011 "
-    "1011010101 1011100101 1101001110 1101111100 1110101100",
     # seed 7, 586 moves; greedy 8
     (2, 11, 4): "00000000000 00110101110 01011000111 01100101000 10101111001 11010010111 "
     "11011010110",
-    # seed 2, 13515 moves; greedy 32
-    (2, 12, 3): "000000000000 000001011110 000100111100 000101110101 000110010011 000111001001 "
-    "001010011101 001011100111 001100001111 010010111111 010011110000 010111000100 "
-    "011000101001 011000110110 011111101010 100010100101 100011010110 100110101010 "
-    "101001101100 101001111011 101101010000 101110000100 110000001101 110100100010 "
-    "110101011000 110111100101 110111111111 111001000011 111010011010 111101010111 "
-    "111110110001",
     # seed 1, 2951 moves; greedy 16
     (2, 12, 4): "000000000000 001001111111 001010001000 010010101001 011001111100 011011000111 "
     "100110001100 100110110110 100111010001 101101100011 110100011010 111100000101 "
     "111111100010",
-    # seed 1, 3999 moves; greedy 22
-    (3, 6, 2): "000000 002101 010111 011010 021222 022210 100102 111202 112220 121021 122012 "
-    "200211 201110 211001 212022 220100 222201",
-    # seed 3, 14302 moves; greedy 68
-    (4, 6, 2): "000000 001311 003023 003222 010230 010300 012202 012332 013011 020133 021110 "
-    "023101 031232 032122 032313 033231 101103 101210 102312 110122 111013 111223 "
-    "113333 120033 120212 122031 122120 122301 130201 131131 133030 133302 200111 "
-    "200331 201032 202130 211303 211322 212010 213100 220323 221002 222221 223012 "
-    "223203 230320 231001 232223 233113 300102 302233 303021 303320 311221 312311 "
-    "313132 320021 321330 322122 323210 330112 330213 331020 332003",
-    # seed 1, 19304 moves; greedy 171
-    (5, 6, 2): "000000 000304 001441 002132 003443 004214 010244 012024 012103 013311 013432 "
-    "014013 014220 020130 021323 022334 023204 024441 030421 031044 031232 032011 "
-    "033300 034022 034312 040213 041124 042334 042410 043002 043142 044401 100320 "
-    "101404 102313 103041 103232 104122 111322 111443 112224 112431 114112 114340 "
-    "114400 120031 120143 121210 122101 123420 124104 124314 130014 130231 131042 "
-    "131311 132402 134303 140221 140333 141130 141241 141434 143024 143403 144010 "
-    "200241 201133 202422 203114 203200 203401 204431 210414 211040 211331 213233 "
-    "214324 220342 221004 221403 222014 223121 224042 224320 230130 231211 232000 "
-    "232434 233003 233344 233413 234134 240023 240222 241400 242110 242342 244203 "
-    "300412 301004 301342 302231 302330 303123 303321 304043 310032 310301 311110 "
-    "313334 314201 320214 321012 322222 322443 323000 323012 324432 330200 330433 "
-    "331102 332123 332144 333243 334141 334420 340141 341031 341424 342042 343230 "
-    "344333 344404 400011 400034 401223 402420 403302 404140 404201 410104 410203 "
-    "411021 412212 413122 413444 414030 414141 420102 421113 421434 422240 422321 "
-    "423233 424023 430321 431202 432343 433130 434244 440440 441310 442033 442100 "
-    "443311 444412",
 }
 
 

@@ -622,20 +622,11 @@ class TestBooleanCover:
 # records them. The search at the shapes of SLOW_SEARCHES takes over a second,
 # so tier-1 reruns the search at every other shape only.
 SEARCHED_CODE_RUNS = [
-    ((2, 5, 1), 7, 1, 15),
-    ((2, 7, 2), 7, 1, 20),
-    ((2, 8, 2), 12, 1, 155),
-    ((2, 9, 2), 16, 2, 3256),
     ((2, 9, 3), 7, 1, 1058),
-    ((2, 10, 3), 12, 1, 918),
     ((2, 11, 4), 7, 7, 586),
-    ((2, 12, 3), 31, 2, 13515),
     ((2, 12, 4), 13, 1, 2951),
-    ((3, 6, 2), 17, 1, 3999),
-    ((4, 6, 2), 64, 3, 14302),
-    ((5, 6, 2), 167, 1, 19304),
 ]
-SLOW_SEARCHES = {(2, 12, 3), (2, 12, 4), (4, 6, 2), (5, 6, 2)}
+SLOW_SEARCHES = {(2, 12, 4)}
 
 
 def _shipped_words(text: str) -> list[tuple[int, ...]]:
@@ -693,10 +684,10 @@ class TestSearchedCodes:
 
     def test_search_tool_prints_code_or_exits_1(self, capsys):
         tool = load_search_tool()
-        argv = ["code", "--q", "2", "--t", "5", "--r", "1", "--seed", "1"]
+        argv = ["code", "--q", "2", "--t", "9", "--r", "3", "--seed", "1"]
         assert tool.main([*argv, "--size", "7"]) == 0
         out = capsys.readouterr().out
-        assert out == f"# (2,5,1): 7 words, seed 1, 15 moves\n{SEARCHED_CODES[2, 5, 1]!r}\n"
+        assert out == f"# (2,9,3): 7 words, seed 1, 1058 moves\n{SEARCHED_CODES[2, 9, 3]!r}\n"
         assert tool.main([*argv, "--size", "6", "--moves", "50"]) == 1
         assert capsys.readouterr().err == "no cover of 6 words after 50 moves\n"
 
