@@ -23,9 +23,10 @@ get_code began to return those searched codes in place of greedy ones:
 the n=9 CNFs and each box of the kcsp cases run the 7-word (2,9,3) code
 (greedy: 8 words), n=14 and n=18 the 13-word (2,12,4) block (greedy: 16)
 times the (2,2,1) or (2,6,2) tail. The other shapes these rows use, the
-tails, the t=3 inner code (3,3,1) and the csp case's (2,6,2) block, have
-no searched code and are built as before, so the csp row and the t=3 sat
-row, which needs only the first codewords of the product, did not change.
+tails, the inner codes (3,6,2) and (3,3,1) and the csp case's (2,6,2)
+block, have no searched code and are built as before, so the csp row and
+the t=3 sat row, which needs only the first codewords of the product, did
+not change.
 """
 
 import hashlib
