@@ -46,7 +46,7 @@ VERIFY_MAX_SPACE = 10**7
 # coordinate, its symbol minus 1; the all-ones word is a codeword and sorts
 # first, so a product cover visits the all-zero assignment first. Each code
 # is parsed and exhaustively verified at its first use in a process
-# (_searched_code).
+# (_load_code).
 SEARCHED_CODES = {
     # seed 1, 1058 moves; greedy 8
     (2, 9, 3): "000000000 010111111 011100111 011111101 100000001 101011010 110100100",
@@ -339,13 +339,16 @@ def random_code(
     q: int, t: int, r: int, target_size: int | None = None, seed: int = 0
 ) -> CoveringCode:
     """Sample target_size words i.i.d. uniform and verify; retry with derived
-    seeds up to 10 attempts, then fail.
+    seeds, then fail. The attempts share one draw cap: at most 10, and at
+    most VERIFY_MAX_SPACE // (target_size * t) of them, so that all of them
+    together draw at most VERIFY_MAX_SPACE symbols.
 
     target_size defaults to code_size_bound(q, t, r), computed only once the
     q^t verification cap has passed (the bound is a float of q^t). The
     target_size * t symbols an attempt draws are held to the same cap before
-    the first draw, and a target_size whose balls hold fewer than q^t words
-    in all (the sphere bound) is refused then too. Duplicates among the
+    the first draw, so there is at least one attempt, and a target_size
+    whose balls hold fewer than q^t words in all (the sphere bound) is
+    refused then too. Duplicates among the
     samples are collapsed, so the returned code may hold fewer than
     target_size distinct words.
     """
@@ -363,15 +366,17 @@ def random_code(
         )
     if target_size * t > VERIFY_MAX_SPACE:
         raise ResourceCapError(f"{target_size * t} symbols to draw exceed {VERIFY_MAX_SPACE}")
-    for attempt in range(10):
+    attempts = min(10, VERIFY_MAX_SPACE // (target_size * t))
+    for attempt in range(attempts):
         rng = random.Random(f"randcode:{seed}:{attempt}")
         words = {tuple(rng.randint(1, q) for _ in range(t)) for _ in range(target_size)}
         code = CoveringCode._unchecked(q, t, r, tuple(sorted(words)))
         if verify_cover(code):
             return code
+    plural = "s" if attempts > 1 else ""
     raise CodeConstructionError(
         f"no covering code of size {target_size} found for (q={q}, t={t}, r={r}) "
-        f"after 10 attempts (seed {seed}); raise target_size"
+        f"after {attempts} attempt{plural} (seed {seed}); raise target_size"
     )
 
 
@@ -669,15 +674,15 @@ def boolean_cover(
 def get_code(
     q: int, t: int, r: int, *, cache_dir: str | os.PathLike | None = None
 ) -> CoveringCode:
-    """The code the solvers use at (q, t, r): the searched code of
-    SEARCHED_CODES where it holds one (_searched_code: parsed and verified
-    once per process, never read from or written to cache_dir), else
-    greedy_code(q, t, r), built or loaded once per (q, t, r, cache_dir)
-    and kept in memory, where a dir given as a path or as its str is one
-    entry; a cache_dir also keeps a greedy code on disk. A radius-0 code, a
-    product built in microseconds, is never cached.
+    """The code the solvers use at (q, t, r), built or loaded once by
+    _load_code and kept in its memo: the searched code of SEARCHED_CODES
+    where it holds one, under the one key (q, t, r, None), so it is never
+    read from or written to cache_dir; else greedy_code(q, t, r), one entry
+    per (q, t, r, cache_dir), where a dir given as a path or as its str is
+    one entry, and a cache_dir also keeps the code on disk. A radius-0 code,
+    a product built in microseconds, is never cached.
 
-    The memo of greedy codes keeps the 32 most recent codes. The solvers' codes take a few
+    The memo keeps the 32 most recent codes. The solvers' codes take a few
     KB each with their bit_words (tracemalloc): an outer (2,12,4) block about
     5 KB, an inner (3,6,2) code about 4 KB. The largest the greedy cap
     admits, (2,20,1), takes about 27 MB, so 32 entries take at most about
@@ -685,26 +690,22 @@ def get_code(
     if r == 0:
         return greedy_code(q, t, 0)
     if (q, t, r) in SEARCHED_CODES:
-        return _searched_code(q, t, r)
+        cache_dir = None
     return _load_code(q, t, r, None if cache_dir is None else os.fspath(cache_dir))
-
-
-@lru_cache(maxsize=16)
-def _searched_code(q: int, t: int, r: int) -> CoveringCode:
-    """The code of SEARCHED_CODES at (q, t, r), exhaustively verified here;
-    CodeConstructionError if it does not cover. The memo has room for
-    every shape the table holds."""
-    words = [tuple(int(digit) + 1 for digit in word) for word in SEARCHED_CODES[q, t, r].split()]
-    code = CoveringCode(q, t, r, words)
-    if not verify_cover(code):
-        raise CodeConstructionError(f"searched code (q={q}, t={t}, r={r}) failed verification")
-    return code
 
 
 @lru_cache(maxsize=32)
 def _load_code(q: int, t: int, r: int, cache_dir: str | None) -> CoveringCode:
-    """greedy_code(q, t, r), or with a cache_dir its file there: re-verified
-    on load, and rebuilt and rewritten when missing, stale or corrupt."""
+    """The code of SEARCHED_CODES at (q, t, r), exhaustively verified here
+    (CodeConstructionError if it does not cover); else greedy_code(q, t, r),
+    or with a cache_dir its file there: re-verified on load, and rebuilt and
+    rewritten when missing, stale or corrupt."""
+    if (q, t, r) in SEARCHED_CODES:
+        shipped = SEARCHED_CODES[q, t, r].split()
+        code = CoveringCode(q, t, r, [tuple(int(digit) + 1 for digit in word) for word in shipped])
+        if not verify_cover(code):
+            raise CodeConstructionError(f"searched code (q={q}, t={t}, r={r}) failed verification")
+        return code
     if cache_dir is None:
         return greedy_code(q, t, r)
     from .formats import read_code, write_code  # local import; formats imports this module

@@ -10,20 +10,18 @@ therefore reduces CSP solving to a family of k-SAT instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from operator import itemgetter
 from typing import Iterable
 
 from .cnf import Formula
-from .codes import BlockProduct, _product_indices, _word_of, greedy_set_cover
+from .codes import BlockProduct, _product_indices
 from .errors import CodeConstructionError, ResourceCapError
 from .solver import SolveResult, SolverConfig, SolveStats, _first_solution, _timed, first_witness
 from .solver import solve_deterministic
 
-BOX_CANDIDATE_MAX = 2 * 10**5
 BOX_VERIFY_MAX = 10**6
 # characters of the restriction table's rows, m * n * d (csp-d3's are 8,505)
 RESTRICTION_MAX_CHARS = 10**7
@@ -35,8 +33,10 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # pair in combinations(range(1, d + 1), 2): for d = 3, 0 is (1, 2), 1 is
 # (1, 3) and 2 is (2, 3). Each block holds the all-(1, 2) box, so the
 # product cover visits it first. The d = 3 sizes are 2, 3, 5, 8, 12 and 18,
-# where greedy builds 2, 3, 6, 9 and 16 boxes for b = 1..5 and the volume
-# bound ceil((3/2)^b) is 2, 3, 4, 6, 8 and 12.
+# where a lexicographic greedy set cover takes 2, 3, 6, 9 and 16 boxes for
+# b = 1..5 and the volume bound ceil((3/2)^b) is 2, 3, 4, 6, 8 and 12.
+# _box_block gives these blocks to the coordinates in the triple {1, 2, 3}
+# of every odd d.
 SEARCHED_BOX_BLOCKS = {
     3: (
         "0 2",
@@ -172,101 +172,61 @@ def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
     return 0 not in marked
 
 
-def _greedy_box_block(d: int, length: int) -> list[TwoBox]:
-    """Greedy set cover of {1..d}^length by 2-boxes (see greedy_set_cover),
-    exhaustively verified before it is returned.
-
-    Candidate boxes are tuples of value pairs, one per coordinate, indexed
-    in lexicographic order, so ties break toward the smallest box; a box
-    covers 2^length points.
-    """
-    pairs = list(combinations(range(1, d + 1), 2))
-    npairs = len(pairs)
-    if npairs**length > BOX_CANDIDATE_MAX:
-        raise ResourceCapError(
-            f"C(d,2)^b = {npairs**length} candidate boxes exceed the cap {BOX_CANDIDATE_MAX}"
-        )
-    # 0-based pair ids: a box index is the base-npairs number of its pair ids
-    pair_ids_with_value: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
-    for i, (a, b) in enumerate(pairs):
-        pair_ids_with_value[a].append(i)
-        pair_ids_with_value[b].append(i)
-
-    def box_pairs(box_idx: int) -> TwoBox:
-        return tuple(pairs[i - 1] for i in _word_of(box_idx, npairs, length))
-
-    def box_points(box_idx: int) -> list[int]:
-        return _product_indices(d, [(lo - 1, hi - 1) for lo, hi in box_pairs(box_idx)])
-
-    def containing(point_idx: int, width: int) -> list[int]:
-        # the boxes over width coordinates holding the point
-        ids = [pair_ids_with_value[v] for v in _word_of(point_idx, d, width)]
-        return _product_indices(npairs, ids)
-
-    # a point's first length - length//2 coordinates and its last length//2
-    # are held by independent halves of a box: tables of both, built once
-    # (as in codes._ball_of), make each point's boxes one comprehension
-    tail = length // 2
-    scale, point_scale = npairs**tail, d**tail
-    firsts = [
-        [i * scale for i in containing(high, length - tail)] for high in range(d ** (length - tail))
-    ]
-    seconds = [containing(low, tail) for low in range(point_scale)]
-
-    def boxes_containing(point_idx: int) -> list[int]:
-        high, low = divmod(point_idx, point_scale)
-        second = seconds[low]
-        return [a + b for a in firsts[high] for b in second]
-
-    chosen = greedy_set_cover(d**length, npairs**length, 1 << length, box_points, boxes_containing)
-    block = [box_pairs(box_idx) for box_idx in chosen]
-    if not verify_box_cover(block, d, length):
-        raise CodeConstructionError(f"greedy 2-box block (d={d}, b={length}) failed verification")
-    return block
-
-
 @lru_cache(maxsize=16)
 def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
-    """The block of length coordinates, sorted, built once per (d, length):
-    the searched block of SEARCHED_BOX_BLOCKS, exhaustively verified here,
-    or else the greedy block of _greedy_box_block. Either has at most
-    d^length boxes."""
-    searched = SEARCHED_BOX_BLOCKS.get(d, ())
-    if length > len(searched):
-        return tuple(sorted(_greedy_box_block(d, length)))
-    pairs = list(combinations(range(1, d + 1), 2))
-    block = tuple(sorted(tuple(pairs[int(i)] for i in box) for box in searched[length - 1].split()))
+    """The 2-box block of {1..d}^length, sorted, built once per (d, length).
+
+    The values split into parts that tile them: the pairs (v, v + 1), and
+    for odd d the triple {1, 2, 3} first. For each choice of one part per
+    coordinate, the coordinates that chose the triple take each box of the
+    searched d = 3 block of their number (SEARCHED_BOX_BLOCKS, only the
+    rows read are parsed), and the others their pair; with no triple
+    coordinate that is one box. A point lies in the choice of its values'
+    parts, so the block covers. It is exhaustively verified here, and
+    refused with ResourceCapError before any box is built when d^length
+    exceeds BOX_VERIFY_MAX.
+    """
+    if d**length > BOX_VERIFY_MAX:
+        raise ResourceCapError(f"d^b = {d**length} exceeds box-cover verification cap")
+    # None stands for the triple
+    parts = [None] * (d % 2) + [(v, v + 1) for v in range(4 if d % 2 else 1, d, 2)]
+    triple_pairs = list(combinations((1, 2, 3), 2))
+    triple_blocks: dict[int, list[TwoBox]] = {0: [()]}
+    block = []
+    for choice in product(parts, repeat=length):
+        k = choice.count(None)
+        if k not in triple_blocks:
+            row = SEARCHED_BOX_BLOCKS[3][k - 1].split()
+            triple_blocks[k] = [tuple(triple_pairs[int(i)] for i in box) for box in row]
+        for sub in triple_blocks[k]:
+            fill = iter(sub)
+            block.append(tuple(next(fill) if part is None else part for part in choice))
+    block.sort()
     if not verify_box_cover(block, d, length):
-        raise CodeConstructionError(f"searched 2-box block (d={d}, b={length}) failed verification")
-    return block
+        raise CodeConstructionError(f"2-box block (d={d}, b={length}) failed verification")
+    return tuple(block)
 
 
 def two_box_cover(d: int, n: int) -> BlockProduct:
-    """Cover {1..d}^n with 2-boxes: the product of block covers of b
+    """Cover {1..d}^n with 2-boxes: the product of _box_block covers of b
     coordinates each (the last block takes the remainder), in sorted order.
 
-    Each block is exhaustively verified on its d^b points where it is built
-    or loaded; covering holds blockwise, so the product needs no further
-    check. A d with searched blocks (SEARCHED_BOX_BLOCKS: d = 3, b <= 6)
-    takes b = min(6, n): no other split of n <= 24 into lengths 1..6 has
-    fewer boxes. Other odd d take greedy blocks, b the largest length
-    <= min(5, n) whose C(d,2)^b candidate boxes fit BOX_CANDIDATE_MAX. Even
-    d always uses blocks of length 1, on which greedy picks the pairs
-    {2j-1, 2j}: they tile the domain, so the cover is their product,
-    exactly (d/2)^n boxes.
+    Each block is exhaustively verified on its d^b points where it is
+    built; covering holds blockwise, so the product needs no further check.
+    Even d takes b = 1: its blocks are the pairs {2j-1, 2j}, so the cover is
+    exactly (d/2)^n boxes. Odd d takes the largest b <= min(6, n) whose d^b
+    points fit BOX_VERIFY_MAX; for d = 3 that is b = min(6, n), and no other
+    split of n <= 24 into lengths 1..6 has fewer boxes.
     """
     if d < 2:
         raise ValueError("domain size must be >= 2 for a 2-box cover")
     if n < 1:
         raise ValueError("need at least one variable")
-    searched = len(SEARCHED_BOX_BLOCKS.get(d, ()))
     if d % 2 == 0:
         b = 1
-    elif searched:
-        b = min(searched, n)
     else:
-        fits = [k for k in range(1, min(5, n) + 1) if math.comb(d, 2) ** k <= BOX_CANDIDATE_MAX]
-        b = max(fits, default=1)
+        longest = min(len(SEARCHED_BOX_BLOCKS[3]), n)
+        b = max((k for k in range(1, longest + 1) if d**k <= BOX_VERIFY_MAX), default=1)
     lengths = [b] * (n // b) + ([n % b] if n % b else [])
     return BlockProduct(_box_block(d, t) for t in lengths)
 

@@ -19,6 +19,7 @@ from itertools import combinations, product
 from pathlib import Path
 from types import ModuleType
 
+import coversat.csp
 import coversat.search
 import coversat.solver
 from coversat.cnf import Assignment, Clause, Formula, Literal, PartialAssignment, clause_satisfied
@@ -435,6 +436,33 @@ def ref_product_cover(blocks: Iterable[Iterable[tuple]]) -> tuple[tuple, ...]:
     coversat.csp.two_box_cover built it before they iterated it lazily from
     their blocks. A block's items may come in any order."""
     return tuple(sorted(tuple(s for part in combo for s in part) for combo in product(*blocks)))
+
+
+def listed_boxes(d: int, text: str) -> list[TwoBox]:
+    """The boxes of a SEARCHED_BOX_BLOCKS string, in the order it lists them."""
+    pairs = list(combinations(range(1, d + 1), 2))
+    return [tuple(pairs[int(i)] for i in box) for box in text.split()]
+
+
+def ref_box_block(d: int, length: int) -> tuple[TwoBox, ...]:
+    """The 2-box block of {1..d}^length, built set of coordinates by set and
+    sorted: the reference for coversat.csp._box_block, which builds it
+    choice of parts by choice. The tiles are the pairs (d-1, d), (d-3, d-2),
+    ... down to (1, 2) for even d and to (4, 5) for odd d, which leaves 1, 2
+    and 3 to the triple. Each set S of coordinates (for even d only the
+    empty one) gives every box that holds a box of the d = 3 block of
+    length |S|, as coversat.csp.SEARCHED_BOX_BLOCKS lists it, on S and a
+    tile on each other coordinate."""
+    tiles = [(v - 1, v) for v in range(d, 3 if d % 2 else 0, -2)]
+    rows = coversat.csp.SEARCHED_BOX_BLOCKS[3]
+    boxes = []
+    for in_triple in product((False, True) if d % 2 else (False,), repeat=length):
+        k = sum(in_triple)
+        for sub in listed_boxes(3, rows[k - 1]) if k else [()]:
+            for rest in product(tiles, repeat=length - k):
+                picks = {True: iter(sub), False: iter(rest)}
+                boxes.append(tuple(next(picks[at]) for at in in_triple))
+    return tuple(sorted(boxes))
 
 
 def ref_restrict_to_box(f: CspFormula, box: TwoBox) -> Formula:

@@ -23,7 +23,6 @@ from coversat.codes import (
     _load_code,
     _periodic_mask,
     _product_indices,
-    _searched_code,
     _word_of,
     ball_volume,
     boolean_cover,
@@ -278,6 +277,19 @@ class TestRandomCode:
     def test_default_size_is_the_bound(self):
         bound = code_size_bound(3, 4, 2)
         assert random_code(3, 4, 2, seed=1) == random_code(3, 4, 2, bound, seed=1)
+
+    @pytest.mark.parametrize("cap,attempts,named", [
+        (16, 1, "after 1 attempt "), (50, 3, "after 3 attempts"), (10**7, 10, "after 10 attempts"),
+    ])
+    def test_attempts_share_the_draw_cap(self, monkeypatch, cap, attempts, named):
+        # each attempt at (2,4,1) draws 4 * 4 = 16 symbols: at most cap // 16
+        # attempts, and never more than 10
+        calls = []
+        monkeypatch.setattr(coversat.codes, "VERIFY_MAX_SPACE", cap)
+        monkeypatch.setattr(coversat.codes, "verify_cover", lambda code: calls.append(code) or False)
+        with pytest.raises(CodeConstructionError, match=named):
+            random_code(2, 4, 1, 4)
+        assert len(calls) == attempts
 
     def test_default_size_beyond_cap_refused(self):
         # the size bound is a float of q^t and overflows for 3^2000; the
@@ -643,7 +655,7 @@ class TestSearchedCodes:
         shape, size, _, _ = run
         q, t, r = shape
         code = get_code(q, t, r)
-        assert code is _searched_code(q, t, r) and code.verified is True
+        assert code is _load_code(q, t, r, None) and code.verified is True
         assert ref_verify_cover(q, t, r, code.words)
         assert len(code) == len(_shipped_words(SEARCHED_CODES[shape])) == size
         assert size < len(greedy_code(q, t, r))
@@ -654,12 +666,12 @@ class TestSearchedCodes:
         short = " ".join(SEARCHED_CODES[2, 9, 3].split()[:-1])
         assert not ref_verify_cover(2, 9, 3, _shipped_words(short))
         monkeypatch.setitem(SEARCHED_CODES, (2, 9, 3), short)
-        _searched_code.cache_clear()
+        _load_code.cache_clear()
         try:
             with pytest.raises(CodeConstructionError, match="searched code"):
                 boolean_cover(9, 1 / 3.1)
         finally:
-            _searched_code.cache_clear()
+            _load_code.cache_clear()
 
     def test_cache_dir_never_touched(self, tmp_path):
         cache = tmp_path / "codes"

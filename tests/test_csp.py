@@ -3,14 +3,13 @@ import pickle
 import random
 import time
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from coversat.csp import (
     CspFormula,
-    TwoBox,
     brute_force_csp,
     csp_evaluate,
     decode_box_witness,
@@ -27,12 +26,14 @@ from coversat.errors import CodeConstructionError, ResourceCapError
 from coversat.solver import SolverConfig, _value_masks, brute_force
 
 from helpers import (
+    listed_boxes,
     load_search_tool,
     oracle_bitmap,
     point_in_box,
     rand_csp,
     rand_kcsp,
     ref_csp_solutions,
+    ref_box_block,
     ref_digit_masks,
     ref_product_cover,
     ref_restrict_to_box,
@@ -128,12 +129,6 @@ class TestVerifyBoxCover:
             assert verify_box_cover(boxes, d, n) is want, (d, n, boxes)
 
 
-def listed_boxes(d: int, text: str) -> list[TwoBox]:
-    """The boxes of a SEARCHED_BOX_BLOCKS string, in the order it lists them."""
-    pairs = list(combinations(range(1, d + 1), 2))
-    return [tuple(pairs[int(i)] for i in box) for box in text.split()]
-
-
 class TestTwoBoxCover:
     def test_domain_two_single_box(self):
         cover = two_box_cover(2, 4)
@@ -222,20 +217,13 @@ class TestTwoBoxCover:
         (5, 5, 2), (5, 4, 4), (4, 5, None), (6, 3, 2), (2, 6, 3),
     ])
     def test_matches_materialized_reference(self, d, n, b):
-        # the boxes, in order, of the sorted product of the blocks that covers
-        # were once built as: the greedy blocks in pick order, or for d = 3
-        # the searched blocks as SEARCHED_BOX_BLOCKS lists them. At block
-        # length b (even d takes b = 1), the product of the memoized blocks
-        # lists them, and so does two_box_cover(d, n) at the length it derives
-        searched = csp.SEARCHED_BOX_BLOCKS.get(d, ())
-
-        def block(t):
-            if t > len(searched):
-                return csp._greedy_box_block(d, t)
-            return listed_boxes(d, searched[t - 1])
+        # the boxes, in order, of the sorted product of the reference blocks
+        # (helpers.ref_box_block). At block length b (even d takes b = 1),
+        # the product of the memoized blocks lists them, and so does
+        # two_box_cover(d, n) at the length it derives
 
         def reference(lengths):
-            return ref_product_cover([block(t) for t in lengths])
+            return ref_product_cover([ref_box_block(d, t) for t in lengths])
 
         length = 1 if d % 2 == 0 else b
         at_b = [length] * (n // length) + ([n % length] if n % length else [])
@@ -246,22 +234,100 @@ class TestTwoBoxCover:
         assert len(cover) == len(want)
 
     def test_failed_block_verification_raises(self, monkeypatch):
-        greedy = csp.greedy_set_cover
-        monkeypatch.setattr(csp, "greedy_set_cover", lambda *args: greedy(*args)[:-1])
-        with pytest.raises(CodeConstructionError):
-            csp._greedy_box_block(3, 3)
+        # the whole block, sorted, goes to verify_box_cover once
+        calls = []
 
-    def test_default_block_length_fits_candidate_cap(self):
-        # C(7,2)^5 candidate boxes exceed the cap, so d=7 takes b=4
-        cover = two_box_cover(7, 6)
-        assert [len(block[0]) for block in cover.blocks] == [4, 2]
+        def failing_verify(block, d, n):
+            calls.append((list(block), d, n))
+            return False
+
+        monkeypatch.setattr(csp, "verify_box_cover", failing_verify)
+        csp._box_block.cache_clear()
+        try:
+            with pytest.raises(CodeConstructionError, match=r"2-box block \(d=5, b=3\)"):
+                csp._box_block(5, 3)
+        finally:
+            csp._box_block.cache_clear()
+        assert calls == [(list(ref_box_block(5, 3)), 5, 3)]
+
+    def test_default_block_length_fits_verify_cap(self):
+        # odd d takes the largest b <= min(6, n) with d^b <= BOX_VERIFY_MAX
+        for d, n, lengths in [(7, 6, [6]), (11, 6, [5, 1]), (33, 5, [3, 2]),
+                              (101, 3, [2, 1]), (1001, 3, [1, 1, 1]), (4, 3, [1, 1, 1])]:
+            cover = two_box_cover(d, n)
+            assert [len(block[0]) for block in cover.blocks] == lengths, (d, n)
+            assert next(iter(cover)) == ((1, 2),) * n
         rng = random.Random(21)
+        cover = two_box_cover(7, 6)
         for _ in range(200):
             point = tuple(rng.randint(1, 7) for _ in range(6))
             assert any(point_in_box(point, box) for box in cover)
-        with pytest.raises(ResourceCapError):
-            csp._box_block(7, 5)
 
+    def test_block_beyond_verify_cap_refused_before_any_box(self, monkeypatch):
+        def no_boxes(*args, **kwargs):
+            raise AssertionError("a box was built past the cap")
+
+        monkeypatch.setattr(csp, "product", no_boxes)
+        csp._box_block.cache_clear()
+        try:
+            for d, length in [(11, 6), (101, 3), (1001, 2), (10**6 + 1, 1), (10**6 + 2, 1)]:
+                with pytest.raises(ResourceCapError, match="exceeds box-cover verification cap"):
+                    csp._box_block(d, length)
+        finally:
+            csp._box_block.cache_clear()
+
+    def test_domains_above_632_are_covered(self):
+        # the pair tiling, and for odd d the d = 3 block of one coordinate
+        # on the triple: (d - 3) / 2 + 2 boxes
+        even, odd = two_box_cover(634, 1), two_box_cover(635, 1)
+        assert (len(even), len(odd)) == (317, 318)
+        assert tuple(even) == tuple(((v, v + 1),) for v in range(1, 634, 2))
+        assert tuple(odd) == (((1, 2),), ((2, 3),)) + tuple(((v, v + 1),) for v in range(4, 635, 2))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_blocks_match_reference(self, d):
+        for length in range(1, 7):
+            assert csp._box_block(d, length) == ref_box_block(d, length), length
+
+    def test_no_more_boxes_than_the_greedy_blocks(self):
+        # PARENT_COVER_SIZES[d][n - 1] is len(two_box_cover(d, n)) when odd
+        # d > 3 took lexicographic greedy 2-box blocks; every cover is verified
+        # block by block, and whole where d^n is small
+        for d, sizes in PARENT_COVER_SIZES.items():
+            verified = set()
+            for n, size in enumerate(sizes, 1):
+                cover = two_box_cover(d, n)
+                assert len(cover) <= size, (d, n)
+                assert next(iter(cover)) == ((1, 2),) * n
+                for block in cover.blocks:
+                    if len(block[0]) not in verified:
+                        assert verify_box_cover(block, d, len(block[0])), (d, n)
+                        verified.add(len(block[0]))
+                if d**n <= 10**5:
+                    assert verify_box_cover(cover, d, n), (d, n)
+        assert [len(two_box_cover(5, n)) for n in (4, 5, 8)] == [55, 143, 2944]
+        assert len(two_box_cover(7, 4)) == 200
+
+
+# len(two_box_cover(d, n)) for n = 1..8 when odd d > 3 took lexicographic
+# greedy 2-box blocks of the largest length b <= min(5, n) with
+# C(d,2)^b <= 2*10^5 candidate boxes
+PARENT_COVER_SIZES = {
+    2: [1, 1, 1, 1, 1, 1, 1, 1],
+    3: [2, 3, 5, 8, 12, 18, 36, 54],
+    4: [2, 4, 8, 16, 32, 64, 128, 256],
+    5: [3, 8, 22, 59, 166, 498, 1328, 3652],
+    6: [3, 9, 27, 81, 243, 729, 2187, 6561],
+    7: [4, 15, 56, 209, 836, 3135, 11704, 43681],
+    8: [4, 16, 64, 256, 1024, 4096, 16384, 65536],
+    9: [5, 24, 114, 570, 2736, 12996, 64980, 311904],
+    10: [5, 25, 125, 625, 3125, 15625, 78125, 390625],
+    11: [6, 35, 202, 1212, 7070, 40804, 244824, 1428140],
+    12: [6, 36, 216, 1296, 7776, 46656, 279936, 1679616],
+    13: [7, 48, 336, 2304, 16128, 110592, 774144, 5308416],
+    14: [7, 49, 343, 2401, 16807, 117649, 823543, 5764801],
+    15: [8, 63, 504, 3969, 31752, 250047, 2000376, 15752961],
+}
 
 # (b, boxes, seed, moves) of each searched d = 3 block, as csp.py records them
 SEARCHED_D3 = [(1, 2, 1, 0), (2, 3, 1, 6), (3, 5, 1, 18), (4, 8, 1, 35), (5, 12, 1, 352),
@@ -290,6 +356,8 @@ class TestSearchedBoxBlocks:
             assert len(set(block)) == len(block) == size
 
     def test_block_failing_verification_on_load_raises(self, monkeypatch):
+        # d = 5 gives the d = 3 block of 4 coordinates to the block's
+        # all-triple choice, so the gap it leaves is a gap in the d = 5 block
         blocks = csp.SEARCHED_BOX_BLOCKS[3]
         short = " ".join(blocks[3].split()[:-1])
         assert not all(any(point_in_box(p, box) for box in listed_boxes(3, short))
@@ -297,8 +365,9 @@ class TestSearchedBoxBlocks:
         monkeypatch.setitem(csp.SEARCHED_BOX_BLOCKS, 3, blocks[:3] + (short,) + blocks[4:])
         csp._box_block.cache_clear()
         try:
-            with pytest.raises(CodeConstructionError, match="searched 2-box block"):
-                two_box_cover(3, 4)
+            for d in (3, 5):
+                with pytest.raises(CodeConstructionError, match=f"2-box block \\(d={d}, b=4\\)"):
+                    two_box_cover(d, 4)
         finally:
             csp._box_block.cache_clear()
 
@@ -700,7 +769,6 @@ class TestSolveCsp:
         import coversat.codes as codes
 
         codes._load_code.cache_clear()
-        codes._searched_code.cache_clear()
         calls: dict[tuple[int, int, int], int] = {}
         verify = codes.verify_cover
 

@@ -75,12 +75,31 @@ MUTANTS = {
     "searched-block-unverified": Mutant(
         "src/coversat/csp.py",
         "    if not verify_box_cover(block, d, length):\n"
-        '        raise CodeConstructionError(f"searched',
+        '        raise CodeConstructionError(f"2-box block',
         "    if False:\n"
-        '        raise CodeConstructionError(f"searched',
+        '        raise CodeConstructionError(f"2-box block',
         (
             "tests/test_csp.py::TestSearchedBoxBlocks"
             "::test_block_failing_verification_on_load_raises",
+            "tests/test_csp.py::TestTwoBoxCover::test_failed_block_verification_raises",
+        ),
+    ),
+    "box-tiles-start-at-one-for-odd-d": Mutant(
+        "src/coversat/csp.py",
+        "range(4 if d % 2 else 1, d, 2)",
+        "range(1, d, 2)",
+        (
+            "tests/test_csp.py::TestTwoBoxCover::test_blocks_match_reference",
+            "tests/test_csp.py::TestTwoBoxCover::test_domains_above_632_are_covered",
+        ),
+    ),
+    "triple-block-one-length-short": Mutant(
+        "src/coversat/csp.py",
+        "SEARCHED_BOX_BLOCKS[3][k - 1]",
+        "SEARCHED_BOX_BLOCKS[3][k - 2]",
+        (
+            "tests/test_csp.py::TestTwoBoxCover::test_blocks_match_reference",
+            "tests/test_csp.py::TestTwoBoxCover::test_no_more_boxes_than_the_greedy_blocks",
         ),
     ),
     "searched-block-drops-a-box": Mutant(
@@ -269,10 +288,10 @@ MUTANTS = {
     ),
     "searched-code-unverified": Mutant(
         "src/coversat/codes.py",
-        "    if not verify_cover(code):\n"
-        '        raise CodeConstructionError(f"searched code',
-        "    if False:\n"
-        '        raise CodeConstructionError(f"searched code',
+        "        if not verify_cover(code):\n"
+        '            raise CodeConstructionError(f"searched code',
+        "        if False:\n"
+        '            raise CodeConstructionError(f"searched code',
         (
             "tests/test_codes.py::TestSearchedCodes"
             "::test_word_dropped_from_shipped_code_raises_on_load",
