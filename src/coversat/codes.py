@@ -348,9 +348,8 @@ def random_code(
     target_size * t symbols an attempt draws are held to the same cap before
     the first draw, so there is at least one attempt, and a target_size
     whose balls hold fewer than q^t words in all (the sphere bound) is
-    refused then too. Duplicates among the
-    samples are collapsed, so the returned code may hold fewer than
-    target_size distinct words.
+    refused then too. Duplicates among the samples are collapsed, so the
+    returned code may hold fewer than target_size distinct words.
     """
     _check_params(q, t, r)
     if target_size is not None and target_size < 1:

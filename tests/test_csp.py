@@ -32,8 +32,8 @@ from helpers import (
     point_in_box,
     rand_csp,
     rand_kcsp,
-    ref_csp_solutions,
     ref_box_block,
+    ref_csp_solutions,
     ref_digit_masks,
     ref_product_cover,
     ref_restrict_to_box,
@@ -221,7 +221,6 @@ class TestTwoBoxCover:
         # (helpers.ref_box_block). At block length b (even d takes b = 1),
         # the product of the memoized blocks lists them, and so does
         # two_box_cover(d, n) at the length it derives
-
         def reference(lengths):
             return ref_product_cover([ref_box_block(d, t) for t in lengths])
 
@@ -290,10 +289,10 @@ class TestTwoBoxCover:
             assert csp._box_block(d, length) == ref_box_block(d, length), length
 
     def test_no_more_boxes_than_the_greedy_blocks(self):
-        # PARENT_COVER_SIZES[d][n - 1] is len(two_box_cover(d, n)) when odd
+        # GREEDY_COVER_SIZES[d][n - 1] is len(two_box_cover(d, n)) when odd
         # d > 3 took lexicographic greedy 2-box blocks; every cover is verified
         # block by block, and whole where d^n is small
-        for d, sizes in PARENT_COVER_SIZES.items():
+        for d, sizes in GREEDY_COVER_SIZES.items():
             verified = set()
             for n, size in enumerate(sizes, 1):
                 cover = two_box_cover(d, n)
@@ -312,7 +311,7 @@ class TestTwoBoxCover:
 # len(two_box_cover(d, n)) for n = 1..8 when odd d > 3 took lexicographic
 # greedy 2-box blocks of the largest length b <= min(5, n) with
 # C(d,2)^b <= 2*10^5 candidate boxes
-PARENT_COVER_SIZES = {
+GREEDY_COVER_SIZES = {
     2: [1, 1, 1, 1, 1, 1, 1, 1],
     3: [2, 3, 5, 8, 12, 18, 36, 54],
     4: [2, 4, 8, 16, 32, 64, 128, 256],
