@@ -37,6 +37,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The solve options, declared once: they feed the solve sub-parser and
+# _read_solve.
+_SOLVE_OPTIONS = {
+    "--input": {"required": True},
+    "--mode": {"choices": ["det", "rand", "brute"], "default": "det"},
+    "--t": {"type": int, "default": SolverConfig.t, "help": "inner code block size"},
+    "--epsilon": {"type": float, "default": SolverConfig.epsilon},
+    "--seed": {"type": int, "default": SolverConfig.seed},
+    "--trial-cap": {"type": int, "default": SolverConfig.trial_cap},
+    "--jobs": {"type": int, "default": SolverConfig.jobs},
+    "--cache-dir": {"default": SolverConfig.cache_dir},
+    "--stats": {"default": None, "help": "write a JSON stats report here"},
+}
+
+
+def _read_solve(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of the solve sub-parser for argv, read without building
+    it, when argv is only exact `--flag value` pairs of _SOLVE_OPTIONS with
+    --input among them, each value not starting with '-' and accepted by
+    its flag's type and choices; a repeated flag keeps its last value. None
+    for any other argv (help, abbreviations, --flag=value, negative numbers,
+    bad values, a missing --input), which the sub-parser then reads, so
+    argparse alone prints help and every usage error."""
+    if len(argv) % 2:
+        return None
+    values = {}
+    for flag, value in zip(argv[::2], argv[1::2]):
+        options = _SOLVE_OPTIONS.get(flag)
+        if options is None or value.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[flag] = value
+    if "--input" not in values:
+        return None
+    return argparse.Namespace(**{
+        flag[2:].replace("-", "_"): values.get(flag, options.get("default"))
+        for flag, options in _SOLVE_OPTIONS.items()
+    })
+
+
 @functools.lru_cache(maxsize=6)
 def _build_parser(command: str | None = None) -> _Parser:
     """The argument parser, built once per process and command: parse_args
@@ -50,15 +95,8 @@ def _build_parser(command: str | None = None) -> _Parser:
 
     if command in (None, "solve"):
         solve = sub.add_parser("solve", help="solve a CNF or CSP file")
-        solve.add_argument("--input", required=True)
-        solve.add_argument("--mode", choices=["det", "rand", "brute"], default="det")
-        solve.add_argument("--t", type=int, default=SolverConfig.t, help="inner code block size")
-        solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
-        solve.add_argument("--seed", type=int, default=SolverConfig.seed)
-        solve.add_argument("--trial-cap", type=int, default=SolverConfig.trial_cap)
-        solve.add_argument("--jobs", type=int, default=SolverConfig.jobs)
-        solve.add_argument("--cache-dir", default=SolverConfig.cache_dir)
-        solve.add_argument("--stats", default=None, help="write a JSON stats report here")
+        for flag, options in _SOLVE_OPTIONS.items():
+            solve.add_argument(flag, **options)
 
     if command in (None, "gencode"):
         gencode = sub.add_parser("gencode", help="construct a covering code")
@@ -289,8 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:  # top-level help, or the message of a missing or unknown command
             args = _build_parser().parse_args(argv)
             command = args.command
-        else:  # one pass of the command's own sub-parser
-            args = _build_parser(command).commands[command].parse_args(argv[1:])
+        else:  # a plain solve line read as it is, else one pass of the command's sub-parser
+            args = _read_solve(argv[1:]) if command == "solve" else None
+            if args is None:
+                args = _build_parser(command).commands[command].parse_args(argv[1:])
         return _COMMANDS[command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

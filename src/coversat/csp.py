@@ -172,9 +172,12 @@ def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
     return 0 not in marked
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
     """The 2-box block of {1..d}^length, sorted, built once per (d, length).
+    Two blocks are kept: a cover reads at most two, b and the remainder, and
+    one block can be large (the (999999, 1) block holds 500,000 boxes, about
+    88 MB).
 
     The values split into parts that tile them: the pairs (v, v + 1), and
     for odd d the triple {1, 2, 3} first. For each choice of one part per

@@ -16,8 +16,6 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce, wraps
-from multiprocessing import get_context
-from multiprocessing.pool import Pool
 from operator import and_, or_
 from typing import Optional
 
@@ -101,6 +99,14 @@ def _timed(solver):
     return timed
 
 
+def Pool(processes: int, initializer, initargs):
+    """A pool of spawned worker processes. multiprocessing is imported here,
+    on the first pool, so a solve that starts none never loads it."""
+    from multiprocessing import get_context
+
+    return get_context("spawn").Pool(processes, initializer, initargs)
+
+
 def _install_task(task) -> None:
     """Pool initializer: keep the task in this worker for _run_installed."""
     _install_task.task = task
@@ -137,7 +143,7 @@ def first_witness(task, items, jobs: int, stats: SolveStats):
             if witness is not None:
                 return witness
         return None
-    with Pool(workers, _install_task, (task,), context=get_context("spawn")) as pool:
+    with Pool(workers, _install_task, (task,)) as pool:
         for witness, sub in pool.imap(_run_installed, items):
             stats.merge(sub)
             if witness is not None:

@@ -10,15 +10,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coversat.bench
 import coversat.cli
 import coversat.codes
 import coversat.csp
-from coversat.cli import _build_parser, main
+from coversat.cli import _build_parser, _read_solve, main
 from coversat.codes import boolean_cover, random_code
 from coversat.cnf import evaluate
 from coversat.csp import csp_evaluate, restrict_to_box, solve_csp
+from coversat.errors import UsageError
 from coversat.formats import parse_csp, parse_dimacs, write_code
 
 from helpers import ref_restrict_to_box
@@ -569,6 +572,67 @@ class TestParserReuse:
         assert seen == [["searchball", "searchball_fast"]]
 
 
+_SOLVE_PARSER = _build_parser("solve").commands["solve"]
+_SOLVE_FLAGS = sorted(
+    o for a in _SOLVE_PARSER._actions for o in a.option_strings if o not in ("-h", "--help")
+)
+_SOLVE_VALUES = ["6", "-1", "1.5", "nan", "x", "", "det", "bogus", "dir/in.cnf"]
+# flags, their prefixes ("-", "--", "--i", ...), values and joined forms, anywhere
+_SOLVE_TOKENS = sorted(
+    {f[:i] for f in _SOLVE_FLAGS for i in range(1, len(f) + 1)} | set(_SOLVE_VALUES)
+) + ["--mode=det"]
+
+# values each flag accepts; a flag left out accepts every value not starting with "-"
+_SOLVE_GOOD = {"--mode": ["det", "rand", "brute"], "--epsilon": ["1.5", "nan"],
+               **dict.fromkeys(["--t", "--seed", "--trial-cap", "--jobs"], ["6"])}
+# half the pairs take a value their flag accepts, so that many lines parse
+_SOLVE_PAIR = st.sampled_from(_SOLVE_FLAGS).flatmap(lambda flag: st.tuples(
+    st.just(flag),
+    st.sampled_from(_SOLVE_VALUES) | st.sampled_from(_SOLVE_GOOD.get(flag, _SOLVE_VALUES)),
+))
+_SOLVE_ARGV = st.tuples(
+    st.booleans(),
+    st.lists(_SOLVE_PAIR | _SOLVE_PAIR | st.tuples(st.sampled_from(_SOLVE_TOKENS)), max_size=5),
+).map(lambda drawn: ["--input", "in.cnf"] * drawn[0] + [t for part in drawn[1] for t in part])
+
+
+def _plain(namespace):
+    """The namespace's attributes, with values by repr, so that nan equals nan."""
+    return sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+class TestSolveReader:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_SOLVE_ARGV)
+    def test_agrees_with_the_sub_parser(self, argv):
+        # the reader gives the sub-parser's namespace or nothing, and
+        # nothing wherever the sub-parser refuses argv
+        read = _read_solve(argv)
+        try:
+            parsed = _SOLVE_PARSER.parse_args(argv)
+        except UsageError:
+            assert read is None, argv
+            return
+        assert read is None or _plain(read) == _plain(parsed), argv
+
+    def test_reads_plain_lines(self):
+        for argv in (
+            ["--input", "in.cnf"],
+            ["--mode", "brute", "--input", "a", "--t", "4", "--epsilon", "nan", "--seed", "3",
+             "--trial-cap", "9", "--jobs", "2", "--cache-dir", "c", "--stats", "s.json"],
+            ["--input", "a", "--mode", "rand", "--input", "b", "--mode", "det"],
+        ):
+            assert _plain(_read_solve(argv)) == _plain(_SOLVE_PARSER.parse_args(argv))
+
+    def test_leaves_every_other_line_to_argparse(self):
+        for argv in (
+            [], ["--input"], ["-h"], ["--in", "a"], ["--input=a"], ["--input", "a", "--t", "-1"],
+            ["--input", "a", "--t", "x"], ["--input", "a", "--mode", "bogus"],
+            ["--input", "a", "--frobnicate", "1"], ["--mode", "det"], ["--input", "-"],
+        ):
+            assert _read_solve(argv) is None, argv
+
+
 class TestUsage:
     def test_unknown_flag(self):
         assert main(["solve", "--frobnicate"]) == 1
@@ -626,15 +690,18 @@ sys.argv = ["coversat", "solve", "--input", sys.argv[1]]
 try:
     coversat.cli.console_main()
 except SystemExit as exc:
-    print(json.dumps({"exit": exc.code, "built": built, "requests": requests}))
+    loaded = [name for name in ("locale", "multiprocessing") if name in sys.modules]
+    print(json.dumps({"exit": exc.code, "built": built, "requests": requests, "loaded": loaded}))
 """
 
 
 class TestColdStart:
     def test_console_solve_builds_only_what_it_reads(self, tmp_path):
         # the installed entry point passes argv=None: a fresh interpreter
-        # solving an n = 9 CSP builds the solve sub-parser alone and never
-        # asks for the (3,6,2) inner code, which needs n >= 18
+        # solving an n = 9 CSP reads the plain solve line without building a
+        # sub-parser, never asks for the (3,6,2) inner code, which needs
+        # n >= 18, and never imports locale (argparse's gettext would) or
+        # multiprocessing (only a pool does)
         path = write(tmp_path, "t.csp", "p csp 3 9 2\n1 1 2 1 3 1 0\n4 2 5 2 6 2 0\n")
         package_root = str(Path(coversat.csp.__file__).parent.parent)
         env = dict(os.environ)
@@ -645,4 +712,4 @@ class TestColdStart:
         )
         lines = out.stdout.splitlines()
         assert lines[0] == "s SATISFIABLE"
-        assert json.loads(lines[-1]) == {"exit": 10, "built": ["solve"], "requests": []}
+        assert json.loads(lines[-1]) == {"exit": 10, "built": [], "requests": [], "loaded": []}

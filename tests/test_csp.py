@@ -212,6 +212,16 @@ class TestTwoBoxCover:
         finally:
             csp._box_block.cache_clear()
 
+    def test_block_cache_keeps_two_blocks(self):
+        # a cover reads at most two blocks, and one block can hold 88 MB
+        csp._box_block.cache_clear()
+        try:
+            for length in (1, 2, 3):
+                csp._box_block(5, length)
+            assert csp._box_block.cache_info().currsize == 2
+        finally:
+            csp._box_block.cache_clear()
+
     @pytest.mark.parametrize("d,n,b", [
         (3, 9, 5), (3, 7, 3), (3, 8, 3), (3, 4, 5), (3, 1, 5), (3, 6, 1),
         (5, 5, 2), (5, 4, 4), (4, 5, None), (6, 3, 2), (2, 6, 3),

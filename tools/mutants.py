@@ -313,6 +313,12 @@ MUTANTS = {
         "cache_dir",
         ("tests/test_codes.py::TestGetCodeCache::test_one_entry_per_dir_whatever_its_type",),
     ),
+    "solve-reader-skips-choices": Mutant(
+        "src/coversat/cli.py",
+        'if "choices" in options and value not in options["choices"]:',
+        "if False:",
+        ("tests/test_cli.py::TestSolveReader::test_agrees_with_the_sub_parser",),
+    ),
 }
 
 
