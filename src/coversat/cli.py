@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .codes import greedy_code, random_code, verify_cover
 from .csp import brute_force_csp, csp_evaluate, restrict_to_box, solve_csp, two_box_cover
 from .errors import CoversatError, ResourceCapError, UsageError
-from .formats import input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
+from .formats import _decode, input_kind, parse_csp, parse_dimacs, read_code, write_code, write_dimacs
 from .cnf import evaluate
 from .solver import SolveResult, SolverConfig, brute_force, solve_deterministic, solve_schoening
 
@@ -195,18 +195,18 @@ def _emit_result(
             **vars(result.stats),
         }
         with open(args.stats, "w") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+            fh.write(json.dumps(report) + "\n")  # indent would force the pure-Python encoder
     return _STATUS_EXIT[result.status]
 
 
 def _cmd_solve(args) -> int:
     _check_writable(args.stats)
     with open(args.input, "rb") as fh:
-        raw = fh.read()
-    kind = input_kind(raw)
+        text = _decode(fh.read())  # once: input_kind and the parser read the same str
+    kind = input_kind(text)
     cfg = _config_from(args)
     if kind == "cnf":
-        f = parse_dimacs(raw)
+        f = parse_dimacs(text)
         if args.mode == "det":
             result = solve_deterministic(f, cfg)
         elif args.mode == "rand":
@@ -216,7 +216,7 @@ def _cmd_solve(args) -> int:
         if result.status == "sat" and not evaluate(f, result.witness):
             raise AssertionError("internal error: witness failed re-verification")
         return _emit_result(result, kind, args, len(f.clauses), f.max_width, f.num_vars)
-    g = parse_csp(raw)
+    g = parse_csp(text)
     if args.mode == "rand":
         raise UsageError("--mode rand supports CNF inputs only")
     result = brute_force_csp(g) if args.mode == "brute" else solve_csp(g, cfg)
@@ -255,10 +255,10 @@ def _cmd_verifycode(args) -> int:
 
 def _cmd_reduce(args) -> int:
     with open(args.input, "rb") as fh:
-        raw = fh.read()
-    if input_kind(raw) != "csp":
+        text = _decode(fh.read())
+    if input_kind(text) != "csp":
         raise UsageError("reduce takes a 'p csp' file; this input has no 'p csp' header")
-    g = parse_csp(raw)
+    g = parse_csp(text)
     boxes = two_box_cover(g.domain_size, g.num_vars)
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"schema": 1, "input": args.input, "domain_size": g.domain_size,

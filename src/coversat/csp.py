@@ -11,9 +11,9 @@ therefore reduces CSP solving to a family of k-SAT instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
-from itertools import combinations, compress, product
-from operator import itemgetter
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import combinations, compress, groupby, product
+from operator import itemgetter, or_
 from typing import Iterable
 
 from .cnf import Formula
@@ -23,6 +23,9 @@ from .solver import SolveResult, SolverConfig, SolveStats, _first_solution, _tim
 from .solver import solve_deterministic
 
 BOX_VERIFY_MAX = 10**6
+# bits of the int in which verify_box_cover marks the points of a box's last
+# coordinates: d^low <= BOX_LOW_BITS for its `low` of them
+BOX_LOW_BITS = 1 << 12
 # characters of the restriction table's rows, m * n * d (csp-d3's are 8,505)
 RESTRICTION_MAX_CHARS = 10**7
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -156,20 +159,85 @@ def csp_evaluate(f: CspFormula, alpha: tuple[int, ...]) -> bool:
     return True
 
 
+class _Parts(dict):
+    """A dict that builds, stores and returns build(part) for a missing part."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, part):
+        value = self[part] = self.build(part)
+        return value
+
+
 def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
-    """Exhaustive check that every point of {1..d}^n lies in some box:
-    each box marks its 2^n points, then every point must be marked. A box
-    of arity other than n, or with a pair outside 1 <= lo < hi <= d, fails
-    the check. Capped at d^n <= 10^6."""
+    """Exhaustive check that every point of {1..d}^n lies in some box. A box
+    of arity other than n, or with an item that is not a pair
+    1 <= lo < hi <= d, fails the check. Capped at d^n <= 10^6.
+
+    The points are read as bits. The last `low` coordinates, the most whose
+    d^low points fit BOX_LOW_BITS, are one int: a box's low part sets the
+    bits of its 2^low points there. The other, high, coordinates index acc,
+    d^(n - low) such ints. The low ints of consecutive boxes with one high
+    part are ORed together, then into acc at each of that part's indices,
+    and each distinct low or high part is read once. The boxes cover iff
+    every entry of acc is full. With no high coordinate the boxes' ints are
+    ORed at once; one-coordinate boxes, whose d may exceed BOX_LOW_BITS,
+    mark their values in a bytearray.
+    """
     if d**n > BOX_VERIFY_MAX:
         raise ResourceCapError(f"d^n = {d**n} exceeds box-cover verification cap")
-    marked = bytearray(d**n)
-    for box in boxes:
-        if len(box) != n or not all(1 <= lo < hi <= d for lo, hi in box):
-            return False
-        for i in _product_indices(d, [(lo - 1, hi - 1) for lo, hi in box]):
-            marked[i] = 1
-    return 0 not in marked
+    if n == 1:
+        return _covers_values(boxes, d)
+    low = 0
+    while low < n and d ** (low + 1) <= BOX_LOW_BITS:
+        low += 1
+    high = n - low
+    full = (1 << d**low) - 1
+    weights = [d**i for i in range(low)]  # the last coordinate's first: the int grows
+
+    def low_bits(part: TwoBox) -> int:
+        if len(part) != low:
+            raise ValueError
+        bits = 1
+        for (lo, hi), w in zip(reversed(part), weights):
+            if not 1 <= lo < hi <= d:
+                raise ValueError
+            bits = (bits << (lo - 1) * w) | (bits << (hi - 1) * w)
+        return bits
+
+    def high_indices(part: TwoBox) -> list[int]:
+        if len(part) != high or not all(1 <= lo < hi <= d for lo, hi in part):
+            raise ValueError
+        return _product_indices(d, [(lo - 1, hi - 1) for lo, hi in part])
+
+    try:
+        if not high:
+            return reduce(or_, map(low_bits, boxes), 0) == full
+        lows, highs = _Parts(low_bits), _Parts(high_indices)
+        low_part = itemgetter(slice(high, None))
+        acc = [0] * d**high
+        for part, group in groupby(boxes, itemgetter(slice(0, high))):
+            bits = reduce(or_, map(lows.__getitem__, map(low_part, group)))
+            for j in highs[part]:
+                acc[j] |= bits
+    except ValueError:  # a wrong arity, or an item that is no valid pair
+        return False
+    return all(map(full.__eq__, acc))
+
+
+def _covers_values(boxes: Iterable[TwoBox], d: int) -> bool:
+    """verify_box_cover for n = 1: each box marks the two values of its
+    pair in a bytearray, and every value must be marked."""
+    marked = bytearray(d + 1)  # by value; 0 is none
+    try:
+        for ((lo, hi),) in boxes:
+            if not 1 <= lo < hi <= d:
+                return False
+            marked[lo] = marked[hi] = 1
+    except ValueError:  # a wrong arity, or an item that is no pair
+        return False
+    return marked.count(0) == 1
 
 
 @lru_cache(maxsize=2)
@@ -180,30 +248,34 @@ def _box_block(d: int, length: int) -> tuple[TwoBox, ...]:
     88 MB).
 
     The values split into parts that tile them: the pairs (v, v + 1), and
-    for odd d the triple {1, 2, 3} first. For each choice of one part per
-    coordinate, the coordinates that chose the triple take each box of the
-    searched d = 3 block of their number (SEARCHED_BOX_BLOCKS, only the
-    rows read are parsed), and the others their pair; with no triple
-    coordinate that is one box. A point lies in the choice of its values'
-    parts, so the block covers. It is exhaustively verified here, and
-    refused with ResourceCapError before any box is built when d^length
-    exceeds BOX_VERIFY_MAX.
+    for odd d the triple {1, 2, 3} first. For each set of coordinates put
+    on the triple (all of them for d = 3, none for even d), those take each
+    box of the searched d = 3 block of their number (SEARCHED_BOX_BLOCKS,
+    only the rows read are parsed) and the others every choice of pairs,
+    one itertools.product per box of that block; with every coordinate on
+    the triple the parsed rows are the boxes. A point lies in the choice of
+    its values' parts, so the block covers. It is exhaustively verified
+    here, and refused with ResourceCapError before any box is built when
+    d^length exceeds BOX_VERIFY_MAX.
     """
     if d**length > BOX_VERIFY_MAX:
         raise ResourceCapError(f"d^b = {d**length} exceeds box-cover verification cap")
-    # None stands for the triple
-    parts = [None] * (d % 2) + [(v, v + 1) for v in range(4 if d % 2 else 1, d, 2)]
-    triple_pairs = list(combinations((1, 2, 3), 2))
-    triple_blocks: dict[int, list[TwoBox]] = {0: [()]}
-    block = []
-    for choice in product(parts, repeat=length):
-        k = choice.count(None)
+    pairs = [(v, v + 1) for v in range(4 if d % 2 else 1, d, 2)]
+    triple_pairs = dict(zip("012", combinations((1, 2, 3), 2)))
+    triple_blocks: dict[int, list[TwoBox]] = {}
+    block: list[TwoBox] = []
+    # True puts a coordinate on the triple: d = 3 has no pair, even d no triple
+    for on_triple in product([False] * bool(pairs) + [True] * (d % 2), repeat=length):
+        k = sum(on_triple)
         if k not in triple_blocks:
-            row = SEARCHED_BOX_BLOCKS[3][k - 1].split()
-            triple_blocks[k] = [tuple(triple_pairs[int(i)] for i in box) for box in row]
+            row = SEARCHED_BOX_BLOCKS[3][k - 1].split() if k else [""]
+            triple_blocks[k] = [tuple(map(triple_pairs.__getitem__, box)) for box in row]
+        if k == length:
+            block += triple_blocks[k]
+            continue
         for sub in triple_blocks[k]:
             fill = iter(sub)
-            block.append(tuple(next(fill) if part is None else part for part in choice))
+            block += product(*[[next(fill)] if on else pairs for on in on_triple])
     block.sort()
     if not verify_box_cover(block, d, length):
         raise CodeConstructionError(f"2-box block (d={d}, b={length}) failed verification")

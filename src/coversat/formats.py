@@ -147,10 +147,28 @@ def _records(lines, record: str, declared: int, what: str, var, pairs=None, boun
     return kept
 
 
+def _first_content_line(text: str) -> str:
+    """The first line that _content_lines(text) yields, "" when there is
+    none. Only the lines up to it are split, from a prefix of text that is
+    doubled until it holds that line whole."""
+    size = 1024
+    while True:
+        lines = text[:size].splitlines()
+        if size < len(text):
+            lines.pop()  # may be cut short
+        for line in map(str.strip, lines):
+            if line and line[0] != "c":
+                return line
+        if size >= len(text):
+            return ""
+        size *= 2
+
+
 def input_kind(text: str | bytes) -> str:
     """'csp' when the first content line is a 'p csp' header, else 'cnf'.
-    Only that line is looked at; the parser checks the rest."""
-    line = next(_content_lines(text), (None, ""))[1]
+    Only that line is looked at, and of a str only the lines up to it are
+    split; the parser checks the rest."""
+    line = _first_content_line(_decode(text))
     return "csp" if line.startswith("p") and line.split()[1:2] == ["csp"] else "cnf"
 
 

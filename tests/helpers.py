@@ -447,12 +447,13 @@ def listed_boxes(d: int, text: str) -> list[TwoBox]:
 def ref_box_block(d: int, length: int) -> tuple[TwoBox, ...]:
     """The 2-box block of {1..d}^length, built set of coordinates by set and
     sorted: the reference for coversat.csp._box_block, which builds it
-    choice of parts by choice. The tiles are the pairs (d-1, d), (d-3, d-2),
-    ... down to (1, 2) for even d and to (4, 5) for odd d, which leaves 1, 2
-    and 3 to the triple. Each set S of coordinates (for even d only the
-    empty one) gives every box that holds a box of the d = 3 block of
-    length |S|, as coversat.csp.SEARCHED_BOX_BLOCKS lists it, on S and a
-    tile on each other coordinate."""
+    with one itertools.product per box of the d = 3 block. The tiles are
+    the pairs (d-1, d), (d-3, d-2), ... down to (1, 2) for even d and to
+    (4, 5) for odd d, which leaves 1, 2 and 3 to the triple. Each set S of
+    coordinates (for even d only the empty one) gives every box that holds
+    a box of the d = 3 block of length |S|, as
+    coversat.csp.SEARCHED_BOX_BLOCKS lists it, on S and a tile on each
+    other coordinate."""
     tiles = [(v - 1, v) for v in range(d, 3 if d % 2 else 0, -2)]
     rows = coversat.csp.SEARCHED_BOX_BLOCKS[3]
     boxes = []

@@ -17,6 +17,7 @@ import coversat.bench
 import coversat.cli
 import coversat.codes
 import coversat.csp
+import coversat.errors
 from coversat.cli import _build_parser, _read_solve, main
 from coversat.codes import boolean_cover, random_code
 from coversat.cnf import evaluate
@@ -180,12 +181,23 @@ class TestSolveCommand:
         assert reports[0]["codewords_tried"] == cover_size
 
     def test_stats_file_is_canonical_json(self, tmp_path):
-        # one write of the indented report and a newline, as json.dump wrote it
+        # one write of the compact one-line report and a newline
         for name, text in (("s.cnf", SAT_3CNF), ("u.csp", UNSAT_CSP)):
             stats = tmp_path / f"{name}.json"
             main(["solve", "--input", write(tmp_path, name, text), "--stats", str(stats)])
             body = stats.read_text()
-            assert body == json.dumps(json.loads(body), indent=2) + "\n"
+            assert body == json.dumps(json.loads(body)) + "\n"
+
+    def test_non_ascii_byte_exit_1(self, tmp_path, capsys):
+        # the input is decoded once, with the parser's error
+        path = tmp_path / "late.cnf"
+        path.write_bytes(b"p cnf 1 1\n1 0\nc \xff\n")
+        assert main(["solve", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        with pytest.raises(coversat.errors.ParseError) as exc:
+            parse_dimacs(path.read_bytes())
+        assert err == f"error: {exc.value}\n"
+        assert "input is not ASCII" in err
 
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.cnf"]) == 1

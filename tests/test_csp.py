@@ -115,6 +115,14 @@ class TestVerifyBoxCover:
         assert failed > 0
 
     def test_matches_point_in_box_reference(self):
+        def check(boxes, d, n):
+            want = all(
+                any(point_in_box(p, b) for b in boxes)
+                for p in product(range(1, d + 1), repeat=n)
+            )
+            assert verify_box_cover(boxes, d, n) is want, (d, n, boxes)
+            return want
+
         rng = random.Random(8)
         for _ in range(100):
             d, n = rng.randint(2, 5), rng.randint(0, 3)
@@ -122,11 +130,41 @@ class TestVerifyBoxCover:
             boxes = tuple(
                 tuple(rng.choice(pairs) for _ in range(n)) for _ in range(rng.randint(0, 12))
             )
-            want = all(
-                any(point_in_box(p, b) for b in boxes)
-                for p in product(range(1, d + 1), repeat=n)
-            )
-            assert verify_box_cover(boxes, d, n) is want, (d, n, boxes)
+            check(boxes, d, n)
+        # above, every coordinate is marked in one int; d = 70, n = 2 marks
+        # its low coordinate in an int per first value, and d = 5000, n = 1
+        # marks the values of its pairs in a bytearray. Half of the (70, 2)
+        # sets also hold every tile of the second coordinate for three first
+        # tiles, so that some of the 70 entries are full and the others not
+        tiles = [(v, v + 1) for v in range(1, 70, 2)]
+        for d, n in [(70, 2)] * 20 + [(5000, 1)] * 10:
+            boxes = []
+            for _ in range(rng.randint(0, 12)):
+                los = [rng.randint(1, d - 1) for _ in range(n)]
+                boxes.append(tuple((lo, rng.randint(lo + 1, d)) for lo in los))
+            if d == 70 and rng.random() < 0.5:
+                boxes += [(first, tile) for first in rng.sample(tiles, 3) for tile in tiles]
+            check(tuple(boxes), d, n)
+        # d = 3, n = 8 marks its last seven coordinates in an int per first
+        # value: its cover, shuffled, whole and with one box dropped
+        cover = list(two_box_cover(3, 8))
+        for drop in (False, True, True):
+            boxes = rng.sample(cover, len(cover) - drop)
+            check(tuple(boxes), 3, 8)
+        # the 18 boxes of the (3, 6) block, one int, are each needed
+        block = csp._box_block(3, 6)
+        assert len(block) == 18 and check(block, 3, 6)
+        for i in range(len(block)):
+            assert not check(block[:i] + block[i + 1:], 3, 6), i
+
+    def test_one_coordinate_boxes_are_checked_like_others(self):
+        # n = 1 marks the values of its pairs, with the checks of every n
+        cover = (((1, 2),), ((2, 3),))
+        assert verify_box_cover(cover, 3, 1) is True
+        assert verify_box_cover(cover[:1], 3, 1) is False
+        assert verify_box_cover(cover + (((4, 5),),), 5, 1) is True
+        for bad in [((0, 3),), ((2, 4),), ((3, 1),), ((2, 2),), ((1, 2), (2, 3)), (), ((1, 2, 3),)]:
+            assert verify_box_cover(cover + (bad,), 3, 1) is False, bad
 
 
 class TestTwoBoxCover:

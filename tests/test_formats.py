@@ -368,6 +368,16 @@ class TestInputKind:
     def test_body_not_parsed(self):
         assert input_kind("p csp 3 1 1\nnot a constraint\n") == "csp"
 
+    def test_first_line_found_across_prefixes(self):
+        # input_kind splits growing prefixes of a str: wherever one cuts the
+        # header or a CRLF pair, the kind is that of the whole first line
+        for pad in range(2200):
+            for sep in ("\n", "\r\n", "\r"):
+                text = "c" + "x" * pad + sep + "p csp 3 1 1" + sep + "1 2 0" + sep
+                assert input_kind(text) == "csp", (pad, sep)
+        assert input_kind(b"c" * 5000 + b"\r\n  p csp 3 1 1\r\n") == "csp"
+        assert input_kind("c" * 5000 + "\n") == "cnf"
+
 
 class TestRoundTrips:
     def test_dimacs_round_trip(self):

@@ -111,6 +111,32 @@ MUTANTS = {
             "tests/test_csp.py::TestSearchedBoxBlocks::test_search_tool_reproduces_shipped_blocks",
         ),
     ),
+    # (the low weights in reverse order would be no fault: it reorders the
+    # low coordinates of every box alike, which keeps whether they cover)
+    "box-low-part-from-first-coordinates": Mutant(
+        "src/coversat/csp.py",
+        "low_part = itemgetter(slice(high, None))",
+        "low_part = itemgetter(slice(0, low))",
+        ("tests/test_csp.py::TestVerifyBoxCover::test_matches_point_in_box_reference",),
+    ),
+    "box-cover-some-entry-full": Mutant(
+        "src/coversat/csp.py",
+        "return all(map(full.__eq__, acc))",
+        "return any(map(full.__eq__, acc))",
+        ("tests/test_csp.py::TestVerifyBoxCover::test_matches_point_in_box_reference",),
+    ),
+    "one-coordinate-box-marks-one-value": Mutant(
+        "src/coversat/csp.py",
+        "marked[lo] = marked[hi] = 1",
+        "marked[hi] = 1",
+        ("tests/test_csp.py::TestVerifyBoxCover::test_one_coordinate_boxes_are_checked_like_others",),
+    ),
+    "input-kind-reads-a-cut-line": Mutant(
+        "src/coversat/formats.py",
+        "lines.pop()  # may be cut short",
+        "pass",
+        ("tests/test_formats.py::TestInputKind::test_first_line_found_across_prefixes",),
+    ),
     "restriction-table-built-in-workers": Mutant(
         "src/coversat/csp.py",
         "    f._restriction\n",
