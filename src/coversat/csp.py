@@ -194,7 +194,7 @@ def verify_box_cover(boxes: Iterable[TwoBox], d: int, n: int) -> bool:
         low += 1
     high = n - low
     full = (1 << d**low) - 1
-    weights = [d**i for i in range(low)]  # the last coordinate's first: the int grows
+    weights = [d**i for i in range(low)]  # of the low coordinates from the last: the int starts small
 
     def low_bits(part: TwoBox) -> int:
         if len(part) != low:
